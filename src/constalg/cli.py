@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 semantic false verdict (not a constant, failed
 Groebner verification), 2 usage/parse/instance errors.  Output on stdout
 is byte-identical across runs on identical inputs; certificates include a
-timestamp but their pass/fail entries replay identically.
+timestamp but their pass/fail entries replay identically.  The `--jobs`
+option of verify-gb is accepted and ignored: the pair check is serial.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-gb", "verify that R united with S is a reduced Groebner basis")
     p.add_argument("--variant", choices=sorted(_VARIANT_BY_FLAG), default="corrected")
     p.add_argument("--certificate", help="write the per-pair certificate JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="parallel pair reductions")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="ignored; kept for compatibility (the check is serial)"
+    )
 
     p = add("normal-words", "list normal words up to an image-degree bound")
     p.add_argument("--max-deg", type=int, required=True)
@@ -86,7 +89,7 @@ def _cmd_relations(args) -> int:
 def _cmd_verify_gb(args) -> int:
     inst = load_instance(args.instance)
     variant = _VARIANT_BY_FLAG[args.variant]
-    cert = verify_groebner(inst, variant=variant, jobs=max(1, args.jobs))
+    cert = verify_groebner(inst, variant=variant)
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as handle:
             json.dump(cert.to_json_dict(), handle, indent=2)

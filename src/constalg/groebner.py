@@ -5,7 +5,9 @@ set of an instance is a reduced Groebner basis under the DILL order: the
 computed leading monomials must match the expected pattern (u_ik*u_jl for
 quadratic relations, xj^mj*u_ik for mixed ones), every S-polynomial of a
 pair of relations must reduce to zero, and the basis must be reduced.
-The result carries a replayable per-pair certificate.
+Pairs with coprime leads are discharged by Buchberger's first criterion
+instead of a reduction.  The result carries a per-pair certificate that
+records what discharged each pair.
 
 `buchberger_complete` is a generic completion used as an independent
 cross-check: running it on the relation set must add nothing.
@@ -13,7 +15,6 @@ cross-check: running it on the relation set must add nothing.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -25,44 +26,76 @@ from .poly import PMonomial, Polynomial, format_monomial, format_poly, leading_t
 from .presentation import RelationSet, build_relations, relation_label
 
 
-def reduce(p: Polynomial, basis, order) -> Polynomial:
-    """Full normal form of p modulo the basis list.
+class LeadTable:
+    """Leading terms (lm, lc, g) of a reduction basis, indexed by u-pair.
 
+    Each lead is filed under its first u-pair (leads without u-factors
+    under None).  A lead can only divide monomials containing that pair,
+    so `reducer` tests a monomial only against the leads filed under the
+    pairs it contains.  The table is built for one order and must be used
+    with that order.
+    """
+
+    def __init__(self, basis, order):
+        basis = list(basis)
+        if not basis:
+            raise ValueError("reduction needs a nonempty basis")
+        if any(g.is_zero() for g in basis):
+            raise ValueError("reduction basis must not contain zero")
+        self.entries = []
+        self._by_pair: dict = {}
+        for index, g in enumerate(basis):
+            lm, lc = leading_term(g, order)
+            self.entries.append((lm, lc, g))
+            first = lm.upairs[0][0] if lm.upairs else None
+            self._by_pair.setdefault(first, []).append((index, lm, lc, g))
+
+    def reducer(self, mono: PMonomial):
+        """(lm, lc, g) of the first basis element whose lead divides mono, or None."""
+        best = None
+        best_index = len(self.entries)
+        by_pair = self._by_pair
+        for pair in (None, *(pair for pair, _ in mono.upairs)):
+            for index, lm, lc, g in by_pair.get(pair, ()):
+                if index >= best_index:
+                    break
+                if lm.divides(mono):
+                    best, best_index = (lm, lc, g), index
+                    break
+        return best
+
+
+def reduce(p: Polynomial, basis, order) -> Polynomial:
+    """Full normal form of p modulo the basis.
+
+    `basis` is a list of polynomials or a `LeadTable` built for `order`.
     Deterministic: the order-maximal reducible monomial is rewritten
     first, always against the first basis element whose lead divides it.
     No monomial of the result is divisible by any basis lead.
     """
-    basis = list(basis)
-    if not basis:
-        raise ValueError("reduction needs a nonempty basis")
-    if any(g.is_zero() for g in basis):
-        raise ValueError("reduction basis must not contain zero")
+    leads = basis if isinstance(basis, LeadTable) else LeadTable(basis, order)
     key = order.key
-    lead_data = []
-    for g in basis:
-        lm, lc = leading_term(g, order)
-        lead_data.append((lm, lc, g))
     work = dict(p.terms)
     remainder: dict = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        for lm, lc, g in lead_data:
-            if lm.divides(mono):
-                quot = mono.div(lm)
-                factor = coeff / lc
-                for gm, gc in g.terms.items():
-                    if gm is lm or gm == lm:
-                        continue
-                    target = gm.mul(quot)
-                    new = work.get(target, 0) - factor * gc
-                    if new:
-                        work[target] = new
-                    else:
-                        work.pop(target, None)
-                break
-        else:
+        hit = leads.reducer(mono)
+        if hit is None:
             remainder[mono] = coeff
+            continue
+        lm, lc, g = hit
+        quot = mono.div(lm)
+        factor = coeff / lc
+        for gm, gc in g.terms.items():
+            if gm is lm or gm == lm:
+                continue
+            target = gm.mul(quot)
+            new = work.get(target, 0) - factor * gc
+            if new:
+                work[target] = new
+            else:
+                work.pop(target, None)
     return Polynomial(p.ring, remainder)
 
 
@@ -166,10 +199,20 @@ def verify_lead_conformance(
 
 @dataclass
 class PairOutcome:
+    """What became of the S-polynomial of one pair of basis elements.
+
+    `normal_form_zero` says that S(left, right) reduces to zero.  For a pair
+    with coprime leads that holds by Buchberger's first criterion (S(g, h)
+    reduces to zero modulo {g, h}), and no reduction runs; `discharged_by`
+    records which: "coprime", "reduction", or None when the remainder of
+    the reduction was nonzero.
+    """
+
     left: str
     right: str
     coprime_leads: bool
     normal_form_zero: bool
+    discharged_by: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,6 +220,7 @@ class PairOutcome:
             "right": self.right,
             "coprime_leads": self.coprime_leads,
             "normal_form_zero": self.normal_form_zero,
+            "discharged_by": self.discharged_by,
         }
 
 
@@ -191,6 +235,11 @@ class GroebnerCertificate:
     generated_at: str = ""
 
     def first_failure(self) -> str | None:
+        """The first reason the verdict is false, or None.
+
+        A failing pair is always one whose leads are not coprime, because
+        coprime pairs are discharged by the criterion.
+        """
         if not self.conformance.ok:
             bad = self.conformance.violations()[0]
             return (
@@ -236,18 +285,6 @@ def verify_reduced(basis, order) -> bool:
     return True
 
 
-def _pair_outcome(args):
-    i, j, labels, basis, variant = args
-    order = DillOrder(variant)
-    g, h = basis[i], basis[j]
-    lmg, _ = leading_term(g, order)
-    lmh, _ = leading_term(h, order)
-    coprime = lmg.lcm(lmh) == lmg.mul(lmh)
-    spoly = s_polynomial(g, h, order)
-    zero = spoly.is_zero() or reduce(spoly, basis, order).is_zero()
-    return PairOutcome(labels[i], labels[j], coprime, zero)
-
-
 def verify_groebner(
     inst: ProblemInstance,
     variant: str = CORRECTED,
@@ -257,8 +294,10 @@ def verify_groebner(
     """Check that the relation set is a reduced Groebner basis.
 
     A failed lead-conformance report aborts the pair phase; the verdict is
-    then false.  With jobs > 1 the pair reductions run in worker processes;
-    the verdict and certificate are identical regardless of jobs.
+    then false.  Pairs with coprime leads are discharged by Buchberger's
+    first criterion; every other S-polynomial is fully reduced against the
+    basis.  `jobs` is accepted for compatibility and ignored: the pair
+    phase runs serially, which is faster than the former process pool.
     """
     if relations is None:
         relations = build_relations(inst)
@@ -269,16 +308,18 @@ def verify_groebner(
     basis = [poly for _, poly in labeled]
     pairs: list[PairOutcome] = []
     if conformance.ok and len(basis) >= 2:
-        tasks = [
-            (i, j, labels, basis, variant)
-            for i in range(len(basis))
-            for j in range(i + 1, len(basis))
-        ]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                pairs = list(pool.map(_pair_outcome, tasks, chunksize=8))
-        else:
-            pairs = [_pair_outcome(task) for task in tasks]
+        leads = LeadTable(basis, order)
+        for i, (lmg, _, g) in enumerate(leads.entries):
+            for j in range(i + 1, len(basis)):
+                lmh, _, h = leads.entries[j]
+                coprime = lmg.lcm(lmh) == lmg.mul(lmh)
+                spoly = s_polynomial(g, h, order)
+                if coprime:
+                    zero, discharged_by = True, "coprime"
+                else:
+                    zero = reduce(spoly, leads, order).is_zero()
+                    discharged_by = "reduction" if zero else None
+                pairs.append(PairOutcome(labels[i], labels[j], coprime, zero, discharged_by))
     reduced = verify_reduced(basis, order) if basis else True
     verdict = conformance.ok and all(p.normal_form_zero for p in pairs) and reduced
     return GroebnerCertificate(

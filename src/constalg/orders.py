@@ -20,6 +20,7 @@ x1 > y1 > x2 > y2 > ... > yd.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .poly import AMonomial, PMonomial, u_pairs
@@ -43,9 +44,17 @@ class DillKey(NamedTuple):
     tie: tuple
 
 
+@lru_cache(maxsize=None)
+def _pair_positions(d: int) -> dict:
+    return {pair: pos for pos, pair in enumerate(u_pairs(d))}
+
+
 def _corrected_tie(mono: PMonomial) -> tuple:
-    ud = dict(mono.upairs)
-    return tuple(ud.get(pair, 0) for pair in u_pairs(mono.d)) + mono.xexp
+    positions = _pair_positions(mono.d)
+    tie = [0] * len(positions)
+    for pair, e in mono.upairs:
+        tie[positions[pair]] = e
+    return tuple(tie) + mono.xexp
 
 
 def _literal_omega(mono: PMonomial) -> tuple:
@@ -102,15 +111,23 @@ def plex_key(mono: PMonomial) -> tuple:
 
 
 class DillOrder:
-    """Order handle for ring P monomials."""
+    """Order handle for ring P monomials.
+
+    `key` memoises its results in the handle, so a handle should serve one
+    computation: the memo is freed with it.
+    """
 
     def __init__(self, variant: str = CORRECTED):
         if variant not in VARIANTS:
             raise ValueError(f"unknown order variant {variant!r}")
         self.variant = variant
+        self._keys: dict = {}
 
     def key(self, mono: PMonomial) -> tuple:
-        return dill_key(mono, self.variant)
+        key = self._keys.get(mono)
+        if key is None:
+            key = self._keys[mono] = dill_key(mono, self.variant)
+        return key
 
     def compare(self, v: PMonomial, w: PMonomial) -> int:
         return dill_compare(v, w, self.variant)

@@ -389,8 +389,13 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Polynomial.constant(self.ring, 1)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def scale(self, factor) -> "Polynomial":
@@ -608,15 +613,11 @@ class _Parser:
         if kind == "x":
             if not (1 <= value <= d):
                 raise ParseError(f"index of x{value} out of range 1..{d}")
-            base = self._x_mono(value)
         elif kind == "y":
             if self.ring.flavor != RING_A:
                 raise ParseError("variable y is not valid in ring P")
             if not (1 <= value <= d):
                 raise ParseError(f"index of y{value} out of range 1..{d}")
-            base = AMonomial(
-                (0,) * d, tuple(1 if t == value - 1 else 0 for t in range(d))
-            )
         elif kind == "u":
             if self.ring.flavor != RING_P:
                 raise ParseError("variable u is not valid in ring A")
@@ -625,33 +626,28 @@ class _Parser:
                 raise ParseError(f"u-pair indices must be ascending, got u{j}_{k}")
             if not (1 <= j < k <= d):
                 raise ParseError(f"u-pair ({j},{k}) out of range for d={d}")
-            base = PMonomial((0,) * d, (((j, k), 1),))
         else:
             raise ParseError("expected a variable")
-        kind, value = self.peek()
         exp = 1
-        if kind == "sym" and value == "^":
+        peek_kind, peek_value = self.peek()
+        if peek_kind == "sym" and peek_value == "^":
             self.advance()
-            kind, exp = self.advance()
-            if kind != "nat":
+            peek_kind, exp = self.advance()
+            if peek_kind != "nat":
                 raise ParseError("expected a natural number after '^'")
-        if exp == 1:
-            return base
-        result = self._one()
-        for _ in range(exp):
-            result = result.mul(base)
-        return result
+        zeros = (0,) * d
+        if kind == "u":
+            return PMonomial(zeros, ((value, exp),))
+        powered = tuple(exp if t == value - 1 else 0 for t in range(d))
+        if kind == "y":
+            return AMonomial(zeros, powered)
+        if self.ring.flavor == RING_A:
+            return AMonomial(powered, zeros)
+        return PMonomial(powered, ())
 
     def _one(self):
         d = self.ring.d
         return AMonomial.one(d) if self.ring.flavor == RING_A else PMonomial.one(d)
-
-    def _x_mono(self, i: int):
-        d = self.ring.d
-        xexp = tuple(1 if t == i - 1 else 0 for t in range(d))
-        if self.ring.flavor == RING_A:
-            return AMonomial(xexp, (0,) * d)
-        return PMonomial(xexp, ())
 
 
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:

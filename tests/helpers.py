@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and reference paths shared by the test modules."""
 
 from fractions import Fraction
 
@@ -9,8 +9,10 @@ from constalg import (
     ProblemInstance,
     ring_a,
     ring_p,
+    s_polynomial,
     u_pairs,
 )
+from constalg.poly import leading_term
 
 
 def random_instance(rng, d, max_m=4, coeff_bound=5, dense=False):
@@ -97,3 +99,49 @@ def random_ppoly_of_degree(rng, d, max_degree, terms):
     for _ in range(terms):
         data[random_pmonomial_of_degree(rng, d, max_degree)] = random_coeff(rng)
     return Polynomial(ring_p(d), data)
+
+
+# -- reference Groebner path -------------------------------------------------
+#
+# The plain algorithms that `reduce` and `verify_groebner` speed up: a linear
+# scan for the first basis element whose lead divides, and a pair loop that
+# reduces every S-polynomial, with no criterion.
+
+
+def reference_reduce(p, basis, order):
+    """Normal form of p: the maximal reducible monomial first, first divisor wins."""
+    lead_data = [leading_term(g, order) + (g,) for g in basis]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        mono = max(work, key=order.key)
+        coeff = work.pop(mono)
+        for lm, lc, g in lead_data:
+            if lm.divides(mono):
+                quot = mono.div(lm)
+                factor = coeff / lc
+                for gm, gc in g.terms.items():
+                    if gm == lm:
+                        continue
+                    target = gm.mul(quot)
+                    new = work.get(target, 0) - factor * gc
+                    if new:
+                        work[target] = new
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[mono] = coeff
+    return Polynomial(p.ring, remainder)
+
+
+def reference_pair_outcomes(relations, order):
+    """{(left, right): normal form is zero} with every S-polynomial reduced."""
+    labeled = relations.labeled()
+    basis = [poly for _, poly in labeled]
+    outcomes = {}
+    for i, (left, g) in enumerate(labeled):
+        for right, h in labeled[i + 1:]:
+            spoly = s_polynomial(g, h, order)
+            outcomes[left, right] = reference_reduce(spoly, basis, order).is_zero()
+    return outcomes

@@ -98,6 +98,13 @@ def test_check_verdicts(instance_file, capsys):
     assert capsys.readouterr().out.strip() == "constant"
 
 
+def test_check_huge_exponent(instance_file, capsys):
+    # The exponent is read directly, not built by two million multiplications.
+    path = instance_file(CLASSICAL_2)
+    assert run(["check", "--instance", path, "--poly", "x1^2000000"]) == 0
+    assert capsys.readouterr().out.strip() == "constant"
+
+
 def test_rewrite_generator(instance_file, capsys):
     path = instance_file(CLASSICAL_2)
     code = run(["rewrite", "--instance", path, "--poly", "x1*y2-x2*y1"])

@@ -12,6 +12,7 @@ from constalg import (
     PLexOrder,
     PMonomial,
     ProblemInstance,
+    RelationSet,
     buchberger_complete,
     build_generators,
     build_relations,
@@ -25,7 +26,13 @@ from constalg import (
     verify_reduced,
 )
 from constalg.poly import leading_term
-from helpers import instance_with_degrees, random_instance, random_ppoly
+from helpers import (
+    instance_with_degrees,
+    random_instance,
+    random_ppoly,
+    reference_pair_outcomes,
+    reference_reduce,
+)
 
 
 def classical(d):
@@ -268,3 +275,82 @@ def test_buchberger_budget_error():
 def test_buchberger_empty_input_rejected():
     with pytest.raises(ValueError):
         buchberger_complete([], DillOrder())
+
+
+# -- the fast pair phase against the reference path ---------------------------
+
+
+def test_reduce_matches_reference_reduce():
+    # Same reducer choice, so the same normal form, for relation bases and for
+    # bases whose leads carry no u-factor.
+    rng = random.Random(131)
+    for d in (3, 4, 5):
+        inst = random_instance(rng, d, max_m=3)
+        bases = [build_relations(inst).polynomials()]
+        bases.append([random_ppoly(rng, d, terms=3, max_factors=1) for _ in range(4)])
+        bases[-1].append(parse_poly("x1^2 + x2", "P", d))
+        for basis in bases:
+            basis = [g for g in basis if not g.is_zero()]
+            for _ in range(10):
+                p = random_ppoly(rng, d, terms=5, max_x=3, max_u=2, max_factors=3)
+                assert reduce(p, basis, DillOrder()) == reference_reduce(p, basis, DillOrder())
+
+
+def test_coprime_pairs_reduce_to_zero_under_reference():
+    rng = random.Random(137)
+    for d in (4, 5, 6):
+        inst = random_instance(rng, d, max_m=3, dense=True)
+        relations = build_relations(inst)
+        cert = verify_groebner(inst, relations=relations)
+        assert cert.verdict
+        basis = dict(relations.labeled())
+        order = DillOrder()
+        for pair in cert.pairs:
+            if not pair.coprime_leads:
+                assert pair.discharged_by == "reduction"
+                continue
+            assert pair.normal_form_zero and pair.discharged_by == "coprime"
+            spoly = s_polynomial(basis[pair.left], basis[pair.right], order)
+            assert reference_reduce(spoly, list(basis.values()), order).is_zero()
+
+
+def test_broken_relation_sets_match_reference_verdict():
+    inst = random_instance(random.Random(139), 5, max_m=3, dense=True)
+    full = build_relations(inst)
+    failed = 0
+    for dropped in range(len(full.mixed)):
+        broken = RelationSet(full.quadratic, full.mixed[:dropped] + full.mixed[dropped + 1:])
+        cert = verify_groebner(inst, relations=broken)
+        reference = reference_pair_outcomes(broken, DillOrder())
+        assert cert.conformance.ok and cert.reduced
+        assert cert.verdict == all(reference.values())
+        failed += not cert.verdict
+        for pair in cert.pairs:
+            if not pair.coprime_leads:
+                assert pair.normal_form_zero == reference[pair.left, pair.right]
+        if not cert.verdict:
+            first = next(p for p in cert.pairs if not p.normal_form_zero)
+            assert not first.coprime_leads and first.discharged_by is None
+            assert f"({first.left}, {first.right})" in cert.first_failure()
+    assert failed  # the cases exercise the failing branch
+
+
+def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
+    from constalg import groebner
+
+    counts = {"reduce": 0, "s_polynomial": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(groebner, "reduce", counting("reduce", groebner.reduce))
+    monkeypatch.setattr(groebner, "s_polynomial", counting("s_polynomial", groebner.s_polynomial))
+    cert = verify_groebner(classical(5))
+    assert counts["s_polynomial"] == len(cert.pairs) == 105
+    assert counts["reduce"] == sum(not p.coprime_leads for p in cert.pairs) > 0
+    entries = [p.to_json_dict() for p in cert.pairs]
+    assert {e["discharged_by"] for e in entries} == {"coprime", "reduction"}

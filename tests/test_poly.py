@@ -208,3 +208,34 @@ def test_pmonomial_divmul():
     assert a.div(b).mul(b) == a
     assert not a.divides(b)
     assert a.lcm(b) == a
+
+
+def repeated_product(factor, exponent, one):
+    result = one
+    for _ in range(exponent):
+        result = result * factor
+    return result
+
+
+def test_parse_exponent_matches_repeated_multiplication():
+    for text, flavor, d in [("x2", "A", 3), ("y3", "A", 3), ("x1", "P", 3), ("u1_3", "P", 3)]:
+        base = parse_poly(text, flavor, d)
+        one = Polynomial.constant(base.ring, 1)
+        for exponent in range(6):
+            powered = parse_poly(f"{text}^{exponent}", flavor, d)
+            assert powered == repeated_product(base, exponent, one)
+    mixed = parse_poly("2*x1^3*y2^0*y1^2", "A", 2)
+    assert mixed == parse_poly("2*x1*x1*x1*y1*y1", "A", 2)
+
+
+def test_pow_matches_repeated_multiplication():
+    rng = random.Random(29)
+    for _ in range(5):
+        p = random_apoly(rng, 2, terms=3, max_exp=2)
+        q = random_ppoly(rng, 3, terms=2)
+        for base in (p, q):
+            one = Polynomial.constant(base.ring, 1)
+            for exponent in range(7):
+                assert base**exponent == repeated_product(base, exponent, one)
+    with pytest.raises(ValueError):
+        p ** -1
