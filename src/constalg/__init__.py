@@ -11,7 +11,6 @@ arithmetic is exact rational.
 """
 
 from .derivation import (
-    Derivation,
     ProblemInstance,
     apply_delta,
     f_adic_expand,
@@ -53,12 +52,10 @@ from .orders import (
     CORRECTED,
     LITERAL,
     ALexOrder,
-    DillKey,
     DillOrder,
     PLexOrder,
     dill_compare,
     dill_key,
-    dill_key_parts,
 )
 from .poly import (
     RING_A,

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 semantic false verdict (not a constant, failed
 Groebner verification), 2 usage/parse/instance errors.  Output on stdout
-is byte-identical across runs on identical inputs; certificates include a
-timestamp but their pass/fail entries replay identically.  The `--jobs`
-option of verify-gb is accepted and ignored: the pair check is serial.
+and certificate files are byte-identical across runs on identical inputs.
+The `--jobs` option of verify-gb is accepted and ignored: the pair check
+is serial.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InstanceError, RingMismatchError
-from .poly import AMonomial, Polynomial, Ring, ring_a, ring_p
+from .poly import AMonomial, Polynomial, Ring, ring_a, ring_p, univariate
+
+# Largest supported d.  A P-monomial stores d(d+1)/2 exponents, so the work
+# per monomial grows quadratically in d; beyond this bound it is impractical.
+MAX_D = 64
 
 
 def _coefficient_from_json(value) -> Fraction:
@@ -64,6 +67,8 @@ class ProblemInstance:
     def from_coeffs(d, coeff_lists) -> "ProblemInstance":
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise InstanceError(f"d must be a positive integer, got {d!r}")
+        if d > MAX_D:
+            raise InstanceError(f"d = {d} exceeds the supported maximum of {MAX_D}")
         coeff_lists = list(coeff_lists)
         if len(coeff_lists) != d:
             raise InstanceError(
@@ -106,7 +111,7 @@ class ProblemInstance:
         """f_i(x_i) as an element of ring A; i is 1-based."""
         if not (1 <= i <= self.d):
             raise ValueError(f"index {i} out of range 1..{self.d}")
-        return _f_polynomial_a(self, i)
+        return univariate(self.ring_a, i, enumerate(self.f[i - 1]))
 
 
 def load_instance(path) -> ProblemInstance:
@@ -120,27 +125,6 @@ def load_instance(path) -> ProblemInstance:
     return ProblemInstance.from_json_dict(data)
 
 
-@lru_cache(maxsize=4096)
-def _f_polynomial_a(inst: ProblemInstance, i: int) -> Polynomial:
-    ring = inst.ring_a
-    terms = {}
-    for power, coeff in enumerate(inst.f[i - 1]):
-        if coeff:
-            xexp = tuple(power if t == i - 1 else 0 for t in range(inst.d))
-            terms[AMonomial(xexp, (0,) * inst.d)] = coeff
-    return Polynomial(ring, terms)
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """The derivation with x_i -> 0 and y_i -> f_i(x_i)."""
-
-    instance: ProblemInstance
-
-    def __call__(self, g: Polynomial) -> Polynomial:
-        return apply_delta(self.instance, g)
-
-
 def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     """Image of g under the derivation, term by term via the Leibniz rule.
 
@@ -148,28 +132,27 @@ def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     """
     if g.ring != inst.ring_a:
         raise RingMismatchError(f"polynomial over {g.ring} does not match d={inst.d}")
-    d = inst.d
     terms: dict = {}
     for mono, coeff in g.terms.items():
-        for i in range(d):
-            bi = mono.yexp[i]
+        for i, fi in enumerate(inst.f):
+            y_pos = 2 * i + 1
+            bi = mono[y_pos]
             if not bi:
                 continue
-            yexp = list(mono.yexp)
-            yexp[i] -= 1
             base_factor = coeff * bi
-            for power, fc in enumerate(inst.f[i]):
+            for power, fc in enumerate(fi):
                 if not fc:
                     continue
-                xexp = list(mono.xexp)
-                xexp[i] += power
-                target = AMonomial(tuple(xexp), tuple(yexp))
+                exps = list(mono)
+                exps[y_pos] -= 1
+                exps[y_pos - 1] += power
+                target = AMonomial._of(exps)
                 new = terms.get(target, 0) + base_factor * fc
                 if new:
                     terms[target] = new
                 else:
                     terms.pop(target, None)
-    return Polynomial(inst.ring_a, terms)
+    return Polynomial._make(inst.ring_a, terms)
 
 
 def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:
@@ -180,12 +163,13 @@ def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:
 def _univariate_coeffs(inst: ProblemInstance, i: int, g: Polynomial) -> list[Fraction]:
     """Coefficient list of g, which must involve no variable besides x_i."""
     coeffs: list[Fraction] = []
+    x_pos = 2 * i - 2
     for mono, coeff in g.terms.items():
-        if any(mono.yexp) or any(e and t != i - 1 for t, e in enumerate(mono.xexp)):
+        if any(e and t != x_pos for t, e in enumerate(mono)):
             raise ValueError(
                 f"polynomial must be univariate in x{i}, got term {mono!r}"
             )
-        power = mono.xexp[i - 1]
+        power = mono[x_pos]
         if power >= len(coeffs):
             coeffs.extend([Fraction(0)] * (power + 1 - len(coeffs)))
         coeffs[power] = coeff
@@ -233,13 +217,4 @@ def f_adic_expand(inst: ProblemInstance, i: int, g: Polynomial) -> list[Polynomi
         remainder = quot
     if not layers:
         layers.append([])
-    ring = inst.ring_a
-    out = []
-    for layer in layers:
-        terms = {}
-        for power, coeff in enumerate(layer):
-            if coeff:
-                xexp = tuple(power if t == i - 1 else 0 for t in range(inst.d))
-                terms[AMonomial(xexp, (0,) * inst.d)] = coeff
-        out.append(Polynomial(ring, terms))
-    return out
+    return [univariate(inst.ring_a, i, enumerate(layer)) for layer in layers]

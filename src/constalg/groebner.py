@@ -16,8 +16,8 @@ cross-check: running it on the relation set must add nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import compress
 
 from .derivation import ProblemInstance
 from .errors import BudgetExceededError
@@ -27,13 +27,13 @@ from .presentation import RelationSet, build_relations, relation_label
 
 
 class LeadTable:
-    """Leading terms (lm, lc, g) of a reduction basis, indexed by u-pair.
+    """Leading terms (lm, lc, g) of a reduction basis, indexed by u-position.
 
-    Each lead is filed under its first u-pair (leads without u-factors
-    under None).  A lead can only divide monomials containing that pair,
-    so `reducer` tests a monomial only against the leads filed under the
-    pairs it contains.  The table is built for one order and must be used
-    with that order.
+    Each lead is filed under the first nonzero u-position of its exponent
+    tuple (leads without u-factors under None).  A lead can only divide
+    monomials that are nonzero at that position, so `reducer` tests a
+    monomial only against the leads filed under its nonzero u-positions.
+    The table is built for one order and must be used with that order.
     """
 
     def __init__(self, basis, order):
@@ -42,21 +42,23 @@ class LeadTable:
             raise ValueError("reduction needs a nonempty basis")
         if any(g.is_zero() for g in basis):
             raise ValueError("reduction basis must not contain zero")
+        d = basis[0].ring.d
+        self._u_positions = range(d * (d - 1) // 2)
         self.entries = []
-        self._by_pair: dict = {}
+        self._by_position: dict = {}
         for index, g in enumerate(basis):
             lm, lc = leading_term(g, order)
             self.entries.append((lm, lc, g))
-            first = lm.upairs[0][0] if lm.upairs else None
-            self._by_pair.setdefault(first, []).append((index, lm, lc, g))
+            first = next(compress(self._u_positions, lm), None)
+            self._by_position.setdefault(first, []).append((index, lm, lc, g))
 
     def reducer(self, mono: PMonomial):
         """(lm, lc, g) of the first basis element whose lead divides mono, or None."""
         best = None
         best_index = len(self.entries)
-        by_pair = self._by_pair
-        for pair in (None, *(pair for pair, _ in mono.upairs)):
-            for index, lm, lc, g in by_pair.get(pair, ()):
+        by_position = self._by_position
+        for pos in (None, *compress(self._u_positions, mono)):
+            for index, lm, lc, g in by_position.get(pos, ()):
                 if index >= best_index:
                     break
                 if lm.divides(mono):
@@ -96,7 +98,7 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
                 work[target] = new
             else:
                 work.pop(target, None)
-    return Polynomial(p.ring, remainder)
+    return Polynomial._make(p.ring, remainder)
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
@@ -232,7 +234,6 @@ class GroebnerCertificate:
     pairs: list
     reduced: bool
     verdict: bool
-    generated_at: str = ""
 
     def first_failure(self) -> str | None:
         """The first reason the verdict is false, or None.
@@ -264,7 +265,6 @@ class GroebnerCertificate:
             "pairs": [p.to_json_dict() for p in self.pairs],
             "reduced": self.reduced,
             "verdict": self.verdict,
-            "generated_at": self.generated_at,
         }
 
 
@@ -288,7 +288,6 @@ def verify_reduced(basis, order) -> bool:
 def verify_groebner(
     inst: ProblemInstance,
     variant: str = CORRECTED,
-    jobs: int = 1,
     relations: RelationSet | None = None,
 ) -> GroebnerCertificate:
     """Check that the relation set is a reduced Groebner basis.
@@ -296,8 +295,7 @@ def verify_groebner(
     A failed lead-conformance report aborts the pair phase; the verdict is
     then false.  Pairs with coprime leads are discharged by Buchberger's
     first criterion; every other S-polynomial is fully reduced against the
-    basis.  `jobs` is accepted for compatibility and ignored: the pair
-    phase runs serially, which is faster than the former process pool.
+    basis.
     """
     if relations is None:
         relations = build_relations(inst)
@@ -329,7 +327,6 @@ def verify_groebner(
         pairs=pairs,
         reduced=reduced,
         verdict=verdict,
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
 

@@ -28,7 +28,7 @@ from .errors import (
     RingMismatchError,
 )
 from .orders import CORRECTED, ALexOrder, alex_key, dill_key
-from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs
+from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs, u_position
 from .presentation import GeneratorTable, build_generators, pi_image_of_monomial
 
 
@@ -38,18 +38,14 @@ class NormalWord:
 
     monomial: PMonomial
 
-    @staticmethod
-    def certify(inst: ProblemInstance, monomial: PMonomial) -> "NormalWord":
-        if not is_normal_word(inst, monomial):
-            raise ValueError(f"{monomial!r} is not a normal word")
-        return NormalWord(monomial)
-
 
 def is_normal_word(inst: ProblemInstance, mono: PMonomial) -> bool:
     """Both normality conditions: nested-or-disjoint intervals, capped interior exponents."""
     if mono.d != inst.d:
         raise RingMismatchError(f"monomial has d={mono.d}, instance d={inst.d}")
-    intervals = [pair for pair, _ in mono.upairs]
+    pairs = u_pairs(inst.d)
+    x_offset = len(pairs) - 1
+    intervals = [pair for pair, e in zip(pairs, mono) if e]
     for b in range(len(intervals)):
         jb, kb = intervals[b]
         for c in range(b + 1, len(intervals)):
@@ -58,14 +54,9 @@ def is_normal_word(inst: ProblemInstance, mono: PMonomial) -> bool:
                 return False
     for j, k in intervals:
         for i in range(j + 1, k):
-            if mono.xexp[i - 1] >= inst.m[i - 1]:
+            if mono[x_offset + i] >= inst.m[i - 1]:
                 return False
     return True
-
-
-def _generator_image_degrees(table: GeneratorTable) -> dict:
-    """deg pi(u_jk) for every pair, read off the expanded generator."""
-    return {pair: poly.degree() for pair, poly in table.u.items()}
 
 
 def image_degree(table: GeneratorTable, mono: PMonomial) -> int:
@@ -93,14 +84,21 @@ def enumerate_normal_words(
         raise ValueError("degree bound must be nonnegative")
     if table is None:
         table = build_generators(inst)
-    gen_deg = _generator_image_degrees(table)
     pairs = u_pairs(inst.d)
     d = inst.d
+    # deg pi(u_jk) = max(m_j, m_k) + 1: the two terms of u_jk carry
+    # different y's, so they cannot cancel.
+    gen_deg = [max(inst.m[j - 1], inst.m[k - 1]) + 1 for j, k in pairs]
+    uexp = [0] * len(pairs)
     words: list[PMonomial] = []
 
-    def x_parts(chosen: dict, budget: int):
+    def chosen_pairs():
+        return [pair for pair, e in zip(pairs, uexp) if e]
+
+    def x_parts(budget: int):
+        prefix = tuple(uexp)
         interior_caps = [None] * d
-        for j, k in chosen:
+        for j, k in chosen_pairs():
             for i in range(j + 1, k):
                 cap = inst.m[i - 1] - 1
                 if interior_caps[i - 1] is None or cap < interior_caps[i - 1]:
@@ -108,7 +106,7 @@ def enumerate_normal_words(
 
         def fill(idx: int, remaining: int, acc: list):
             if idx == d:
-                mono = PMonomial(tuple(acc), tuple(chosen.items()))
+                mono = PMonomial._of(prefix + tuple(acc))
                 if is_normal_word(inst, mono):
                     exact = image_degree(table, mono)
                     if exact <= max_image_degree:
@@ -124,23 +122,22 @@ def enumerate_normal_words(
 
         fill(0, budget, [])
 
-    def pick(idx: int, chosen: dict, used: int):
+    def pick(idx: int, used: int):
         if idx == len(pairs):
-            x_parts(chosen, max_image_degree - used)
+            x_parts(max_image_degree - used)
             return
-        pair = pairs[idx]
-        pick(idx + 1, chosen, used)
-        if not _compatible(pair, chosen):
+        pick(idx + 1, used)
+        if not _compatible(pairs[idx], chosen_pairs()):
             return
-        weight = gen_deg[pair]
+        weight = gen_deg[idx]
         e = 1
         while used + e * weight <= max_image_degree:
-            chosen[pair] = e
-            pick(idx + 1, chosen, used + e * weight)
+            uexp[idx] = e
+            pick(idx + 1, used + e * weight)
             e += 1
-        chosen.pop(pair, None)
+        uexp[idx] = 0
 
-    pick(0, {}, 0)
+    pick(0, 0)
     words.sort(key=lambda m: dill_key(m, variant))
     return [NormalWord(m) for m in words]
 
@@ -153,14 +150,16 @@ def lead_of_image(inst: ProblemInstance, word) -> tuple[AMonomial, Fraction]:
     mono = word.monomial if isinstance(word, NormalWord) else word
     if not isinstance(word, NormalWord) and not is_normal_word(inst, mono):
         raise ValueError(f"{mono!r} is not a normal word")
-    xexp = list(mono.xexp)
-    yexp = [0] * inst.d
+    pairs = u_pairs(inst.d)
+    exps = [0] * (2 * inst.d)
+    exps[0::2] = mono[len(pairs):]
     coeff = Fraction(1)
-    for (j, k), e in mono.upairs:
-        xexp[j - 1] += e * inst.m[j - 1]
-        yexp[k - 1] += e
-        coeff *= inst.lc[j - 1] ** e
-    return AMonomial(tuple(xexp), tuple(yexp)), coeff
+    for (j, k), e in zip(pairs, mono):
+        if e:
+            exps[2 * j - 2] += e * inst.m[j - 1]
+            exps[2 * k - 1] += e
+            coeff *= inst.lc[j - 1] ** e
+    return AMonomial._of(exps), coeff
 
 
 def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> NormalWord:
@@ -173,9 +172,10 @@ def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> NormalWord
     """
     if lead.d != inst.d:
         raise RingMismatchError(f"monomial has d={lead.d}, instance d={inst.d}")
-    xexp = list(lead.xexp)
-    yexp = list(lead.yexp)
-    factors: dict = {}
+    d = inst.d
+    xexp = list(lead[0::2])
+    yexp = list(lead[1::2])
+    uexp = [0] * (d * (d - 1) // 2)
     while any(yexp):
         k = next(t + 1 for t, e in enumerate(yexp) if e)
         candidates = [
@@ -187,11 +187,10 @@ def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> NormalWord
                 f"{lead!r}; it is not the lead of a normal image"
             )
         i = max(candidates)
-        factors[(i, k)] = factors.get((i, k), 0) + 1
+        uexp[u_position(d, i, k)] += 1
         xexp[i - 1] -= inst.m[i - 1]
         yexp[k - 1] -= 1
-    word = PMonomial(tuple(xexp), tuple(factors.items()))
-    return NormalWord(word)
+    return NormalWord(PMonomial._of(uexp + xexp))
 
 
 def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
@@ -245,10 +244,9 @@ def _monomials_up_to_degree(d: int, bound: int) -> list[AMonomial]:
     out: list[AMonomial] = []
 
     def fill(idx: int, remaining: int, acc: list):
+        # acc lists the exponents in storage order (x1, y1, ..., xd, yd)
         if idx == 2 * d:
-            xexp = tuple(acc[0::2])
-            yexp = tuple(acc[1::2])
-            out.append(AMonomial(xexp, yexp))
+            out.append(AMonomial._of(acc))
             return
         for e in range(remaining + 1):
             acc.append(e)

@@ -21,72 +21,56 @@ x1 > y1 > x2 > y2 > ... > yd.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from operator import mul
 
-from .poly import AMonomial, PMonomial, u_pairs
+from .poly import AMonomial, PMonomial, p_dimension, u_pairs
 
 CORRECTED = "corrected"
 LITERAL = "literal"
 VARIANTS = (CORRECTED, LITERAL)
 
 
-class DillKey(NamedTuple):
-    """Comparison data of a P-monomial under the DILL order.
-
-    The (u_degree, interval_length, x_degree) part of a product is the
-    componentwise sum of the factors' parts; the unit monomial has the
-    all-zero key.
-    """
-
-    u_degree: int
-    interval_length: int
-    x_degree: int
-    tie: tuple
-
-
-@lru_cache(maxsize=None)
-def _pair_positions(d: int) -> dict:
-    return {pair: pos for pos, pair in enumerate(u_pairs(d))}
-
-
-def _corrected_tie(mono: PMonomial) -> tuple:
-    positions = _pair_positions(mono.d)
-    tie = [0] * len(positions)
-    for pair, e in mono.upairs:
-        tie[positions[pair]] = e
-    return tuple(tie) + mono.xexp
+@lru_cache(maxsize=128)
+def _interval_lengths(width: int) -> tuple[int, ...]:
+    """k - j at each u-position of a P-monomial tuple of the given width."""
+    return tuple(k - j for j, k in u_pairs(p_dimension(width)))
 
 
 def _literal_omega(mono: PMonomial) -> tuple:
+    pairs = u_pairs(mono.d)
     xs = []
-    for i, e in enumerate(mono.xexp, start=1):
+    for i, e in enumerate(mono[len(pairs):], start=1):
         xs.extend([i] * e)
     js = []
     ks = []
-    for (j, k), e in mono.upairs:
+    for (j, k), e in zip(pairs, mono):
         js.extend([j] * e)
         ks.extend([k] * e)
     return tuple(xs) + tuple(js) + tuple(ks)
 
 
-def dill_key_parts(mono: PMonomial, variant: str = CORRECTED) -> DillKey:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown order variant {variant!r}")
-    tie = _corrected_tie(mono) if variant == CORRECTED else _literal_omega(mono)
-    return DillKey(mono.u_degree(), mono.interval_length(), mono.x_degree(), tie)
-
-
 def dill_key(mono: PMonomial, variant: str = CORRECTED) -> tuple:
-    """Sort key; tuples compare like the monomials under the chosen variant."""
-    parts = dill_key_parts(mono, variant)
+    """Sort key; tuples compare like the monomials under the chosen variant.
+
+    The corrected key is (u-degree, interval length, x-degree, mono): its
+    last entry is the monomial's own exponent tuple, whose order is the
+    tie-break.  The first three entries of a product's key are the sums of
+    the factors' entries.
+    """
+    lengths = _interval_lengths(len(mono))
+    u_degree = sum(mono[: len(lengths)])
+    interval_length = sum(map(mul, lengths, mono))
+    x_degree = sum(mono) - u_degree
     if variant == CORRECTED:
-        return (parts.u_degree, parts.interval_length, parts.x_degree, parts.tie)
-    return (parts.x_degree, parts.u_degree, parts.interval_length, parts.tie)
+        return (u_degree, interval_length, x_degree, mono)
+    if variant == LITERAL:
+        return (x_degree, u_degree, interval_length, _literal_omega(mono))
+    raise ValueError(f"unknown order variant {variant!r}")
 
 
 def dill_compare(v: PMonomial, w: PMonomial, variant: str = CORRECTED) -> int:
     """-1, 0 or 1 as v < w, v == w or v > w; equal only for identical monomials."""
-    if v.d != w.d:
+    if len(v) != len(w):
         raise ValueError("cannot compare monomials of different dimension")
     kv, kw = dill_key(v, variant), dill_key(w, variant)
     if kv < kw:
@@ -97,17 +81,13 @@ def dill_compare(v: PMonomial, w: PMonomial, variant: str = CORRECTED) -> int:
 
 
 def alex_key(mono: AMonomial) -> tuple:
-    """Interleaved exponent tuple (a1, b1, ..., ad, bd); lex on it."""
-    key = []
-    for a, b in zip(mono.xexp, mono.yexp):
-        key.append(a)
-        key.append(b)
-    return tuple(key)
+    """The interleaved exponent tuple (a1, b1, ..., ad, bd) itself; lex on it."""
+    return mono
 
 
 def plex_key(mono: PMonomial) -> tuple:
     """Plain lex on ring P with the same variable precedence as DILL ties."""
-    return _corrected_tie(mono)
+    return mono
 
 
 class DillOrder:

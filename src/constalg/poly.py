@@ -7,8 +7,14 @@ point never enters.  Polynomials are immutable values and every operation
 is a pure function, so they are safe to share across threads.
 
 Variable indices are 1-based everywhere they are visible (text syntax,
-u-pair labels); exponent vectors are positional tuples, so the exponent
-of x_i sits at position i-1.
+u-pair labels).  A monomial is one dense exponent tuple, laid out so that
+plain tuple order is the lexicographic order the rings use:
+
+* ring A: (a_1, b_1, ..., a_d, b_d) for x^a * y^b, precedence
+  x1 > y1 > x2 > ... > yd (the A-lex order);
+* ring P: (e_12, e_13, ..., e_(d-1)d, a_1, ..., a_d) for
+  prod u_jk^e_jk * x^a, u-pairs in `u_pairs(d)` order, precedence
+  u1_2 > u1_3 > ... > u(d-1)_d > x1 > ... > xd (the DILL tie-break).
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
+from operator import add, le, sub
 
 from .errors import ParseError, RingMismatchError
 
@@ -45,103 +54,115 @@ def ring_p(d: int) -> Ring:
     return Ring(RING_P, d)
 
 
-def u_pairs(d: int) -> list[tuple[int, int]]:
-    """All u-variable labels (j, k), 1 <= j < k <= d, in ascending order."""
-    return [(j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1)]
+@lru_cache(maxsize=128)
+def u_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """All u-variable labels (j, k), 1 <= j < k <= d, in ascending order.
+
+    A label's index here is the position of its exponent in a P-monomial.
+    """
+    return tuple((j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1))
 
 
-class AMonomial:
-    """Monomial x^a * y^b of ring A; xexp and yexp are parallel tuples."""
+def p_dimension(width: int) -> int:
+    """The d of a P-monomial exponent tuple of this width, d(d-1)/2 + d."""
+    return (isqrt(8 * width + 1) - 1) // 2
 
-    __slots__ = ("xexp", "yexp", "_hash")
 
-    def __init__(self, xexp, yexp):
+def u_position(d: int, j: int, k: int) -> int:
+    """Index of the label (j, k) in `u_pairs(d)`."""
+    return (j - 1) * (2 * d - j) // 2 + k - j - 1
+
+
+_new = tuple.__new__
+
+
+class _Monomial(tuple):
+    """Exponent tuple of a monomial; the arithmetic both rings share.
+
+    Operations are single passes over the two tuples.  Tuples of different
+    classes or widths must not be mixed.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, exps) -> "_Monomial":
+        """Unchecked constructor from an exponent iterable in storage layout."""
+        return _new(cls, exps)
+
+    def degree(self) -> int:
+        return sum(self)
+
+    def is_one(self) -> bool:
+        return not any(self)
+
+    def mul(self, other):
+        return _new(self.__class__, map(add, self, other))
+
+    def divides(self, other) -> bool:
+        return all(map(le, self, other))
+
+    def div(self, other):
+        """Quotient self / other; other must divide self."""
+        return _new(self.__class__, map(sub, self, other))
+
+    def lcm(self, other):
+        return _new(self.__class__, map(max, self, other))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_monomial(self)!r})"
+
+
+def _check_exponents(exps):
+    if any(e < 0 for e in exps):
+        raise ValueError("exponents must be nonnegative")
+
+
+class AMonomial(_Monomial):
+    """Monomial x^a * y^b of ring A, stored as (a_1, b_1, ..., a_d, b_d)."""
+
+    __slots__ = ()
+
+    def __new__(cls, xexp, yexp):
         xexp = tuple(xexp)
         yexp = tuple(yexp)
         if len(xexp) != len(yexp):
             raise ValueError("x and y exponent vectors must have equal length")
-        if any(e < 0 for e in xexp) or any(e < 0 for e in yexp):
-            raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "xexp", xexp)
-        object.__setattr__(self, "yexp", yexp)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AMonomial is immutable")
-
-    def __getstate__(self):
-        return (self.xexp, self.yexp)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "xexp", state[0])
-        object.__setattr__(self, "yexp", state[1])
-        object.__setattr__(self, "_hash", None)
+        _check_exponents(xexp)
+        _check_exponents(yexp)
+        return _new(cls, [e for pair in zip(xexp, yexp) for e in pair])
 
     @staticmethod
     def one(d: int) -> "AMonomial":
-        return AMonomial((0,) * d, (0,) * d)
+        return _new(AMonomial, (0,) * (2 * d))
 
     @property
     def d(self) -> int:
-        return len(self.xexp)
+        return len(self) // 2
 
-    def degree(self) -> int:
-        return sum(self.xexp) + sum(self.yexp)
+    @property
+    def xexp(self) -> tuple:
+        return self[0::2]
 
-    def is_one(self) -> bool:
-        return not any(self.xexp) and not any(self.yexp)
-
-    def mul(self, other: "AMonomial") -> "AMonomial":
-        return AMonomial(
-            tuple(a + b for a, b in zip(self.xexp, other.xexp)),
-            tuple(a + b for a, b in zip(self.yexp, other.yexp)),
-        )
-
-    def divides(self, other: "AMonomial") -> bool:
-        return all(a <= b for a, b in zip(self.xexp, other.xexp)) and all(
-            a <= b for a, b in zip(self.yexp, other.yexp)
-        )
-
-    def div(self, other: "AMonomial") -> "AMonomial":
-        """Quotient self / other; other must divide self."""
-        return AMonomial(
-            tuple(a - b for a, b in zip(self.xexp, other.xexp)),
-            tuple(a - b for a, b in zip(self.yexp, other.yexp)),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AMonomial)
-            and self.xexp == other.xexp
-            and self.yexp == other.yexp
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.xexp, self.yexp))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        return f"AMonomial({format_monomial(self)!r})"
+    @property
+    def yexp(self) -> tuple:
+        return self[1::2]
 
 
-class PMonomial:
-    """Monomial x^a * prod u_jk^e of ring P.
+class PMonomial(_Monomial):
+    """Monomial prod u_jk^e * x^a of ring P, stored as (e_12, ..., e_(d-1)d, a_1, ..., a_d).
 
-    u-exponents are stored as a sorted tuple of ((j, k), e) with 1-based
-    labels j < k and e > 0; absent pairs have exponent zero.
+    The constructor takes the x-exponents and ((j, k), e) items with 1-based
+    labels j < k; absent pairs have exponent zero.
     """
 
-    __slots__ = ("xexp", "upairs", "_hash")
+    __slots__ = ()
 
-    def __init__(self, xexp, upairs):
+    def __new__(cls, xexp, upairs):
         xexp = tuple(xexp)
-        if any(e < 0 for e in xexp):
-            raise ValueError("exponents must be nonnegative")
+        _check_exponents(xexp)
         d = len(xexp)
-        cleaned = []
+        exps = [0] * (d * (d - 1) // 2)
         for (j, k), e in upairs:
             if e == 0:
                 continue
@@ -149,110 +170,62 @@ class PMonomial:
                 raise ValueError("exponents must be nonnegative")
             if not (1 <= j < k <= d):
                 raise ValueError(f"u-pair ({j},{k}) out of range for d={d}")
-            cleaned.append(((j, k), e))
-        cleaned.sort()
-        for idx in range(1, len(cleaned)):
-            if cleaned[idx][0] == cleaned[idx - 1][0]:
+            pos = u_position(d, j, k)
+            if exps[pos]:
                 raise ValueError("duplicate u-pair in monomial")
-        object.__setattr__(self, "xexp", xexp)
-        object.__setattr__(self, "upairs", tuple(cleaned))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PMonomial is immutable")
-
-    def __getstate__(self):
-        return (self.xexp, self.upairs)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "xexp", state[0])
-        object.__setattr__(self, "upairs", state[1])
-        object.__setattr__(self, "_hash", None)
+            exps[pos] = e
+        exps.extend(xexp)
+        return _new(cls, exps)
 
     @staticmethod
     def one(d: int) -> "PMonomial":
-        return PMonomial((0,) * d, ())
-
-    @staticmethod
-    def from_udict(xexp, udict) -> "PMonomial":
-        return PMonomial(xexp, tuple(udict.items()))
+        return _new(PMonomial, (0,) * (d * (d + 1) // 2))
 
     @property
     def d(self) -> int:
-        return len(self.xexp)
+        return p_dimension(len(self))
 
-    def x_degree(self) -> int:
-        return sum(self.xexp)
+    @property
+    def xexp(self) -> tuple:
+        return self[len(self) - self.d:]
 
-    def u_degree(self) -> int:
-        return sum(e for _, e in self.upairs)
+    @property
+    def upairs(self) -> tuple:
+        """The nonzero u-exponents as ((j, k), e) items in ascending label order."""
+        return tuple((pair, e) for pair, e in zip(u_pairs(self.d), self) if e)
 
-    def degree(self) -> int:
-        return self.x_degree() + self.u_degree()
+    # Bound here rather than inherited so that the P-monomial operations can
+    # be replaced on this class alone, e.g. by perfbench's call counter.
+    mul = _Monomial.mul
+    divides = _Monomial.divides
+    div = _Monomial.div
+    lcm = _Monomial.lcm
 
-    def interval_length(self) -> int:
-        """Total length of the open intervals carried by the u-factors."""
-        return sum(e * (k - j) for (j, k), e in self.upairs)
 
-    def u_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.upairs)
-
-    def is_one(self) -> bool:
-        return not any(self.xexp) and not self.upairs
-
-    def mul(self, other: "PMonomial") -> "PMonomial":
-        ud = dict(self.upairs)
-        for pair, e in other.upairs:
-            ud[pair] = ud.get(pair, 0) + e
-        return PMonomial(
-            tuple(a + b for a, b in zip(self.xexp, other.xexp)), tuple(ud.items())
-        )
-
-    def divides(self, other: "PMonomial") -> bool:
-        if any(a > b for a, b in zip(self.xexp, other.xexp)):
-            return False
-        od = dict(other.upairs)
-        return all(e <= od.get(pair, 0) for pair, e in self.upairs)
-
-    def div(self, other: "PMonomial") -> "PMonomial":
-        """Quotient self / other; other must divide self."""
-        ud = dict(self.upairs)
-        for pair, e in other.upairs:
-            ud[pair] = ud.get(pair, 0) - e
-        return PMonomial(
-            tuple(a - b for a, b in zip(self.xexp, other.xexp)), tuple(ud.items())
-        )
-
-    def lcm(self, other: "PMonomial") -> "PMonomial":
-        ud = dict(self.upairs)
-        for pair, e in other.upairs:
-            ud[pair] = max(ud.get(pair, 0), e)
-        return PMonomial(
-            tuple(max(a, b) for a, b in zip(self.xexp, other.xexp)), tuple(ud.items())
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PMonomial)
-            and self.xexp == other.xexp
-            and self.upairs == other.upairs
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.xexp, self.upairs))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        return f"PMonomial({format_monomial(self)!r})"
+def _layout(ring: Ring) -> tuple:
+    """Monomial class and exponent-tuple width of the ring."""
+    d = ring.d
+    if ring.flavor == RING_A:
+        return AMonomial, 2 * d
+    return PMonomial, d * (d + 1) // 2
 
 
 def _monomial_matches_ring(mono, ring: Ring) -> bool:
-    if ring.flavor == RING_A:
-        return isinstance(mono, AMonomial) and mono.d == ring.d
-    return isinstance(mono, PMonomial) and mono.d == ring.d
+    cls, width = _layout(ring)
+    return isinstance(mono, cls) and len(mono) == width
+
+
+def _var_power(ring: Ring, pos: int, exp: int):
+    """The monomial whose exponent tuple is `exp` at `pos` and zero elsewhere."""
+    cls, width = _layout(ring)
+    exps = [0] * width
+    exps[pos] = exp
+    return _new(cls, exps)
+
+
+def _x_position(ring: Ring, i: int) -> int:
+    d = ring.d
+    return 2 * i - 2 if ring.flavor == RING_A else d * (d - 1) // 2 + i - 1
 
 
 class Polynomial:
@@ -279,21 +252,26 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", normalized)
 
+    @classmethod
+    def _make(cls, ring: Ring, terms: dict) -> "Polynomial":
+        """Unchecked constructor for computed results.
+
+        `terms` must already map monomials of `ring` to nonzero Fractions,
+        and is taken over, not copied.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ring", ring)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    def __getstate__(self):
-        return (self.ring, self.terms)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "ring", state[0])
-        object.__setattr__(self, "terms", state[1])
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ring: Ring) -> "Polynomial":
-        return Polynomial(ring, None)
+        return Polynomial._make(ring, {})
 
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
@@ -340,7 +318,7 @@ class Polynomial:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._make(self.ring, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -353,10 +331,10 @@ class Polynomial:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._make(self.ring, terms)
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -373,7 +351,7 @@ class Polynomial:
                     terms[prod] = new
                 else:
                     terms.pop(prod, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._make(self.ring, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,14 +380,14 @@ class Polynomial:
         factor = Fraction(factor)
         if not factor:
             return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {m: c * factor for m, c in self.terms.items()})
+        return Polynomial._make(self.ring, {m: c * factor for m, c in self.terms.items()})
 
     def mul_term(self, mono, coeff) -> "Polynomial":
         """Multiply by the single term coeff * mono (fast path for reducers)."""
         coeff = Fraction(coeff)
         if not coeff:
             return Polynomial.zero(self.ring)
-        return Polynomial(
+        return Polynomial._make(
             self.ring, {m.mul(mono): c * coeff for m, c in self.terms.items()}
         )
 
@@ -433,15 +411,20 @@ class Polynomial:
 # -- single-variable helpers -----------------------------------------------
 
 
-def x_var(ring: Ring, i: int, exp: int = 1) -> Polynomial:
+def univariate(ring: Ring, i: int, terms) -> Polynomial:
+    """The polynomial sum of coeff * x_i^power over the (power, coeff) pairs of `terms`."""
     if not (1 <= i <= ring.d):
         raise ValueError(f"index {i} out of range 1..{ring.d}")
-    xexp = tuple(exp if t == i - 1 else 0 for t in range(ring.d))
-    if ring.flavor == RING_A:
-        mono = AMonomial(xexp, (0,) * ring.d)
-    else:
-        mono = PMonomial(xexp, ())
-    return Polynomial.from_term(ring, mono, 1)
+    pos = _x_position(ring, i)
+    out = {}
+    for power, coeff in terms:
+        if coeff:
+            out[_var_power(ring, pos, power)] = Fraction(coeff)
+    return Polynomial._make(ring, out)
+
+
+def x_var(ring: Ring, i: int, exp: int = 1) -> Polynomial:
+    return univariate(ring, i, ((exp, 1),))
 
 
 def y_var(ring: Ring, i: int, exp: int = 1) -> Polynomial:
@@ -449,8 +432,7 @@ def y_var(ring: Ring, i: int, exp: int = 1) -> Polynomial:
         raise ValueError("y variables only exist in ring A")
     if not (1 <= i <= ring.d):
         raise ValueError(f"index {i} out of range 1..{ring.d}")
-    yexp = tuple(exp if t == i - 1 else 0 for t in range(ring.d))
-    return Polynomial.from_term(ring, AMonomial((0,) * ring.d, yexp), 1)
+    return Polynomial._make(ring, {_var_power(ring, 2 * i - 1, exp): Fraction(1)})
 
 
 def u_var(ring: Ring, j: int, k: int, exp: int = 1) -> Polynomial:
@@ -473,10 +455,6 @@ def leading_term(p: Polynomial, order) -> tuple:
         raise ValueError("the zero polynomial has no leading term")
     mono = max(p.terms, key=order.key)
     return mono, p.terms[mono]
-
-
-def leading_monomial(p: Polynomial, order):
-    return leading_term(p, order)[0]
 
 
 # -- text format -------------------------------------------------------------
@@ -564,7 +542,7 @@ class _Parser:
             else:
                 terms.pop(mono, None)
             first = False
-        return Polynomial(self.ring, terms)
+        return Polynomial._make(self.ring, terms)
 
     def parse_term(self):
         kind, value = self.peek()
@@ -574,7 +552,7 @@ class _Parser:
             if kind == "sym" and value == "*":
                 self.advance()
                 return coeff, self.parse_factors()
-            return coeff, self._one()
+            return coeff, _var_power(self.ring, 0, 0)
         if kind in ("x", "y", "u"):
             return Fraction(1), self.parse_factors()
         raise ParseError("expected a coefficient or a variable")
@@ -635,19 +613,13 @@ class _Parser:
             peek_kind, exp = self.advance()
             if peek_kind != "nat":
                 raise ParseError("expected a natural number after '^'")
-        zeros = (0,) * d
         if kind == "u":
-            return PMonomial(zeros, ((value, exp),))
-        powered = tuple(exp if t == value - 1 else 0 for t in range(d))
-        if kind == "y":
-            return AMonomial(zeros, powered)
-        if self.ring.flavor == RING_A:
-            return AMonomial(powered, zeros)
-        return PMonomial(powered, ())
-
-    def _one(self):
-        d = self.ring.d
-        return AMonomial.one(d) if self.ring.flavor == RING_A else PMonomial.one(d)
+            pos = u_position(d, *value)
+        elif kind == "y":
+            pos = 2 * value - 1
+        else:
+            pos = _x_position(self.ring, value)
+        return _var_power(self.ring, pos, exp)
 
 
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
@@ -656,45 +628,39 @@ def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
     return _Parser(_tokenize(text), ring).parse()
 
 
+@lru_cache(maxsize=256)
+def _variable_names(flavor: str, d: int) -> tuple:
+    """(position, name) of each variable, in printing order: x's, then y's or u's."""
+    if flavor == RING_A:
+        xs = tuple((2 * i - 2, f"x{i}") for i in range(1, d + 1))
+        return xs + tuple((2 * i - 1, f"y{i}") for i in range(1, d + 1))
+    n = d * (d - 1) // 2
+    xs = tuple((n + i - 1, f"x{i}") for i in range(1, d + 1))
+    return xs + tuple((pos, f"u{j}_{k}") for pos, (j, k) in enumerate(u_pairs(d)))
+
+
 def format_monomial(mono) -> str:
     """Render a monomial in the text grammar; the unit monomial is '1'."""
+    flavor = RING_A if isinstance(mono, AMonomial) else RING_P
     parts = []
-    for i, e in enumerate(mono.xexp, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    if isinstance(mono, AMonomial):
-        for i, e in enumerate(mono.yexp, start=1):
-            if e == 1:
-                parts.append(f"y{i}")
-            elif e > 1:
-                parts.append(f"y{i}^{e}")
-    else:
-        for (j, k), e in mono.upairs:
-            if e == 1:
-                parts.append(f"u{j}_{k}")
-            else:
-                parts.append(f"u{j}_{k}^{e}")
+    for pos, name in _variable_names(flavor, mono.d):
+        e = mono[pos]
+        if e:
+            parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _display_key(mono):
-    # Canonical display order per ring: A-lex for ring A, corrected DILL
-    # for ring P.  Local import: orders depends on the monomial types above.
-    from .orders import alex_key, dill_key
-
-    if isinstance(mono, AMonomial):
-        return alex_key(mono)
-    return dill_key(mono)
 
 
 def format_poly(p: Polynomial) -> str:
     """Render p with terms in descending canonical order; reparses equal."""
     if p.is_zero():
         return "0"
+    # Canonical display order per ring: A-lex (the tuple order) for ring A,
+    # corrected DILL for ring P.  Local import: orders depends on this module.
+    from .orders import dill_key
+
+    key = None if p.ring.flavor == RING_A else dill_key
     pieces = []
-    for mono in sorted(p.terms, key=_display_key, reverse=True):
+    for mono in sorted(p.terms, key=key, reverse=True):
         coeff = p.terms[mono]
         negative = coeff < 0
         mag = -coeff if negative else coeff

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .derivation import ProblemInstance
 from .errors import RingMismatchError
-from .poly import PMonomial, Polynomial, Ring, u_var
+from .poly import AMonomial, PMonomial, Polynomial, u_pairs, u_var, univariate, y_var
 
 
 class GeneratorTable:
@@ -46,8 +46,6 @@ class GeneratorTable:
 
 def build_generators(inst: ProblemInstance) -> GeneratorTable:
     """All u_jk = f_j(x_j)*y_k - f_k(x_k)*y_j, keyed by (j, k) with j < k."""
-    from .poly import y_var
-
     ring = inst.ring_a
     table = {}
     for j, k in combinations(range(1, inst.d + 1), 2):
@@ -70,13 +68,13 @@ def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
 
 def pi_image_of_monomial(table: GeneratorTable, mono: PMonomial) -> Polynomial:
     inst = table.instance
-    from .poly import AMonomial
-
-    image = Polynomial.from_term(
-        inst.ring_a, AMonomial(mono.xexp, (0,) * inst.d), 1
-    )
-    for (j, k), e in mono.upairs:
-        image = image * table.u_power(j, k, e)
+    pairs = u_pairs(inst.d)
+    exps = [0] * (2 * inst.d)
+    exps[0::2] = mono[len(pairs):]
+    image = Polynomial.from_term(inst.ring_a, AMonomial._of(exps), 1)
+    for (j, k), e in zip(pairs, mono):
+        if e:
+            image = image * table.u_power(j, k, e)
     return image
 
 
@@ -92,26 +90,13 @@ def quadratic_relation(inst: ProblemInstance, i: int, j: int, k: int, l: int) ->
     )
 
 
-def _f_polynomial_p(inst: ProblemInstance, i: int) -> Polynomial:
-    ring = inst.ring_p
-    terms = {}
-    for power, coeff in enumerate(inst.f[i - 1]):
-        if coeff:
-            xexp = tuple(power if t == i - 1 else 0 for t in range(inst.d))
-            terms[PMonomial(xexp, ())] = coeff
-    return Polynomial(ring, terms)
-
-
 def mixed_relation(inst: ProblemInstance, i: int, j: int, k: int) -> Polynomial:
     """The identity f_i*u_jk - f_j*u_ik + f_k*u_ij, f factors expanded."""
     if not (1 <= i < j < k <= inst.d):
         raise ValueError(f"indices must satisfy 1 <= {i} < {j} < {k} <= {inst.d}")
     ring = inst.ring_p
-    return (
-        _f_polynomial_p(inst, i) * u_var(ring, j, k)
-        - _f_polynomial_p(inst, j) * u_var(ring, i, k)
-        + _f_polynomial_p(inst, k) * u_var(ring, i, j)
-    )
+    fi, fj, fk = (univariate(ring, t, enumerate(inst.f[t - 1])) for t in (i, j, k))
+    return fi * u_var(ring, j, k) - fj * u_var(ring, i, k) + fk * u_var(ring, i, j)
 
 
 @dataclass

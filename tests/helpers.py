@@ -145,3 +145,79 @@ def reference_pair_outcomes(relations, order):
             spoly = s_polynomial(g, h, order)
             outcomes[left, right] = reference_reduce(spoly, basis, order).is_zero()
     return outcomes
+
+
+# -- sparse reference monomials ----------------------------------------------
+#
+# The former monomial representation, kept as the reference for the dense
+# exponent tuples: a P-monomial is (xexp, {(j, k): e}) and an A-monomial is
+# (xexp, yexp).  Operations and order keys are computed the way they were
+# computed on that representation.
+
+
+def random_sparse_p(rng, d, max_x=3, max_u=2, max_factors=3):
+    xexp = tuple(rng.randint(0, max_x) for _ in range(d))
+    pairs = u_pairs(d)
+    chosen = rng.sample(pairs, k=min(len(pairs), rng.randint(0, max_factors)))
+    return xexp, {pair: rng.randint(1, max_u) for pair in chosen}
+
+
+def sparse_of(mono):
+    """(xexp, udict) of a PMonomial, read through its public properties."""
+    return mono.xexp, dict(mono.upairs)
+
+
+def sparse_p_mul(a, b):
+    ud = dict(a[1])
+    for pair, e in b[1].items():
+        ud[pair] = ud.get(pair, 0) + e
+    return tuple(x + y for x, y in zip(a[0], b[0])), ud
+
+
+def sparse_p_div(a, b):
+    ud = dict(a[1])
+    for pair, e in b[1].items():
+        ud[pair] = ud.get(pair, 0) - e
+    return tuple(x - y for x, y in zip(a[0], b[0])), {p: e for p, e in ud.items() if e}
+
+
+def sparse_p_lcm(a, b):
+    ud = dict(a[1])
+    for pair, e in b[1].items():
+        ud[pair] = max(ud.get(pair, 0), e)
+    return tuple(max(x, y) for x, y in zip(a[0], b[0])), ud
+
+
+def sparse_p_divides(a, b):
+    if any(x > y for x, y in zip(a[0], b[0])):
+        return False
+    return all(e <= b[1].get(pair, 0) for pair, e in a[1].items())
+
+
+def sparse_dill_key(a, variant="corrected"):
+    xexp, ud = a
+    u_degree = sum(ud.values())
+    interval_length = sum(e * (k - j) for (j, k), e in ud.items())
+    x_degree = sum(xexp)
+    if variant == "corrected":
+        tie = tuple(ud.get(pair, 0) for pair in u_pairs(len(xexp))) + xexp
+        return (u_degree, interval_length, x_degree, tie)
+    xs = [i for i, e in enumerate(xexp, start=1) for _ in range(e)]
+    js = [j for (j, k), e in sorted(ud.items()) for _ in range(e)]
+    ks = [k for (j, k), e in sorted(ud.items()) for _ in range(e)]
+    return (x_degree, u_degree, interval_length, tuple(xs + js + ks))
+
+
+def sparse_alex_key(xexp, yexp):
+    return tuple(e for pair in zip(xexp, yexp) for e in pair)
+
+
+def sparse_format(xexp, second):
+    """Text of a monomial: x's, then y's (a tuple) or u's (a dict)."""
+    parts = [f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(xexp, 1) if e]
+    if isinstance(second, dict):
+        for (j, k), e in sorted(second.items()):
+            parts.append(f"u{j}_{k}" + (f"^{e}" if e > 1 else ""))
+    else:
+        parts += [f"y{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(second, 1) if e]
+    return "*".join(parts) or "1"

@@ -80,6 +80,26 @@ def test_verify_gb_jobs_flag_same_output(instance_file, capsys):
     assert serial == parallel
 
 
+def test_verify_gb_certificate_is_byte_deterministic(instance_file, tmp_path, capsys):
+    path = instance_file(CLASSICAL_4)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for cert in (first, second):
+        assert run(["verify-gb", "--instance", path, "--certificate", str(cert)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert "generated_at" not in json.loads(first.read_text())
+
+
+def test_dimension_cap(instance_file, capsys):
+    at_cap = instance_file({"d": 64, "f": [[0, 1]] * 64}, "d64.json")
+    assert run(["check", "--instance", at_cap, "--poly", "x64"]) == 0
+    assert capsys.readouterr().out == "constant\n"
+    above = instance_file({"d": 65, "f": [[0, 1]] * 65}, "d65.json")
+    assert run(["rewrite", "--instance", above, "--poly", "x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the supported maximum of 64" in captured.err
+
+
 def test_normal_words_listing_and_count(instance_file, capsys):
     path = instance_file(CLASSICAL_2)
     code = run(["normal-words", "--instance", path, "--max-deg", "1"])

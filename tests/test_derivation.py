@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from constalg import (
-    Derivation,
     InstanceError,
     Polynomial,
     ProblemInstance,
@@ -83,12 +82,6 @@ def test_apply_delta_determinant_identity():
     inst = ProblemInstance.from_coeffs(2, [[0, 1], [0, 0, 1]])  # f1=x1, f2=x2^2
     g = parse_poly("x1*y2 - x2^2*y1", "A", 2)
     assert apply_delta(inst, g).is_zero()
-
-
-def test_derivation_wrapper():
-    inst = ProblemInstance.from_coeffs(1, [[0, 1]])
-    delta = Derivation(inst)
-    assert delta(parse_poly("y1", "A", 1)) == parse_poly("x1", "A", 1)
 
 
 def test_is_constant_examples():

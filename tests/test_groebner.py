@@ -202,22 +202,10 @@ def test_verify_groebner_literal_fails_conformance_gate():
     assert "lead of" in cert.first_failure()
 
 
-def test_verify_groebner_parallel_matches_serial():
-    inst = classical(4)
-    serial = verify_groebner(inst, jobs=1)
-    parallel = verify_groebner(inst, jobs=2)
-    assert serial.verdict == parallel.verdict
-    assert [p.to_json_dict() for p in serial.pairs] == [
-        p.to_json_dict() for p in parallel.pairs
-    ]
-
-
 def test_certificate_json_replayable():
     inst = classical(4)
     a = verify_groebner(inst).to_json_dict()
     b = verify_groebner(inst).to_json_dict()
-    a.pop("generated_at")
-    b.pop("generated_at")
     assert a == b
 
 
