@@ -1,6 +1,6 @@
-"""verify-gb against certificates and stdout recorded from the reference code.
+"""CLI output against files recorded from the reference code.
 
-The files under tests/golden were written by
+The verify-gb files under tests/golden were written by
 
     constalg verify-gb --instance NAME.json --variant V --certificate NAME.V.cert.json
 
@@ -58,3 +58,34 @@ def test_verify_gb_matches_golden(name, variant, tmp_path, capsys):
     recorded = json.loads((GOLDEN / f"{name}.{variant}.cert.json").read_text())
     assert code == (0 if recorded["verdict"] else 1)
     assert_matches_recorded(recorded, json.loads(cert_path.read_text()))
+
+
+# kernel-dim --basis and normal-words listings, recorded before the sparse
+# back-substitution in `linalg.nullspace` and the closed-form image degree in
+# `enumerate_normal_words`:
+#
+#     constalg kernel-dim --instance NAME.json --max-deg N --basis
+#         > NAME.kernel-dim.N.stdout
+#     constalg normal-words --instance NAME.json --max-deg N --variant V
+#         > NAME.normal-words.N.V.stdout
+#
+# mixed4 is a seeded instance with deg f = (1, 3, 2, 2) and rational leads.
+KERNEL_SLICES = [("nowicki3", 7), ("nowicki4", 5), ("mixed4", 5)]
+WORD_SLICES = [("nowicki5", 7), ("mixed4", 6)]
+
+
+@pytest.mark.parametrize("name,degree", KERNEL_SLICES)
+def test_kernel_dim_basis_matches_golden(name, degree, capsys):
+    argv = ["kernel-dim", "--instance", str(GOLDEN / f"{name}.json"), "--max-deg", str(degree)]
+    assert run(argv + ["--basis"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.kernel-dim.{degree}.stdout").read_text()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name,degree", WORD_SLICES)
+def test_normal_words_listing_matches_golden(name, degree, variant, capsys):
+    argv = ["normal-words", "--instance", str(GOLDEN / f"{name}.json"), "--max-deg", str(degree)]
+    assert run(argv + ["--variant", variant]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.normal-words.{degree}.{variant}.stdout").read_text()
