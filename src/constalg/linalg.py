@@ -103,24 +103,30 @@ def rank(rows: list[dict], ncols: int) -> int:
 def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
     """Basis of the kernel of the matrix, one vector per free column.
 
-    Vector t has entry 1 at its free column; pivot entries come from back
-    substitution in reverse pivot order.
+    Vector t has entry 1 at its free column and 0 at every other free
+    column.  One reverse pass over the pivots writes each pivot variable as
+    a sparse combination {free column: coefficient} of the free columns;
+    a frozen pivot row holds only its own column, free columns and later
+    pivot columns, so the combinations it needs already exist.  Vector t
+    then reads its pivot entries off the coefficients at its free column.
     """
     pivots = _echelon(rows, ncols)
     pivot_cols = {col for col, _ in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        values: dict[int, Fraction] = {fc: Fraction(1)}
-        for col, row in reversed(pivots):
-            total = Fraction(0)
-            for rcol, rvalue in row.items():
-                if rcol == col:
-                    continue
-                entry = values.get(rcol)
-                if entry is not None:
-                    total += rvalue * entry
-            if total:
-                values[col] = -total / row[col]
-        basis.append([values.get(c, Fraction(0)) for c in range(ncols)])
+    one, zero = Fraction(1), Fraction(0)
+    combos: dict[int, dict[int, Fraction]] = {fc: {fc: one} for fc in free_cols}
+    for col, row in reversed(pivots):
+        acc: dict[int, Fraction] = {}
+        for rcol, rvalue in row.items():
+            if rcol == col:
+                continue
+            for fc, coeff in combos.get(rcol, {}).items():
+                acc[fc] = acc.get(fc, 0) + rvalue * coeff
+        pivot_value = row[col]
+        combos[col] = {fc: -total / pivot_value for fc, total in acc.items() if total}
+    basis = [[zero] * ncols for _ in free_cols]
+    position = {fc: t for t, fc in enumerate(free_cols)}
+    for col, combo in combos.items():
+        for fc, value in combo.items():
+            basis[position[fc]][col] = value
     return basis

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .orders import CORRECTED, ALexOrder, alex_key, dill_key
 from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs, u_position
-from .presentation import GeneratorTable, build_generators, pi_image_of_monomial
+from .presentation import build_generators, pi_image_of_monomial
 
 
 @dataclass(frozen=True)
@@ -59,63 +59,72 @@ def is_normal_word(inst: ProblemInstance, mono: PMonomial) -> bool:
     return True
 
 
-def image_degree(table: GeneratorTable, mono: PMonomial) -> int:
-    """Total degree of pi(mono), computed on the expanded image."""
-    return pi_image_of_monomial(table, mono).degree()
+def _u_degrees(inst: ProblemInstance) -> list[int]:
+    """deg pi(u_jk) = max(m_j, m_k) + 1 for each pair, in u_pairs order.
+
+    The two terms of u_jk carry different y's, so they cannot cancel.
+    """
+    return [max(inst.m[j - 1], inst.m[k - 1]) + 1 for j, k in u_pairs(inst.d)]
+
+
+def image_degree(inst: ProblemInstance, mono: PMonomial) -> int:
+    """Total degree of pi(mono), without expanding the image.
+
+    Ring A is a domain, so degrees add: deg pi(mono) = |x| + sum_jk
+    e_jk * deg pi(u_jk).
+    """
+    if mono.d != inst.d:
+        raise RingMismatchError(f"monomial has d={mono.d}, instance d={inst.d}")
+    gen_deg = _u_degrees(inst)
+    return sum(mono[len(gen_deg):]) + sum(e * w for e, w in zip(mono, gen_deg))
 
 
 def _compatible(pair, chosen) -> bool:
+    """The interval of `pair` crosses none of the chosen intervals."""
     j, k = pair
-    for (jc, kc) in chosen:
-        lo, hi = min(pair, (jc, kc)), max(pair, (jc, kc))
-        if lo[0] < hi[0] < lo[1] < hi[1]:
-            return False
-    return True
+    return not any(jc < j < kc < k or j < jc < k < kc for jc, kc in chosen)
 
 
 def enumerate_normal_words(
     inst: ProblemInstance,
     max_image_degree: int,
     variant: str = CORRECTED,
-    table: GeneratorTable | None = None,
+    word_guard: int = 250_000,
 ) -> list[NormalWord]:
-    """All normal words whose image degree is at most the bound, DILL-sorted."""
+    """All normal words whose image degree is at most the bound, DILL-sorted.
+
+    The recursion only builds normal words (each u-factor is nested in or
+    disjoint from the chosen ones, interior x-exponents stay below m_i) and
+    spends the degree budget exactly as `image_degree` counts it, so every
+    word it reaches is emitted without a further check.  More than
+    `word_guard` words raise BudgetExceededError.
+    """
     if max_image_degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    if table is None:
-        table = build_generators(inst)
     pairs = u_pairs(inst.d)
-    d = inst.d
-    # deg pi(u_jk) = max(m_j, m_k) + 1: the two terms of u_jk carry
-    # different y's, so they cannot cancel.
-    gen_deg = [max(inst.m[j - 1], inst.m[k - 1]) + 1 for j, k in pairs]
+    d, m = inst.d, inst.m
+    gen_deg = _u_degrees(inst)
     uexp = [0] * len(pairs)
+    chosen: list[tuple[int, int]] = []
     words: list[PMonomial] = []
-
-    def chosen_pairs():
-        return [pair for pair, e in zip(pairs, uexp) if e]
 
     def x_parts(budget: int):
         prefix = tuple(uexp)
-        interior_caps = [None] * d
-        for j, k in chosen_pairs():
-            for i in range(j + 1, k):
-                cap = inst.m[i - 1] - 1
-                if interior_caps[i - 1] is None or cap < interior_caps[i - 1]:
-                    interior_caps[i - 1] = cap
+        caps = [budget] * d
+        for j, k in chosen:
+            for i in range(j, k - 1):  # x_(j+1) .. x_(k-1), zero-based
+                caps[i] = min(caps[i], m[i] - 1)
 
         def fill(idx: int, remaining: int, acc: list):
             if idx == d:
-                mono = PMonomial._of(prefix + tuple(acc))
-                if is_normal_word(inst, mono):
-                    exact = image_degree(table, mono)
-                    if exact <= max_image_degree:
-                        words.append(mono)
+                words.append(PMonomial._of(prefix + tuple(acc)))
+                if len(words) > word_guard:
+                    raise BudgetExceededError(
+                        f"more than {word_guard} normal words up to image degree "
+                        f"{max_image_degree}"
+                    )
                 return
-            cap = remaining
-            if interior_caps[idx] is not None:
-                cap = min(cap, interior_caps[idx])
-            for e in range(cap + 1):
+            for e in range(min(remaining, caps[idx]) + 1):
                 acc.append(e)
                 fill(idx + 1, remaining - e, acc)
                 acc.pop()
@@ -127,8 +136,10 @@ def enumerate_normal_words(
             x_parts(max_image_degree - used)
             return
         pick(idx + 1, used)
-        if not _compatible(pairs[idx], chosen_pairs()):
+        pair = pairs[idx]
+        if not _compatible(pair, chosen):
             return
+        chosen.append(pair)
         weight = gen_deg[idx]
         e = 1
         while used + e * weight <= max_image_degree:
@@ -136,6 +147,7 @@ def enumerate_normal_words(
             pick(idx + 1, used + e * weight)
             e += 1
         uexp[idx] = 0
+        chosen.pop()
 
     pick(0, 0)
     words.sort(key=lambda m: dill_key(m, variant))
@@ -334,7 +346,7 @@ def independence_check(
     image leads must also be pairwise distinct.
     """
     table = build_generators(inst)
-    words = enumerate_normal_words(inst, max_degree, table=table)
+    words = enumerate_normal_words(inst, max_degree)
     images = [pi_image_of_monomial(table, w.monomial) for w in words]
     col_index: dict[AMonomial, int] = {}
     for image in images:

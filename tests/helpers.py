@@ -12,6 +12,7 @@ from constalg import (
     s_polynomial,
     u_pairs,
 )
+from constalg.linalg import _echelon
 from constalg.poly import leading_term
 
 
@@ -221,3 +222,31 @@ def sparse_format(xexp, second):
     else:
         parts += [f"y{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(second, 1) if e]
     return "*".join(parts) or "1"
+
+
+# -- reference back-substitution ---------------------------------------------
+#
+# The dense back-substitution that `linalg.nullspace` replaced: every free
+# column walks all pivot rows in reverse.
+
+
+def reference_nullspace(rows, ncols):
+    """Kernel basis of the matrix, one vector per free column, by dense back-substitution."""
+    pivots = _echelon(rows, ncols)
+    pivot_cols = {col for col, _ in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        values: dict[int, Fraction] = {fc: Fraction(1)}
+        for col, row in reversed(pivots):
+            total = Fraction(0)
+            for rcol, rvalue in row.items():
+                if rcol == col:
+                    continue
+                entry = values.get(rcol)
+                if entry is not None:
+                    total += rvalue * entry
+            if total:
+                values[col] = -total / row[col]
+        basis.append([values.get(c, Fraction(0)) for c in range(ncols)])
+    return basis

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
+from constalg import cli, normal_words
 from constalg.cli import run
 
 
@@ -108,6 +110,16 @@ def test_normal_words_listing_and_count(instance_file, capsys):
     assert out.splitlines() == ["1", "x2", "x1"]
     run(["normal-words", "--instance", path, "--max-deg", "1", "--count-only"])
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_normal_words_word_guard_exit_2(instance_file, monkeypatch, capsys):
+    guarded = partial(normal_words.enumerate_normal_words, word_guard=2)
+    monkeypatch.setattr(cli, "enumerate_normal_words", guarded)
+    path = instance_file(CLASSICAL_2)
+    assert run(["normal-words", "--instance", path, "--max-deg", "1", "--count-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: more than 2 normal words")
 
 
 def test_check_verdicts(instance_file, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 from constalg import linalg
+from constalg.normal_words import kernel_dim_oracle
+from helpers import instance_with_degrees, reference_nullspace
 
 
 def dense_to_rows(matrix):
@@ -80,3 +82,67 @@ def test_deterministic_output():
     first = linalg.nullspace(dense_to_rows(dense), 6)
     second = linalg.nullspace(dense_to_rows(dense), 6)
     assert first == second
+
+
+def assert_same_as_reference(rows, ncols):
+    vectors = linalg.nullspace(rows, ncols)
+    assert vectors == reference_nullspace(rows, ncols)
+    assert all(type(v) is Fraction for vec in vectors for v in vec)
+    return vectors
+
+
+def random_rational_rows(rng, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        row = {
+            c: Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
+            for c in range(ncols)
+            if rng.random() < density
+        }
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def test_nullspace_matches_reference_on_random_matrices():
+    rng = random.Random(4401)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        rows = random_rational_rows(rng, nrows, ncols, rng.choice([0.2, 0.5, 0.8]))
+        assert_same_as_reference(rows, ncols)
+
+
+def test_nullspace_matches_reference_on_block_diagonal_matrices():
+    # Short, wide blocks: most columns are free, and with shuffled columns
+    # free and pivot columns interleave.
+    rng = random.Random(4402)
+    for shuffle in (False, True):
+        for _ in range(20):
+            rows, offset = [], 0
+            for _ in range(rng.randint(2, 6)):
+                height, width = rng.randint(1, 2), rng.randint(4, 8)
+                for row in random_rational_rows(rng, height, width, 0.6):
+                    rows.append({offset + c: v for c, v in row.items()})
+                offset += width
+            if shuffle:
+                perm = list(range(offset))
+                rng.shuffle(perm)
+                rows = [{perm[c]: v for c, v in row.items()} for row in rows]
+            vectors = assert_same_as_reference(rows, offset)
+            assert len(vectors) >= offset // 2
+
+
+def test_nullspace_matches_reference_on_delta_matrix(monkeypatch):
+    # The matrix kernel_dim_oracle hands to nullspace on a d = 3 slice.
+    captured = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        captured.append((rows, ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    inst = instance_with_degrees(random.Random(4403), (1, 3, 2))
+    kernel_dim_oracle(inst, 5)
+    ((rows, ncols),) = captured
+    vectors = assert_same_as_reference(rows, ncols)
+    assert ncols == 462 and len(vectors) > 50

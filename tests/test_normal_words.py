@@ -32,7 +32,14 @@ from constalg import (
     ring_a,
     u_pairs,
 )
-from helpers import instance_with_degrees, random_instance, random_ppoly
+from constalg.normal_words import image_degree
+from constalg.presentation import pi_image_of_monomial
+from helpers import (
+    instance_with_degrees,
+    random_instance,
+    random_pmonomial,
+    random_ppoly,
+)
 
 
 def classical(d):
@@ -128,6 +135,48 @@ def test_enumeration_filters_by_image_degree():
         assert image.degree() <= 5
 
 
+def test_image_degree_closed_form_matches_expansion():
+    rng = random.Random(5101)
+    for d in range(2, 7):
+        for _ in range(4):
+            inst = instance_with_degrees(rng, [rng.randint(1, 4) for _ in range(d)])
+            table = build_generators(inst)
+            checked = 0
+            while checked < 8:
+                mono = random_pmonomial(rng, d, max_x=2, max_u=2, max_factors=3)
+                if not is_normal_word(inst, mono):
+                    continue
+                expanded = pi_image_of_monomial(table, mono).degree()
+                assert image_degree(inst, mono) == expanded
+                checked += 1
+
+
+def test_enumeration_is_complete():
+    # Brute force: every P-monomial of internal degree <= bound (each
+    # variable has image degree >= 1), kept when normal and when its
+    # expanded image has degree <= bound.
+    rng = random.Random(5102)
+    for d, bound in ((1, 6), (2, 6), (3, 5), (3, 5), (4, 4), (4, 4)):
+        inst = instance_with_degrees(rng, [rng.randint(1, 3) for _ in range(d)])
+        table = build_generators(inst)
+        expected = {
+            mono
+            for mono in all_pmonomials_up_to_internal_degree(d, bound)
+            if is_normal_word(inst, mono)
+            and pi_image_of_monomial(table, mono).degree() <= bound
+        }
+        words = [w.monomial for w in enumerate_normal_words(inst, bound)]
+        assert len(words) == len(expected)
+        assert set(words) == expected
+
+
+def test_enumeration_word_guard():
+    inst = classical(2)
+    assert len(enumerate_normal_words(inst, 1, word_guard=3)) == 3
+    with pytest.raises(BudgetExceededError):
+        enumerate_normal_words(inst, 1, word_guard=2)
+
+
 def test_lead_of_image_examples():
     inst = ProblemInstance.from_coeffs(2, [[0, 0, 3], [0, 1]])  # f1 = 3*x1^2
     mono, coeff = lead_of_image(inst, NormalWord(PMonomial((0, 0), (((1, 2), 1),))))
@@ -164,7 +213,7 @@ def test_lead_of_image_agrees_with_expansion_for_all_words():
     for d in (2, 3, 4):
         inst = random_instance(rng, d, max_m=3)
         table = build_generators(inst)
-        for word in enumerate_normal_words(inst, 5, table=table):
+        for word in enumerate_normal_words(inst, 5):
             image = pi_substitute(
                 table, Polynomial.from_term(inst.ring_p, word.monomial, 1)
             )
