@@ -120,7 +120,7 @@ def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
         for rcol, rvalue in row.items():
             if rcol == col:
                 continue
-            for fc, coeff in combos.get(rcol, {}).items():
+            for fc, coeff in combos[rcol].items():
                 acc[fc] = acc.get(fc, 0) + rvalue * coeff
         pivot_value = row[col]
         combos[col] = {fc: -total / pivot_value for fc, total in acc.items() if total}

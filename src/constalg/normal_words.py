@@ -64,7 +64,8 @@ def _u_degrees(inst: ProblemInstance) -> list[int]:
 
     The two terms of u_jk carry different y's, so they cannot cancel.
     """
-    return [max(inst.m[j - 1], inst.m[k - 1]) + 1 for j, k in u_pairs(inst.d)]
+    m = inst.m
+    return [max(m[j - 1], m[k - 1]) + 1 for j, k in u_pairs(inst.d)]
 
 
 def image_degree(inst: ProblemInstance, mono: PMonomial) -> int:
@@ -150,8 +151,8 @@ def enumerate_normal_words(
         chosen.pop()
 
     pick(0, 0)
-    words.sort(key=lambda m: dill_key(m, variant))
-    return [NormalWord(m) for m in words]
+    words.sort(key=lambda word: dill_key(word, variant))
+    return [NormalWord(word) for word in words]
 
 
 def lead_of_image(inst: ProblemInstance, word) -> tuple[AMonomial, Fraction]:
