@@ -31,6 +31,9 @@ from .orders import CORRECTED, ALexOrder, alex_key, dill_key
 from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs, u_position
 from .presentation import build_generators, pi_image_of_monomial
 
+# Most normal words one enumeration may emit; more raise BudgetExceededError.
+MAX_NORMAL_WORDS = 250_000
+
 
 @dataclass(frozen=True)
 class NormalWord:
@@ -81,16 +84,19 @@ def image_degree(inst: ProblemInstance, mono: PMonomial) -> int:
 
 
 def _compatible(pair, chosen) -> bool:
-    """The interval of `pair` crosses none of the chosen intervals."""
+    """The interval of `pair` crosses none of the chosen intervals.
+
+    Chosen pairs come before `pair` in u_pairs order (jc <= j), so only a
+    chosen interval that opens first and closes inside can cross it.
+    """
     j, k = pair
-    return not any(jc < j < kc < k or j < jc < k < kc for jc, kc in chosen)
+    return not any(jc < j < kc < k for jc, kc in chosen)
 
 
 def enumerate_normal_words(
     inst: ProblemInstance,
     max_image_degree: int,
     variant: str = CORRECTED,
-    word_guard: int = 250_000,
 ) -> list[NormalWord]:
     """All normal words whose image degree is at most the bound, DILL-sorted.
 
@@ -98,7 +104,7 @@ def enumerate_normal_words(
     disjoint from the chosen ones, interior x-exponents stay below m_i) and
     spends the degree budget exactly as `image_degree` counts it, so every
     word it reaches is emitted without a further check.  More than
-    `word_guard` words raise BudgetExceededError.
+    MAX_NORMAL_WORDS words raise BudgetExceededError.
     """
     if max_image_degree < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -119,9 +125,9 @@ def enumerate_normal_words(
         def fill(idx: int, remaining: int, acc: list):
             if idx == d:
                 words.append(PMonomial._of(prefix + tuple(acc)))
-                if len(words) > word_guard:
+                if len(words) > MAX_NORMAL_WORDS:
                     raise BudgetExceededError(
-                        f"more than {word_guard} normal words up to image degree "
+                        f"more than {MAX_NORMAL_WORDS} normal words up to image degree "
                         f"{max_image_degree}"
                     )
                 return

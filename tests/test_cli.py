@@ -3,11 +3,10 @@
 import json
 import subprocess
 import sys
-from functools import partial
 
 import pytest
 
-from constalg import cli, normal_words
+from constalg import normal_words
 from constalg.cli import run
 
 
@@ -113,8 +112,7 @@ def test_normal_words_listing_and_count(instance_file, capsys):
 
 
 def test_normal_words_word_guard_exit_2(instance_file, monkeypatch, capsys):
-    guarded = partial(normal_words.enumerate_normal_words, word_guard=2)
-    monkeypatch.setattr(cli, "enumerate_normal_words", guarded)
+    monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 2)
     path = instance_file(CLASSICAL_2)
     assert run(["normal-words", "--instance", path, "--max-deg", "1", "--count-only"]) == 2
     captured = capsys.readouterr()

@@ -32,6 +32,7 @@ from constalg import (
     ring_a,
     u_pairs,
 )
+from constalg import normal_words
 from constalg.normal_words import image_degree
 from constalg.presentation import pi_image_of_monomial
 from helpers import (
@@ -170,11 +171,13 @@ def test_enumeration_is_complete():
         assert set(words) == expected
 
 
-def test_enumeration_word_guard():
+def test_enumeration_word_guard(monkeypatch):
     inst = classical(2)
-    assert len(enumerate_normal_words(inst, 1, word_guard=3)) == 3
+    monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 3)
+    assert len(enumerate_normal_words(inst, 1)) == 3
+    monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 2)
     with pytest.raises(BudgetExceededError):
-        enumerate_normal_words(inst, 1, word_guard=2)
+        enumerate_normal_words(inst, 1)
 
 
 def test_lead_of_image_examples():
