@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InstanceError, RingMismatchError
 from .poly import AMonomial, Polynomial, Ring, ring_a, ring_p, univariate
@@ -45,12 +46,12 @@ class ProblemInstance:
     d: int
     f: tuple[tuple[Fraction, ...], ...]
 
-    @property
+    @cached_property
     def m(self) -> tuple[int, ...]:
         """Degrees m_i = deg f_i."""
         return tuple(len(fi) - 1 for fi in self.f)
 
-    @property
+    @cached_property
     def lc(self) -> tuple[Fraction, ...]:
         """Leading coefficients of the f_i."""
         return tuple(fi[-1] for fi in self.f)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb
 
 from . import linalg
 from .derivation import ProblemInstance, apply_delta, is_constant
@@ -279,16 +279,8 @@ def _monomials_up_to_degree(d: int, bound: int) -> list[AMonomial]:
 
 def _normalize_vector_poly(ring, cols, vector) -> Polynomial:
     """Scale to coprime integers with positive A-lex-leading coefficient."""
-    terms = {m: c for m, c in zip(cols, vector) if c}
-    denom_lcm = 1
-    for c in terms.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    numerators = [int(c * denom_lcm) for c in terms.values()]
-    content = 0
-    for n in numerators:
-        content = gcd(content, n)
-    factor = Fraction(denom_lcm, content if content else 1)
-    poly = Polynomial(ring, {m: c * factor for m, c in terms.items()})
+    terms = linalg._to_integer_row({m: c for m, c in zip(cols, vector) if c})
+    poly = Polynomial(ring, terms)
     _, lc = leading_term(poly, ALexOrder())
     if lc < 0:
         poly = -poly
@@ -310,11 +302,10 @@ def kernel_dim_oracle(
     a higher slice; its nullspace is computed by fraction-free elimination.
     Completely independent of the relation/normal-word machinery.
     """
+    ncols = comb(max_degree + 2 * inst.d, 2 * inst.d)  # ring-A monomials of degree <= bound
+    if ncols > monomial_guard:
+        raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {monomial_guard}")
     cols = _monomials_up_to_degree(inst.d, max_degree)
-    if len(cols) > monomial_guard:
-        raise BudgetExceededError(
-            f"{len(cols)} monomials exceed the guard bound {monomial_guard}"
-        )
     ring = inst.ring_a
     row_index: dict[AMonomial, int] = {}
     rows: list[dict[int, Fraction]] = []

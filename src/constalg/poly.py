@@ -468,164 +468,91 @@ def leading_term(p: Polynomial, order) -> tuple:
 #
 # Whitespace is insignificant between tokens; indices are 1-based.
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<uvar>u(?P<uj>\d+)_(?P<uk>\d+))"
-    r"|(?P<xyvar>(?P<letter>[xy])(?P<index>\d+))"
-    r"|(?P<nat>\d+)"
-    r"|(?P<sym>[+\-*/^]))"
-)
+# The scanner matches these patterns in place; each skips leading whitespace.
+_SIGN = re.compile(r"\s*([+-])")
+_COEF = re.compile(r"\s*(\d+)(?:\s*/\s*(\d*))?")
+_FACTOR = re.compile(r"\s*(?:([xy])(\d+)|u(\d+)_(\d+))(?:\s*\^\s*(\d*))?")
+_STAR = re.compile(r"\s*\*")
+_END = re.compile(r"\s*\Z")
 
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in polynomial")
-        if match.group("uvar"):
-            tokens.append(("u", (int(match.group("uj")), int(match.group("uk")))))
-        elif match.group("xyvar"):
-            tokens.append((match.group("letter"), int(match.group("index"))))
-        elif match.group("nat"):
-            tokens.append(("nat", int(match.group("nat"))))
-        elif match.group("sym"):
-            tokens.append(("sym", match.group("sym")))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, ring: Ring):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None)
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_sym(self, symbol: str):
-        kind, value = self.advance()
-        if kind != "sym" or value != symbol:
-            raise ParseError(f"expected {symbol!r} in polynomial")
-
-    def parse(self) -> Polynomial:
-        terms: dict = {}
-        first = True
-        while True:
-            kind, value = self.peek()
-            if kind is None:
-                if first:
-                    raise ParseError("empty polynomial expression")
-                break
-            sign = 1
-            if kind == "sym" and value in "+-":
-                self.advance()
-                sign = -1 if value == "-" else 1
-            elif not first:
-                raise ParseError("terms must be separated by '+' or '-'")
-            coeff, mono = self.parse_term()
-            coeff *= sign
-            new = terms.get(mono, 0) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-            first = False
-        return Polynomial._make(self.ring, terms)
-
-    def parse_term(self):
-        kind, value = self.peek()
-        if kind == "nat":
-            coeff = self.parse_coef()
-            kind, value = self.peek()
-            if kind == "sym" and value == "*":
-                self.advance()
-                return coeff, self.parse_factors()
-            return coeff, _var_power(self.ring, 0, 0)
-        if kind in ("x", "y", "u"):
-            return Fraction(1), self.parse_factors()
-        raise ParseError("expected a coefficient or a variable")
-
-    def parse_coef(self) -> Fraction:
-        kind, num = self.advance()
-        if kind != "nat":
-            raise ParseError("expected a natural number")
-        kind, value = self.peek()
-        if kind == "sym" and value == "/":
-            self.advance()
-            kind, den = self.advance()
-            if kind != "nat":
-                raise ParseError("expected a denominator after '/'")
-            if den == 0:
-                raise ParseError("zero denominator in coefficient")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_factors(self):
-        mono = self.parse_factor()
-        while True:
-            kind, value = self.peek()
-            if kind == "sym" and value == "*":
-                nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else (None, None)
-                if nxt[0] not in ("x", "y", "u"):
-                    raise ParseError("expected a variable after '*'")
-                self.advance()
-                mono = mono.mul(self.parse_factor())
-            else:
-                return mono
-
-    def parse_factor(self):
-        kind, value = self.advance()
-        d = self.ring.d
-        if kind == "x":
-            if not (1 <= value <= d):
-                raise ParseError(f"index of x{value} out of range 1..{d}")
-        elif kind == "y":
-            if self.ring.flavor != RING_A:
-                raise ParseError("variable y is not valid in ring P")
-            if not (1 <= value <= d):
-                raise ParseError(f"index of y{value} out of range 1..{d}")
-        elif kind == "u":
-            if self.ring.flavor != RING_P:
-                raise ParseError("variable u is not valid in ring A")
-            j, k = value
-            if j >= k:
-                raise ParseError(f"u-pair indices must be ascending, got u{j}_{k}")
-            if not (1 <= j < k <= d):
-                raise ParseError(f"u-pair ({j},{k}) out of range for d={d}")
-        else:
-            raise ParseError("expected a variable")
-        exp = 1
-        peek_kind, peek_value = self.peek()
-        if peek_kind == "sym" and peek_value == "^":
-            self.advance()
-            peek_kind, exp = self.advance()
-            if peek_kind != "nat":
-                raise ParseError("expected a natural number after '^'")
-        if kind == "u":
-            pos = u_position(d, *value)
-        elif kind == "y":
-            pos = 2 * value - 1
-        else:
-            pos = _x_position(self.ring, value)
-        return _var_power(self.ring, pos, exp)
+def _fault(text: str, pos: int, expected: str) -> ParseError:
+    """ParseError naming what was expected at `pos` and what stands there."""
+    rest = text[pos:].lstrip()
+    found = repr(rest[0]) if rest else "the end of the text"
+    return ParseError(f"expected {expected} at offset {len(text) - len(rest)}, found {found}")
 
 
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
-    """Parse `text` in the grammar above into a normalized polynomial."""
+    """Parse `text` in the grammar above into a normalized polynomial.
+
+    One pass over the text: the factors of a term add their exponents into
+    one list, from which the term's monomial is built once.
+    """
     ring = Ring(flavor, d)
-    return _Parser(_tokenize(text), ring).parse()
+    cls, width = _layout(ring)
+    if _END.match(text):
+        raise ParseError("empty polynomial expression")
+    terms: dict = {}
+    pos = 0
+    while not (pos and _END.match(text, pos)):
+        match = _SIGN.match(text, pos)
+        if match:
+            pos = match.end()
+        elif pos:  # only the first term may omit its sign
+            raise _fault(text, pos, "'+', '-', '*' or the end of the text")
+        negative = match is not None and match[1] == "-"
+        exps = [0] * width
+        match = _COEF.match(text, pos)
+        if match:
+            num, den = match.groups()
+            if den == "":
+                raise _fault(text, match.end(), "a denominator after '/'")
+            den = 1 if den is None else int(den)
+            if not den:
+                raise ParseError(f"zero denominator in coefficient {match[0].strip()!r}")
+            coeff = Fraction(int(num), den)
+            pos = match.end()
+        else:
+            coeff = Fraction(1)
+        factor_due = match is None
+        while True:
+            if not factor_due:
+                match = _STAR.match(text, pos)
+                if match is None:
+                    break
+                pos = match.end()
+            match = _FACTOR.match(text, pos)
+            if match is None:
+                expected = "a coefficient or a variable" if factor_due else "a variable after '*'"
+                raise _fault(text, pos, expected)
+            letter, index, j, k, exp = match.groups()
+            if exp == "":
+                raise _fault(text, match.end(), "a natural number after '^'")
+            if letter:
+                i = int(index)
+                if letter == "y" and flavor != RING_A:
+                    raise ParseError("variable y is not valid in ring P")
+                if not 1 <= i <= d:
+                    raise ParseError(f"index of {letter}{i} out of range 1..{d}")
+                slot = 2 * i - 1 if letter == "y" else _x_position(ring, i)
+            else:
+                j, k = int(j), int(k)
+                if flavor != RING_P:
+                    raise ParseError("variable u is not valid in ring A")
+                if not 1 <= j < k <= d:
+                    raise ParseError(f"u{j}_{k} needs indices 1 <= j < k <= {d}")
+                slot = u_position(d, j, k)
+            exps[slot] += 1 if exp is None else int(exp)
+            pos = match.end()
+            factor_due = False
+        mono = _new(cls, exps)
+        new = terms.get(mono, 0) + (-coeff if negative else coeff)
+        if new:
+            terms[mono] = new
+        else:
+            terms.pop(mono, None)
+    return Polynomial._make(ring, terms)
 
 
 @lru_cache(maxsize=256)

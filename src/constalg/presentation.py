@@ -31,16 +31,20 @@ class GeneratorTable:
         self._power_cache: dict = {}
 
     def u_power(self, j: int, k: int, exponent: int) -> Polynomial:
-        """Memoized power u_jk^exponent of the expanded generator image."""
-        key = (j, k, exponent)
-        cached = self._power_cache.get(key)
-        if cached is not None:
-            return cached
-        if exponent == 0:
-            result = Polynomial.constant(self.instance.ring_a, 1)
-        else:
-            result = self.u_power(j, k, exponent - 1) * self.u[(j, k)]
-        self._power_cache[key] = result
+        """Memoized power u_jk^exponent of the expanded generator image.
+
+        Multiplies up from the highest cached power below, caching each step.
+        """
+        cache = self._power_cache
+        e = exponent
+        while e and (j, k, e) not in cache:
+            e -= 1
+        result = cache.get((j, k, e))
+        if result is None:
+            result = cache[(j, k, 0)] = Polynomial.constant(self.instance.ring_a, 1)
+        while e < exponent:
+            e += 1
+            result = cache[(j, k, e)] = result * self.u[(j, k)]
         return result
 
 

@@ -162,6 +162,18 @@ def test_kernel_dim(instance_file, capsys):
     assert len(out) == 8
 
 
+def test_kernel_dim_guard_trips_before_enumerating(instance_file, monkeypatch, capsys):
+    def enumerate_all(d, bound):
+        raise AssertionError("the slice was enumerated before the guard check")
+
+    monkeypatch.setattr(normal_words, "_monomials_up_to_degree", enumerate_all)
+    path = instance_file(CLASSICAL_4)
+    assert run(["kernel-dim", "--instance", path, "--max-deg", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 7392009768 monomials exceed the guard bound 5000\n"
+
+
 def test_degenerate_instances_exit_2(instance_file, capsys):
     for bad in (
         {"d": 2, "f": [[3], [0, 1]]},  # constant f_1

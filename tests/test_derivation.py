@@ -27,6 +27,14 @@ def test_instance_fields():
     assert inst.f[1] == (Fraction(1), Fraction(0), Fraction(1))
 
 
+def test_instance_degrees_are_computed_once():
+    inst = ProblemInstance.from_coeffs(2, [[0, 1], [1, 0, 3]])
+    twin = ProblemInstance.from_coeffs(2, [[0, 1], [1, 0, 3]])
+    assert inst.m is inst.m and inst.lc is inst.lc
+    assert inst == twin and hash(inst) == hash(twin)
+    assert inst.to_json_dict() == {"d": 2, "f": [["0", "1"], ["1", "0", "3"]]}
+
+
 def test_instance_trims_trailing_zeros():
     inst = ProblemInstance.from_coeffs(1, [[0, 1, 0, 0]])
     assert inst.m == (1,)

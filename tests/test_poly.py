@@ -18,6 +18,7 @@ from constalg import (
     parse_poly,
     ring_a,
     ring_p,
+    u_pairs,
     u_var,
     x_var,
     y_var,
@@ -167,9 +168,104 @@ def test_parse_rejects_bad_input():
         ("x1 + + x2", "A", 2),
         ("u1_5", "P", 4),
         ("x0", "A", 2),
+        ("x1*", "A", 2),
+        ("*x1", "A", 2),
+        ("x1*2", "A", 2),
+        ("2*3", "A", 2),
+        ("1/2/3", "A", 2),
+        ("1/", "A", 2),
+        ("x1^2^3", "A", 2),
+        ("u1_2_3", "P", 3),
+        ("x 1", "A", 2),
+        ("3 x1", "A", 2),
+        ("x1y1", "A", 2),
+        ("-", "A", 2),
+        ("+-x1", "A", 2),
+        ("   ", "A", 2),
     ]:
         with pytest.raises(ParseError):
             parse_poly(text, flavor, d)
+
+
+_SPACES = ("", "", " ", "  ", "\t", "\n")
+
+
+def _variables(mono):
+    """(name, exponent) of every variable of the monomial, exponent 0 included."""
+    if isinstance(mono, AMonomial):
+        return [
+            (f"{letter}{i}", e)
+            for i, (x, y) in enumerate(zip(mono.xexp, mono.yexp), start=1)
+            for letter, e in (("x", x), ("y", y))
+        ]
+    exps = dict(mono.upairs)
+    names = [(f"u{j}_{k}", exps.get((j, k), 0)) for j, k in u_pairs(mono.d)]
+    return names + [(f"x{i}", e) for i, e in enumerate(mono.xexp, start=1)]
+
+
+def _render_term(rng, coeff, mono, first):
+    """One term in the text grammar, written in one of its many equivalent ways."""
+    sp = lambda: rng.choice(_SPACES)  # noqa: E731
+    sign = "-" if coeff < 0 else "+"
+    text = "" if first and sign == "+" and rng.random() < 0.5 else sign + sp()
+    factors = []
+    variables = _variables(mono)
+    for name, e in variables:
+        while e:  # split x^e into factors x^a * x^b * ...
+            part = rng.randint(1, e)
+            factors.append(name if part == 1 and rng.random() < 0.5 else f"{name}{sp()}^{sp()}{part}")
+            e -= part
+    if rng.random() < 0.3:
+        factors.append(f"{rng.choice(variables)[0]}{sp()}^{sp()}0")
+    rng.shuffle(factors)
+    mag = abs(coeff)
+    scale = rng.randint(1, 3)
+    written = (
+        str(mag.numerator)
+        if mag.denominator == 1 and rng.random() < 0.5
+        else f"{mag.numerator * scale}{sp()}/{sp()}{mag.denominator * scale}"
+    )
+    if mag == 1 and factors:
+        written = rng.choice(["", "1", written])
+    if written and factors:
+        text += written + sp() + "*" + sp()
+    elif written:
+        text += written
+    star = sp() + "*" + sp()
+    return text + star.join(factors)
+
+
+def test_parse_round_trip_of_rendered_polynomials():
+    # The expected polynomials are built from monomials, never parsed.
+    rng = random.Random(83)
+    for _ in range(400):
+        flavor, d = rng.choice("AP"), rng.randint(1, 4)
+        expected: dict = {}
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            if flavor == "A":
+                mono = AMonomial(
+                    [rng.randint(0, 3) for _ in range(d)], [rng.randint(0, 3) for _ in range(d)]
+                )
+            else:
+                pairs = rng.sample(u_pairs(d), rng.randint(0, len(u_pairs(d))))
+                mono = PMonomial(
+                    [rng.randint(0, 3) for _ in range(d)], [(p, rng.randint(1, 3)) for p in pairs]
+                )
+            coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 5]))
+            terms.append((coeff, mono))
+            expected[mono] = expected.get(mono, 0) + coeff
+            if rng.random() < 0.3:  # a term that the next one cancels
+                terms += [(coeff, mono), (-coeff, mono)]
+        if not terms:
+            terms = [(Fraction(1), PMonomial.one(d) if flavor == "P" else AMonomial.one(d))]
+            expected = {terms[0][1]: Fraction(1)}
+        rng.shuffle(terms)
+        text = rng.choice(_SPACES) + " ".join(
+            _render_term(rng, c, m, t == 0) for t, (c, m) in enumerate(terms)
+        ) + rng.choice(_SPACES)
+        ring = ring_a(d) if flavor == "A" else ring_p(d)
+        assert parse_poly(text, flavor, d) == Polynomial(ring, expected), text
 
 
 def test_parse_accepts_whitespace_and_multidigit_indices():

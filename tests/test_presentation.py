@@ -1,10 +1,12 @@
 """Generators, the substitution homomorphism, and the relation families."""
 
 import random
+import sys
 
 import pytest
 
 from constalg import (
+    PMonomial,
     ProblemInstance,
     apply_delta,
     build_generators,
@@ -14,6 +16,7 @@ from constalg import (
     pi_substitute,
     quadratic_relation,
 )
+from constalg.presentation import pi_image_of_monomial
 from helpers import random_instance, random_ppoly
 
 
@@ -27,6 +30,20 @@ def test_generator_monomial_f():
     inst = ProblemInstance.from_coeffs(2, [[0, 0, 1], [0, 0, 0, 1]])
     table = build_generators(inst)
     assert table.u[(1, 2)] == parse_poly("x1^2*y2 - x2^3*y1", "A", 2)
+
+
+def test_u_power_above_recursion_limit():
+    inst = ProblemInstance.from_coeffs(2, [[0, 1], [0, 1]])
+    table = build_generators(inst)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        image = pi_image_of_monomial(table, PMonomial((0, 0), (((1, 2), 300),)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert image == table.u[(1, 2)] ** 300
+    assert sorted(table._power_cache) == [(1, 2, e) for e in range(301)]
+    assert table.u_power(1, 2, 300) == image
 
 
 def test_generator_table_size_and_constancy():
