@@ -40,6 +40,7 @@ from .normal_words import (
     IndependenceResult,
     KernelBasis,
     NormalWord,
+    count_normal_words,
     enumerate_normal_words,
     independence_check,
     is_normal_word,

@@ -16,7 +16,12 @@ import sys
 from .derivation import is_constant, load_instance
 from .errors import ConstalgError, NotAConstantError
 from .groebner import verify_groebner
-from .normal_words import enumerate_normal_words, kernel_dim_oracle, rewrite_constant
+from .normal_words import (
+    count_normal_words,
+    enumerate_normal_words,
+    kernel_dim_oracle,
+    rewrite_constant,
+)
 from .orders import CORRECTED, LITERAL
 from .poly import RING_A, format_monomial, format_poly, parse_poly
 from .presentation import build_relations
@@ -110,14 +115,14 @@ def _cmd_normal_words(args) -> int:
     inst = load_instance(args.instance)
     if args.max_deg < 0:
         raise _UsageError("--max-deg must be nonnegative")
+    if args.count_only:
+        print(sum(count_normal_words(inst, args.max_deg)))
+        return 0
     words = enumerate_normal_words(
         inst, args.max_deg, variant=_VARIANT_BY_FLAG[args.variant]
     )
-    if args.count_only:
-        print(len(words))
-    else:
-        for word in words:
-            print(format_monomial(word.monomial))
+    for word in words:
+        print(format_monomial(word.monomial))
     return 0
 
 

@@ -100,20 +100,21 @@ def rank(rows: list[dict], ncols: int) -> int:
     return len(_echelon(rows, ncols))
 
 
-def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """Basis of the kernel of the matrix, one vector per free column.
+def nullspace(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the kernel of the matrix, one sparse vector per free column.
 
-    Vector t has entry 1 at its free column and 0 at every other free
-    column.  One reverse pass over the pivots writes each pivot variable as
-    a sparse combination {free column: coefficient} of the free columns;
-    a frozen pivot row holds only its own column, free columns and later
-    pivot columns, so the combinations it needs already exist.  Vector t
-    then reads its pivot entries off the coefficients at its free column.
+    Vector t is a dict {column: Fraction} in ascending column order that
+    stores no zero; it has entry 1 at its free column and none at any other
+    free column.  One reverse pass over the pivots writes each pivot
+    variable as a sparse combination {free column: coefficient} of the free
+    columns; a frozen pivot row holds only its own column, free columns and
+    later pivot columns, so the combinations it needs already exist.
+    Transposing the combinations gives the vectors.
     """
     pivots = _echelon(rows, ncols)
     pivot_cols = {col for col, _ in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    one, zero = Fraction(1), Fraction(0)
+    one = Fraction(1)
     combos: dict[int, dict[int, Fraction]] = {fc: {fc: one} for fc in free_cols}
     for col, row in reversed(pivots):
         acc: dict[int, Fraction] = {}
@@ -124,9 +125,8 @@ def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
                 acc[fc] = acc.get(fc, 0) + rvalue * coeff
         pivot_value = row[col]
         combos[col] = {fc: -total / pivot_value for fc, total in acc.items() if total}
-    basis = [[zero] * ncols for _ in free_cols]
-    position = {fc: t for t, fc in enumerate(free_cols)}
-    for col, combo in combos.items():
-        for fc, value in combo.items():
-            basis[position[fc]][col] = value
-    return basis
+    basis: dict[int, dict[int, Fraction]] = {fc: {} for fc in free_cols}
+    for col in sorted(combos):
+        for fc, value in combos[col].items():
+            basis[fc][col] = value
+    return list(basis.values())

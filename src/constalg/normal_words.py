@@ -7,6 +7,10 @@ under pi form a vector-space basis of the algebra of constants; the image
 leads are pairwise distinct, which makes the rewriting of an arbitrary
 constant into the generators a deterministic peeling loop.
 
+`enumerate_normal_words` lists the words up to an image-degree bound and
+serves listings and `independence_check`.  `count_normal_words` counts
+them per image degree with a recursion over intervals and builds no word.
+
 `kernel_dim_oracle` is the independent brute-force side: it computes the
 exact nullspace of the derivation on a degree slice without touching any
 of the normal-word machinery.
@@ -18,6 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from . import linalg
 from .derivation import ProblemInstance, apply_delta, is_constant
@@ -33,6 +38,10 @@ from .presentation import build_generators, pi_image_of_monomial
 
 # Most normal words one enumeration may emit; more raise BudgetExceededError.
 MAX_NORMAL_WORDS = 250_000
+
+# Most coefficient operations one count may spend (as `_count_work` estimates
+# them before it starts); the largest accepted counts take a few seconds.
+MAX_COUNT_WORK = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -161,6 +170,90 @@ def enumerate_normal_words(
     return [NormalWord(word) for word in words]
 
 
+# -- counting -------------------------------------------------------------------
+#
+# Degree series are lists c[0..D] of coefficients, truncated at degree D.
+
+
+def _times_x(series: list, cap) -> list:
+    """series * (1 + t + ... + t^cap); cap None multiplies by 1/(1 - t)."""
+    out, run = [], 0
+    for i, c in enumerate(series):
+        run += c
+        if cap is not None and i > cap:
+            run -= series[i - cap - 1]
+        out.append(run)
+    return out
+
+
+def _times_u(series: list, weight: int) -> list:
+    """series * (t^w + t^2w + ...): a u-factor of degree w, exponent at least 1."""
+    out = [0] * len(series)
+    for i in range(weight, len(series)):
+        out[i] = series[i - weight] + out[i - weight]
+    return out
+
+
+def _add_product(acc: list, a: list, b: list) -> None:
+    """acc += a * b, truncated to len(acc)."""
+    for i, ai in enumerate(a):
+        if ai:
+            acc[i:] = map(add, acc[i:], map(ai.__mul__, b))
+
+
+def _count_work(d: int, max_image_degree: int) -> int:
+    """Bound on the coefficient operations of `count_normal_words`.
+
+    C(d+2, 3) = C(d+1, 3) + C(d+1, 2): the first term counts the truncated
+    series products of C(D+2, 2) operations each; once D >= 8 the second
+    covers the about 5*C(d+1, 2) linear passes of D+1 operations each.
+    """
+    return comb(d + 2, 3) * comb(max_image_degree + 2, 2)
+
+
+def count_normal_words(inst: ProblemInstance, max_image_degree: int) -> list[int]:
+    """Number of normal words of each image degree 0..D, without listing them.
+
+    A normal word's intervals are nested or disjoint, so the maximal ones
+    split the points 1..d into runs: left to right, a point is either
+    uncovered or opens the one maximal interval (p, k) that starts there.
+    That interval contributes u_pk^e (e >= 1, degree e*(max(m_p, m_k) + 1))
+    times every configuration strictly inside it, where each interior
+    x-exponent is capped at m_i - 1; an uncovered point's x-exponent is free.
+    closed[p, k] holds the series of u_pk^e times its interior; tail[p] holds
+    the configurations from point p to the end of the enclosing interval,
+    x_p included, and is shared by every interval that ends there.
+    A bound above MAX_COUNT_WORK coefficient operations raises
+    BudgetExceededError before any work starts.
+    """
+    if max_image_degree < 0:
+        raise ValueError("degree bound must be nonnegative")
+    d, m = inst.d, inst.m
+    work = _count_work(d, max_image_degree)
+    if work > MAX_COUNT_WORK:
+        raise BudgetExceededError(
+            f"counting normal words up to image degree {max_image_degree} at d={d} "
+            f"needs {work} coefficient operations, more than {MAX_COUNT_WORK}"
+        )
+    one = [1] + [0] * max_image_degree
+    closed: dict[tuple[int, int], list[int]] = {}
+    for b in range(2, d + 1):
+        tail = {b: one}
+        for p in range(b - 1, 0, -1):
+            inner = list(tail[p + 1])
+            for k in range(p + 1, b):
+                _add_product(inner, closed[p, k], tail[k])
+            closed[p, b] = _times_u(inner, max(m[p - 1], m[b - 1]) + 1)
+            tail[p] = _times_x(list(map(add, inner, closed[p, b])), m[p - 1] - 1)
+    tail = {d + 1: one}
+    for p in range(d, 0, -1):
+        free = list(tail[p + 1])
+        for k in range(p + 1, d + 1):
+            _add_product(free, closed[p, k], tail[k])
+        tail[p] = _times_x(free, None)
+    return tail[1]
+
+
 def lead_of_image(inst: ProblemInstance, word) -> tuple[AMonomial, Fraction]:
     """Lead of pi(word) under the A-lex order, without expanding the image.
 
@@ -278,8 +371,8 @@ def _monomials_up_to_degree(d: int, bound: int) -> list[AMonomial]:
 
 
 def _normalize_vector_poly(ring, cols, vector) -> Polynomial:
-    """Scale to coprime integers with positive A-lex-leading coefficient."""
-    terms = linalg._to_integer_row({m: c for m, c in zip(cols, vector) if c})
+    """Scale a sparse kernel vector to coprime integers, A-lex-leading coefficient positive."""
+    terms = linalg._to_integer_row({cols[c]: value for c, value in vector.items()})
     poly = Polynomial(ring, terms)
     _, lc = leading_term(poly, ALexOrder())
     if lc < 0:

@@ -109,9 +109,6 @@ class DillOrder:
             key = self._keys[mono] = dill_key(mono, self.variant)
         return key
 
-    def compare(self, v: PMonomial, w: PMonomial) -> int:
-        return dill_compare(v, w, self.variant)
-
     def __repr__(self):
         return f"DillOrder({self.variant!r})"
 
@@ -122,10 +119,6 @@ class ALexOrder:
     def key(self, mono: AMonomial) -> tuple:
         return alex_key(mono)
 
-    def compare(self, v: AMonomial, w: AMonomial) -> int:
-        kv, kw = alex_key(v), alex_key(w)
-        return -1 if kv < kw else (1 if kv > kw else 0)
-
     def __repr__(self):
         return "ALexOrder()"
 
@@ -135,10 +128,6 @@ class PLexOrder:
 
     def key(self, mono: PMonomial) -> tuple:
         return plex_key(mono)
-
-    def compare(self, v: PMonomial, w: PMonomial) -> int:
-        kv, kw = plex_key(v), plex_key(w)
-        return -1 if kv < kw else (1 if kv > kw else 0)
 
     def __repr__(self):
         return "PLexOrder()"

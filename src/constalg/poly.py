@@ -483,6 +483,16 @@ def _fault(text: str, pos: int, expected: str) -> ParseError:
     return ParseError(f"expected {expected} at offset {len(text) - len(rest)}, found {found}")
 
 
+def _nat(match, group: int) -> int:
+    """The natural number in a matched group; one too long for int() is a ParseError."""
+    try:
+        return int(match[group])
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(
+            f"number of {len(match[group])} digits at offset {match.start(group)} is too long"
+        ) from None
+
+
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
     """Parse `text` in the grammar above into a normalized polynomial.
 
@@ -505,13 +515,13 @@ def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
         exps = [0] * width
         match = _COEF.match(text, pos)
         if match:
-            num, den = match.groups()
+            den = match[2]
             if den == "":
                 raise _fault(text, match.end(), "a denominator after '/'")
-            den = 1 if den is None else int(den)
+            den = 1 if den is None else _nat(match, 2)
             if not den:
                 raise ParseError(f"zero denominator in coefficient {match[0].strip()!r}")
-            coeff = Fraction(int(num), den)
+            coeff = Fraction(_nat(match, 1), den)
             pos = match.end()
         else:
             coeff = Fraction(1)
@@ -526,24 +536,24 @@ def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
             if match is None:
                 expected = "a coefficient or a variable" if factor_due else "a variable after '*'"
                 raise _fault(text, pos, expected)
-            letter, index, j, k, exp = match.groups()
+            letter, exp = match[1], match[5]
             if exp == "":
                 raise _fault(text, match.end(), "a natural number after '^'")
             if letter:
-                i = int(index)
+                i = _nat(match, 2)
                 if letter == "y" and flavor != RING_A:
                     raise ParseError("variable y is not valid in ring P")
                 if not 1 <= i <= d:
                     raise ParseError(f"index of {letter}{i} out of range 1..{d}")
                 slot = 2 * i - 1 if letter == "y" else _x_position(ring, i)
             else:
-                j, k = int(j), int(k)
+                j, k = _nat(match, 3), _nat(match, 4)
                 if flavor != RING_P:
                     raise ParseError("variable u is not valid in ring A")
                 if not 1 <= j < k <= d:
                     raise ParseError(f"u{j}_{k} needs indices 1 <= j < k <= {d}")
                 slot = u_position(d, j, k)
-            exps[slot] += 1 if exp is None else int(exp)
+            exps[slot] += 1 if exp is None else _nat(match, 5)
             pos = match.end()
             factor_due = False
         mono = _new(cls, exps)

@@ -1,6 +1,7 @@
 """Seeded random generators and reference paths shared by the test modules."""
 
 from fractions import Fraction
+from math import comb
 
 from constalg import (
     AMonomial,
@@ -250,3 +251,27 @@ def reference_nullspace(rows, ncols):
                 values[col] = -total / row[col]
         basis.append([values.get(c, Fraction(0)) for c in range(ncols)])
     return basis
+
+
+def densify(vectors, ncols):
+    """Dense lists of Fractions from the sparse {column: value} vectors of `nullspace`."""
+    zero = Fraction(0)
+    return [[vec.get(c, zero) for c in range(ncols)] for vec in vectors]
+
+
+# -- closed-form Hilbert function ---------------------------------------------
+
+
+def nowicki_hilbert(d, n):
+    """Dimension of the constants of degree n when every f_i = x_i.
+
+    Then the derivation is the basic Weitzenboeck derivation and the
+    constants are the highest-weight vectors of S(V_1^d), counted by the
+    monomials with #x - #y in {0, 1} (Nowicki 1994; Cayley-Sylvester):
+    the sum of C(a+d-1, d-1) * C(b+d-1, d-1) over a + b = n, a - b in {0, 1}.
+    """
+    return sum(
+        comb(a + d - 1, d - 1) * comb(n - a + d - 1, d - 1)
+        for a in range(n + 1)
+        if a - (n - a) in (0, 1)
+    )

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -114,10 +115,30 @@ def test_normal_words_listing_and_count(instance_file, capsys):
 def test_normal_words_word_guard_exit_2(instance_file, monkeypatch, capsys):
     monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 2)
     path = instance_file(CLASSICAL_2)
-    assert run(["normal-words", "--instance", path, "--max-deg", "1", "--count-only"]) == 2
+    assert run(["normal-words", "--instance", path, "--max-deg", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: more than 2 normal words")
+
+
+def test_count_only_ignores_word_guard(instance_file, monkeypatch, capsys):
+    # Counting builds no words, so the listing cap does not apply.
+    monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 2)
+    path = instance_file(CLASSICAL_2)
+    assert run(["normal-words", "--instance", path, "--max-deg", "1", "--count-only"]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
+def test_count_only_budget_exit_2(instance_file, capsys):
+    path = instance_file({"d": 64, "f": [[0, 1]] * 64}, "d64.json")
+    start = time.perf_counter()
+    code = run(["normal-words", "--instance", path, "--max-deg", "1000000", "--count-only"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: counting normal words up to image degree 1000000")
+    assert elapsed < 1.0
 
 
 def test_check_verdicts(instance_file, capsys):
@@ -133,6 +154,17 @@ def test_check_huge_exponent(instance_file, capsys):
     path = instance_file(CLASSICAL_2)
     assert run(["check", "--instance", path, "--poly", "x1^2000000"]) == 0
     assert capsys.readouterr().out.strip() == "constant"
+
+
+def test_check_overlong_numbers_exit_2(instance_file, capsys):
+    # More digits than int() accepts from a string: a parse error, not a traceback.
+    path = instance_file(CLASSICAL_2)
+    nines = "9" * 5000
+    for poly, offset in ((f"x1^{nines}", 3), (f"{nines}*x1", 0)):
+        assert run(["check", "--instance", path, "--poly", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: number of 5000 digits at offset {offset} is too long\n"
 
 
 def test_rewrite_generator(instance_file, capsys):

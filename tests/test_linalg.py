@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from constalg import linalg
 from constalg.normal_words import kernel_dim_oracle
-from helpers import instance_with_degrees, reference_nullspace
+from helpers import densify, instance_with_degrees, reference_nullspace
 
 
 def dense_to_rows(matrix):
@@ -24,13 +24,13 @@ def test_rank_known_cases():
 def test_nullspace_known_case():
     # x + y + z = 0, y - z = 0  ->  kernel spanned by (-2, 1, 1)
     rows = dense_to_rows([[1, 1, 1], [0, 1, -1]])
-    (vec,) = linalg.nullspace(rows, 3)
+    (vec,) = densify(linalg.nullspace(rows, 3), 3)
     assert vec[1] == vec[2]
     assert vec[0] == -2 * vec[1]
 
 
 def test_nullspace_of_zero_matrix_is_full():
-    vectors = linalg.nullspace([], 4)
+    vectors = densify(linalg.nullspace([], 4), 4)
     assert len(vectors) == 4
     for i, vec in enumerate(vectors):
         assert vec[i] == 1
@@ -50,7 +50,7 @@ def test_nullspace_properties_randomized():
                 if rng.random() < 0.55
             }
             rows.append({c: v for c, v in row.items() if v})
-        vectors = linalg.nullspace(rows, ncols)
+        vectors = densify(linalg.nullspace(rows, ncols), ncols)
         assert linalg.rank(rows, ncols) + len(vectors) == ncols
         for vec in vectors:
             for row in rows:
@@ -86,8 +86,10 @@ def test_deterministic_output():
 
 def assert_same_as_reference(rows, ncols):
     vectors = linalg.nullspace(rows, ncols)
-    assert vectors == reference_nullspace(rows, ncols)
-    assert all(type(v) is Fraction for vec in vectors for v in vec)
+    assert densify(vectors, ncols) == reference_nullspace(rows, ncols)
+    assert all(type(v) is Fraction for vec in vectors for v in vec.values())
+    # sparse: no stored zeros, columns ascending
+    assert all(all(vec.values()) and list(vec) == sorted(vec) for vec in vectors)
     return vectors
 
 

@@ -18,6 +18,7 @@ from constalg import (
     ProblemInstance,
     build_generators,
     claimed_lead_monomials,
+    count_normal_words,
     enumerate_normal_words,
     independence_check,
     is_constant,
@@ -37,6 +38,7 @@ from constalg.normal_words import image_degree
 from constalg.presentation import pi_image_of_monomial
 from helpers import (
     instance_with_degrees,
+    nowicki_hilbert,
     random_instance,
     random_pmonomial,
     random_ppoly,
@@ -178,6 +180,75 @@ def test_enumeration_word_guard(monkeypatch):
     monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 2)
     with pytest.raises(BudgetExceededError):
         enumerate_normal_words(inst, 1)
+
+
+def words_per_degree(inst, bound):
+    per = [0] * (bound + 1)
+    for word in enumerate_normal_words(inst, bound):
+        per[image_degree(inst, word.monomial)] += 1
+    return per
+
+
+def test_count_matches_nowicki_closed_form():
+    # Far past the word cap: d = 12 up to degree 30 has 1.4e14 normal words.
+    for d in range(1, 13):
+        counts = count_normal_words(classical(d), 30)
+        assert counts == [nowicki_hilbert(d, n) for n in range(31)]
+    assert sum(counts) == 138_495_258_121_950
+
+
+def test_count_matches_enumeration_per_degree():
+    # f_i = x_i at d = 5, degree 7 reaches a pair of intervals nested in a third.
+    assert count_normal_words(classical(5), 7) == words_per_degree(classical(5), 7)
+    rng = random.Random(6101)
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        inst = instance_with_degrees(rng, [rng.randint(1, 4) for _ in range(d)])
+        bound = rng.randint(0, 9 - d)
+        assert count_normal_words(inst, bound) == words_per_degree(inst, bound)
+
+
+def test_count_enumeration_and_kernel_oracle_agree():
+    # Three independent routes to the dimension of the constants of degree
+    # <= b.  With m_1 >= ... >= m_d the lead x_j^m_j*y_k of pi(u_jk) has
+    # the full image degree, so peeling a constant never raises its degree.
+    rng = random.Random(6102)
+    for d, bound in ((1, 8), (2, 7), (2, 7), (3, 6), (3, 5), (4, 4), (4, 4), (5, 4)):
+        degrees = sorted((rng.randint(1, 3) for _ in range(d)), reverse=True)
+        inst = instance_with_degrees(rng, degrees)
+        counts = count_normal_words(inst, bound)
+        assert counts == words_per_degree(inst, bound)
+        for b in range(bound + 1):
+            dimension = kernel_dim_oracle(inst, b).dimension
+            assert sum(counts[: b + 1]) == len(enumerate_normal_words(inst, b)) == dimension
+
+
+def test_count_bounds_kernel_dimension_below():
+    # The images of the counted words are independent constants of degree
+    # <= b, so they never outnumber the kernel.  When some m_j < m_k (j < k),
+    # a constant of degree <= b may need words of higher image degree:
+    # for m = (3, 1, 3), x2*u1_3 (degree 5) equals x3^3*u1_2 + x1^3*u2_3,
+    # whose words have image degree 7.
+    rng = random.Random(6103)
+    for d, bound in ((2, 7), (3, 6), (3, 6), (4, 4), (4, 4), (5, 3)):
+        inst = instance_with_degrees(rng, [rng.randint(1, 3) for _ in range(d)])
+        counts = count_normal_words(inst, bound)
+        for b in range(bound + 1):
+            assert sum(counts[: b + 1]) <= kernel_dim_oracle(inst, b).dimension
+    inst = ProblemInstance.from_coeffs(3, [[0, 0, 0, 1], [0, 1], [0, 0, 0, 1]])
+    assert sum(count_normal_words(inst, 5)) == 67
+    assert kernel_dim_oracle(inst, 5).dimension == 68
+
+
+def test_count_budget(monkeypatch):
+    inst = classical(4)
+    assert count_normal_words(inst, 0) == [1]
+    with pytest.raises(ValueError):
+        count_normal_words(inst, -1)
+    monkeypatch.setattr(normal_words, "MAX_COUNT_WORK", normal_words._count_work(4, 5))
+    assert sum(count_normal_words(inst, 5)) == 361
+    with pytest.raises(BudgetExceededError):
+        count_normal_words(inst, 6)
 
 
 def test_lead_of_image_examples():
