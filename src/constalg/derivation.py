@@ -126,34 +126,35 @@ def load_instance(path) -> ProblemInstance:
     return ProblemInstance.from_json_dict(data)
 
 
-def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
-    """Image of g under the derivation, term by term via the Leibniz rule.
+def delta_terms(inst: ProblemInstance, mono: AMonomial, coeff=1):
+    """The terms of delta(coeff * x^a y^b) = sum_i coeff * b_i * x^a y^(b - e_i) * f_i(x_i).
 
-    For a monomial x^a y^b the image is sum_i b_i * x^a y^(b - e_i) * f_i(x_i).
+    Terms of different i differ in y_i, terms of one i in x_i: no two
+    yielded (monomial, coefficient) pairs share a monomial.
     """
+    for i, fi in enumerate(inst.f):
+        y_pos = 2 * i + 1
+        bi = mono[y_pos]
+        if not bi:
+            continue
+        factor = coeff * bi
+        exps = list(mono)
+        exps[y_pos] -= 1
+        for power, fc in enumerate(fi):
+            if fc:
+                exps[y_pos - 1] = mono[y_pos - 1] + power
+                yield AMonomial._of(exps), factor * fc
+
+
+def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
+    """Image of g under the derivation, accumulated over `delta_terms`."""
     if g.ring != inst.ring_a:
         raise RingMismatchError(f"polynomial over {g.ring} does not match d={inst.d}")
     terms: dict = {}
     for mono, coeff in g.terms.items():
-        for i, fi in enumerate(inst.f):
-            y_pos = 2 * i + 1
-            bi = mono[y_pos]
-            if not bi:
-                continue
-            base_factor = coeff * bi
-            for power, fc in enumerate(fi):
-                if not fc:
-                    continue
-                exps = list(mono)
-                exps[y_pos] -= 1
-                exps[y_pos - 1] += power
-                target = AMonomial._of(exps)
-                new = terms.get(target, 0) + base_factor * fc
-                if new:
-                    terms[target] = new
-                else:
-                    terms.pop(target, None)
-    return Polynomial._make(inst.ring_a, terms)
+        for target, value in delta_terms(inst, mono, coeff):
+            terms[target] = terms.get(target, 0) + value
+    return Polynomial._make(inst.ring_a, {m: c for m, c in terms.items() if c})
 
 
 def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:

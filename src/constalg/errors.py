@@ -26,4 +26,4 @@ class PeelingError(ConstalgError):
 
 
 class BudgetExceededError(ConstalgError):
-    """A configured work bound (pair queue, matrix size) was exceeded."""
+    """A work bound (one of the modules' MAX_* constants) was exceeded."""

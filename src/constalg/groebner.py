@@ -17,13 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
+from math import comb
 
 from .derivation import ProblemInstance
 from .errors import BudgetExceededError
 from .orders import CORRECTED, DillOrder
 from .poly import PMonomial, Polynomial, format_monomial, format_poly, leading_term
-from .presentation import RelationSet, build_relations, relation_label
+from .presentation import RelationSet, build_relations, relation_count, relation_label
+
+# Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
+# took 28 s on 2 CPUs); d = 13 has 500,500.
+MAX_VERIFY_PAIRS = 300_000
+# Largest pair queue `buchberger_complete` may hold.
+MAX_PAIR_QUEUE = 100_000
 
 
 class LeadTable:
@@ -134,8 +141,6 @@ def expected_lead(inst: ProblemInstance, family: str, indices) -> PMonomial:
 
 def claimed_lead_monomials(inst: ProblemInstance) -> list[PMonomial]:
     """The full expected lead set of the relation basis."""
-    from itertools import combinations
-
     leads = [
         expected_lead(inst, "R", idx)
         for idx in combinations(range(1, inst.d + 1), 4)
@@ -271,13 +276,12 @@ class GroebnerCertificate:
 def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
-    Checked on monic-normalized copies, so stored integer coefficients are
-    irrelevant to the verdict.
+    Divisibility reads only monomials, so coefficients are irrelevant to
+    the verdict.
     """
-    normalized = [_monic(g, order) for g in basis]
-    leads = [leading_term(g, order)[0] for g in normalized]
+    leads = [leading_term(g, order)[0] for g in basis]
     for gi, lead in enumerate(leads):
-        for hi, h in enumerate(normalized):
+        for hi, h in enumerate(basis):
             if gi == hi:
                 continue
             if any(lead.divides(mono) for mono in h.terms):
@@ -295,8 +299,12 @@ def verify_groebner(
     A failed lead-conformance report aborts the pair phase; the verdict is
     then false.  Pairs with coprime leads are discharged by Buchberger's
     first criterion; every other S-polynomial is fully reduced against the
-    basis.
+    basis.  More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError
+    before the relations are built.
     """
+    count = relation_count(inst.d) if relations is None else len(relations)
+    if comb(count, 2) > MAX_VERIFY_PAIRS:
+        raise BudgetExceededError(f"{count} relations give more than {MAX_VERIFY_PAIRS} pairs")
     if relations is None:
         relations = build_relations(inst)
     order = DillOrder(variant)
@@ -333,16 +341,14 @@ def verify_groebner(
 # -- generic completion --------------------------------------------------------
 
 
-def buchberger_complete(
-    basis, order, pair_budget: int = 100_000
-) -> list[Polynomial]:
+def buchberger_complete(basis, order) -> list[Polynomial]:
     """Complete a generating set to a Groebner basis under the given order.
 
     Standard completion with the normal selection strategy (pair of
     minimal lcm under the order; ties broken by index), the coprime-lead
     criterion, and full reduction of each S-polynomial.  The result is
     monic-normalized.  Zero inputs are dropped; a pair queue larger than
-    pair_budget raises BudgetExceededError instead of silently churning.
+    MAX_PAIR_QUEUE raises BudgetExceededError instead of silently churning.
     """
     basis = list(basis)
     if not basis:
@@ -351,9 +357,9 @@ def buchberger_complete(
     leads = [leading_term(g, order)[0] for g in work]
     queue = {(i, j) for i in range(len(work)) for j in range(i + 1, len(work))}
     while queue:
-        if len(queue) > pair_budget:
+        if len(queue) > MAX_PAIR_QUEUE:
             raise BudgetExceededError(
-                f"pair queue grew past the budget of {pair_budget}"
+                f"pair queue grew past the budget of {MAX_PAIR_QUEUE}"
             )
         i, j = min(queue, key=lambda ij: (order.key(leads[ij[0]].lcm(leads[ij[1]])), ij))
         queue.remove((i, j))

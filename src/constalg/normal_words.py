@@ -25,7 +25,7 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .derivation import ProblemInstance, apply_delta, is_constant
+from .derivation import ProblemInstance, delta_terms, is_constant
 from .errors import (
     BudgetExceededError,
     NotAConstantError,
@@ -42,6 +42,10 @@ MAX_NORMAL_WORDS = 250_000
 # Most coefficient operations one count may spend (as `_count_work` estimates
 # them before it starts); the largest accepted counts take a few seconds.
 MAX_COUNT_WORK = 20_000_000
+
+# Most monomials (matrix columns) one kernel or independence check may take;
+# more raise BudgetExceededError.
+MAX_SLICE_MONOMIALS = 5000
 
 
 @dataclass(frozen=True)
@@ -331,12 +335,11 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
             mono = None
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
-        coeff = work[mono]
         word = recover_word_from_lead(inst, mono)
-        _, lead_coeff = lead_of_image(inst, word)
-        factor = coeff / lead_coeff
-        result[word.monomial] = result.get(word.monomial, 0) + factor
         image = pi_image_of_monomial(table, word.monomial)
+        # mono is the A-lex lead of the image
+        factor = work[mono] / image.terms[mono]
+        result[word.monomial] = result.get(word.monomial, 0) + factor
         for im, ic in image.terms.items():
             new = work.get(im, 0) - factor * ic
             if new:
@@ -360,13 +363,12 @@ def _monomials_up_to_degree(d: int, bound: int) -> list[AMonomial]:
         if idx == 2 * d:
             out.append(AMonomial._of(acc))
             return
-        for e in range(remaining + 1):
+        for e in range(remaining, -1, -1):
             acc.append(e)
             fill(idx + 1, remaining - e, acc)
             acc.pop()
 
     fill(0, bound, [])
-    out.sort(key=alex_key, reverse=True)
     return out
 
 
@@ -386,33 +388,25 @@ class KernelBasis:
     basis: list
 
 
-def kernel_dim_oracle(
-    inst: ProblemInstance, max_degree: int, monomial_guard: int = 5000
-) -> KernelBasis:
+def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> KernelBasis:
     """Exact basis of the constants of degree <= max_degree.
 
     Brute force: the derivation is a linear map from the degree slice into
     a higher slice; its nullspace is computed by fraction-free elimination.
-    Completely independent of the relation/normal-word machinery.
+    Completely independent of the relation/normal-word machinery.  The
+    columns are the slice's monomials in descending A-lex order; that order
+    fixes the pivot columns and so the basis.
     """
     ncols = comb(max_degree + 2 * inst.d, 2 * inst.d)  # ring-A monomials of degree <= bound
-    if ncols > monomial_guard:
-        raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {monomial_guard}")
+    if ncols > MAX_SLICE_MONOMIALS:
+        raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}")
     cols = _monomials_up_to_degree(inst.d, max_degree)
-    ring = inst.ring_a
-    row_index: dict[AMonomial, int] = {}
-    rows: list[dict[int, Fraction]] = []
+    rows: dict[AMonomial, dict[int, Fraction]] = {}  # target monomial -> row
     for cidx, mono in enumerate(cols):
-        image = apply_delta(inst, Polynomial.from_term(ring, mono, 1))
-        for tmono, tcoeff in image.terms.items():
-            ridx = row_index.get(tmono)
-            if ridx is None:
-                ridx = len(rows)
-                row_index[tmono] = ridx
-                rows.append({})
-            rows[ridx][cidx] = tcoeff
-    vectors = linalg.nullspace(rows, len(cols))
-    basis = [_normalize_vector_poly(ring, cols, vec) for vec in vectors]
+        for target, value in delta_terms(inst, mono):
+            rows.setdefault(target, {})[cidx] = value
+    vectors = linalg.nullspace(list(rows.values()), len(cols))
+    basis = [_normalize_vector_poly(inst.ring_a, cols, vec) for vec in vectors]
     basis.sort(key=lambda p: alex_key(leading_term(p, ALexOrder())[0]), reverse=True)
     return KernelBasis(dimension=len(basis), basis=basis)
 
@@ -428,9 +422,7 @@ class IndependenceResult:
         return self.rank == self.word_count and self.leads_pairwise_distinct
 
 
-def independence_check(
-    inst: ProblemInstance, max_degree: int, monomial_guard: int = 5000
-) -> IndependenceResult:
+def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceResult:
     """Exact rank of the normal-word images on a degree slice.
 
     The images are independent iff the rank equals the word count; the
@@ -444,9 +436,9 @@ def independence_check(
         for mono in image.terms:
             if mono not in col_index:
                 col_index[mono] = len(col_index)
-    if len(col_index) > monomial_guard:
+    if len(col_index) > MAX_SLICE_MONOMIALS:
         raise BudgetExceededError(
-            f"{len(col_index)} monomials exceed the guard bound {monomial_guard}"
+            f"{len(col_index)} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}"
         )
     rows = [
         {col_index[m]: c for m, c in image.terms.items()} for image in images

@@ -296,9 +296,6 @@ class Polynomial:
             return -1
         return max(m.degree() for m in self.terms)
 
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):

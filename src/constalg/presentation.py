@@ -16,10 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .derivation import ProblemInstance
-from .errors import RingMismatchError
+from .errors import BudgetExceededError, RingMismatchError
 from .poly import AMonomial, PMonomial, Polynomial, u_pairs, u_var, univariate, y_var
+
+# Most relations `build_relations` may build: C(24,4) + C(24,3), so d <= 24.
+MAX_RELATIONS = 12_650
 
 
 class GeneratorTable:
@@ -131,8 +135,16 @@ def relation_label(family: str, indices) -> str:
     return f"{family}({','.join(str(i) for i in indices)})"
 
 
+def relation_count(d: int) -> int:
+    """Number of relations r(i,j,k,l) and s(i,j,k) at dimension d."""
+    return comb(d, 4) + comb(d, 3)
+
+
 def build_relations(inst: ProblemInstance) -> RelationSet:
-    """All r(i,j,k,l) and s(i,j,k) for the instance."""
+    """All r(i,j,k,l) and s(i,j,k); more than MAX_RELATIONS raise BudgetExceededError."""
+    count = relation_count(inst.d)
+    if count > MAX_RELATIONS:
+        raise BudgetExceededError(f"d={inst.d} has {count} relations, more than {MAX_RELATIONS}")
     relations = RelationSet()
     for idx in combinations(range(1, inst.d + 1), 4):
         relations.quadratic.append((idx, quadratic_relation(inst, *idx)))

@@ -13,7 +13,6 @@ from constalg import (
     s_polynomial,
     u_pairs,
 )
-from constalg.linalg import _echelon
 from constalg.poly import leading_term
 
 
@@ -225,32 +224,38 @@ def sparse_format(xexp, second):
     return "*".join(parts) or "1"
 
 
-# -- reference back-substitution ---------------------------------------------
+# -- reference nullspace ------------------------------------------------------
 #
-# The dense back-substitution that `linalg.nullspace` replaced: every free
-# column walks all pivot rows in reverse.
+# Dense Gauss-Jordan elimination over Fraction, sharing no code with `linalg`.
+# The pivot columns of any echelon form built column by column are the
+# columns outside the span of the columns before them, so its free columns,
+# and the kernel vector with 1 at one free column and 0 at the others, are
+# those of `linalg.nullspace`.
 
 
 def reference_nullspace(rows, ncols):
-    """Kernel basis of the matrix, one vector per free column, by dense back-substitution."""
-    pivots = _echelon(rows, ncols)
-    pivot_cols = {col for col, _ in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        values: dict[int, Fraction] = {fc: Fraction(1)}
-        for col, row in reversed(pivots):
-            total = Fraction(0)
-            for rcol, rvalue in row.items():
-                if rcol == col:
-                    continue
-                entry = values.get(rcol)
-                if entry is not None:
-                    total += rvalue * entry
-            if total:
-                values[col] = -total / row[col]
-        basis.append([values.get(c, Fraction(0)) for c in range(ncols)])
-    return basis
+    """Kernel basis of the matrix, one dense vector per free column, by Gauss-Jordan."""
+    remaining = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    reduced: dict[int, list] = {}  # pivot column -> its row, 1 at the pivot
+    for col in range(ncols):
+        pick = next((i for i, row in enumerate(remaining) if row[col]), None)
+        if pick is None:
+            continue
+        pivot_row = remaining.pop(pick)
+        pivot_row = [v / pivot_row[col] for v in pivot_row]
+        support = [c for c, v in enumerate(pivot_row) if v]
+        for row in remaining + list(reduced.values()):
+            factor = row[col]
+            if factor:
+                for c in support:
+                    row[c] -= factor * pivot_row[c]
+        reduced[col] = pivot_row
+    zero, one = Fraction(0), Fraction(1)
+    return [
+        [one if c == fc else -reduced[c][fc] if c in reduced else zero for c in range(ncols)]
+        for fc in range(ncols)
+        if fc not in reduced
+    ]
 
 
 def densify(vectors, ncols):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from constalg import normal_words
+from constalg import groebner, normal_words, presentation
 from constalg.cli import run
 
 
@@ -204,6 +204,30 @@ def test_kernel_dim_guard_trips_before_enumerating(instance_file, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 7392009768 monomials exceed the guard bound 5000\n"
+
+
+def _must_not_build(*args):
+    raise AssertionError("relations were built before the budget check")
+
+
+def test_relations_budget_exit_2(instance_file, monkeypatch, capsys):
+    monkeypatch.setattr(presentation, "quadratic_relation", _must_not_build)
+    monkeypatch.setattr(presentation, "mixed_relation", _must_not_build)
+    path = instance_file({"d": 64, "f": [[0, 1]] * 64})
+    assert run(["relations", "--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d=64 has 677040 relations, more than 12650\n"
+
+
+@pytest.mark.parametrize("d, relations", [(64, 677040), (13, 1001)])
+def test_verify_gb_pair_budget_exit_2(instance_file, monkeypatch, capsys, d, relations):
+    monkeypatch.setattr(groebner, "build_relations", _must_not_build)
+    path = instance_file({"d": d, "f": [[0, 1]] * d})
+    assert run(["verify-gb", "--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {relations} relations give more than 300000 pairs\n"
 
 
 def test_degenerate_instances_exit_2(instance_file, capsys):

@@ -25,6 +25,7 @@ from constalg import (
     verify_lead_conformance,
     verify_reduced,
 )
+from constalg import groebner
 from constalg.poly import leading_term
 from helpers import (
     instance_with_degrees,
@@ -241,11 +242,12 @@ def test_buchberger_complete_linear_elimination():
     assert parse_poly("x1", "P", 2) in completed
 
 
-def test_buchberger_complete_under_plain_lex():
+def test_buchberger_complete_under_plain_lex(monkeypatch):
     # independent cross-check order: completion still adds nothing for d=4
     inst = instance_with_degrees(random.Random(127), (1, 2, 1, 2))
     basis = build_relations(inst).polynomials()
-    completed = buchberger_complete(basis, PLexOrder(), pair_budget=10_000)
+    monkeypatch.setattr(groebner, "MAX_PAIR_QUEUE", 10_000)
+    completed = buchberger_complete(basis, PLexOrder())
     # plain lex has different leads, so completion may add elements, but
     # it must terminate and still generate the same ideal: every original
     # relation reduces to zero against the completed basis
@@ -253,11 +255,26 @@ def test_buchberger_complete_under_plain_lex():
         assert reduce(g, completed, PLexOrder()).is_zero()
 
 
-def test_buchberger_budget_error():
+def test_buchberger_budget_error(monkeypatch):
     inst = classical(5)
     basis = build_relations(inst).polynomials()
+    monkeypatch.setattr(groebner, "MAX_PAIR_QUEUE", 3)
     with pytest.raises(BudgetExceededError):
-        buchberger_complete(basis, DillOrder(), pair_budget=3)
+        buchberger_complete(basis, DillOrder())
+
+
+def test_verify_pair_budget_admits_d12_and_refuses_d13(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(inst):
+        raise Reached
+
+    monkeypatch.setattr(groebner, "build_relations", reached)
+    with pytest.raises(Reached):
+        verify_groebner(ProblemInstance.from_coeffs(12, [[0, 1]] * 12))
+    with pytest.raises(BudgetExceededError):
+        verify_groebner(ProblemInstance.from_coeffs(13, [[0, 1]] * 13))
 
 
 def test_buchberger_empty_input_rejected():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from constalg import linalg
 from constalg.normal_words import kernel_dim_oracle
@@ -84,6 +85,31 @@ def test_deterministic_output():
     assert first == second
 
 
+def test_to_integer_row_scales_to_coprime_integers():
+    rng = random.Random(4404)
+    rows = [{}, {0: 0}, {0: 0, 1: Fraction(-3, 4), 2: 6}]
+    for kind in ("int", "fraction", "mixed") * 100:
+        row = {}
+        for c in range(rng.randint(1, 6)):
+            value = rng.randint(-12, 12) * rng.choice([1, 1, 6, 35])
+            if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                value = Fraction(value, rng.choice([1, 2, 3, 4, 9, 10]))
+            row[c] = value
+        rows.append(row)
+    for row in rows:
+        scaled = linalg._to_integer_row(row)
+        assert list(scaled) == list(row)
+        assert all(type(v) is int for v in scaled.values())
+        nonzero = [c for c, v in row.items() if v]
+        if not nonzero:
+            assert not any(scaled.values())
+            continue
+        assert gcd(*scaled.values()) == 1
+        ratio = scaled[nonzero[0]] / Fraction(row[nonzero[0]])
+        assert ratio > 0
+        assert all(scaled[c] == ratio * v for c, v in row.items())
+
+
 def assert_same_as_reference(rows, ncols):
     vectors = linalg.nullspace(rows, ncols)
     assert densify(vectors, ncols) == reference_nullspace(rows, ncols)
@@ -111,6 +137,17 @@ def test_nullspace_matches_reference_on_random_matrices():
         nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
         rows = random_rational_rows(rng, nrows, ncols, rng.choice([0.2, 0.5, 0.8]))
         assert_same_as_reference(rows, ncols)
+
+
+def test_echelon_pivot_rows_are_primitive():
+    # Every row is divided by its content after each update, so no pivot row
+    # carries a common integer factor.
+    rng = random.Random(4405)
+    for _ in range(200):
+        ncols = rng.randint(2, 9)
+        rows = random_rational_rows(rng, rng.randint(2, 9), ncols, 0.7)
+        for _, row in linalg._echelon(rows, ncols):
+            assert gcd(*row.values()) == 1
 
 
 def test_nullspace_matches_reference_on_block_diagonal_matrices():

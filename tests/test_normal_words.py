@@ -430,10 +430,11 @@ def test_kernel_oracle_basis_members_are_constants():
             assert is_constant(inst, g)
 
 
-def test_kernel_oracle_budget_guard():
+def test_kernel_oracle_budget_guard(monkeypatch):
     inst = classical(3)
+    monkeypatch.setattr(normal_words, "MAX_SLICE_MONOMIALS", 10)
     with pytest.raises(BudgetExceededError):
-        kernel_dim_oracle(inst, 5, monomial_guard=10)
+        kernel_dim_oracle(inst, 5)
 
 
 def test_rewrite_round_trips_every_oracle_basis_element():

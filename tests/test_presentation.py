@@ -16,6 +16,7 @@ from constalg import (
     pi_substitute,
     quadratic_relation,
 )
+from constalg import BudgetExceededError, presentation
 from constalg.presentation import pi_image_of_monomial
 from helpers import random_instance, random_ppoly
 
@@ -105,6 +106,20 @@ def test_relation_counts():
 
         assert len(rel.quadratic) == comb(d, 4)
         assert len(rel.mixed) == comb(d, 3)
+
+
+def test_relation_budget_admits_d24_and_refuses_d25(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(presentation, "quadratic_relation", reached)
+    with pytest.raises(Reached):
+        build_relations(ProblemInstance.from_coeffs(24, [[0, 1]] * 24))
+    with pytest.raises(BudgetExceededError):
+        build_relations(ProblemInstance.from_coeffs(25, [[0, 1]] * 25))
 
 
 def test_quadratic_relation_d4():
