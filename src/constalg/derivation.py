@@ -3,6 +3,12 @@
 An instance fixes d and nonconstant univariate polynomials f_1(x_1), ...,
 f_d(x_d); the induced derivation of ring A sends x_i to 0 and y_i to
 f_i(x_i) and is extended by linearity and the Leibniz rule.
+
+`apply_delta` returns the true image over Fraction.  The hot paths work
+over the integers instead: `ProblemInstance.integer_f` holds L = the lcm
+of the f-coefficient denominators and the rows L*f_i as ints, so
+`is_constant` tests L*D*delta(g) = 0 with ints, D clearing g's
+denominators, and `kernel_dim_oracle` builds L*delta's matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import InstanceError, RingMismatchError
 from .poly import AMonomial, Polynomial, Ring, ring_a, ring_p, univariate
@@ -55,6 +62,12 @@ class ProblemInstance:
     def lc(self) -> tuple[Fraction, ...]:
         """Leading coefficients of the f_i."""
         return tuple(fi[-1] for fi in self.f)
+
+    @cached_property
+    def integer_f(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, rows): L the lcm of all coefficient denominators, rows[i] = L*f_(i+1) as ints."""
+        scale = lcm(*[c.denominator for fi in self.f for c in fi])
+        return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in fi) for fi in self.f)
 
     @property
     def ring_a(self) -> Ring:
@@ -126,13 +139,15 @@ def load_instance(path) -> ProblemInstance:
     return ProblemInstance.from_json_dict(data)
 
 
-def delta_terms(inst: ProblemInstance, mono: AMonomial, coeff=1):
+def delta_terms(rows, mono: AMonomial, coeff=1):
     """The terms of delta(coeff * x^a y^b) = sum_i coeff * b_i * x^a y^(b - e_i) * f_i(x_i).
 
+    `rows` holds the coefficient lists of f_1..f_d: `inst.f` for delta
+    itself, or the integer rows of `ProblemInstance.integer_f` for L*delta.
     Terms of different i differ in y_i, terms of one i in x_i: no two
     yielded (monomial, coefficient) pairs share a monomial.
     """
-    for i, fi in enumerate(inst.f):
+    for i, fi in enumerate(rows):
         y_pos = 2 * i + 1
         bi = mono[y_pos]
         if not bi:
@@ -146,20 +161,39 @@ def delta_terms(inst: ProblemInstance, mono: AMonomial, coeff=1):
                 yield AMonomial._of(exps), factor * fc
 
 
-def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
-    """Image of g under the derivation, accumulated over `delta_terms`."""
+def _delta_sums(rows, terms) -> dict:
+    """{monomial: coefficient} of the image of the (monomial, coefficient) pairs; may hold zeros."""
+    sums: dict = {}
+    for mono, coeff in terms:
+        for target, value in delta_terms(rows, mono, coeff):
+            sums[target] = sums.get(target, 0) + value
+    return sums
+
+
+def _check_ring(inst: ProblemInstance, g: Polynomial) -> None:
     if g.ring != inst.ring_a:
         raise RingMismatchError(f"polynomial over {g.ring} does not match d={inst.d}")
-    terms: dict = {}
-    for mono, coeff in g.terms.items():
-        for target, value in delta_terms(inst, mono, coeff):
-            terms[target] = terms.get(target, 0) + value
-    return Polynomial._make(inst.ring_a, {m: c for m, c in terms.items() if c})
+
+
+def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
+    """Image of g under the derivation, over Fraction."""
+    _check_ring(inst, g)
+    sums = _delta_sums(inst.f, g.terms.items())
+    return Polynomial._make(inst.ring_a, {m: c for m, c in sums.items() if c})
 
 
 def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:
-    """True iff the derivation annihilates g."""
-    return apply_delta(inst, g).is_zero()
+    """True iff the derivation annihilates g.
+
+    Decided over the integers: with D the lcm of g's denominators, D*g has
+    int coefficients and L*D*delta(g), accumulated from the integer rows,
+    vanishes exactly when delta(g) does.
+    """
+    _check_ring(inst, g)
+    den = lcm(*[c.denominator for c in g.terms.values()])
+    _, rows = inst.integer_f
+    scaled = ((m, c.numerator * (den // c.denominator)) for m, c in g.terms.items())
+    return not any(_delta_sums(rows, scaled).values())
 
 
 def _univariate_coeffs(inst: ProblemInstance, i: int, g: Polynomial) -> list[Fraction]:
@@ -208,8 +242,7 @@ def f_adic_expand(inst: ProblemInstance, i: int, g: Polynomial) -> list[Polynomi
     """
     if not (1 <= i <= inst.d):
         raise ValueError(f"index {i} out of range 1..{inst.d}")
-    if g.ring != inst.ring_a:
-        raise RingMismatchError(f"polynomial over {g.ring} does not match d={inst.d}")
+    _check_ring(inst, g)
     remainder = _univariate_coeffs(inst, i, g)
     fi = list(inst.f[i - 1])
     layers: list[list[Fraction]] = []

@@ -4,7 +4,8 @@ Rows are dicts column -> value.  Elimination is fraction-free: each row of
 ints or Fractions is scaled to coprime integers once, in one lcm/gcd pass;
 every update is the integer cross-multiplication row*pivot - pivotrow*entry,
 and rows are divided by their content gcd to keep growth in check.
-Back-substitution for kernel vectors runs over Fraction.  Pivot choices are
+Back-substitution keeps each variable as int numerators over one positive
+denominator; only the returned kernel vectors hold Fractions.  Pivot choices are
 deterministic (columns in ascending order, then the sparsest candidate row),
 so results are reproducible.
 """
@@ -104,19 +105,26 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:
     pivots = _echelon(rows, ncols)
     pivot_cols = {col for col, _ in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    one = Fraction(1)
-    combos: dict[int, dict[int, Fraction]] = {fc: {fc: one} for fc in free_cols}
+    # combos[c] = (den, nums): the pivot or free variable c equals the sum
+    # over fc of nums[fc] / den * x_fc; den and the nums share no factor.
+    combos: dict[int, tuple[int, dict[int, int]]] = {fc: (1, {fc: 1}) for fc in free_cols}
     for col, row in reversed(pivots):
-        acc: dict[int, Fraction] = {}
+        den = lcm(*[combos[rcol][0] for rcol in row if rcol != col])
+        acc: dict[int, int] = {}
         for rcol, rvalue in row.items():
             if rcol == col:
                 continue
-            for fc, coeff in combos[rcol].items():
-                acc[fc] = acc.get(fc, 0) + rvalue * coeff
-        pivot_value = row[col]
-        combos[col] = {fc: -total / pivot_value for fc, total in acc.items() if total}
+            rden, nums = combos[rcol]
+            factor = rvalue * (den // rden)
+            for fc, num in nums.items():
+                acc[fc] = acc.get(fc, 0) + factor * num
+        acc = {fc: total for fc, total in acc.items() if total}
+        den *= -row[col]
+        content = gcd(den, *acc.values())
+        combos[col] = (den // content, {fc: total // content for fc, total in acc.items()})
     basis: dict[int, dict[int, Fraction]] = {fc: {} for fc in free_cols}
     for col in sorted(combos):
-        for fc, value in combos[col].items():
-            basis[fc][col] = value
+        den, nums = combos[col]
+        for fc, num in nums.items():
+            basis[fc][col] = Fraction(num, den)
     return list(basis.values())

@@ -5,7 +5,9 @@ u-factors are pairwise nested or disjoint and (ii) every x-exponent at an
 index strictly inside such an interval stays below m_i.  Their images
 under pi form a vector-space basis of the algebra of constants; the image
 leads are pairwise distinct, which makes the rewriting of an arbitrary
-constant into the generators a deterministic peeling loop.
+constant into the generators a deterministic peeling loop.  The loop peels
+with the integer images L^e * pi(w) of `presentation.scaled_image` and
+stops after MAX_PEEL_STEPS words.
 
 `enumerate_normal_words` lists the words up to an image-degree bound and
 serves listings and `independence_check`.  `count_normal_words` counts
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .orders import CORRECTED, ALexOrder, alex_key, dill_key
 from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs, u_position
-from .presentation import build_generators, pi_image_of_monomial
+from .presentation import build_generators, scaled_image
 
 # Most normal words one enumeration may emit; more raise BudgetExceededError.
 MAX_NORMAL_WORDS = 250_000
@@ -42,6 +44,9 @@ MAX_NORMAL_WORDS = 250_000
 # Most coefficient operations one count may spend (as `_count_work` estimates
 # them before it starts); the largest accepted counts take a few seconds.
 MAX_COUNT_WORK = 20_000_000
+
+# Most words one rewrite may peel; more raise BudgetExceededError.
+MAX_PEEL_STEPS = 1_000_000
 
 # Most monomials (matrix columns) one kernel or independence check may take;
 # more raise BudgetExceededError.
@@ -313,8 +318,12 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     """Express a constant as a linear combination of normal words.
 
     Returns h over ring P with pi(h) = g and every monomial of h normal.
-    Peeling the A-lex lead must succeed on every iteration; a failure on a
-    genuine constant would be an internal inconsistency and is fatal.
+    Each step peels the A-lex lead with the word w whose image it leads:
+    with the integer image s*pi(w) = `scaled_image`, q = lead coefficient
+    of the work / that of s*pi(w), the work loses q*s*pi(w) and h gains
+    q*s*w.  Peeling must succeed on every step; a failure on a genuine
+    constant would be an internal inconsistency and is fatal.  More than
+    MAX_PEEL_STEPS steps raise BudgetExceededError.
     """
     if g.ring != inst.ring_a:
         raise RingMismatchError(f"polynomial over {g.ring} does not match d={inst.d}")
@@ -326,7 +335,11 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     # Lazy max-heap over the A-lex key; stale entries are skipped on pop.
     heap = [tuple(-v for v in alex_key(m)) + (m,) for m in work]
     heapq.heapify(heap)
+    steps = 0
     while work:
+        steps += 1
+        if steps > MAX_PEEL_STEPS:
+            raise BudgetExceededError(f"rewriting needs more than {MAX_PEEL_STEPS} peel steps")
         mono = None
         while heap:
             mono = heapq.heappop(heap)[-1]
@@ -336,12 +349,14 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
         word = recover_word_from_lead(inst, mono)
-        image = pi_image_of_monomial(table, word.monomial)
+        image, scale = scaled_image(table, word.monomial)
         # mono is the A-lex lead of the image
-        factor = work[mono] / image.terms[mono]
-        result[word.monomial] = result.get(word.monomial, 0) + factor
-        for im, ic in image.terms.items():
-            new = work.get(im, 0) - factor * ic
+        quotient = work[mono] / image[mono]
+        result[word.monomial] = result.get(word.monomial, 0) + quotient * scale
+        minus_q = -quotient
+        for im, ic in image.items():
+            # Fraction on the left: int + Fraction takes Fraction's slow reverse path.
+            new = minus_q * ic + work.get(im, 0)
             if new:
                 if im not in work:
                     heapq.heappush(heap, tuple(-v for v in alex_key(im)) + (im,))
@@ -401,9 +416,10 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> KernelBasis:
     if ncols > MAX_SLICE_MONOMIALS:
         raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}")
     cols = _monomials_up_to_degree(inst.d, max_degree)
-    rows: dict[AMonomial, dict[int, Fraction]] = {}  # target monomial -> row
+    _, f_rows = inst.integer_f  # L*delta has the kernel of delta
+    rows: dict[AMonomial, dict[int, int]] = {}  # target monomial -> row
     for cidx, mono in enumerate(cols):
-        for target, value in delta_terms(inst, mono):
+        for target, value in delta_terms(f_rows, mono):
             rows.setdefault(target, {})[cidx] = value
     vectors = linalg.nullspace(list(rows.values()), len(cols))
     basis = [_normalize_vector_poly(inst.ring_a, cols, vec) for vec in vectors]
@@ -430,10 +446,11 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
     """
     table = build_generators(inst)
     words = enumerate_normal_words(inst, max_degree)
-    images = [pi_image_of_monomial(table, w.monomial) for w in words]
+    # The rank does not see the positive factor L^e of each integer image.
+    images = [scaled_image(table, w.monomial)[0] for w in words]
     col_index: dict[AMonomial, int] = {}
     for image in images:
-        for mono in image.terms:
+        for mono in image:
             if mono not in col_index:
                 col_index[mono] = len(col_index)
     if len(col_index) > MAX_SLICE_MONOMIALS:
@@ -441,7 +458,7 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
             f"{len(col_index)} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}"
         )
     rows = [
-        {col_index[m]: c for m, c in image.terms.items()} for image in images
+        {col_index[m]: c for m, c in image.items()} for image in images
     ]
     matrix_rank = linalg.rank(rows, len(col_index))
     leads = [lead_of_image(inst, w)[0] for w in words]

@@ -2,9 +2,11 @@
 
 Ring A = Q[x_1..x_d, y_1..y_d] hosts the derivation and its constants;
 ring P = Q[x_1..x_d, u_jk : 1 <= j < k <= d] hosts presentations of the
-constants.  Coefficients are `fractions.Fraction` throughout; floating
-point never enters.  Polynomials are immutable values and every operation
-is a pure function, so they are safe to share across threads.
+constants.  A `Polynomial` holds `fractions.Fraction` coefficients; the hot
+paths elsewhere clear denominators once and work on plain term maps
+{monomial: int} (see `mul_terms`).  Floating point never enters.
+Polynomials are immutable values and every operation is a pure function,
+so they are safe to share across threads.
 
 Variable indices are 1-based everywhere they are visible (text syntax,
 u-pair labels).  A monomial is one dense exponent tuple, laid out so that
@@ -339,16 +341,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = m1.mul(m2)
-                new = terms.get(prod, 0) + c1 * c2
-                if new:
-                    terms[prod] = new
-                else:
-                    terms.pop(prod, None)
-        return Polynomial._make(self.ring, terms)
+        return Polynomial._make(self.ring, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -403,6 +396,23 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r}, d={self.ring.d})"
+
+
+def mul_terms(left: dict, right: dict) -> dict:
+    """Product of two term maps {monomial: coefficient}; no zero is stored.
+
+    The coefficients may be ints or Fractions; ints stay ints.
+    """
+    terms: dict = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            prod = m1.mul(m2)
+            new = terms.get(prod, 0) + c1 * c2
+            if new:
+                terms[prod] = new
+            else:
+                terms.pop(prod, None)
+    return terms
 
 
 # -- single-variable helpers -----------------------------------------------

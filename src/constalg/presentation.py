@@ -10,57 +10,91 @@ relation families vanish under pi:
 
 with the f factors of s fully expanded over ring P, since reduction needs
 every term.
+
+The generator table works over the integers: it stores L*u_jk with int
+coefficients, L = the lcm of the f-coefficient denominators, and caches
+their powers.  `scaled_image` returns L^e * pi(w) for a word w of u-degree
+e, which `rewrite_constant` peels with; `u`, `u_power` and
+`pi_image_of_monomial` divide by the power of L and return the true
+polynomials over Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .derivation import ProblemInstance
 from .errors import BudgetExceededError, RingMismatchError
-from .poly import AMonomial, PMonomial, Polynomial, u_pairs, u_var, univariate, y_var
+from .poly import AMonomial, PMonomial, Polynomial, mul_terms, u_pairs, u_var, univariate
 
 # Most relations `build_relations` may build: C(24,4) + C(24,3), so d <= 24.
 MAX_RELATIONS = 12_650
 
 
 class GeneratorTable:
-    """The pair determinants u_jk of one instance, as ring-A polynomials."""
+    """The pair determinants u_jk of one instance, kept as L*u_jk with int coefficients.
 
-    def __init__(self, instance: ProblemInstance, u: dict):
+    `scaled` maps (j, k) to the term map of L*u_jk, and `_power_cache`
+    maps (j, k, e) to that of (L*u_jk)^e.
+    """
+
+    def __init__(self, instance: ProblemInstance, scaled: dict):
         self.instance = instance
-        self.u = u
+        self.scaled = scaled
         self._power_cache: dict = {}
 
-    def u_power(self, j: int, k: int, exponent: int) -> Polynomial:
-        """Memoized power u_jk^exponent of the expanded generator image.
+    @property
+    def u(self) -> dict:
+        """The generators u_jk as ring-A polynomials, keyed by (j, k)."""
+        return {pair: self.u_power(*pair, 1) for pair in self.scaled}
 
-        Multiplies up from the highest cached power below, caching each step.
+    def scaled_power(self, j: int, k: int, exponent: int) -> dict:
+        """Term map of (L*u_jk)^exponent, by squaring.
+
+        Caches the exponents exponent, exponent // 2, ..., 1: O(log e) entries.
         """
-        cache = self._power_cache
-        e = exponent
-        while e and (j, k, e) not in cache:
-            e -= 1
-        result = cache.get((j, k, e))
-        if result is None:
-            result = cache[(j, k, 0)] = Polynomial.constant(self.instance.ring_a, 1)
-        while e < exponent:
-            e += 1
-            result = cache[(j, k, e)] = result * self.u[(j, k)]
-        return result
+        key = (j, k, exponent)
+        power = self._power_cache.get(key)
+        if power is None:
+            if exponent <= 1:
+                power = self.scaled[(j, k)] if exponent else {AMonomial.one(self.instance.d): 1}
+            else:
+                half = self.scaled_power(j, k, exponent // 2)
+                power = mul_terms(half, half)
+                if exponent & 1:
+                    power = mul_terms(power, self.scaled[(j, k)])
+            self._power_cache[key] = power
+        return power
+
+    def u_power(self, j: int, k: int, exponent: int) -> Polynomial:
+        """u_jk^exponent, read off the cached power of L*u_jk."""
+        scale = self.instance.integer_f[0] ** exponent
+        return _unscale(self.instance.ring_a, self.scaled_power(j, k, exponent), scale)
+
+
+def _unscale(ring, terms: dict, scale: int) -> Polynomial:
+    """The polynomial terms/scale over Fraction."""
+    return Polynomial._make(ring, {m: Fraction(c, scale) for m, c in terms.items()})
 
 
 def build_generators(inst: ProblemInstance) -> GeneratorTable:
-    """All u_jk = f_j(x_j)*y_k - f_k(x_k)*y_j, keyed by (j, k) with j < k."""
-    ring = inst.ring_a
-    table = {}
+    """All L*u_jk = (L*f_j)(x_j)*y_k - (L*f_k)(x_k)*y_j, keyed by (j, k) with j < k."""
+    _, rows = inst.integer_f
+    scaled = {}
     for j, k in combinations(range(1, inst.d + 1), 2):
-        table[(j, k)] = inst.f_polynomial(j) * y_var(ring, k) - inst.f_polynomial(
-            k
-        ) * y_var(ring, j)
-    return GeneratorTable(inst, table)
+        terms = {}
+        for i, other, sign in ((j, k, 1), (k, j, -1)):
+            exps = [0] * (2 * inst.d)
+            exps[2 * other - 1] = 1
+            for power, c in enumerate(rows[i - 1]):
+                if c:
+                    exps[2 * i - 2] = power
+                    terms[AMonomial._of(exps)] = sign * c
+        scaled[(j, k)] = terms
+    return GeneratorTable(inst, scaled)
 
 
 def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
@@ -74,16 +108,22 @@ def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
     return result
 
 
-def pi_image_of_monomial(table: GeneratorTable, mono: PMonomial) -> Polynomial:
-    inst = table.instance
-    pairs = u_pairs(inst.d)
-    exps = [0] * (2 * inst.d)
+def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:
+    """(terms, L^e): the int term map of L^e * pi(mono), e the u-degree of mono."""
+    d = table.instance.d
+    pairs = u_pairs(d)
+    exps = [0] * (2 * d)
     exps[0::2] = mono[len(pairs):]
-    image = Polynomial.from_term(inst.ring_a, AMonomial._of(exps), 1)
+    terms = {AMonomial._of(exps): 1}
     for (j, k), e in zip(pairs, mono):
         if e:
-            image = image * table.u_power(j, k, e)
-    return image
+            terms = mul_terms(terms, table.scaled_power(j, k, e))
+    return terms, table.instance.integer_f[0] ** sum(mono[:len(pairs)])
+
+
+def pi_image_of_monomial(table: GeneratorTable, mono: PMonomial) -> Polynomial:
+    """pi(mono) over Fraction."""
+    return _unscale(table.instance.ring_a, *scaled_image(table, mono))
 
 
 def quadratic_relation(inst: ProblemInstance, i: int, j: int, k: int, l: int) -> Polynomial:

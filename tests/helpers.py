@@ -1,18 +1,25 @@
 """Seeded random generators and reference paths shared by the test modules."""
 
+import heapq
 from fractions import Fraction
 from math import comb
 
 from constalg import (
     AMonomial,
+    NotAConstantError,
     PMonomial,
     Polynomial,
     ProblemInstance,
+    RingMismatchError,
+    apply_delta,
+    recover_word_from_lead,
     ring_a,
     ring_p,
     s_polynomial,
     u_pairs,
+    y_var,
 )
+from constalg.orders import alex_key
 from constalg.poly import leading_term
 
 
@@ -45,6 +52,16 @@ def instance_with_degrees(rng, degrees, coeff_bound=5, dense=False):
         coeffs.append(rng.choice(nonzero))
         coeff_lists.append(coeffs)
     return ProblemInstance.from_coeffs(len(degrees), coeff_lists)
+
+
+def rational_instance(rng, d, max_m=3):
+    """Instance whose f_i have random degrees 1..max_m and coefficients n/q, q in 2..5."""
+    coeff_lists = []
+    for _ in range(d):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(2, 5)) for _ in range(rng.randint(1, max_m))]
+        coeffs.append(Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(2, 5)))
+        coeff_lists.append(coeffs)
+    return ProblemInstance.from_coeffs(d, coeff_lists)
 
 
 def random_amonomial(rng, d, max_exp=3):
@@ -146,6 +163,64 @@ def reference_pair_outcomes(relations, order):
             spoly = s_polynomial(g, h, order)
             outcomes[left, right] = reference_reduce(spoly, basis, order).is_zero()
     return outcomes
+
+
+# -- reference rewriting -------------------------------------------------------
+#
+# The peeling loop over Fraction that `rewrite_constant` replaced by its
+# integer-scaled version.  It expands each word's image from its own Fraction
+# generators f_j(x_j)*y_k - f_k(x_k)*y_j and tests constancy with
+# `apply_delta`, so it shares neither the generator table nor `is_constant`.
+
+
+def reference_image(inst, mono):
+    """pi(mono) over Fraction, multiplied out from fresh Fraction generators."""
+    ring = inst.ring_a
+    pairs = u_pairs(inst.d)
+    exps = [0] * (2 * inst.d)
+    exps[0::2] = mono[len(pairs):]
+    image = Polynomial.from_term(ring, AMonomial._of(exps), 1)
+    for (j, k), e in zip(pairs, mono):
+        if e:
+            u = inst.f_polynomial(j) * y_var(ring, k) - inst.f_polynomial(k) * y_var(ring, j)
+            image = image * u**e
+    return image
+
+
+def reference_rewrite(inst, g):
+    """Express a constant as a linear combination of normal words, over Fraction."""
+    if g.ring != inst.ring_a:
+        raise RingMismatchError(f"polynomial over {g.ring} does not match d={inst.d}")
+    if not apply_delta(inst, g).is_zero():
+        raise NotAConstantError("polynomial is not a constant of the derivation")
+    result: dict = {}
+    work = dict(g.terms)
+    # Lazy max-heap over the A-lex key; stale entries are skipped on pop.
+    heap = [tuple(-v for v in alex_key(m)) + (m,) for m in work]
+    heapq.heapify(heap)
+    while work:
+        mono = None
+        while heap:
+            mono = heapq.heappop(heap)[-1]
+            if mono in work:
+                break
+            mono = None
+        if mono is None:
+            raise AssertionError("heap exhausted before work emptied")
+        word = recover_word_from_lead(inst, mono)
+        image = reference_image(inst, word.monomial)
+        # mono is the A-lex lead of the image
+        factor = work[mono] / image.terms[mono]
+        result[word.monomial] = result.get(word.monomial, 0) + factor
+        for im, ic in image.terms.items():
+            new = work.get(im, 0) - factor * ic
+            if new:
+                if im not in work:
+                    heapq.heappush(heap, tuple(-v for v in alex_key(im)) + (im,))
+                work[im] = new
+            else:
+                work.pop(im, None)
+    return Polynomial(inst.ring_p, result)
 
 
 # -- sparse reference monomials ----------------------------------------------

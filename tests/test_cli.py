@@ -183,6 +183,19 @@ def test_rewrite_non_constant_exits_1(instance_file, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_rewrite_peel_budget_exit_2(instance_file, monkeypatch, capsys):
+    path = instance_file(CLASSICAL_2)
+    poly = "x1*y2 - x2*y1 + x1^2"  # pi(u1_2 + x1^2): two peel steps
+    monkeypatch.setattr(normal_words, "MAX_PEEL_STEPS", 2)
+    assert run(["rewrite", "--instance", path, "--poly", poly]) == 0
+    assert capsys.readouterr().out == "u1_2 + x1^2\n"
+    monkeypatch.setattr(normal_words, "MAX_PEEL_STEPS", 1)
+    assert run(["rewrite", "--instance", path, "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rewriting needs more than 1 peel steps\n"
+
+
 def test_kernel_dim(instance_file, capsys):
     path = instance_file(CLASSICAL_2)
     code = run(["kernel-dim", "--instance", path, "--max-deg", "2"])

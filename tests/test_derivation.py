@@ -90,12 +90,12 @@ def test_apply_delta_kills_x():
 def test_delta_terms_of_one_monomial():
     inst = ProblemInstance.from_coeffs(2, [[2, 1], [0, 0, 3]])  # f1 = x1 + 2, f2 = 3*x2^2
     (mono,) = parse_poly("x1*y1^2*y2^3", "A", 2).terms
-    terms = list(delta_terms(inst, mono, Fraction(5, 2)))
+    terms = list(delta_terms(inst.f, mono, Fraction(5, 2)))
     assert len({m for m, _ in terms}) == len(terms)
     expected = parse_poly("5*x1^2*y1*y2^3 + 10*x1*y1*y2^3 + 45/2*x1*x2^2*y1^2*y2^2", "A", 2)
     assert dict(terms) == expected.terms
     (pure_x,) = parse_poly("x1^4*x2", "A", 2).terms
-    assert list(delta_terms(inst, pure_x)) == []
+    assert list(delta_terms(inst.f, pure_x)) == []
 
 
 def test_apply_delta_determinant_identity():

@@ -89,3 +89,23 @@ def test_normal_words_listing_matches_golden(name, degree, variant, capsys):
     assert run(argv + ["--variant", variant]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.normal-words.{degree}.{variant}.stdout").read_text()
+
+
+# check and rewrite on the golden instances, recorded before `is_constant`
+# and the peel in `rewrite_constant` moved to integer-scaled arithmetic:
+# each case of rewrite.json holds the text g and, for
+#
+#     constalg check --instance NAME.json --poly=G
+#     constalg rewrite --instance NAME.json --poly=G
+#
+# the exit code and stdout.  g is pi(h) for a seeded h, or pi(h) plus one
+# term with a y-factor (not a constant: exit 1, empty stdout).
+REWRITE_CASES = json.loads((GOLDEN / "rewrite.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["check", "rewrite"])
+@pytest.mark.parametrize("case", REWRITE_CASES, ids=lambda case: f"{case['instance']}-{len(case['poly'])}")
+def test_check_and_rewrite_match_golden(case, command, capsys):
+    path = str(GOLDEN / f"{case['instance']}.json")
+    code = run([command, "--instance", path, f"--poly={case['poly']}"])
+    assert (code, capsys.readouterr().out) == (case[command]["exit"], case[command]["stdout"])

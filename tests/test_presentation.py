@@ -43,8 +43,22 @@ def test_u_power_above_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert image == table.u[(1, 2)] ** 300
-    assert sorted(table._power_cache) == [(1, 2, e) for e in range(301)]
+    # squaring caches 300, 150, 75, ..., 1: O(log e) powers
+    assert sorted(table._power_cache) == [(1, 2, e) for e in (1, 2, 4, 9, 18, 37, 75, 150, 300)]
     assert table.u_power(1, 2, 300) == image
+
+
+def test_u_power_squares_on_rational_instance():
+    inst = ProblemInstance.from_coeffs(3, [["1/2", "3/4"], [1, "-2/3", 5], [0, "7/5"]])
+    table = build_generators(inst)
+    assert inst.integer_f[0] == 60
+    for (j, k), e in (((1, 2), 13), ((2, 3), 6), ((1, 3), 0)):
+        assert table.u_power(j, k, e) == table.u[(j, k)] ** e
+    # 13 -> 6 -> 3 -> 1 and 6 -> 3 -> 1, the unit power, and table.u's first powers
+    assert sorted(table._power_cache) == [
+        (1, 2, 1), (1, 2, 3), (1, 2, 6), (1, 2, 13), (1, 3, 0), (1, 3, 1), (2, 3, 1), (2, 3, 3),
+        (2, 3, 6),
+    ]
 
 
 def test_generator_table_size_and_constancy():
