@@ -67,7 +67,8 @@ class ProblemInstance:
     def integer_f(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(L, rows): L the lcm of all coefficient denominators, rows[i] = L*f_(i+1) as ints."""
         scale = lcm(*[c.denominator for fi in self.f for c in fi])
-        return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in fi) for fi in self.f)
+        rows = tuple(tuple(c.numerator * (scale // c.denominator) for c in fi) for fi in self.f)
+        return scale, rows
 
     @property
     def ring_a(self) -> Ring:

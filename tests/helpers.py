@@ -58,7 +58,9 @@ def rational_instance(rng, d, max_m=3):
     """Instance whose f_i have random degrees 1..max_m and coefficients n/q, q in 2..5."""
     coeff_lists = []
     for _ in range(d):
-        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(2, 5)) for _ in range(rng.randint(1, max_m))]
+        coeffs = [
+            Fraction(rng.randint(-5, 5), rng.randint(2, 5)) for _ in range(rng.randint(1, max_m))
+        ]
         coeffs.append(Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(2, 5)))
         coeff_lists.append(coeffs)
     return ProblemInstance.from_coeffs(d, coeff_lists)
