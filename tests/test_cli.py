@@ -174,6 +174,16 @@ def test_rewrite_generator(instance_file, capsys):
     assert capsys.readouterr().out.strip() == "u1_2"
 
 
+def test_rewrite_out_file(instance_file, tmp_path, capsys):
+    out_path = tmp_path / "rewrite.txt"
+    path = instance_file(CLASSICAL_4)
+    poly = "x1*y2-x2*y1 + 2*x3"
+    assert run(["rewrite", "--instance", path, "--poly", poly, "--out", str(out_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == "u1_2 + 2*x3\n"
+    assert out_path.read_text() == stdout
+
+
 def test_rewrite_non_constant_exits_1(instance_file, capsys):
     path = instance_file(CLASSICAL_2)
     code = run(["rewrite", "--instance", path, "--poly", "y1"])
@@ -205,6 +215,25 @@ def test_kernel_dim(instance_file, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "dimension: 7"
     assert len(out) == 8
+
+
+@pytest.mark.parametrize("command", ["normal-words", "kernel-dim"])
+def test_negative_max_deg_exit_2(instance_file, capsys, command):
+    path = instance_file(CLASSICAL_2)
+    assert run([command, "--instance", path, "--max-deg", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-deg must be nonnegative\n"
+
+
+@pytest.mark.parametrize("command", ["normal-words", "kernel-dim"])
+def test_missing_instance_reported_before_degree(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.json")
+    for degree in ("2", "-1"):
+        assert run([command, "--instance", missing, "--max-deg", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read instance file")
 
 
 def test_kernel_dim_guard_trips_before_enumerating(instance_file, monkeypatch, capsys):
