@@ -1,5 +1,10 @@
 """Command-line surface: relations, verify-gb, normal-words, check, rewrite, kernel-dim.
 
+Every subcommand takes one path through `run`: parse argv with the parser
+built on the first call, load `--instance`, reject a negative `--max-deg`,
+call the handler the subparser set as default.  `--poly TEXT` reaches
+argparse as `--poly=TEXT`, so the text may start with '-'.
+
 Exit codes: 0 success, 1 semantic false verdict (not a constant, failed
 Groebner verification), 2 usage/parse/instance errors.  Output on stdout
 and certificate files are byte-identical across runs on identical inputs.
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .derivation import is_constant, load_instance
 from .errors import ConstalgError, NotAConstantError
@@ -29,55 +35,53 @@ from .presentation import build_relations
 _VARIANT_BY_FLAG = {"corrected": CORRECTED, "paper": LITERAL}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ConstalgError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree; each subparser's `handler` default is its command."""
     parser = _Parser(prog="constalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--instance", required=True, help="instance JSON file")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("relations", "print the relation families R and S")
+    p = add("relations", _cmd_relations, "print the relation families R and S")
     p.add_argument("--out", help="also write the listing to this file")
 
-    p = add("verify-gb", "verify that R united with S is a reduced Groebner basis")
+    p = add("verify-gb", _cmd_verify_gb, "verify that R united with S is a reduced Groebner basis")
     p.add_argument("--variant", choices=sorted(_VARIANT_BY_FLAG), default="corrected")
     p.add_argument("--certificate", help="write the per-pair certificate JSON here")
     p.add_argument(
         "--jobs", type=int, default=1, help="ignored; kept for compatibility (the check is serial)"
     )
 
-    p = add("normal-words", "list normal words up to an image-degree bound")
+    p = add("normal-words", _cmd_normal_words, "list normal words up to an image-degree bound")
     p.add_argument("--max-deg", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--variant", choices=sorted(_VARIANT_BY_FLAG), default="corrected")
 
-    p = add("check", "exit 0/1 as the polynomial is/is not a constant")
+    p = add("check", _cmd_check, "exit 0/1 as the polynomial is/is not a constant")
     p.add_argument("--poly", required=True)
 
-    p = add("rewrite", "rewrite a constant in terms of the generators")
+    p = add("rewrite", _cmd_rewrite, "rewrite a constant in terms of the generators")
     p.add_argument("--poly", required=True)
     p.add_argument("--out", help="also write the expression to this file")
 
-    p = add("kernel-dim", "dimension of the constants up to a degree bound")
+    p = add("kernel-dim", _cmd_kernel_dim, "dimension of the constants up to a degree bound")
     p.add_argument("--max-deg", type=int, required=True)
     p.add_argument("--basis", action="store_true", help="also print a basis")
 
     return parser
 
 
-def _cmd_relations(args) -> int:
-    inst = load_instance(args.instance)
+def _cmd_relations(inst, args) -> int:
     lines = [
         f"{label}: {format_poly(poly)}"
         for label, poly in build_relations(inst).labeled()
@@ -91,8 +95,7 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _cmd_verify_gb(args) -> int:
-    inst = load_instance(args.instance)
+def _cmd_verify_gb(inst, args) -> int:
     variant = _VARIANT_BY_FLAG[args.variant]
     cert = verify_groebner(inst, variant=variant)
     if args.certificate:
@@ -111,10 +114,7 @@ def _cmd_verify_gb(args) -> int:
     return 1
 
 
-def _cmd_normal_words(args) -> int:
-    inst = load_instance(args.instance)
-    if args.max_deg < 0:
-        raise _UsageError("--max-deg must be nonnegative")
+def _cmd_normal_words(inst, args) -> int:
     if args.count_only:
         print(sum(count_normal_words(inst, args.max_deg)))
         return 0
@@ -126,8 +126,7 @@ def _cmd_normal_words(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    inst = load_instance(args.instance)
+def _cmd_check(inst, args) -> int:
     poly = parse_poly(args.poly, RING_A, inst.d)
     if is_constant(inst, poly):
         print("constant")
@@ -136,8 +135,7 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_rewrite(args) -> int:
-    inst = load_instance(args.instance)
+def _cmd_rewrite(inst, args) -> int:
     poly = parse_poly(args.poly, RING_A, inst.d)
     expression = format_poly(rewrite_constant(inst, poly))
     print(expression)
@@ -147,10 +145,7 @@ def _cmd_rewrite(args) -> int:
     return 0
 
 
-def _cmd_kernel_dim(args) -> int:
-    inst = load_instance(args.instance)
-    if args.max_deg < 0:
-        raise _UsageError("--max-deg must be nonnegative")
+def _cmd_kernel_dim(inst, args) -> int:
     result = kernel_dim_oracle(inst, args.max_deg)
     print(f"dimension: {result.dimension}")
     if args.basis:
@@ -159,32 +154,28 @@ def _cmd_kernel_dim(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "relations": _cmd_relations,
-    "verify-gb": _cmd_verify_gb,
-    "normal-words": _cmd_normal_words,
-    "check": _cmd_check,
-    "rewrite": _cmd_rewrite,
-    "kernel-dim": _cmd_kernel_dim,
-}
+def _join_poly(argv) -> list:
+    """argv with each `--poly TEXT` pair joined into `--poly=TEXT`."""
+    joined: list = []
+    for token in argv:
+        if joined and joined[-1] == "--poly":
+            joined[-1] = f"--poly={token}"
+        else:
+            joined.append(token)
+    return joined
 
 
 def run(argv=None) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(_join_poly(sys.argv[1:] if argv is None else argv))
+        inst = load_instance(args.instance)
+        if getattr(args, "max_deg", 0) < 0:
+            raise ConstalgError("--max-deg must be nonnegative")
+        return args.handler(inst, args)
+    except ConstalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args)
-    except NotAConstantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (_UsageError, ConstalgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NotAConstantError) else 2
 
 
 def main():

@@ -102,10 +102,17 @@ def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
     inst = table.instance
     if p.ring != inst.ring_p:
         raise RingMismatchError(f"polynomial over {p.ring} does not match d={inst.d}")
-    result = Polynomial.zero(inst.ring_a)
+    terms: dict = {}
     for mono, coeff in p.terms.items():
-        result = result + pi_image_of_monomial(table, mono).scale(coeff)
-    return result
+        image, scale = scaled_image(table, mono)
+        factor = coeff / scale
+        for m, c in image.items():
+            new = factor * c + terms.get(m, 0)  # Fraction first: no reverse-operator path
+            if new:
+                terms[m] = new
+            else:
+                del terms[m]
+    return Polynomial._make(inst.ring_a, terms)
 
 
 def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:

@@ -149,6 +149,25 @@ def test_check_verdicts(instance_file, capsys):
     assert capsys.readouterr().out.strip() == "constant"
 
 
+def test_poly_text_may_start_with_minus(instance_file, capsys):
+    path = instance_file(CLASSICAL_4)
+    assert run(["check", "--instance", path, "--poly", "-3/2*x2*x3*x4"]) == 0
+    assert capsys.readouterr().out == "constant\n"
+    assert run(["check", "--instance", path, "--poly", "-y1"]) == 1
+    assert capsys.readouterr().out == "not a constant\n"
+    assert run(["rewrite", "--instance", path, "--poly", "-x1"]) == 0
+    assert capsys.readouterr().out == "-x1\n"
+    assert run(["rewrite", "--instance", path, "--poly", "-x1*y2 + x2*y1"]) == 0
+    assert capsys.readouterr().out == "-u1_2\n"
+
+
+def test_poly_without_text_exit_2(instance_file, capsys):
+    assert run(["check", "--instance", instance_file(CLASSICAL_2), "--poly"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --poly: expected one argument\n"
+
+
 def test_check_huge_exponent(instance_file, capsys):
     # The exponent is read directly, not built by two million multiplications.
     path = instance_file(CLASSICAL_2)
