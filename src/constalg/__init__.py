@@ -39,7 +39,6 @@ from .groebner import (
 from .normal_words import (
     IndependenceResult,
     KernelBasis,
-    NormalWord,
     count_normal_words,
     enumerate_normal_words,
     independence_check,
@@ -52,9 +51,8 @@ from .normal_words import (
 from .orders import (
     CORRECTED,
     LITERAL,
-    ALexOrder,
     DillOrder,
-    PLexOrder,
+    LexOrder,
     dill_compare,
     dill_key,
 )

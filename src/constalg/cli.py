@@ -6,10 +6,10 @@ call the handler the subparser set as default.  `--poly TEXT` reaches
 argparse as `--poly=TEXT`, so the text may start with '-'.
 
 Exit codes: 0 success, 1 semantic false verdict (not a constant, failed
-Groebner verification), 2 usage/parse/instance errors.  Output on stdout
-and certificate files are byte-identical across runs on identical inputs.
-The `--jobs` option of verify-gb is accepted and ignored: the pair check
-is serial.
+Groebner verification), 2 usage/parse/instance errors and unwritable
+output files.  Output on stdout and certificate files are byte-identical
+across runs on identical inputs.  The `--jobs` option of verify-gb is
+accepted and ignored: the pair check is serial.
 """
 
 from __future__ import annotations
@@ -81,6 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path, text: str) -> None:
+    """Write text to path; a path that cannot be written is an exit-2 error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConstalgError(f"cannot write output file: {exc}") from exc
+
+
 def _cmd_relations(inst, args) -> int:
     lines = [
         f"{label}: {format_poly(poly)}"
@@ -90,8 +99,7 @@ def _cmd_relations(inst, args) -> int:
     if text:
         print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + ("\n" if text else ""))
+        _write_output(args.out, text + ("\n" if text else ""))
     return 0
 
 
@@ -99,9 +107,7 @@ def _cmd_verify_gb(inst, args) -> int:
     variant = _VARIANT_BY_FLAG[args.variant]
     cert = verify_groebner(inst, variant=variant)
     if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as handle:
-            json.dump(cert.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_output(args.certificate, json.dumps(cert.to_json_dict(), indent=2) + "\n")
     conf = cert.conformance
     print(f"lead conformance: {'ok' if conf.ok else 'FAILED'} ({len(conf.entries)} relations)")
     zero = sum(1 for p in cert.pairs if p.normal_form_zero)
@@ -118,11 +124,8 @@ def _cmd_normal_words(inst, args) -> int:
     if args.count_only:
         print(sum(count_normal_words(inst, args.max_deg)))
         return 0
-    words = enumerate_normal_words(
-        inst, args.max_deg, variant=_VARIANT_BY_FLAG[args.variant]
-    )
-    for word in words:
-        print(format_monomial(word.monomial))
+    for word in enumerate_normal_words(inst, args.max_deg, _VARIANT_BY_FLAG[args.variant]):
+        print(format_monomial(word))
     return 0
 
 
@@ -140,8 +143,7 @@ def _cmd_rewrite(inst, args) -> int:
     expression = format_poly(rewrite_constant(inst, poly))
     print(expression)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(expression + "\n")
+        _write_output(args.out, expression + "\n")
     return 0
 
 

@@ -135,8 +135,8 @@ def load_instance(path) -> ProblemInstance:
             data = json.load(handle)
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, overlong or deep
+        raise InstanceError(f"cannot parse instance file: {exc}") from exc
     return ProblemInstance.from_json_dict(data)
 
 

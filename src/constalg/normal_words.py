@@ -9,9 +9,12 @@ constant into the generators a deterministic peeling loop.  The loop peels
 with the integer images L^e * pi(w) of `presentation.scaled_image` and
 stops after MAX_PEEL_STEPS words.
 
-`enumerate_normal_words` lists the words up to an image-degree bound and
-serves listings and `independence_check`.  `count_normal_words` counts
-them per image degree with a recursion over intervals and builds no word.
+A normal word is its P-monomial: `enumerate_normal_words` and
+`recover_word_from_lead` return PMonomials, and `lead_of_image` checks
+normality itself.  `enumerate_normal_words` lists the words up to an
+image-degree bound and serves listings and `independence_check`.
+`count_normal_words` counts them per image degree with a recursion over
+intervals and builds no word.
 
 `kernel_dim_oracle` is the independent brute-force side: it computes the
 exact nullspace of the derivation on a degree slice without touching any
@@ -34,7 +37,7 @@ from .errors import (
     PeelingError,
     RingMismatchError,
 )
-from .orders import CORRECTED, ALexOrder, alex_key, dill_key
+from .orders import CORRECTED, LexOrder, dill_key
 from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs, u_position
 from .presentation import build_generators, scaled_image
 
@@ -51,13 +54,6 @@ MAX_PEEL_STEPS = 1_000_000
 # Most monomials (matrix columns) one kernel or independence check may take;
 # more raise BudgetExceededError.
 MAX_SLICE_MONOMIALS = 5000
-
-
-@dataclass(frozen=True)
-class NormalWord:
-    """A P-monomial certified to satisfy the normality conditions."""
-
-    monomial: PMonomial
 
 
 def is_normal_word(inst: ProblemInstance, mono: PMonomial) -> bool:
@@ -115,7 +111,7 @@ def enumerate_normal_words(
     inst: ProblemInstance,
     max_image_degree: int,
     variant: str = CORRECTED,
-) -> list[NormalWord]:
+) -> list[PMonomial]:
     """All normal words whose image degree is at most the bound, DILL-sorted.
 
     The recursion only builds normal words (each u-factor is nested in or
@@ -176,7 +172,7 @@ def enumerate_normal_words(
 
     pick(0, 0)
     words.sort(key=lambda word: dill_key(word, variant))
-    return [NormalWord(word) for word in words]
+    return words
 
 
 # -- counting -------------------------------------------------------------------
@@ -263,13 +259,14 @@ def count_normal_words(inst: ProblemInstance, max_image_degree: int) -> list[int
     return tail[1]
 
 
-def lead_of_image(inst: ProblemInstance, word) -> tuple[AMonomial, Fraction]:
-    """Lead of pi(word) under the A-lex order, without expanding the image.
+def lead_of_image(inst: ProblemInstance, mono: PMonomial) -> tuple[AMonomial, Fraction]:
+    """Lead of pi(mono) under the A-lex order, without expanding the image.
 
     The lead is x^a * prod_b x_jb^m_jb * y_kb with coefficient prod_b lc_jb.
+    A monomial of another d raises RingMismatchError, one that is not a
+    normal word ValueError.
     """
-    mono = word.monomial if isinstance(word, NormalWord) else word
-    if not isinstance(word, NormalWord) and not is_normal_word(inst, mono):
+    if not is_normal_word(inst, mono):
         raise ValueError(f"{mono!r} is not a normal word")
     pairs = u_pairs(inst.d)
     exps = [0] * (2 * inst.d)
@@ -283,7 +280,7 @@ def lead_of_image(inst: ProblemInstance, word) -> tuple[AMonomial, Fraction]:
     return AMonomial._of(exps), coeff
 
 
-def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> NormalWord:
+def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> PMonomial:
     """The unique normal word whose image lead is the given monomial.
 
     Peeling loop: while some y-exponent is positive, take the smallest
@@ -311,7 +308,7 @@ def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> NormalWord
         uexp[u_position(d, i, k)] += 1
         xexp[i - 1] -= inst.m[i - 1]
         yexp[k - 1] -= 1
-    return NormalWord(PMonomial._of(uexp + xexp))
+    return PMonomial._of(uexp + xexp)
 
 
 def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
@@ -330,8 +327,8 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     table = build_generators(inst)
     result: dict = {}
     work = dict(g.terms)
-    # Lazy max-heap over the A-lex key; stale entries are skipped on pop.
-    heap = [tuple(-v for v in alex_key(m)) + (m,) for m in work]
+    # Lazy max-heap in A-lex order (negated exponents); stale entries are skipped on pop.
+    heap = [tuple(-v for v in m) + (m,) for m in work]
     heapq.heapify(heap)
     steps = 0
     while work:
@@ -347,17 +344,17 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
         word = recover_word_from_lead(inst, mono)
-        image, scale = scaled_image(table, word.monomial)
+        image, scale = scaled_image(table, word)
         # mono is the A-lex lead of the image
         quotient = work[mono] / image[mono]
-        result[word.monomial] = result.get(word.monomial, 0) + quotient * scale
+        result[word] = result.get(word, 0) + quotient * scale
         minus_q = -quotient
         for im, ic in image.items():
             # Fraction on the left: int + Fraction takes Fraction's slow reverse path.
             new = minus_q * ic + work.get(im, 0)
             if new:
                 if im not in work:
-                    heapq.heappush(heap, tuple(-v for v in alex_key(im)) + (im,))
+                    heapq.heappush(heap, tuple(-v for v in im) + (im,))
                 work[im] = new
             else:
                 work.pop(im, None)
@@ -389,7 +386,7 @@ def _normalize_vector_poly(ring, cols, vector) -> Polynomial:
     """Scale a sparse kernel vector to coprime integers, A-lex-leading coefficient positive."""
     terms = linalg._to_integer_row({cols[c]: value for c, value in vector.items()})
     poly = Polynomial(ring, terms)
-    _, lc = leading_term(poly, ALexOrder())
+    _, lc = leading_term(poly, LexOrder())
     if lc < 0:
         poly = -poly
     return poly
@@ -421,7 +418,7 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> KernelBasis:
             rows.setdefault(target, {})[cidx] = value
     vectors = linalg.nullspace(list(rows.values()), len(cols))
     basis = [_normalize_vector_poly(inst.ring_a, cols, vec) for vec in vectors]
-    basis.sort(key=lambda p: alex_key(leading_term(p, ALexOrder())[0]), reverse=True)
+    basis.sort(key=lambda p: leading_term(p, LexOrder())[0], reverse=True)
     return KernelBasis(dimension=len(basis), basis=basis)
 
 
@@ -445,7 +442,7 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
     table = build_generators(inst)
     words = enumerate_normal_words(inst, max_degree)
     # The rank does not see the positive factor L^e of each integer image.
-    images = [scaled_image(table, w.monomial)[0] for w in words]
+    images = [scaled_image(table, w)[0] for w in words]
     col_index: dict[AMonomial, int] = {}
     for image in images:
         for mono in image:

@@ -14,8 +14,10 @@ Two tie-break conventions are provided:
   leading monomials above (see verify_lead_conformance) and is kept for
   experimentation only.
 
-Ring A carries the pure lexicographic order with variable precedence
-x1 > y1 > x2 > y2 > ... > yd.
+Both rings also carry the lexicographic order of their exponent tuples,
+handled by `LexOrder`: on ring A it has variable precedence
+x1 > y1 > x2 > y2 > ... > yd, on ring P the DILL tie-break precedence
+above.  A monomial is its own lex key.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .poly import AMonomial, PMonomial, p_dimension, u_pairs
+from .poly import PMonomial, p_dimension, u_pairs
 
 CORRECTED = "corrected"
 LITERAL = "literal"
@@ -80,16 +82,6 @@ def dill_compare(v: PMonomial, w: PMonomial, variant: str = CORRECTED) -> int:
     return 0
 
 
-def alex_key(mono: AMonomial) -> tuple:
-    """The interleaved exponent tuple (a1, b1, ..., ad, bd) itself; lex on it."""
-    return mono
-
-
-def plex_key(mono: PMonomial) -> tuple:
-    """Plain lex on ring P with the same variable precedence as DILL ties."""
-    return mono
-
-
 class DillOrder:
     """Order handle for ring P monomials.
 
@@ -113,21 +105,11 @@ class DillOrder:
         return f"DillOrder({self.variant!r})"
 
 
-class ALexOrder:
-    """Order handle for ring A monomials: lex with x1 > y1 > x2 > ..."""
+class LexOrder:
+    """Lex order handle for either ring: the monomial tuple is the key."""
 
-    def key(self, mono: AMonomial) -> tuple:
-        return alex_key(mono)
-
-    def __repr__(self):
-        return "ALexOrder()"
-
-
-class PLexOrder:
-    """Plain lex handle for ring P, used as an independent cross-check order."""
-
-    def key(self, mono: PMonomial) -> tuple:
-        return plex_key(mono)
+    def key(self, mono):
+        return mono
 
     def __repr__(self):
-        return "PLexOrder()"
+        return "LexOrder()"

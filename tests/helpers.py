@@ -19,7 +19,6 @@ from constalg import (
     u_pairs,
     y_var,
 )
-from constalg.orders import alex_key
 from constalg.poly import leading_term
 
 
@@ -197,8 +196,8 @@ def reference_rewrite(inst, g):
         raise NotAConstantError("polynomial is not a constant of the derivation")
     result: dict = {}
     work = dict(g.terms)
-    # Lazy max-heap over the A-lex key; stale entries are skipped on pop.
-    heap = [tuple(-v for v in alex_key(m)) + (m,) for m in work]
+    # Lazy max-heap in A-lex order (negated exponents); stale entries are skipped on pop.
+    heap = [tuple(-v for v in m) + (m,) for m in work]
     heapq.heapify(heap)
     while work:
         mono = None
@@ -210,15 +209,15 @@ def reference_rewrite(inst, g):
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
         word = recover_word_from_lead(inst, mono)
-        image = reference_image(inst, word.monomial)
+        image = reference_image(inst, word)
         # mono is the A-lex lead of the image
         factor = work[mono] / image.terms[mono]
-        result[word.monomial] = result.get(word.monomial, 0) + factor
+        result[word] = result.get(word, 0) + factor
         for im, ic in image.terms.items():
             new = work.get(im, 0) - factor * ic
             if new:
                 if im not in work:
-                    heapq.heappush(heap, tuple(-v for v in alex_key(im)) + (im,))
+                    heapq.heappush(heap, tuple(-v for v in im) + (im,))
                 work[im] = new
             else:
                 work.pop(im, None)

@@ -316,6 +316,34 @@ def test_missing_instance_file_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"d": 2, "f": [["\xff"], [0, 1]]}',
+        b'{"d": 1' + b"0" * 5000 + b', "f": []}',
+        b'{"d": 1, "f": [[0, 1' + b"0" * 5000 + b']]}',
+        b"[" * 100_000,
+    ],
+    ids=["non-utf8", "overlong-d", "overlong-f", "deep-nesting"],
+)
+def test_malformed_instance_file_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run(["relations", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse instance file")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-gb", "--certificate"], ["relations", "--out"], ["rewrite", "--poly", "x1", "--out"]],
+    ids=["verify-gb", "relations", "rewrite"],
+)
+def test_unwritable_output_exit_2(instance_file, tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "out.txt")
+    assert run([*argv, target, "--instance", instance_file(CLASSICAL_2)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output file")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["frobnicate"]) == 2
     assert capsys.readouterr().err.startswith("error:")

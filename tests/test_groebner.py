@@ -9,7 +9,7 @@ from constalg import (
     LITERAL,
     BudgetExceededError,
     DillOrder,
-    PLexOrder,
+    LexOrder,
     PMonomial,
     ProblemInstance,
     RelationSet,
@@ -247,12 +247,12 @@ def test_buchberger_complete_under_plain_lex(monkeypatch):
     inst = instance_with_degrees(random.Random(127), (1, 2, 1, 2))
     basis = build_relations(inst).polynomials()
     monkeypatch.setattr(groebner, "MAX_PAIR_QUEUE", 10_000)
-    completed = buchberger_complete(basis, PLexOrder())
+    completed = buchberger_complete(basis, LexOrder())
     # plain lex has different leads, so completion may add elements, but
     # it must terminate and still generate the same ideal: every original
     # relation reduces to zero against the completed basis
     for g in basis:
-        assert reduce(g, completed, PLexOrder()).is_zero()
+        assert reduce(g, completed, LexOrder()).is_zero()
 
 
 def test_buchberger_budget_error(monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 from constalg import (
     CORRECTED,
     LITERAL,
-    ALexOrder,
     AMonomial,
+    LexOrder,
     PMonomial,
     dill_compare,
     dill_key,
@@ -114,7 +114,7 @@ def test_key_of_product_adds_componentwise():
 
 
 def test_alex_precedence():
-    order = ALexOrder()
+    order = LexOrder()
     x1sq = AMonomial((2, 0), (0, 0))
     y2 = AMonomial((0, 0), (0, 1))
     assert order.key(x1sq) > order.key(y2)
@@ -138,7 +138,7 @@ def test_alex_key_inequality_for_peeling():
                             tuple(mk if t == k - 1 else 0 for t in range(d)),
                             tuple(1 if t == j - 1 else 0 for t in range(d)),
                         )
-                        assert ALexOrder().key(left) > ALexOrder().key(right)
+                        assert LexOrder().key(left) > LexOrder().key(right)
 
 
 def test_unknown_variant_rejected():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from constalg import (
-    ALexOrder,
     AMonomial,
     DillOrder,
+    LexOrder,
     ParseError,
     PMonomial,
     Polynomial,
@@ -91,7 +91,7 @@ def test_no_zero_coefficients_observable():
 
 def test_leading_term_alex():
     p = parse_poly("x1^2 + y2", "A", 2)
-    mono, coeff = leading_term(p, ALexOrder())
+    mono, coeff = leading_term(p, LexOrder())
     assert mono == AMonomial((2, 0), (0, 0))
     assert coeff == 1
 
@@ -129,7 +129,7 @@ def test_lead_is_multiplicative():
         lpq, cpq = leading_term(p * q, order)
         assert lpq == lp.mul(lq)
         assert cpq == cp * cq
-    alex = ALexOrder()
+    alex = LexOrder()
     for _ in range(300):
         p = random_apoly(rng, 3, terms=3)
         q = random_apoly(rng, 3, terms=3)
