@@ -5,6 +5,12 @@ built on the first call, load `--instance`, reject a negative `--max-deg`,
 call the handler the subparser set as default.  `--poly TEXT` reaches
 argparse as `--poly=TEXT`, so the text may start with '-'.
 
+A `_cmd_*` handler takes (instance, args), returns (exit code, stdout
+lines) and prints nothing; only `verify-gb` writes a file, its
+`--certificate`.  `run` joins the lines, writes them to `--out` if the
+subcommand has one, and only then to stdout, so an unwritable output file
+exits 2 with nothing printed.
+
 Exit codes: 0 success, 1 semantic false verdict (not a constant, failed
 Groebner verification), 2 usage/parse/instance errors and unwritable
 output files.  Output on stdout and certificate files are byte-identical
@@ -90,70 +96,48 @@ def _write_output(path, text: str) -> None:
         raise ConstalgError(f"cannot write output file: {exc}") from exc
 
 
-def _cmd_relations(inst, args) -> int:
-    lines = [
-        f"{label}: {format_poly(poly)}"
-        for label, poly in build_relations(inst).labeled()
-    ]
-    text = "\n".join(lines)
-    if text:
-        print(text)
-    if args.out:
-        _write_output(args.out, text + ("\n" if text else ""))
-    return 0
+def _cmd_relations(inst, args):
+    return 0, (f"{label}: {format_poly(p)}" for label, p in build_relations(inst).labeled())
 
 
-def _cmd_verify_gb(inst, args) -> int:
-    variant = _VARIANT_BY_FLAG[args.variant]
-    cert = verify_groebner(inst, variant=variant)
+def _cmd_verify_gb(inst, args):
+    cert = verify_groebner(inst, variant=_VARIANT_BY_FLAG[args.variant])
     if args.certificate:
         _write_output(args.certificate, json.dumps(cert.to_json_dict(), indent=2) + "\n")
     conf = cert.conformance
-    print(f"lead conformance: {'ok' if conf.ok else 'FAILED'} ({len(conf.entries)} relations)")
     zero = sum(1 for p in cert.pairs if p.normal_form_zero)
-    print(f"s-polynomial pairs: {zero}/{len(cert.pairs)} reduce to zero")
-    print(f"reducedness: {'ok' if cert.reduced else 'FAILED'}")
+    lines = [
+        f"lead conformance: {'ok' if conf.ok else 'FAILED'} ({len(conf.entries)} relations)",
+        f"s-polynomial pairs: {zero}/{len(cert.pairs)} reduce to zero",
+        f"reducedness: {'ok' if cert.reduced else 'FAILED'}",
+    ]
     if cert.verdict:
-        print("verdict: verified reduced Groebner basis")
-        return 0
-    print(f"verdict: FAILED ({cert.first_failure()})")
-    return 1
+        return 0, [*lines, "verdict: verified reduced Groebner basis"]
+    return 1, [*lines, f"verdict: FAILED ({cert.first_failure()})"]
 
 
-def _cmd_normal_words(inst, args) -> int:
+def _cmd_normal_words(inst, args):
     if args.count_only:
-        print(sum(count_normal_words(inst, args.max_deg)))
-        return 0
-    for word in enumerate_normal_words(inst, args.max_deg, _VARIANT_BY_FLAG[args.variant]):
-        print(format_monomial(word))
-    return 0
+        return 0, [str(sum(count_normal_words(inst, args.max_deg)))]
+    words = enumerate_normal_words(inst, args.max_deg, _VARIANT_BY_FLAG[args.variant])
+    return 0, map(format_monomial, words)
 
 
-def _cmd_check(inst, args) -> int:
+def _cmd_check(inst, args):
+    if is_constant(inst, parse_poly(args.poly, RING_A, inst.d)):
+        return 0, ["constant"]
+    return 1, ["not a constant"]
+
+
+def _cmd_rewrite(inst, args):
     poly = parse_poly(args.poly, RING_A, inst.d)
-    if is_constant(inst, poly):
-        print("constant")
-        return 0
-    print("not a constant")
-    return 1
+    return 0, [format_poly(rewrite_constant(inst, poly))]
 
 
-def _cmd_rewrite(inst, args) -> int:
-    poly = parse_poly(args.poly, RING_A, inst.d)
-    expression = format_poly(rewrite_constant(inst, poly))
-    print(expression)
-    if args.out:
-        _write_output(args.out, expression + "\n")
-    return 0
-
-
-def _cmd_kernel_dim(inst, args) -> int:
+def _cmd_kernel_dim(inst, args):
     result = kernel_dim_oracle(inst, args.max_deg)
-    print(f"dimension: {result.dimension}")
-    if args.basis:
-        for poly in result.basis:
-            print(format_poly(poly))
-    return 0
+    basis = map(format_poly, result.basis) if args.basis else []
+    return 0, [f"dimension: {result.dimension}", *basis]
 
 
 def _join_poly(argv) -> list:
@@ -174,7 +158,12 @@ def run(argv=None) -> int:
         inst = load_instance(args.instance)
         if getattr(args, "max_deg", 0) < 0:
             raise ConstalgError("--max-deg must be nonnegative")
-        return args.handler(inst, args)
+        code, lines = args.handler(inst, args)
+        text = "".join(f"{line}\n" for line in lines)
+        if getattr(args, "out", None):
+            _write_output(args.out, text)
+        sys.stdout.write(text)
+        return code
     except ConstalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, NotAConstantError) else 2

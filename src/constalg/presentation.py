@@ -14,7 +14,7 @@ every term.
 The generator table works over the integers: it stores L*u_jk with int
 coefficients, L = the lcm of the f-coefficient denominators, and caches
 their powers.  `scaled_image` returns L^e * pi(w) for a word w of u-degree
-e, which `rewrite_constant` peels with; `u`, `u_power` and
+e, which `rewrite_constant` peels with; `u_power` and
 `pi_image_of_monomial` divide by the power of L and return the true
 polynomials over Fraction.
 """
@@ -45,11 +45,6 @@ class GeneratorTable:
         self.instance = instance
         self.scaled = scaled
         self._power_cache: dict = {}
-
-    @property
-    def u(self) -> dict:
-        """The generators u_jk as ring-A polynomials, keyed by (j, k)."""
-        return {pair: self.u_power(*pair, 1) for pair in self.scaled}
 
     def scaled_power(self, j: int, k: int, exponent: int) -> dict:
         """Term map of (L*u_jk)^exponent, by squaring.
@@ -98,7 +93,7 @@ def build_generators(inst: ProblemInstance) -> GeneratorTable:
 
 
 def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
-    """Ring homomorphism ring P -> ring A: x_i -> x_i, u_jk -> table.u[(j,k)]."""
+    """Ring homomorphism ring P -> ring A: x_i -> x_i, u_jk -> table.u_power(j, k, 1)."""
     inst = table.instance
     if p.ring != inst.ring_p:
         raise RingMismatchError(f"polynomial over {p.ring} does not match d={inst.d}")

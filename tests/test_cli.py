@@ -334,14 +334,37 @@ def test_malformed_instance_file_exit_2(tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["verify-gb", "--certificate"], ["relations", "--out"], ["rewrite", "--poly", "x1", "--out"]],
+    "argv, data",
+    [
+        (["verify-gb", "--certificate"], CLASSICAL_2),
+        (["relations", "--out"], CLASSICAL_4),  # at d = 2 there are no relations to print
+        (["rewrite", "--poly", "x1", "--out"], CLASSICAL_2),
+    ],
     ids=["verify-gb", "relations", "rewrite"],
 )
-def test_unwritable_output_exit_2(instance_file, tmp_path, capsys, argv):
+def test_unwritable_output_exit_2(instance_file, tmp_path, capsys, argv, data):
     target = str(tmp_path / "missing" / "out.txt")
-    assert run([*argv, target, "--instance", instance_file(CLASSICAL_2)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot write output file")
+    assert run([*argv, target, "--instance", instance_file(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"d": 2, "f": [[0, True], [0, 1]]}, "coefficient True is not an exact rational"),
+        ({"d": "2", "f": [[0, 1], [0, 1]]}, "field 'd' must be an integer, got '2'"),
+        ({"d": 2, "f": "x1"}, "field 'f' must be a list of coefficient lists"),
+        ({"d": 2, "f": [1, 2]}, "field 'f' must be a list of coefficient lists"),
+    ],
+    ids=["bool-coefficient", "string-d", "string-f", "flat-f"],
+)
+def test_invalid_instance_fields_exit_2(instance_file, capsys, data, message):
+    assert run(["relations", "--instance", instance_file(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_2(capsys):

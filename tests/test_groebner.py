@@ -203,6 +203,22 @@ def test_verify_groebner_literal_fails_conformance_gate():
     assert "lead of" in cert.first_failure()
 
 
+def test_verify_groebner_unreduced_basis_first_failure():
+    # S(1,2,3) + S(2,3,4) keeps the lead of S(1,2,3), so leads conform and
+    # every pair still reduces to zero, but a tail term is another lead.
+    inst = classical(4)
+    full = build_relations(inst)
+    mixed = dict(full.mixed)
+    summed = mixed[(1, 2, 3)] + mixed[(2, 3, 4)]
+    broken = RelationSet(full.quadratic, [((1, 2, 3), summed), *full.mixed[1:]])
+    cert = verify_groebner(inst, relations=broken)
+    assert cert.conformance.ok
+    assert all(p.normal_form_zero for p in cert.pairs)
+    assert not cert.reduced
+    assert not cert.verdict
+    assert cert.first_failure() == "basis is not reduced"
+
+
 def test_certificate_json_replayable():
     inst = classical(4)
     a = verify_groebner(inst).to_json_dict()

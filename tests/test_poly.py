@@ -33,6 +33,14 @@ def test_add_cancellation():
     )
 
 
+def test_scalar_mul_and_division():
+    p = parse_poly("x1*y2 - 3/2*x2", "A", 2)
+    assert 2 * p == p * 2 == p.scale(2)
+    assert p / 2 == p.scale(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+
+
 def test_add_identity():
     p = parse_poly("x1*y2 - 3*x2", "A", 2)
     assert p + Polynomial.zero(ring_a(2)) == p

@@ -15,6 +15,7 @@ from constalg import (
     parse_poly,
     pi_substitute,
     quadratic_relation,
+    u_pairs,
 )
 from constalg import BudgetExceededError, presentation
 from constalg.presentation import pi_image_of_monomial
@@ -24,13 +25,13 @@ from helpers import random_instance, random_ppoly
 def test_generator_classical():
     inst = ProblemInstance.from_coeffs(2, [[0, 1], [0, 1]])
     table = build_generators(inst)
-    assert table.u[(1, 2)] == parse_poly("x1*y2 - x2*y1", "A", 2)
+    assert table.u_power(1, 2, 1) == parse_poly("x1*y2 - x2*y1", "A", 2)
 
 
 def test_generator_monomial_f():
     inst = ProblemInstance.from_coeffs(2, [[0, 0, 1], [0, 0, 0, 1]])
     table = build_generators(inst)
-    assert table.u[(1, 2)] == parse_poly("x1^2*y2 - x2^3*y1", "A", 2)
+    assert table.u_power(1, 2, 1) == parse_poly("x1^2*y2 - x2^3*y1", "A", 2)
 
 
 def test_u_power_above_recursion_limit():
@@ -42,7 +43,7 @@ def test_u_power_above_recursion_limit():
         image = pi_image_of_monomial(table, PMonomial((0, 0), (((1, 2), 300),)))
     finally:
         sys.setrecursionlimit(limit)
-    assert image == table.u[(1, 2)] ** 300
+    assert image == table.u_power(1, 2, 1) ** 300
     # squaring caches 300, 150, 75, ..., 1: O(log e) powers
     assert sorted(table._power_cache) == [(1, 2, e) for e in (1, 2, 4, 9, 18, 37, 75, 150, 300)]
     assert table.u_power(1, 2, 300) == image
@@ -53,8 +54,8 @@ def test_u_power_squares_on_rational_instance():
     table = build_generators(inst)
     assert inst.integer_f[0] == 60
     for (j, k), e in (((1, 2), 13), ((2, 3), 6), ((1, 3), 0)):
-        assert table.u_power(j, k, e) == table.u[(j, k)] ** e
-    # 13 -> 6 -> 3 -> 1 and 6 -> 3 -> 1, the unit power, and table.u's first powers
+        assert table.u_power(j, k, e) == table.u_power(j, k, 1) ** e
+    # 13 -> 6 -> 3 -> 1 and 6 -> 3 -> 1, the unit power, and the first powers
     assert sorted(table._power_cache) == [
         (1, 2, 1), (1, 2, 3), (1, 2, 6), (1, 2, 13), (1, 3, 0), (1, 3, 1), (2, 3, 1), (2, 3, 3),
         (2, 3, 6),
@@ -65,9 +66,9 @@ def test_generator_table_size_and_constancy():
     rng = random.Random(61)
     inst = random_instance(rng, 5)
     table = build_generators(inst)
-    assert len(table.u) == 5 * 4 // 2
-    for poly in table.u.values():
-        assert apply_delta(inst, poly).is_zero()
+    assert len(table.scaled) == 5 * 4 // 2
+    for j, k in u_pairs(5):
+        assert apply_delta(inst, table.u_power(j, k, 1)).is_zero()
 
 
 def test_pi_fixes_x():
@@ -82,7 +83,7 @@ def test_pi_sends_u_to_generator():
     rng = random.Random(71)
     inst = random_instance(rng, 2)
     table = build_generators(inst)
-    assert pi_substitute(table, parse_poly("u1_2", "P", 2)) == table.u[(1, 2)]
+    assert pi_substitute(table, parse_poly("u1_2", "P", 2)) == table.u_power(1, 2, 1)
 
 
 def test_pi_is_a_homomorphism_randomized():

@@ -109,5 +109,6 @@ def test_generator_degree_closed_form():
     rng = random.Random(59)
     for d in (2, 3, 4, 5):
         inst = random_instance(rng, d, max_m=4)
-        for (j, k), poly in build_generators(inst).u.items():
-            assert poly.degree() == max(inst.m[j - 1], inst.m[k - 1]) + 1
+        table = build_generators(inst)
+        for j, k in u_pairs(d):
+            assert table.u_power(j, k, 1).degree() == max(inst.m[j - 1], inst.m[k - 1]) + 1
