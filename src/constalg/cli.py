@@ -25,17 +25,17 @@ import json
 import sys
 from functools import cache
 
-from .derivation import is_constant, load_instance
+from .derivation import is_constant_int, load_instance
 from .errors import ConstalgError, NotAConstantError
 from .groebner import verify_groebner
 from .normal_words import (
     count_normal_words,
     enumerate_normal_words,
     kernel_dim_oracle,
-    rewrite_constant,
+    rewrite_constant_int,
 )
 from .orders import CORRECTED, LITERAL
-from .poly import RING_A, format_monomial, format_poly, parse_poly
+from .poly import RING_A, format_monomial, format_poly, parse_poly_int
 from .presentation import build_relations
 
 _VARIANT_BY_FLAG = {"corrected": CORRECTED, "paper": LITERAL}
@@ -124,14 +124,15 @@ def _cmd_normal_words(inst, args):
 
 
 def _cmd_check(inst, args):
-    if is_constant(inst, parse_poly(args.poly, RING_A, inst.d)):
+    terms, _ = parse_poly_int(args.poly, RING_A, inst.d)
+    if is_constant_int(inst, terms):
         return 0, ["constant"]
     return 1, ["not a constant"]
 
 
 def _cmd_rewrite(inst, args):
-    poly = parse_poly(args.poly, RING_A, inst.d)
-    return 0, [format_poly(rewrite_constant(inst, poly))]
+    terms, den = parse_poly_int(args.poly, RING_A, inst.d)
+    return 0, [format_poly(rewrite_constant_int(inst, terms, den))]
 
 
 def _cmd_kernel_dim(inst, args):

@@ -6,9 +6,12 @@ f_i(x_i) and is extended by linearity and the Leibniz rule.
 
 `apply_delta` returns the true image over Fraction.  The hot paths work
 over the integers instead: `ProblemInstance.integer_f` holds L = the lcm
-of the f-coefficient denominators and the rows L*f_i as ints, so
-`is_constant` tests L*D*delta(g) = 0 with ints, D clearing g's
-denominators, and `kernel_dim_oracle` builds L*delta's matrix.
+of the f-coefficient denominators and the rows L*f_i as ints.
+`is_constant_int` takes the int term map D*g that `poly.parse_poly_int`
+returns for a text, D clearing g's denominators, and tests L*D*delta(g) = 0
+with ints, so `constalg check` builds no Fraction; `is_constant` runs the
+same test on a Fraction polynomial.  `kernel_dim_oracle` builds L*delta's
+matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InstanceError, RingMismatchError
-from .poly import AMonomial, Polynomial, Ring, ring_a, ring_p, univariate
+from .poly import AMonomial, Polynomial, Ring, int_terms, ring_a, ring_p, univariate
 
 # Largest supported d.  A P-monomial stores d(d+1)/2 exponents, so the work
 # per monomial grows quadratically in d; beyond this bound it is impractical.
@@ -183,18 +186,20 @@ def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     return Polynomial._make(inst.ring_a, {m: c for m, c in sums.items() if c})
 
 
-def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:
-    """True iff the derivation annihilates g.
+def is_constant_int(inst: ProblemInstance, terms: dict) -> bool:
+    """True iff the derivation annihilates the polynomial with int term map `terms`.
 
-    Decided over the integers: with D the lcm of g's denominators, D*g has
-    int coefficients and L*D*delta(g), accumulated from the integer rows,
-    vanishes exactly when delta(g) does.
+    `terms` is D*g for any positive D, as `parse_poly_int` returns it: L*D*delta(g),
+    accumulated from the integer rows, vanishes exactly when delta(g) does.
     """
-    _check_ring(inst, g)
-    den = lcm(*[c.denominator for c in g.terms.values()])
     _, rows = inst.integer_f
-    scaled = ((m, c.numerator * (den // c.denominator)) for m, c in g.terms.items())
-    return not any(_delta_sums(rows, scaled).values())
+    return not any(_delta_sums(rows, terms.items()).values())
+
+
+def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:
+    """True iff the derivation annihilates g; `is_constant_int` on g's int terms."""
+    _check_ring(inst, g)
+    return is_constant_int(inst, int_terms(g)[0])
 
 
 def _univariate_coeffs(inst: ProblemInstance, i: int, g: Polynomial) -> list[Fraction]:

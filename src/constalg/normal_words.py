@@ -5,9 +5,13 @@ u-factors are pairwise nested or disjoint and (ii) every x-exponent at an
 index strictly inside such an interval stays below m_i.  Their images
 under pi form a vector-space basis of the algebra of constants; the image
 leads are pairwise distinct, which makes the rewriting of an arbitrary
-constant into the generators a deterministic peeling loop.  The loop peels
-with the integer images L^e * pi(w) of `presentation.scaled_image` and
-stops after MAX_PEEL_STEPS words.
+constant into the generators a deterministic peeling loop.  The loop,
+`rewrite_constant_int`, takes the constant as ints over one denominator
+(as `poly.parse_poly_int` reads it), peels with the integer images L^e *
+pi(w) of `presentation.scaled_image` by fraction-free pseudo-division
+(Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992), builds
+only its result over Fraction and stops after MAX_PEEL_STEPS words.
+`rewrite_constant` runs it on a Fraction polynomial.
 
 A normal word is its P-monomial: `enumerate_normal_words` and
 `recover_word_from_lead` return PMonomials, and `lead_of_image` checks
@@ -26,11 +30,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from operator import add
+from math import comb, gcd
+from operator import add, neg
 
 from . import linalg
-from .derivation import ProblemInstance, delta_terms, is_constant
+from .derivation import ProblemInstance, _check_ring, delta_terms, is_constant_int
 from .errors import (
     BudgetExceededError,
     NotAConstantError,
@@ -38,7 +42,15 @@ from .errors import (
     RingMismatchError,
 )
 from .orders import CORRECTED, LexOrder, dill_key
-from .poly import AMonomial, PMonomial, Polynomial, leading_term, u_pairs, u_position
+from .poly import (
+    AMonomial,
+    PMonomial,
+    Polynomial,
+    int_terms,
+    leading_term,
+    u_pairs,
+    u_position,
+)
 from .presentation import build_generators, scaled_image
 
 # Most normal words one enumeration may emit; more raise BudgetExceededError.
@@ -311,24 +323,30 @@ def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> PMonomial:
     return PMonomial._of(uexp + xexp)
 
 
-def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
-    """Express a constant as a linear combination of normal words.
+def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polynomial:
+    """Express the constant g = terms/den as a linear combination of normal words.
 
+    `terms` maps A-monomials to ints, as `parse_poly_int` returns them.
     Returns h over ring P with pi(h) = g and every monomial of h normal.
-    Each step peels the A-lex lead with the word w whose image it leads:
-    with the integer image s*pi(w) = `scaled_image`, q = lead coefficient
-    of the work / that of s*pi(w), the work loses q*s*pi(w) and h gains
-    q*s*w.  Peeling must succeed on every step; a failure on a genuine
-    constant would be an internal inconsistency and is fatal.  More than
-    MAX_PEEL_STEPS steps raise BudgetExceededError.
+    Each step peels the A-lex lead with the word w whose image it leads, by
+    fraction-free pseudo-division.  With c the lead coefficient of the
+    work, a that of the integer image L^e*pi(w) (`scaled_image`) and
+    k = gcd(c, a) signed like a, the work becomes (a/k)*work -
+    (c/k)*L^e*pi(w), den becomes (a/k)*den and w's coefficient in h is
+    (c/k)*L^e/den, so g = work/den + pi(h) throughout; when a/k = 1 the
+    work is not rescaled.  Leads strictly decrease, so each word is peeled
+    at most once, and only h is built over Fraction.  Peeling must succeed
+    on every step; a failure on a genuine constant would be an internal
+    inconsistency and is fatal.  More than MAX_PEEL_STEPS steps raise
+    BudgetExceededError.
     """
-    if not is_constant(inst, g):  # also rejects a g over another ring
+    if not is_constant_int(inst, terms):
         raise NotAConstantError("polynomial is not a constant of the derivation")
     table = build_generators(inst)
-    result: dict = {}
-    work = dict(g.terms)
+    coeffs: dict = {}  # word -> (numerator, denominator) of its coefficient in h
+    work = dict(terms)
     # Lazy max-heap in A-lex order (negated exponents); stale entries are skipped on pop.
-    heap = [tuple(-v for v in m) + (m,) for m in work]
+    heap = [(*map(neg, m), m) for m in work]
     heapq.heapify(heap)
     steps = 0
     while work:
@@ -346,19 +364,37 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
         word = recover_word_from_lead(inst, mono)
         image, scale = scaled_image(table, word)
         # mono is the A-lex lead of the image
-        quotient = work[mono] / image[mono]
-        result[word] = result.get(word, 0) + quotient * scale
-        minus_q = -quotient
+        lead = image[mono]
+        common = gcd(work[mono], lead)
+        if lead < 0:
+            common = -common
+        quotient, multiplier = work[mono] // common, lead // common
+        if multiplier != 1:
+            den *= multiplier
+            for m in work:
+                work[m] *= multiplier
+        coeffs[word] = quotient * scale, den
         for im, ic in image.items():
-            # Fraction on the left: int + Fraction takes Fraction's slow reverse path.
-            new = minus_q * ic + work.get(im, 0)
+            new = work.get(im, 0) - quotient * ic
             if new:
                 if im not in work:
-                    heapq.heappush(heap, tuple(-v for v in im) + (im,))
+                    heapq.heappush(heap, (*map(neg, im), im))
                 work[im] = new
             else:
                 work.pop(im, None)
-    return Polynomial(inst.ring_p, result)
+    return Polynomial._make(inst.ring_p, {w: Fraction(*c) for w, c in coeffs.items()})
+
+
+def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
+    """Express the constant g, a polynomial of ring A, as a linear combination of normal words.
+
+    Returns h over ring P with pi(h) = g and every monomial of h normal,
+    computed by `rewrite_constant_int` on g's int terms over their least
+    common denominator.  A g over another ring raises RingMismatchError, a
+    non-constant NotAConstantError.
+    """
+    _check_ring(inst, g)
+    return rewrite_constant_int(inst, *int_terms(g))
 
 
 # -- brute-force oracle ---------------------------------------------------------

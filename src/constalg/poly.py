@@ -8,6 +8,11 @@ paths elsewhere clear denominators once and work on plain term maps
 Polynomials are immutable values and every operation is a pure function,
 so they are safe to share across threads.
 
+The text grammar has one scanner, `parse_poly_int`, which returns such an
+int term map and one common denominator; `parse_poly` divides it into a
+Fraction polynomial, and `int_terms` takes a Fraction polynomial back to
+that form.
+
 Variable indices are 1-based everywhere they are visible (text syntax,
 u-pair labels).  A monomial is one dense exponent tuple, laid out so that
 plain tuple order is the lexicographic order the rings use:
@@ -25,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, le, sub
 
 from .errors import ParseError, RingMismatchError
@@ -476,11 +481,18 @@ def leading_term(p: Polynomial, order) -> tuple:
 # Whitespace is insignificant between tokens; indices are 1-based.
 
 # The scanner matches these patterns in place; each skips leading whitespace.
+# A factor is read as one name token, which `_slots` resolves; a name it does
+# not list (x01, x9 at d = 2, y1 in ring P) is read again by `_VARIABLE`,
+# whose checks raise the ParseError.  `_STAR_FACTOR` reads a '*' together
+# with the factor after it.
 _SIGN = re.compile(r"\s*([+-])")
 _COEF = re.compile(r"\s*(\d+)(?:\s*/\s*(\d*))?")
-_FACTOR = re.compile(r"\s*(?:([xy])(\d+)|u(\d+)_(\d+))(?:\s*\^\s*(\d*))?")
+_FACTOR_BODY = r"([xy]\d+|u\d+_\d+)(?:\s*\^\s*(\d*))?"
+_FACTOR = re.compile(r"\s*" + _FACTOR_BODY)
+_STAR_FACTOR = re.compile(r"\s*\*\s*" + _FACTOR_BODY)
 _STAR = re.compile(r"\s*\*")
 _END = re.compile(r"\s*\Z")
+_VARIABLE = re.compile(r"([xy])(\d+)|u(\d+)_(\d+)")
 
 
 def _fault(text: str, pos: int, expected: str) -> ParseError:
@@ -500,76 +512,111 @@ def _nat(match, group: int) -> int:
         ) from None
 
 
-def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
-    """Parse `text` in the grammar above into a normalized polynomial.
+def _checked_slot(text: str, pos: int, ring: Ring) -> int:
+    """Exponent slot of the variable spelled at `pos` in a form `_slots` does not list.
 
-    One pass over the text: the factors of a term add their exponents into
-    one list, from which the term's monomial is built once.
+    Leading zeros are accepted; a wrong letter, an index out of range or a
+    number too long for int() raises ParseError.
+    """
+    flavor, d = ring.flavor, ring.d
+    match = _VARIABLE.match(text, pos)
+    letter = match[1]
+    if letter:
+        i = _nat(match, 2)
+        if letter == "y" and flavor != RING_A:
+            raise ParseError("variable y is not valid in ring P")
+        if not 1 <= i <= d:
+            raise ParseError(f"index of {letter}{i} out of range 1..{d}")
+        return 2 * i - 1 if letter == "y" else _x_position(ring, i)
+    j, k = _nat(match, 3), _nat(match, 4)
+    if flavor != RING_P:
+        raise ParseError("variable u is not valid in ring A")
+    if not 1 <= j < k <= d:
+        raise ParseError(f"u{j}_{k} needs indices 1 <= j < k <= {d}")
+    return u_position(d, j, k)
+
+
+def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
+    """Parse `text` in the grammar above into (terms, den): the polynomial is terms/den.
+
+    `terms` maps monomials to nonzero ints and `den` is the lcm of the
+    denominators as written, so no Fraction is built.  One pass over the
+    text: the factors of a term add their exponents into one list, from
+    which the term's monomial is built once.  The terms are then summed
+    over `den`, each scaled once, so many distinct denominators cost no
+    rescaling of the terms already read.
     """
     ring = Ring(flavor, d)
     cls, width = _layout(ring)
+    slots = _slots(flavor, d)
+    star_factor = _STAR_FACTOR.match
     if _END.match(text):
         raise ParseError("empty polynomial expression")
-    terms: dict = {}
+    parsed = []  # (monomial, numerator, denominator) of each term, in text order
+    den = 1
     pos = 0
-    while not (pos and _END.match(text, pos)):
+    while True:
         match = _SIGN.match(text, pos)
         if match:
             pos = match.end()
         elif pos:  # only the first term may omit its sign
+            if _END.match(text, pos):
+                break
+            star = _STAR.match(text, pos)  # a '*' that `_STAR_FACTOR` did not take
+            if star:
+                raise _fault(text, star.end(), "a variable after '*'")
             raise _fault(text, pos, "'+', '-', '*' or the end of the text")
         negative = match is not None and match[1] == "-"
         exps = [0] * width
         match = _COEF.match(text, pos)
         if match:
-            den = match[2]
-            if den == "":
+            cden = match[2]
+            if cden == "":
                 raise _fault(text, match.end(), "a denominator after '/'")
-            den = 1 if den is None else _nat(match, 2)
-            if not den:
+            cden = 1 if cden is None else _nat(match, 2)
+            if not cden:
                 raise ParseError(f"zero denominator in coefficient {match[0].strip()!r}")
-            coeff = Fraction(_nat(match, 1), den)
+            num = _nat(match, 1)
             pos = match.end()
+            match = star_factor(text, pos)
         else:
-            coeff = Fraction(1)
-        factor_due = match is None
-        while True:
-            if not factor_due:
-                match = _STAR.match(text, pos)
-                if match is None:
-                    break
-                pos = match.end()
+            num = cden = 1
             match = _FACTOR.match(text, pos)
             if match is None:
-                expected = "a coefficient or a variable" if factor_due else "a variable after '*'"
-                raise _fault(text, pos, expected)
-            letter, exp = match[1], match[5]
-            if exp == "":
-                raise _fault(text, match.end(), "a natural number after '^'")
-            if letter:
-                i = _nat(match, 2)
-                if letter == "y" and flavor != RING_A:
-                    raise ParseError("variable y is not valid in ring P")
-                if not 1 <= i <= d:
-                    raise ParseError(f"index of {letter}{i} out of range 1..{d}")
-                slot = 2 * i - 1 if letter == "y" else _x_position(ring, i)
-            else:
-                j, k = _nat(match, 3), _nat(match, 4)
-                if flavor != RING_P:
-                    raise ParseError("variable u is not valid in ring A")
-                if not 1 <= j < k <= d:
-                    raise ParseError(f"u{j}_{k} needs indices 1 <= j < k <= {d}")
-                slot = u_position(d, j, k)
-            exps[slot] += 1 if exp is None else _nat(match, 5)
+                raise _fault(text, pos, "a coefficient or a variable")
+        while match:
+            name, exp = match.groups()
             pos = match.end()
-            factor_due = False
-        mono = _new(cls, exps)
-        new = terms.get(mono, 0) + (-coeff if negative else coeff)
+            if exp == "":
+                raise _fault(text, pos, "a natural number after '^'")
+            slot = slots.get(name)
+            if slot is None:
+                slot = _checked_slot(text, match.start(1), ring)
+            exps[slot] += 1 if exp is None else _nat(match, 2)
+            match = star_factor(text, pos)
+        if den % cden:
+            den = lcm(den, cden)
+        parsed.append((_new(cls, exps), -num if negative else num, cden))
+    terms: dict = {}
+    for mono, num, cden in parsed:
+        new = terms.get(mono, 0) + num * (den // cden)
         if new:
             terms[mono] = new
         else:
             terms.pop(mono, None)
-    return Polynomial._make(ring, terms)
+    return terms, den
+
+
+def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
+    """Parse `text` in the grammar above into a polynomial over Fraction: terms/den."""
+    terms, den = parse_poly_int(text, flavor, d)
+    return Polynomial._make(Ring(flavor, d), {m: Fraction(c, den) for m, c in terms.items()})
+
+
+def int_terms(p: Polynomial) -> tuple[dict, int]:
+    """(terms, den) with p = terms/den: int coefficients, den the lcm of p's denominators."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
 
 
 @lru_cache(maxsize=256)
@@ -581,6 +628,12 @@ def _variable_names(flavor: str, d: int) -> tuple:
     n = d * (d - 1) // 2
     xs = tuple((n + i - 1, f"x{i}") for i in range(1, d + 1))
     return xs + tuple((pos, f"u{j}_{k}") for pos, (j, k) in enumerate(u_pairs(d)))
+
+
+@lru_cache(maxsize=256)
+def _slots(flavor: str, d: int) -> dict:
+    """{canonical name: exponent slot} of every variable of the ring, e.g. {"x1": 0, "y1": 1}."""
+    return {name: pos for pos, name in _variable_names(flavor, d)}
 
 
 def format_monomial(mono) -> str:

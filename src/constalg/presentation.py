@@ -14,7 +14,7 @@ every term.
 The generator table works over the integers: it stores L*u_jk with int
 coefficients, L = the lcm of the f-coefficient denominators, and caches
 their powers.  `scaled_image` returns L^e * pi(w) for a word w of u-degree
-e, which `rewrite_constant` peels with; `u_power` and
+e, which `rewrite_constant_int` peels with; `u_power` and
 `pi_image_of_monomial` divide by the power of L and return the true
 polynomials over Fraction.
 """

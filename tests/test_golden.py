@@ -99,7 +99,11 @@ def test_normal_words_listing_matches_golden(name, degree, variant, capsys):
 #     constalg rewrite --instance NAME.json --poly=G
 #
 # the exit code and stdout.  g is pi(h) for a seeded h, or pi(h) plus one
-# term with a y-factor (not a constant: exit 1, empty stdout).
+# term with a y-factor (not a constant: exit 1, empty stdout).  The last three
+# cases, on stream5 and stream6, are requests of the rewrite-stream benchmark
+# (seed 81), recorded before the scanner and the peel moved to ints over one
+# denominator: the largest constant on each instance (413 and 1,147 terms)
+# and a non-constant.
 REWRITE_CASES = json.loads((GOLDEN / "rewrite.json").read_text())
 
 

@@ -23,6 +23,7 @@ from constalg import (
     x_var,
     y_var,
 )
+from constalg.poly import int_terms, parse_poly_int
 from helpers import random_apoly, random_ppoly
 
 
@@ -163,39 +164,77 @@ def test_parse_rejects_descending_u_pair():
         parse_poly("u2_1", "P", 2)
 
 
+_NINES = "9" * 5000
+
+# Rejected texts and the exact message of each, overlong numbers and texts
+# that end inside a term included; recorded from the scanner before it read
+# variable names through a table.
+PARSE_ERRORS = [
+    ("x3", "A", 2, "index of x3 out of range 1..2"),
+    ("y1", "P", 2, "variable y is not valid in ring P"),
+    ("u1_2", "A", 2, "variable u is not valid in ring A"),
+    ("x1 y1", "A", 2, "expected '+', '-', '*' or the end of the text at offset 3, found 'y'"),
+    ("", "A", 2, "empty polynomial expression"),
+    ("2x1", "A", 2, "expected '+', '-', '*' or the end of the text at offset 1, found 'x'"),
+    ("1/0", "A", 2, "zero denominator in coefficient '1/0'"),
+    ("x1^", "A", 2, "expected a natural number after '^' at offset 3, found the end of the text"),
+    ("x1 + + x2", "A", 2, "expected a coefficient or a variable at offset 5, found '+'"),
+    ("u1_5", "P", 4, "u1_5 needs indices 1 <= j < k <= 4"),
+    ("x0", "A", 2, "index of x0 out of range 1..2"),
+    ("x1*", "A", 2, "expected a variable after '*' at offset 3, found the end of the text"),
+    ("*x1", "A", 2, "expected a coefficient or a variable at offset 0, found '*'"),
+    ("x1*2", "A", 2, "expected a variable after '*' at offset 3, found '2'"),
+    ("2*3", "A", 2, "expected a variable after '*' at offset 2, found '3'"),
+    ("1/2/3", "A", 2, "expected '+', '-', '*' or the end of the text at offset 3, found '/'"),
+    ("1/", "A", 2, "expected a denominator after '/' at offset 2, found the end of the text"),
+    ("x1^2^3", "A", 2, "expected '+', '-', '*' or the end of the text at offset 4, found '^'"),
+    ("u1_2_3", "P", 3, "expected '+', '-', '*' or the end of the text at offset 4, found '_'"),
+    ("x 1", "A", 2, "expected a coefficient or a variable at offset 0, found 'x'"),
+    ("3 x1", "A", 2, "expected '+', '-', '*' or the end of the text at offset 2, found 'x'"),
+    ("x1y1", "A", 2, "expected '+', '-', '*' or the end of the text at offset 2, found 'y'"),
+    ("-", "A", 2, "expected a coefficient or a variable at offset 1, found the end of the text"),
+    ("+-x1", "A", 2, "expected a coefficient or a variable at offset 1, found '-'"),
+    ("   ", "A", 2, "empty polynomial expression"),
+    ("u2_1", "P", 2, "u2_1 needs indices 1 <= j < k <= 2"),
+    ("x" + _NINES, "A", 2, "number of 5000 digits at offset 1 is too long"),
+    ("u1_" + _NINES, "P", 3, "number of 5000 digits at offset 3 is too long"),
+    ("3/" + _NINES, "A", 2, "number of 5000 digits at offset 2 is too long"),
+    (
+        "x1*x1^",
+        "A",
+        2,
+        "expected a natural number after '^' at offset 6, found the end of the text",
+    ),
+    ("2*", "A", 2, "expected a variable after '*' at offset 2, found the end of the text"),
+    (
+        "x1*y2 - 2/3*x2^ 2 * y1 * ",
+        "A",
+        2,
+        "expected a variable after '*' at offset 25, found the end of the text",
+    ),
+]
+
+
 def test_parse_rejects_bad_input():
-    for text, flavor, d in [
-        ("x3", "A", 2),
-        ("y1", "P", 2),
-        ("u1_2", "A", 2),
-        ("x1 y1", "A", 2),
-        ("", "A", 2),
-        ("2x1", "A", 2),
-        ("1/0", "A", 2),
-        ("x1^", "A", 2),
-        ("x1 + + x2", "A", 2),
-        ("u1_5", "P", 4),
-        ("x0", "A", 2),
-        ("x1*", "A", 2),
-        ("*x1", "A", 2),
-        ("x1*2", "A", 2),
-        ("2*3", "A", 2),
-        ("1/2/3", "A", 2),
-        ("1/", "A", 2),
-        ("x1^2^3", "A", 2),
-        ("u1_2_3", "P", 3),
-        ("x 1", "A", 2),
-        ("3 x1", "A", 2),
-        ("x1y1", "A", 2),
-        ("-", "A", 2),
-        ("+-x1", "A", 2),
-        ("   ", "A", 2),
-    ]:
-        with pytest.raises(ParseError):
+    for text, flavor, d, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as excinfo:
             parse_poly(text, flavor, d)
+        assert str(excinfo.value) == message, text[:30]
 
 
-_SPACES = ("", "", " ", "  ", "\t", "\n")
+def test_parse_accepts_irregular_spellings():
+    a2 = ring_a(2)
+    x1, y1, y2 = x_var(a2, 1), y_var(a2, 1), y_var(a2, 2)
+    assert parse_poly("x01*y02", "A", 2) == x1 * y2
+    assert parse_poly("x1^0002", "A", 2) == x1 * x1
+    assert parse_poly("00/3*y1", "A", 2) == Polynomial.zero(a2)
+    assert parse_poly("3/6*y1*y1", "A", 2) == y1 * y1 * Fraction(1, 2)
+    assert parse_poly("0*x1 + x1^0", "A", 2) == Polynomial.constant(a2, 1)
+    assert parse_poly("1/2*x1 - 1/2*x1", "A", 2) == Polynomial.zero(a2)
+    assert parse_poly("u01_002 + x02", "P", 2) == u_var(ring_p(2), 1, 2) + x_var(ring_p(2), 2)
+
+
+_SPACES =("", "", " ", "  ", "\t", "\n")
 
 
 def _variables(mono):
@@ -274,6 +313,26 @@ def test_parse_round_trip_of_rendered_polynomials():
         ) + rng.choice(_SPACES)
         ring = ring_a(d) if flavor == "A" else ring_p(d)
         assert parse_poly(text, flavor, d) == Polynomial(ring, expected), text
+
+
+def test_integer_parse_over_its_denominator_is_parse_poly():
+    rng = random.Random(89)
+    for _ in range(300):
+        flavor, d = rng.choice("AP"), rng.randint(1, 4)
+        make = random_apoly if flavor == "A" else random_ppoly
+        p = make(rng, d, terms=rng.randint(1, 5))
+        if p.is_zero():
+            continue
+        terms = list(p.terms.items())
+        text = " ".join(_render_term(rng, c, m, t == 0) for t, (m, c) in enumerate(terms))
+        int_form, den = parse_poly_int(text, flavor, d)
+        assert den >= 1 and all(type(c) is int and c for c in int_form.values())
+        divided = {m: Fraction(c, den) for m, c in int_form.items()}
+        assert divided == parse_poly(text, flavor, d).terms == p.terms, text
+    # den is the lcm of the denominators as written, reduced or not
+    assert parse_poly_int("3/6*y1 + 1/4*x1 - 0/9", "A", 2)[1] == 36
+    terms, den = int_terms(parse_poly("3/6*y1 + 1/4*x1", "A", 2))
+    assert (sorted(terms.values()), den) == ([1, 2], 4)
 
 
 def test_parse_accepts_whitespace_and_multidigit_indices():

@@ -1,25 +1,33 @@
 """The integer-scaled derivation and generator images against their Fraction references.
 
 `is_constant` decides delta(g) = 0 from L*D*delta(g) over the integers and
-`rewrite_constant` peels with the images L^e * pi(w); both must agree with
-the Fraction paths in `apply_delta` and `helpers.reference_rewrite` on
-instances whose f_i have denominators 2..5.
+`rewrite_constant` peels with the images L^e * pi(w) by fraction-free
+pseudo-division; both must agree with the Fraction paths in `apply_delta`
+and `helpers.reference_rewrite` on instances whose f_i have denominators
+2..5 or rational leads such as 3/2, 2/3 and 5/4.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from constalg import (
     AMonomial,
+    PMonomial,
     Polynomial,
+    ProblemInstance,
     apply_delta,
     build_generators,
     format_poly,
     is_constant,
     pi_substitute,
     rewrite_constant,
+    u_pairs,
 )
-from constalg.derivation import delta_terms
+from constalg import normal_words
+from constalg.derivation import delta_terms, is_constant_int
+from constalg.normal_words import rewrite_constant_int
+from constalg.poly import int_terms
 from constalg.presentation import pi_image_of_monomial, scaled_image
 from helpers import (
     random_amonomial,
@@ -118,3 +126,72 @@ def test_rewrite_matches_reference_peel():
             rewritten = rewrite_constant(inst, g)
             assert format_poly(rewritten) == format_poly(reference_rewrite(inst, g))
             assert pi_substitute(table, rewritten) == g
+
+
+# Mixed-degree instances with rational leads, as in the rewrite-stream benchmark.
+LEADS = ("3/2", "2/3", "5/4", "-4/5")
+MIXED_PROFILES = ((1, 2, 1, 2, 1), (1, 2, 1, 1, 2, 1), (2, 1, 3))
+
+
+def mixed_instance(rng, profile):
+    lower = [rng.choice((-5, -3, -2, -1, 1, 2, 4)) for _ in range(sum(profile))]
+    leads = rng.sample(LEADS * 2, len(profile))
+    f, at = [], 0
+    for m, lead in zip(profile, leads):
+        f.append(lower[at:at + m] + [lead])
+        at += m
+    return ProblemInstance.from_coeffs(len(profile), f)
+
+
+def request(rng, table, target):
+    """g = pi(h) for a random h of u-degree 1..2 whose image has at least `target` terms."""
+    inst = table.instance
+    pairs = u_pairs(inst.d)
+    h = Polynomial(inst.ring_p)
+    while len(pi_substitute(table, h).terms) < target:
+        upairs = {}
+        for _ in range(rng.randint(1, 2)):
+            pair = rng.choice(pairs)
+            upairs[pair] = upairs.get(pair, 0) + 1
+        mono = PMonomial(tuple(rng.randint(0, 1) for _ in range(inst.d)), tuple(upairs.items()))
+        coeff = Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 3))
+        h = h + Polynomial(inst.ring_p, {mono: coeff})
+    return pi_substitute(table, h)
+
+
+def test_integer_peel_matches_reference_peel(monkeypatch):
+    # Spy on k = gcd(c, a) of each peel step: a/k != 1 is the branch that rescales the work.
+    multipliers = []
+
+    def gcd_spy(c, a):
+        common = math.gcd(c, a)
+        multipliers.append(abs(a) // common)
+        return common
+
+    monkeypatch.setattr(normal_words, "gcd", gcd_spy)
+    rng = random.Random(19)
+    for profile in MIXED_PROFILES:
+        inst = mixed_instance(rng, profile)
+        table = build_generators(inst)
+        for target in (1, 20, 120):
+            g = request(rng, table, target)
+            terms, den = int_terms(g)
+            h = rewrite_constant_int(inst, terms, den)
+            assert format_poly(h) == format_poly(reference_rewrite(inst, g))
+            assert pi_substitute(table, h) == g
+    assert any(m != 1 for m in multipliers) and 1 in multipliers
+
+
+def test_integer_peel_of_a_large_request():
+    rng = random.Random(23)
+    inst = mixed_instance(rng, MIXED_PROFILES[1])
+    table = build_generators(inst)
+    g = request(rng, table, 1000)
+    assert len(g.terms) >= 1000
+    terms, den = int_terms(g)
+    assert den > 1 and is_constant_int(inst, terms)
+    h = rewrite_constant_int(inst, terms, den)
+    # the integer form may carry any positive multiple of g
+    assert rewrite_constant_int(inst, {m: 6 * c for m, c in terms.items()}, 6 * den) == h
+    assert format_poly(h) == format_poly(reference_rewrite(inst, g))
+    assert pi_substitute(table, h) == g
