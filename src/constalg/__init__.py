@@ -29,7 +29,6 @@ from .errors import (
 from .groebner import (
     GroebnerCertificate,
     buchberger_complete,
-    claimed_lead_monomials,
     reduce,
     s_polynomial,
     verify_groebner,
@@ -53,7 +52,6 @@ from .orders import (
     LITERAL,
     DillOrder,
     LexOrder,
-    dill_compare,
     dill_key,
 )
 from .poly import (
@@ -71,8 +69,6 @@ from .poly import (
     ring_p,
     u_pairs,
     u_var,
-    x_var,
-    y_var,
 )
 from .presentation import (
     GeneratorTable,

@@ -23,17 +23,18 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InstanceError, RingMismatchError
-from .poly import AMonomial, Polynomial, Ring, int_terms, ring_a, ring_p, univariate
+from .poly import AMonomial, Polynomial, Ring, _new, int_terms, ring_a, ring_p, univariate
 
 # Largest supported d.  A P-monomial stores d(d+1)/2 exponents, so the work
 # per monomial grows quadratically in d; beyond this bound it is impractical.
 MAX_D = 64
 
 
-def _coefficient_from_json(value) -> Fraction:
+def _coefficient(value) -> Fraction:
+    """An f-coefficient given as an int, a Fraction or a rational string such as '3/2'."""
     if isinstance(value, bool):
         raise InstanceError(f"coefficient {value!r} is not an exact rational")
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -94,7 +95,7 @@ class ProblemInstance:
             )
         rows = []
         for i, raw in enumerate(coeff_lists, start=1):
-            coeffs = [Fraction(c) for c in raw]
+            coeffs = [_coefficient(c) for c in raw]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if not coeffs:
@@ -116,20 +117,13 @@ class ProblemInstance:
         f = data["f"]
         if not isinstance(f, list) or not all(isinstance(fi, list) for fi in f):
             raise InstanceError("field 'f' must be a list of coefficient lists")
-        coeffs = [[_coefficient_from_json(c) for c in fi] for fi in f]
-        return ProblemInstance.from_coeffs(d, coeffs)
+        return ProblemInstance.from_coeffs(d, f)
 
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "f": [[str(c) for c in fi] for fi in self.f],
         }
-
-    def f_polynomial(self, i: int) -> Polynomial:
-        """f_i(x_i) as an element of ring A; i is 1-based."""
-        if not (1 <= i <= self.d):
-            raise ValueError(f"index {i} out of range 1..{self.d}")
-        return univariate(self.ring_a, i, enumerate(self.f[i - 1]))
 
 
 def load_instance(path) -> ProblemInstance:
@@ -162,7 +156,7 @@ def delta_terms(rows, mono: AMonomial, coeff=1):
         for power, fc in enumerate(fi):
             if fc:
                 exps[y_pos - 1] = mono[y_pos - 1] + power
-                yield AMonomial._of(exps), factor * fc
+                yield _new(AMonomial, exps), factor * fc
 
 
 def _delta_sums(rows, terms) -> dict:

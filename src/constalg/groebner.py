@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import compress
 from math import comb
 
 from .derivation import ProblemInstance
 from .errors import BudgetExceededError
 from .orders import CORRECTED, DillOrder
-from .poly import PMonomial, Polynomial, format_monomial, format_poly, leading_term
+from .poly import PMonomial, Polynomial, format_monomial, leading_term
 from .presentation import RelationSet, build_relations, relation_count, relation_label
 
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
@@ -137,19 +137,6 @@ def expected_lead(inst: ProblemInstance, family: str, indices) -> PMonomial:
     i, j, k = indices
     xexp = tuple(inst.m[j - 1] if t == j - 1 else 0 for t in range(d))
     return PMonomial(xexp, (((i, k), 1),))
-
-
-def claimed_lead_monomials(inst: ProblemInstance) -> list[PMonomial]:
-    """The full expected lead set of the relation basis."""
-    leads = [
-        expected_lead(inst, "R", idx)
-        for idx in combinations(range(1, inst.d + 1), 4)
-    ]
-    leads.extend(
-        expected_lead(inst, "S", idx)
-        for idx in combinations(range(1, inst.d + 1), 3)
-    )
-    return leads
 
 
 @dataclass

@@ -46,6 +46,7 @@ from .poly import (
     AMonomial,
     PMonomial,
     Polynomial,
+    _new,
     int_terms,
     leading_term,
     u_pairs,
@@ -150,7 +151,7 @@ def enumerate_normal_words(
 
         def fill(idx: int, remaining: int, acc: list):
             if idx == d:
-                words.append(PMonomial._of(prefix + tuple(acc)))
+                words.append(_new(PMonomial, prefix + tuple(acc)))
                 if len(words) > MAX_NORMAL_WORDS:
                     raise BudgetExceededError(
                         f"more than {MAX_NORMAL_WORDS} normal words up to image degree "
@@ -289,7 +290,7 @@ def lead_of_image(inst: ProblemInstance, mono: PMonomial) -> tuple[AMonomial, Fr
             exps[2 * j - 2] += e * inst.m[j - 1]
             exps[2 * k - 1] += e
             coeff *= inst.lc[j - 1] ** e
-    return AMonomial._of(exps), coeff
+    return _new(AMonomial, exps), coeff
 
 
 def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> PMonomial:
@@ -320,7 +321,7 @@ def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> PMonomial:
         uexp[u_position(d, i, k)] += 1
         xexp[i - 1] -= inst.m[i - 1]
         yexp[k - 1] -= 1
-    return PMonomial._of(uexp + xexp)
+    return _new(PMonomial, uexp + xexp)
 
 
 def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polynomial:
@@ -407,7 +408,7 @@ def _monomials_up_to_degree(d: int, bound: int) -> list[AMonomial]:
     def fill(idx: int, remaining: int, acc: list):
         # acc lists the exponents in storage order (x1, y1, ..., xd, yd)
         if idx == 2 * d:
-            out.append(AMonomial._of(acc))
+            out.append(_new(AMonomial, acc))
             return
         for e in range(remaining, -1, -1):
             acc.append(e)

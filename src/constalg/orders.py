@@ -70,18 +70,6 @@ def dill_key(mono: PMonomial, variant: str = CORRECTED) -> tuple:
     raise ValueError(f"unknown order variant {variant!r}")
 
 
-def dill_compare(v: PMonomial, w: PMonomial, variant: str = CORRECTED) -> int:
-    """-1, 0 or 1 as v < w, v == w or v > w; equal only for identical monomials."""
-    if len(v) != len(w):
-        raise ValueError("cannot compare monomials of different dimension")
-    kv, kw = dill_key(v, variant), dill_key(w, variant)
-    if kv < kw:
-        return -1
-    if kv > kw:
-        return 1
-    return 0
-
-
 class DillOrder:
     """Order handle for ring P monomials.
 

@@ -80,6 +80,9 @@ def u_position(d: int, j: int, k: int) -> int:
     return (j - 1) * (2 * d - j) // 2 + k - j - 1
 
 
+# Unchecked monomial constructor _new(cls, exps), also used by the hot paths of
+# derivation, presentation and normal_words: exps must be nonnegative and in
+# cls's storage layout.
 _new = tuple.__new__
 
 
@@ -91,11 +94,6 @@ class _Monomial(tuple):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def _of(cls, exps) -> "_Monomial":
-        """Unchecked constructor from an exponent iterable in storage layout."""
-        return _new(cls, exps)
 
     def degree(self) -> int:
         return sum(self)
@@ -220,14 +218,6 @@ def _layout(ring: Ring) -> tuple:
 def _monomial_matches_ring(mono, ring: Ring) -> bool:
     cls, width = _layout(ring)
     return isinstance(mono, cls) and len(mono) == width
-
-
-def _var_power(ring: Ring, pos: int, exp: int):
-    """The monomial whose exponent tuple is `exp` at `pos` and zero elsewhere."""
-    cls, width = _layout(ring)
-    exps = [0] * width
-    exps[pos] = exp
-    return _new(cls, exps)
 
 
 def _x_position(ring: Ring, i: int) -> int:
@@ -427,24 +417,15 @@ def univariate(ring: Ring, i: int, terms) -> Polynomial:
     """The polynomial sum of coeff * x_i^power over the (power, coeff) pairs of `terms`."""
     if not (1 <= i <= ring.d):
         raise ValueError(f"index {i} out of range 1..{ring.d}")
+    cls, width = _layout(ring)
+    exps = [0] * width
     pos = _x_position(ring, i)
     out = {}
     for power, coeff in terms:
         if coeff:
-            out[_var_power(ring, pos, power)] = Fraction(coeff)
+            exps[pos] = power
+            out[_new(cls, exps)] = Fraction(coeff)
     return Polynomial._make(ring, out)
-
-
-def x_var(ring: Ring, i: int, exp: int = 1) -> Polynomial:
-    return univariate(ring, i, ((exp, 1),))
-
-
-def y_var(ring: Ring, i: int, exp: int = 1) -> Polynomial:
-    if ring.flavor != RING_A:
-        raise ValueError("y variables only exist in ring A")
-    if not (1 <= i <= ring.d):
-        raise ValueError(f"index {i} out of range 1..{ring.d}")
-    return Polynomial._make(ring, {_var_power(ring, 2 * i - 1, exp): Fraction(1)})
 
 
 def u_var(ring: Ring, j: int, k: int, exp: int = 1) -> Polynomial:

@@ -28,7 +28,7 @@ from math import comb
 
 from .derivation import ProblemInstance
 from .errors import BudgetExceededError, RingMismatchError
-from .poly import AMonomial, PMonomial, Polynomial, mul_terms, u_pairs, u_var, univariate
+from .poly import AMonomial, PMonomial, Polynomial, _new, mul_terms, u_pairs, u_var, univariate
 
 # Most relations `build_relations` may build: C(24,4) + C(24,3), so d <= 24.
 MAX_RELATIONS = 12_650
@@ -87,7 +87,7 @@ def build_generators(inst: ProblemInstance) -> GeneratorTable:
             for power, c in enumerate(rows[i - 1]):
                 if c:
                     exps[2 * i - 2] = power
-                    terms[AMonomial._of(exps)] = sign * c
+                    terms[_new(AMonomial, exps)] = sign * c
         scaled[(j, k)] = terms
     return GeneratorTable(inst, scaled)
 
@@ -116,7 +116,7 @@ def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:
     pairs = u_pairs(d)
     exps = [0] * (2 * d)
     exps[0::2] = mono[len(pairs):]
-    terms = {AMonomial._of(exps): 1}
+    terms = {_new(AMonomial, exps): 1}
     for (j, k), e in zip(pairs, mono):
         if e:
             terms = mul_terms(terms, table.scaled_power(j, k, e))

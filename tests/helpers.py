@@ -17,9 +17,8 @@ from constalg import (
     ring_p,
     s_polynomial,
     u_pairs,
-    y_var,
 )
-from constalg.poly import leading_term
+from constalg.poly import _new, leading_term, univariate
 
 
 def random_instance(rng, d, max_m=4, coeff_bound=5, dense=False):
@@ -174,16 +173,28 @@ def reference_pair_outcomes(relations, order):
 # `apply_delta`, so it shares neither the generator table nor `is_constant`.
 
 
+def f_poly(inst, i):
+    """f_i(x_i) as an element of ring A; i is 1-based."""
+    return univariate(inst.ring_a, i, enumerate(inst.f[i - 1]))
+
+
+def y_poly(ring, k):
+    """The variable y_k of ring A."""
+    yexp = [0] * ring.d
+    yexp[k - 1] = 1
+    return Polynomial.from_term(ring, AMonomial((0,) * ring.d, yexp), 1)
+
+
 def reference_image(inst, mono):
     """pi(mono) over Fraction, multiplied out from fresh Fraction generators."""
     ring = inst.ring_a
     pairs = u_pairs(inst.d)
     exps = [0] * (2 * inst.d)
     exps[0::2] = mono[len(pairs):]
-    image = Polynomial.from_term(ring, AMonomial._of(exps), 1)
+    image = Polynomial.from_term(ring, _new(AMonomial, exps), 1)
     for (j, k), e in zip(pairs, mono):
         if e:
-            u = inst.f_polynomial(j) * y_var(ring, k) - inst.f_polynomial(k) * y_var(ring, j)
+            u = f_poly(inst, j) * y_poly(ring, k) - f_poly(inst, k) * y_poly(ring, j)
             image = image * u**e
     return image
 

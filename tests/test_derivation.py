@@ -19,7 +19,7 @@ from constalg import (
     u_pairs,
 )
 from constalg.derivation import delta_terms
-from helpers import random_apoly, random_instance
+from helpers import f_poly, random_apoly, random_instance
 
 
 def test_instance_fields():
@@ -76,6 +76,32 @@ def test_instance_json_rejects_floats_and_garbage():
         ProblemInstance.from_json_dict({"d": 2})
     with pytest.raises(InstanceError):
         ProblemInstance.from_json_dict([1, 2])
+
+
+def test_from_coeffs_accepts_ints_fractions_and_rational_strings():
+    inst = ProblemInstance.from_coeffs(1, [[Fraction(1, 2), "3/2", -2]])
+    assert inst.f == ((Fraction(1, 2), Fraction(3, 2), Fraction(-2)),)
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [
+        (1.5, "coefficient 1.5 must be an integer or a rational string like '3/2'"),
+        (True, "coefficient True is not an exact rational"),
+        ("abc", "bad rational literal 'abc'"),
+        ("1/0", "bad rational literal '1/0'"),
+    ],
+    ids=["float", "bool", "bad-literal", "zero-denominator"],
+)
+def test_from_coeffs_rejects_what_instance_files_reject(coeff, message):
+    # the library path applies the same check as `from_json_dict`
+    for build in (
+        lambda: ProblemInstance.from_coeffs(1, [[0, coeff]]),
+        lambda: ProblemInstance.from_json_dict({"d": 1, "f": [[0, coeff]]}),
+    ):
+        with pytest.raises(InstanceError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
 
 def test_apply_delta_on_y():
@@ -160,7 +186,7 @@ def test_f_adic_example():
     inst = ProblemInstance.from_coeffs(1, [[1, 0, 1]])
     layers = f_adic_expand(inst, 1, parse_poly("x1^3", "A", 1))
     assert layers == [parse_poly("-x1", "A", 1), parse_poly("x1", "A", 1)]
-    fpoly = inst.f_polynomial(1)
+    fpoly = f_poly(inst, 1)
     total = Polynomial.zero(inst.ring_a)
     for n, q in enumerate(layers):
         total = total + q * fpoly**n
@@ -171,7 +197,7 @@ def test_f_adic_constant_and_tautology():
     inst = ProblemInstance.from_coeffs(2, [[0, 1, 2], [0, 1]])
     c = Polynomial.constant(inst.ring_a, Fraction(5, 3))
     assert f_adic_expand(inst, 1, c) == [c]
-    f1 = inst.f_polynomial(1)
+    f1 = f_poly(inst, 1)
     assert f_adic_expand(inst, 1, f1) == [
         Polynomial.zero(inst.ring_a),
         Polynomial.constant(inst.ring_a, 1),
@@ -200,7 +226,7 @@ def test_f_adic_round_trip_randomized():
                 g = g + parse_poly(f"x{i}^{power}", "A", d) * c
         layers = f_adic_expand(inst, i, g)
         mi = inst.m[i - 1]
-        fpoly = inst.f_polynomial(i)
+        fpoly = f_poly(inst, i)
         total = Polynomial.zero(ring)
         for n, q in enumerate(layers):
             assert q.degree() < mi

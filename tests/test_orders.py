@@ -10,7 +10,6 @@ from constalg import (
     AMonomial,
     LexOrder,
     PMonomial,
-    dill_compare,
     dill_key,
     leading_term,
     parse_poly,
@@ -27,24 +26,24 @@ def mono(text, d):
 
 def test_interval_length_decides():
     # clause: larger total interval length wins once u-degrees tie
-    assert dill_compare(mono("u1_3*u2_4", 4), mono("u1_2*u3_4", 4)) == 1
+    assert dill_key(mono("u1_3*u2_4", 4)) > dill_key(mono("u1_2*u3_4", 4))
 
 
 def test_corrected_tie_break_prefers_earlier_pair():
     # q, L, p all tie; u1_3 precedes u1_4 in the variable precedence
-    assert dill_compare(mono("u1_3*u2_4", 4), mono("u1_4*u2_3", 4)) == 1
+    assert dill_key(mono("u1_3*u2_4", 4)) > dill_key(mono("u1_4*u2_3", 4))
 
 
 def test_literal_tie_break_flips_the_quadratic_lead():
-    assert dill_compare(mono("u1_3*u2_4", 4), mono("u1_4*u2_3", 4), LITERAL) == -1
+    assert dill_key(mono("u1_3*u2_4", 4), LITERAL) < dill_key(mono("u1_4*u2_3", 4), LITERAL)
 
 
 def test_literal_compares_x_degree_first():
     # x-degree dominates under the literal clause order, u-degree under corrected
     a = mono("x1^3*u2_3", 3)
     b = mono("x2*u1_3", 3)
-    assert dill_compare(a, b, LITERAL) == 1
-    assert dill_compare(a, b, CORRECTED) == -1
+    assert dill_key(a, LITERAL) > dill_key(b, LITERAL)
+    assert dill_key(a, CORRECTED) < dill_key(b, CORRECTED)
 
 
 def test_mixed_relation_lead_decided_at_interval_length():
@@ -63,12 +62,7 @@ def test_equal_only_for_identical():
         v = random_pmonomial(rng, 4)
         w = random_pmonomial(rng, 4)
         for variant in (CORRECTED, LITERAL):
-            c = dill_compare(v, w, variant)
-            if v == w:
-                assert c == 0
-            else:
-                assert c != 0
-                assert dill_compare(w, v, variant) == -c
+            assert (dill_key(v, variant) == dill_key(w, variant)) == (v == w)
 
 
 def test_transitivity_randomized():
@@ -88,8 +82,8 @@ def test_multiplicativity_randomized():
         v = random_pmonomial(rng, 4, max_x=2, max_u=2, max_factors=2)
         w = random_pmonomial(rng, 4, max_x=2, max_u=2, max_factors=2)
         z = random_pmonomial(rng, 4, max_x=2, max_u=2, max_factors=2)
-        c = dill_compare(v, w)
-        assert dill_compare(v.mul(z), w.mul(z)) == c
+        kv, kw, kvz, kwz = (dill_key(m) for m in (v, w, v.mul(z), w.mul(z)))
+        assert (kvz > kwz, kvz == kwz) == (kv > kw, kv == kw)
 
 
 def test_unit_minimality():
@@ -98,7 +92,7 @@ def test_unit_minimality():
     for _ in range(10_000):
         v = random_pmonomial(rng, 4)
         if v != one:
-            assert dill_compare(v, one) == 1
+            assert dill_key(v) > dill_key(one)
 
 
 def test_key_of_product_adds_componentwise():

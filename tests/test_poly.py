@@ -20,10 +20,8 @@ from constalg import (
     ring_p,
     u_pairs,
     u_var,
-    x_var,
-    y_var,
 )
-from constalg.poly import int_terms, parse_poly_int
+from constalg.poly import int_terms, parse_poly_int, univariate
 from helpers import random_apoly, random_ppoly
 
 
@@ -53,7 +51,10 @@ def test_add_doubling():
 
 
 def test_mul_basic():
-    assert x_var(ring_a(2), 1) * y_var(ring_a(2), 1) == parse_poly("x1*y1", "A", 2)
+    a2 = ring_a(2)
+    x1 = univariate(a2, 1, ((1, 1),))
+    y1 = Polynomial.from_term(a2, AMonomial((0, 0), (1, 0)), 1)
+    assert x1 * y1 == parse_poly("x1*y1", "A", 2)
 
 
 def test_mul_difference_of_squares():
@@ -224,14 +225,16 @@ def test_parse_rejects_bad_input():
 
 def test_parse_accepts_irregular_spellings():
     a2 = ring_a(2)
-    x1, y1, y2 = x_var(a2, 1), y_var(a2, 1), y_var(a2, 2)
+    x1 = univariate(a2, 1, ((1, 1),))
+    y1, y2 = (Polynomial.from_term(a2, AMonomial((0, 0), b), 1) for b in ((1, 0), (0, 1)))
     assert parse_poly("x01*y02", "A", 2) == x1 * y2
     assert parse_poly("x1^0002", "A", 2) == x1 * x1
     assert parse_poly("00/3*y1", "A", 2) == Polynomial.zero(a2)
     assert parse_poly("3/6*y1*y1", "A", 2) == y1 * y1 * Fraction(1, 2)
     assert parse_poly("0*x1 + x1^0", "A", 2) == Polynomial.constant(a2, 1)
     assert parse_poly("1/2*x1 - 1/2*x1", "A", 2) == Polynomial.zero(a2)
-    assert parse_poly("u01_002 + x02", "P", 2) == u_var(ring_p(2), 1, 2) + x_var(ring_p(2), 2)
+    x2 = univariate(ring_p(2), 2, ((1, 1),))
+    assert parse_poly("u01_002 + x02", "P", 2) == u_var(ring_p(2), 1, 2) + x2
 
 
 _SPACES =("", "", " ", "  ", "\t", "\n")
@@ -337,7 +340,7 @@ def test_integer_parse_over_its_denominator_is_parse_poly():
 
 def test_parse_accepts_whitespace_and_multidigit_indices():
     p = parse_poly("  2 * x10 ^ 2 - 1/3 ", "A", 12)
-    assert p == x_var(ring_a(12), 10, 2) * 2 - Polynomial.constant(ring_a(12), Fraction(1, 3))
+    assert p == univariate(ring_a(12), 10, ((2, 2), (0, Fraction(-1, 3))))
 
 
 def test_format_parse_round_trip_randomized():
