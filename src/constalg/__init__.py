@@ -37,7 +37,6 @@ from .groebner import (
 )
 from .normal_words import (
     IndependenceResult,
-    KernelBasis,
     count_normal_words,
     enumerate_normal_words,
     independence_check,

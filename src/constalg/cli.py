@@ -104,10 +104,10 @@ def _cmd_verify_gb(inst, args):
     cert = verify_groebner(inst, variant=_VARIANT_BY_FLAG[args.variant])
     if args.certificate:
         _write_output(args.certificate, json.dumps(cert.to_json_dict(), indent=2) + "\n")
-    conf = cert.conformance
     zero = sum(1 for p in cert.pairs if p.normal_form_zero)
     lines = [
-        f"lead conformance: {'ok' if conf.ok else 'FAILED'} ({len(conf.entries)} relations)",
+        f"lead conformance: {'ok' if cert.conformance_ok else 'FAILED'} "
+        f"({len(cert.conformance)} relations)",
         f"s-polynomial pairs: {zero}/{len(cert.pairs)} reduce to zero",
         f"reducedness: {'ok' if cert.reduced else 'FAILED'}",
     ]
@@ -136,9 +136,8 @@ def _cmd_rewrite(inst, args):
 
 
 def _cmd_kernel_dim(inst, args):
-    result = kernel_dim_oracle(inst, args.max_deg)
-    basis = map(format_poly, result.basis) if args.basis else []
-    return 0, [f"dimension: {result.dimension}", *basis]
+    basis = kernel_dim_oracle(inst, args.max_deg)
+    return 0, [f"dimension: {len(basis)}", *(map(format_poly, basis) if args.basis else [])]
 
 
 def _join_poly(argv) -> list:

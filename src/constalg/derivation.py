@@ -17,7 +17,7 @@ matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -46,16 +46,17 @@ def _coefficient(value) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(namedtuple("ProblemInstance", "d f")):
     """d plus the coefficient vectors of f_1..f_d (ascending degree, trimmed).
 
     Every f_i must be nonconstant: zero or constant f_i make the algebra
-    of constants degenerate and are rejected at construction.
+    of constants degenerate and are rejected at construction.  The derived
+    values `m`, `lc` and `integer_f` are computed on first use and kept in
+    the instance's `__dict__`; no attribute can be set.
     """
 
-    d: int
-    f: tuple[tuple[Fraction, ...], ...]
+    def __setattr__(self, name, value):
+        raise AttributeError("ProblemInstance is immutable")
 
     @cached_property
     def m(self) -> tuple[int, ...]:
@@ -95,6 +96,8 @@ class ProblemInstance:
             )
         rows = []
         for i, raw in enumerate(coeff_lists, start=1):
+            if not isinstance(raw, (list, tuple)):
+                raise InstanceError(f"coefficients of f_{i} must be a list or tuple, got {raw!r}")
             coeffs = [_coefficient(c) for c in raw]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()

@@ -15,7 +15,7 @@ cross-check: running it on the relation set must add nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from math import comb
@@ -139,12 +139,14 @@ def expected_lead(inst: ProblemInstance, family: str, indices) -> PMonomial:
     return PMonomial(xexp, (((i, k), 1),))
 
 
-@dataclass
-class LeadConformanceEntry:
-    label: str
-    expected: PMonomial
-    computed: PMonomial
-    ok: bool
+class LeadConformanceEntry(namedtuple("LeadConformanceEntry", "label expected computed")):
+    """A relation's computed lead next to the lead the pattern expects."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.computed == self.expected
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,58 +157,44 @@ class LeadConformanceEntry:
         }
 
 
-@dataclass
-class LeadConformanceReport:
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def violations(self) -> list[LeadConformanceEntry]:
-        return [e for e in self.entries if not e.ok]
-
-
 def verify_lead_conformance(
     inst: ProblemInstance, relations: RelationSet, variant: str = CORRECTED
-) -> LeadConformanceReport:
-    """Compare each relation's computed lead with the expected pattern."""
+) -> list[LeadConformanceEntry]:
+    """Compare each relation's computed lead with the expected pattern, R's first."""
     order = DillOrder(variant)
-    report = LeadConformanceReport()
-    for family, items in (("R", relations.quadratic), ("S", relations.mixed)):
-        for indices, poly in items:
-            computed, _ = leading_term(poly, order)
-            expected = expected_lead(inst, family, indices)
-            report.entries.append(
-                LeadConformanceEntry(
-                    relation_label(family, indices),
-                    expected,
-                    computed,
-                    computed == expected,
-                )
-            )
-    return report
+    return [
+        LeadConformanceEntry(
+            relation_label(family, indices),
+            expected_lead(inst, family, indices),
+            leading_term(poly, order)[0],
+        )
+        for family, items in (("R", relations.quadratic), ("S", relations.mixed))
+        for indices, poly in items
+    ]
 
 
 # -- pairwise verification ----------------------------------------------------
 
 
-@dataclass
-class PairOutcome:
+class PairOutcome(namedtuple("PairOutcome", "left right discharged_by")):
     """What became of the S-polynomial of one pair of basis elements.
 
-    `normal_form_zero` says that S(left, right) reduces to zero.  For a pair
-    with coprime leads that holds by Buchberger's first criterion (S(g, h)
-    reduces to zero modulo {g, h}), and no reduction runs; `discharged_by`
-    records which: "coprime", "reduction", or None when the remainder of
-    the reduction was nonzero.
+    `discharged_by` is "coprime" when the leads are coprime: then S(left,
+    right) reduces to zero by Buchberger's first criterion (S(g, h)
+    reduces to zero modulo {g, h}) and no reduction runs.  It is
+    "reduction" when the reduction against the basis gave zero, and None
+    when its remainder was nonzero.  The two flags follow from it.
     """
 
-    left: str
-    right: str
-    coprime_leads: bool
-    normal_form_zero: bool
-    discharged_by: str | None = None
+    __slots__ = ()
+
+    @property
+    def coprime_leads(self) -> bool:
+        return self.discharged_by == "coprime"
+
+    @property
+    def normal_form_zero(self) -> bool:
+        return self.discharged_by is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,14 +206,24 @@ class PairOutcome:
         }
 
 
-@dataclass
-class GroebnerCertificate:
-    instance: ProblemInstance
-    variant: str
-    conformance: LeadConformanceReport
-    pairs: list
-    reduced: bool
-    verdict: bool
+class GroebnerCertificate(
+    namedtuple("GroebnerCertificate", "instance variant conformance pairs reduced")
+):
+    """The lead-conformance entries, the pair outcomes and reducedness of one check.
+
+    The verdict holds when every lead conforms, every pair reduces to zero
+    and the basis is reduced.
+    """
+
+    __slots__ = ()
+
+    @property
+    def conformance_ok(self) -> bool:
+        return all(e.ok for e in self.conformance)
+
+    @property
+    def verdict(self) -> bool:
+        return self.conformance_ok and all(p.normal_form_zero for p in self.pairs) and self.reduced
 
     def first_failure(self) -> str | None:
         """The first reason the verdict is false, or None.
@@ -233,12 +231,12 @@ class GroebnerCertificate:
         A failing pair is always one whose leads are not coprime, because
         coprime pairs are discharged by the criterion.
         """
-        if not self.conformance.ok:
-            bad = self.conformance.violations()[0]
-            return (
-                f"lead of {bad.label} is {format_monomial(bad.computed)}, "
-                f"expected {format_monomial(bad.expected)}"
-            )
+        for bad in self.conformance:
+            if not bad.ok:
+                return (
+                    f"lead of {bad.label} is {format_monomial(bad.computed)}, "
+                    f"expected {format_monomial(bad.expected)}"
+                )
         for pair in self.pairs:
             if not pair.normal_form_zero:
                 return f"s-polynomial of ({pair.left}, {pair.right}) does not reduce to zero"
@@ -251,8 +249,8 @@ class GroebnerCertificate:
             "instance": self.instance.to_json_dict(),
             "variant": self.variant,
             "lead_conformance": {
-                "ok": self.conformance.ok,
-                "entries": [e.to_json_dict() for e in self.conformance.entries],
+                "ok": self.conformance_ok,
+                "entries": [e.to_json_dict() for e in self.conformance],
             },
             "pairs": [p.to_json_dict() for p in self.pairs],
             "reduced": self.reduced,
@@ -283,7 +281,7 @@ def verify_groebner(
 ) -> GroebnerCertificate:
     """Check that the relation set is a reduced Groebner basis.
 
-    A failed lead-conformance report aborts the pair phase; the verdict is
+    A lead that does not conform aborts the pair phase; the verdict is
     then false.  Pairs with coprime leads are discharged by Buchberger's
     first criterion; every other S-polynomial is fully reduced against the
     basis.  More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError
@@ -300,29 +298,19 @@ def verify_groebner(
     labels = [label for label, _ in labeled]
     basis = [poly for _, poly in labeled]
     pairs: list[PairOutcome] = []
-    if conformance.ok and len(basis) >= 2:
+    if all(e.ok for e in conformance) and len(basis) >= 2:
         leads = LeadTable(basis, order)
         for i, (lmg, _, g) in enumerate(leads.entries):
             for j in range(i + 1, len(basis)):
                 lmh, _, h = leads.entries[j]
-                coprime = lmg.lcm(lmh) == lmg.mul(lmh)
                 spoly = s_polynomial(g, h, order)
-                if coprime:
-                    zero, discharged_by = True, "coprime"
+                if lmg.lcm(lmh) == lmg.mul(lmh):
+                    discharged_by = "coprime"
                 else:
-                    zero = reduce(spoly, leads, order).is_zero()
-                    discharged_by = "reduction" if zero else None
-                pairs.append(PairOutcome(labels[i], labels[j], coprime, zero, discharged_by))
+                    discharged_by = "reduction" if reduce(spoly, leads, order).is_zero() else None
+                pairs.append(PairOutcome(labels[i], labels[j], discharged_by))
     reduced = verify_reduced(basis, order) if basis else True
-    verdict = conformance.ok and all(p.normal_form_zero for p in pairs) and reduced
-    return GroebnerCertificate(
-        instance=inst,
-        variant=variant,
-        conformance=conformance,
-        pairs=pairs,
-        reduced=reduced,
-        verdict=verdict,
-    )
+    return GroebnerCertificate(inst, variant, conformance, pairs, reduced)
 
 
 # -- generic completion --------------------------------------------------------

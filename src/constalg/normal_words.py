@@ -28,7 +28,7 @@ of the normal-word machinery.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 from operator import add, neg
@@ -429,14 +429,8 @@ def _normalize_vector_poly(ring, cols, vector) -> Polynomial:
     return poly
 
 
-@dataclass
-class KernelBasis:
-    dimension: int
-    basis: list
-
-
-def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> KernelBasis:
-    """Exact basis of the constants of degree <= max_degree.
+def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> list[Polynomial]:
+    """Exact basis of the constants of degree <= max_degree; its length is the dimension.
 
     Brute force: the derivation is a linear map from the degree slice into
     a higher slice; its nullspace is computed by fraction-free elimination.
@@ -456,14 +450,13 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> KernelBasis:
     vectors = linalg.nullspace(list(rows.values()), len(cols))
     basis = [_normalize_vector_poly(inst.ring_a, cols, vec) for vec in vectors]
     basis.sort(key=lambda p: leading_term(p, LexOrder())[0], reverse=True)
-    return KernelBasis(dimension=len(basis), basis=basis)
+    return basis
 
 
-@dataclass
-class IndependenceResult:
-    word_count: int
-    rank: int
-    leads_pairwise_distinct: bool
+class IndependenceResult(
+    namedtuple("IndependenceResult", "word_count rank leads_pairwise_distinct")
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -495,6 +488,4 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
     matrix_rank = linalg.rank(rows, len(col_index))
     leads = [lead_of_image(inst, w)[0] for w in words]
     distinct = len(set(leads)) == len(leads)
-    return IndependenceResult(
-        word_count=len(words), rank=matrix_rank, leads_pairwise_distinct=distinct
-    )
+    return IndependenceResult(len(words), matrix_rank, distinct)

@@ -27,7 +27,7 @@ plain tuple order is the lexicographic order the rings use:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -39,18 +39,17 @@ RING_A = "A"
 RING_P = "P"
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(namedtuple("Ring", "flavor d")):
     """Ring descriptor: flavor 'A' or 'P' plus the dimension d."""
 
-    flavor: str
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.flavor not in (RING_A, RING_P):
-            raise ValueError(f"unknown ring flavor {self.flavor!r}")
-        if self.d < 1:
+    def __new__(cls, flavor: str, d: int):
+        if flavor not in (RING_A, RING_P):
+            raise ValueError(f"unknown ring flavor {flavor!r}")
+        if d < 1:
             raise ValueError("ring dimension d must be >= 1")
+        return tuple.__new__(cls, (flavor, d))
 
 
 def ring_a(d: int) -> Ring:
@@ -220,6 +219,13 @@ def _monomial_matches_ring(mono, ring: Ring) -> bool:
     return isinstance(mono, cls) and len(mono) == width
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; a float or a bool is no exact coefficient and raises TypeError."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"coefficient {value!r} is not an exact rational")
+    return Fraction(value)
+
+
 def _x_position(ring: Ring, i: int) -> int:
     d = ring.d
     return 2 * i - 2 if ring.flavor == RING_A else d * (d - 1) // 2 + i - 1
@@ -243,7 +249,7 @@ class Polynomial:
                         f"monomial {mono!r} does not belong to ring {ring}"
                     )
                 if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
+                    coeff = _exact(coeff)
                 if coeff:
                     normalized[mono] = coeff
         object.__setattr__(self, "ring", ring)
@@ -273,11 +279,11 @@ class Polynomial:
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
         mono = AMonomial.one(ring.d) if ring.flavor == RING_A else PMonomial.one(ring.d)
-        return Polynomial(ring, {mono: Fraction(value)})
+        return Polynomial(ring, {mono: value})
 
     @staticmethod
     def from_term(ring: Ring, mono, coeff) -> "Polynomial":
-        return Polynomial(ring, {mono: Fraction(coeff)})
+        return Polynomial(ring, {mono: coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -345,7 +351,7 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(other))
+            return self.scale(1 / _exact(other))
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -362,14 +368,14 @@ class Polynomial:
         return result
 
     def scale(self, factor) -> "Polynomial":
-        factor = Fraction(factor)
+        factor = _exact(factor)
         if not factor:
             return Polynomial.zero(self.ring)
         return Polynomial._make(self.ring, {m: c * factor for m, c in self.terms.items()})
 
     def mul_term(self, mono, coeff) -> "Polynomial":
         """Multiply by the single term coeff * mono (fast path for reducers)."""
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return Polynomial.zero(self.ring)
         return Polynomial._make(
@@ -422,9 +428,10 @@ def univariate(ring: Ring, i: int, terms) -> Polynomial:
     pos = _x_position(ring, i)
     out = {}
     for power, coeff in terms:
+        coeff = _exact(coeff)
         if coeff:
             exps[pos] = power
-            out[_new(cls, exps)] = Fraction(coeff)
+            out[_new(cls, exps)] = coeff
     return Polynomial._make(ring, out)
 
 

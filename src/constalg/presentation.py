@@ -21,7 +21,7 @@ polynomials over Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -149,17 +149,16 @@ def mixed_relation(inst: ProblemInstance, i: int, j: int, k: int) -> Polynomial:
     return fi * u_var(ring, j, k) - fj * u_var(ring, i, k) + fk * u_var(ring, i, j)
 
 
-@dataclass
-class RelationSet:
+class RelationSet(namedtuple("RelationSet", "quadratic mixed")):
     """The full relation families, in lexicographic index order.
 
     quadratic holds (indices, r(i,j,k,l)) for all i<j<k<l; mixed holds
     (indices, s(i,j,k)) for all i<j<k.  Every polynomial maps to zero
-    under pi.
+    under pi.  `len` counts the relations, not the two families, so the
+    namedtuple helpers `_make` and `_replace` do not apply.
     """
 
-    quadratic: list = field(default_factory=list)
-    mixed: list = field(default_factory=list)
+    __slots__ = ()
 
     def labeled(self) -> list[tuple[str, Polynomial]]:
         out = [(relation_label("R", idx), p) for idx, p in self.quadratic]
@@ -187,9 +186,8 @@ def build_relations(inst: ProblemInstance) -> RelationSet:
     count = relation_count(inst.d)
     if count > MAX_RELATIONS:
         raise BudgetExceededError(f"d={inst.d} has {count} relations, more than {MAX_RELATIONS}")
-    relations = RelationSet()
-    for idx in combinations(range(1, inst.d + 1), 4):
-        relations.quadratic.append((idx, quadratic_relation(inst, *idx)))
-    for idx in combinations(range(1, inst.d + 1), 3):
-        relations.mixed.append((idx, mixed_relation(inst, *idx)))
-    return relations
+    indices = range(1, inst.d + 1)
+    return RelationSet(
+        [(idx, quadratic_relation(inst, *idx)) for idx in combinations(indices, 4)],
+        [(idx, mixed_relation(inst, *idx)) for idx in combinations(indices, 3)],
+    )

@@ -72,8 +72,8 @@ def test_criterion_2_lead_conformance():
     started = time.monotonic()
     violations = 0
     for inst in sweep_instances():
-        report = verify_lead_conformance(inst, build_relations(inst), CORRECTED)
-        violations += len(report.violations())
+        entries = verify_lead_conformance(inst, build_relations(inst), CORRECTED)
+        violations += sum(not e.ok for e in entries)
     _report(2, "lead conformance", violations == 0, started)
 
 
@@ -128,8 +128,8 @@ def test_criterion_6_constructive_generation():
     inst = instance_with_degrees(rng, (1, 2, 2))
     table = build_generators(inst)
     kernel = kernel_dim_oracle(inst, 5)
-    ok = kernel.dimension > 0
-    for g in kernel.basis:
+    ok = len(kernel) > 0
+    for g in kernel:
         h = rewrite_constant(inst, g)
         if pi_substitute(table, h) != g:
             ok = False

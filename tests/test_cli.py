@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +408,31 @@ def test_module_entry_point(instance_file):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "constant"
+
+
+def test_cli_runs_without_dataclasses_or_inspect():
+    # Without site (-S) a fresh interpreter imports only what constalg needs;
+    # the records are namedtuple subclasses, so `dataclasses` and the
+    # `inspect` it pulls in stay unloaded.
+    golden = Path(__file__).parent / "golden"
+    instance = str(golden / "nowicki4.json")
+    argvs = [
+        ["verify-gb", "--instance", instance],
+        ["kernel-dim", "--instance", instance, "--max-deg", "5", "--basis"],
+    ]
+    script = (
+        "import sys\n"
+        "from constalg import cli\n"
+        f"codes = [cli.run(argv) for argv in {argvs!r}]\n"
+        "loaded = [name for name in ('dataclasses', 'inspect') if name in sys.modules]\n"
+        "print(codes, loaded, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert result.stderr == "[0, 0] []\n"
+    expected = [golden / "nowicki4.corrected.stdout", golden / "nowicki4.kernel-dim.5.stdout"]
+    assert result.stdout == "".join(path.read_text() for path in expected)

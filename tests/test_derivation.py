@@ -78,30 +78,55 @@ def test_instance_json_rejects_floats_and_garbage():
         ProblemInstance.from_json_dict([1, 2])
 
 
+def test_instance_is_an_immutable_value_with_lazy_fields():
+    inst = ProblemInstance.from_coeffs(2, [["1/2", 1], [0, 0, 3]])
+    twin = ProblemInstance.from_coeffs(2, [[Fraction(1, 2), 1], [0, 0, 3]])
+    assert inst == twin and hash(inst) == hash(twin)
+    assert inst != ProblemInstance.from_coeffs(2, [["1/2", 1], [0, 0, 4]])
+    assert repr(inst) == (
+        "ProblemInstance(d=2, f=((Fraction(1, 2), Fraction(1, 1)), "
+        "(Fraction(0, 1), Fraction(0, 1), Fraction(3, 1))))"
+    )
+    assert "m" not in vars(inst)  # computed on first use
+    assert (inst.m, inst.lc, inst.integer_f) == ((1, 2), (1, 3), (2, ((1, 2), (0, 0, 6))))
+    assert inst.m is inst.m
+    for name in ("d", "f", "m", "integer_f", "other"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, 1)
+    assert inst.m == (1, 2) and not hasattr(inst, "other")
+
+
 def test_from_coeffs_accepts_ints_fractions_and_rational_strings():
     inst = ProblemInstance.from_coeffs(1, [[Fraction(1, 2), "3/2", -2]])
     assert inst.f == ((Fraction(1, 2), Fraction(3, 2), Fraction(-2)),)
+    assert ProblemInstance.from_coeffs(1, [(Fraction(1, 2), "3/2", -2)]) == inst
 
 
 @pytest.mark.parametrize(
-    "coeff, message",
+    "vector, message",
     [
-        (1.5, "coefficient 1.5 must be an integer or a rational string like '3/2'"),
-        (True, "coefficient True is not an exact rational"),
-        ("abc", "bad rational literal 'abc'"),
-        ("1/0", "bad rational literal '1/0'"),
+        ([0, 1.5], "coefficient 1.5 must be an integer or a rational string like '3/2'"),
+        ([0, True], "coefficient True is not an exact rational"),
+        ([0, "abc"], "bad rational literal 'abc'"),
+        ([0, "1/0"], "bad rational literal '1/0'"),
+        ("12", "coefficients of f_1 must be a list or tuple, got '12'"),
+        ({0: 1, 1: 2}, "coefficients of f_1 must be a list or tuple, got {0: 1, 1: 2}"),
     ],
-    ids=["float", "bool", "bad-literal", "zero-denominator"],
+    ids=["float", "bool", "bad-literal", "zero-denominator", "string-vector", "dict-vector"],
 )
-def test_from_coeffs_rejects_what_instance_files_reject(coeff, message):
-    # the library path applies the same check as `from_json_dict`
-    for build in (
-        lambda: ProblemInstance.from_coeffs(1, [[0, coeff]]),
-        lambda: ProblemInstance.from_json_dict({"d": 1, "f": [[0, coeff]]}),
+def test_from_coeffs_rejects_what_instance_files_reject(vector, message):
+    # the library path applies the same checks as `from_json_dict`, whose
+    # own shape check names the field for a vector that is not a list
+    file_message = message
+    if not isinstance(vector, list):
+        file_message = "field 'f' must be a list of coefficient lists"
+    for build, expected in (
+        (lambda: ProblemInstance.from_coeffs(1, [vector]), message),
+        (lambda: ProblemInstance.from_json_dict({"d": 1, "f": [vector]}), file_message),
     ):
         with pytest.raises(InstanceError) as excinfo:
             build()
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == expected
 
 
 def test_apply_delta_on_y():

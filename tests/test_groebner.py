@@ -24,7 +24,7 @@ from constalg import (
     verify_reduced,
 )
 from constalg import groebner
-from constalg.poly import leading_term
+from constalg.poly import format_monomial, leading_term
 from helpers import (
     instance_with_degrees,
     random_instance,
@@ -36,6 +36,24 @@ from helpers import (
 
 def classical(d):
     return ProblemInstance.from_coeffs(d, [[0, 1]] * d)
+
+
+def assert_certificate_fields_agree(cert, relations, order):
+    """The flags of the certificate JSON agree with the leads, `discharged_by` and `reduced`."""
+    data = cert.to_json_dict()
+    leads = {label: leading_term(p, order)[0] for label, p in relations.labeled()}
+    conformance = data["lead_conformance"]
+    for entry in conformance["entries"]:
+        assert entry["computed"] == format_monomial(leads[entry["relation"]])
+        assert entry["ok"] == (entry["computed"] == entry["expected"])
+    assert conformance["ok"] == all(e["ok"] for e in conformance["entries"])
+    for entry in data["pairs"]:
+        lmg, lmh = leads[entry["left"]], leads[entry["right"]]
+        coprime = lmg.lcm(lmh) == lmg.mul(lmh)
+        assert entry["coprime_leads"] == coprime == (entry["discharged_by"] == "coprime")
+        assert entry["normal_form_zero"] == (entry["discharged_by"] is not None)
+    zero = all(e["normal_form_zero"] for e in data["pairs"])
+    assert data["verdict"] == (conformance["ok"] and zero and data["reduced"])
 
 
 def test_reduce_self_to_zero():
@@ -137,16 +155,16 @@ def test_lead_conformance_corrected():
     rng = random.Random(103)
     for d in (3, 4, 5):
         inst = random_instance(rng, d)
-        report = verify_lead_conformance(inst, build_relations(inst))
-        assert report.ok
-        assert len(report.entries) == len(build_relations(inst))
+        entries = verify_lead_conformance(inst, build_relations(inst))
+        assert all(e.ok for e in entries)
+        assert len(entries) == len(build_relations(inst))
 
 
 def test_lead_conformance_literal_flags_quadratic_leads():
     inst = classical(4)
-    report = verify_lead_conformance(inst, build_relations(inst), LITERAL)
-    assert not report.ok
-    bad = {e.label: e for e in report.violations()}
+    entries = verify_lead_conformance(inst, build_relations(inst), LITERAL)
+    assert not all(e.ok for e in entries)
+    bad = {e.label: e for e in entries if not e.ok}
     assert "R(1,2,3,4)" in bad
     assert bad["R(1,2,3,4)"].computed == PMonomial(
         (0,) * 4, (((1, 4), 1), ((2, 3), 1))
@@ -155,8 +173,8 @@ def test_lead_conformance_literal_flags_quadratic_leads():
 
 def test_lead_conformance_literal_flags_mixed_leads():
     inst = ProblemInstance.from_coeffs(3, [[0, 0, 0, 1], [0, 1], [0, 1]])  # m=(3,1,1)
-    report = verify_lead_conformance(inst, build_relations(inst), LITERAL)
-    bad = {e.label: e for e in report.violations()}
+    entries = verify_lead_conformance(inst, build_relations(inst), LITERAL)
+    bad = {e.label: e for e in entries if not e.ok}
     assert "S(1,2,3)" in bad
     assert bad["S(1,2,3)"].computed == PMonomial((3, 0, 0), (((2, 3), 1),))
 
@@ -187,7 +205,7 @@ def test_verify_groebner_random_instances():
 def test_verify_groebner_literal_fails_conformance_gate():
     cert = verify_groebner(classical(4), variant=LITERAL)
     assert not cert.verdict
-    assert not cert.conformance.ok
+    assert not cert.conformance_ok
     assert cert.pairs == []  # pair phase aborted
     assert "lead of" in cert.first_failure()
 
@@ -201,7 +219,8 @@ def test_verify_groebner_unreduced_basis_first_failure():
     summed = mixed[(1, 2, 3)] + mixed[(2, 3, 4)]
     broken = RelationSet(full.quadratic, [((1, 2, 3), summed), *full.mixed[1:]])
     cert = verify_groebner(inst, relations=broken)
-    assert cert.conformance.ok
+    assert_certificate_fields_agree(cert, broken, DillOrder())
+    assert cert.conformance_ok
     assert all(p.normal_form_zero for p in cert.pairs)
     assert not cert.reduced
     assert not cert.verdict
@@ -315,6 +334,10 @@ def test_coprime_pairs_reduce_to_zero_under_reference():
         assert cert.verdict
         basis = dict(relations.labeled())
         order = DillOrder()
+        assert_certificate_fields_agree(cert, relations, order)
+        paper = verify_groebner(inst, LITERAL, relations)
+        assert_certificate_fields_agree(paper, relations, DillOrder(LITERAL))
+        assert not paper.conformance_ok and not paper.verdict
         for pair in cert.pairs:
             if not pair.coprime_leads:
                 assert pair.discharged_by == "reduction"
@@ -332,7 +355,8 @@ def test_broken_relation_sets_match_reference_verdict():
         broken = RelationSet(full.quadratic, full.mixed[:dropped] + full.mixed[dropped + 1:])
         cert = verify_groebner(inst, relations=broken)
         reference = reference_pair_outcomes(broken, DillOrder())
-        assert cert.conformance.ok and cert.reduced
+        assert_certificate_fields_agree(cert, broken, DillOrder())
+        assert cert.conformance_ok and cert.reduced
         assert cert.verdict == all(reference.values())
         failed += not cert.verdict
         for pair in cert.pairs:

@@ -40,6 +40,44 @@ def test_scalar_mul_and_division():
         p / 0
 
 
+_P = parse_poly("x1*y2 - 3/2*x2", "A", 2)
+_MONO = AMonomial((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, 2.0, True, False], ids=["float", "whole-float", "true", "false"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: Polynomial(ring_a(2), {_MONO: v}),
+        lambda v: Polynomial.constant(ring_a(2), v),
+        lambda v: Polynomial.from_term(ring_a(2), _MONO, v),
+        lambda v: _P.scale(v),
+        lambda v: _P.mul_term(_MONO, v),
+        lambda v: univariate(ring_a(2), 1, [(2, 1), (1, v)]),
+        lambda v: _P * v,
+        lambda v: v * _P,
+        lambda v: _P / v,
+    ],
+    ids=["init", "constant", "from_term", "scale", "mul_term", "univariate", "mul", "rmul", "div"],
+)
+def test_floats_and_bools_are_no_coefficients(build, value):
+    # a float is inexact and a bool no number, so neither reaches a Fraction;
+    # the operators reject a float before they reach the check
+    with pytest.raises(TypeError, match="is not an exact rational|unsupported operand"):
+        build(value)
+
+
+def test_exact_coefficients_still_convert():
+    a2 = ring_a(2)
+    half = Fraction(1, 2)
+    assert Polynomial.constant(a2, "1/2") == Polynomial.constant(a2, half)
+    assert Polynomial.from_term(a2, _MONO, "-3") == Polynomial(a2, {_MONO: -3})
+    assert _P.scale("1/2") == _P.mul_term(AMonomial.one(2), half) == _P / 2
+    assert univariate(a2, 1, [(0, 0), (1, "1/2")]) == parse_poly("1/2*x1", "A", 2)
+
+
 def test_add_identity():
     p = parse_poly("x1*y2 - 3*x2", "A", 2)
     assert p + Polynomial.zero(ring_a(2)) == p
@@ -74,6 +112,18 @@ def test_ring_mismatch_rejected():
         parse_poly("x1", "A", 2) + parse_poly("x1", "A", 3)
     with pytest.raises(RingMismatchError):
         parse_poly("x1", "A", 2) * parse_poly("x1", "P", 2)
+
+
+def test_ring_is_an_immutable_value():
+    ring = ring_a(2)
+    assert ring == ring_a(2) and hash(ring) == hash(ring_a(2))
+    assert ring != ring_p(2) and ring != ring_a(3)
+    assert repr(ring) == "Ring(flavor='A', d=2)"
+    with pytest.raises(AttributeError):
+        ring.d = 3
+    with pytest.raises(RingMismatchError) as excinfo:
+        parse_poly("x1", "A", 2) + parse_poly("x1", "A", 3)
+    assert "over Ring(flavor='A', d=2) and Ring(flavor='A', d=3)" in str(excinfo.value)
 
 
 def test_ring_axioms_randomized():

@@ -121,6 +121,8 @@ def test_relation_counts():
 
         assert len(rel.quadratic) == comb(d, 4)
         assert len(rel.mixed) == comb(d, 3)
+        assert len(rel) == len(rel.labeled()) == comb(d, 4) + comb(d, 3)
+        assert rel == build_relations(inst)
 
 
 def test_relation_budget_admits_d24_and_refuses_d25(monkeypatch):
