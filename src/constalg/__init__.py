@@ -71,7 +71,7 @@ from .poly import (
 )
 from .presentation import (
     GeneratorTable,
-    RelationSet,
+    Relation,
     build_generators,
     build_relations,
     mixed_relation,

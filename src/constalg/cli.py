@@ -97,7 +97,7 @@ def _write_output(path, text: str) -> None:
 
 
 def _cmd_relations(inst, args):
-    return 0, (f"{label}: {format_poly(p)}" for label, p in build_relations(inst).labeled())
+    return 0, (f"{rel.label}: {format_poly(rel.poly)}" for rel in build_relations(inst))
 
 
 def _cmd_verify_gb(inst, args):

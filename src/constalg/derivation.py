@@ -118,7 +118,7 @@ class ProblemInstance(namedtuple("ProblemInstance", "d f")):
         if not isinstance(d, int) or isinstance(d, bool):
             raise InstanceError(f"field 'd' must be an integer, got {d!r}")
         f = data["f"]
-        if not isinstance(f, list) or not all(isinstance(fi, list) for fi in f):
+        if not isinstance(f, list):
             raise InstanceError("field 'f' must be a list of coefficient lists")
         return ProblemInstance.from_coeffs(d, f)
 

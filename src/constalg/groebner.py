@@ -1,7 +1,7 @@
 """Polynomial reduction, S-polynomials and Groebner-basis verification.
 
-The main entry point is `verify_groebner`, which checks that the relation
-set of an instance is a reduced Groebner basis under the DILL order: the
+The main entry point is `verify_groebner`, which checks that the relations
+of an instance form a reduced Groebner basis under the DILL order: the
 computed leading monomials must match the expected pattern (u_ik*u_jl for
 quadratic relations, xj^mj*u_ik for mixed ones), every S-polynomial of a
 pair of relations must reduce to zero, and the basis must be reduced.
@@ -10,7 +10,7 @@ instead of a reduction.  The result carries a per-pair certificate that
 records what discharged each pair.
 
 `buchberger_complete` is a generic completion used as an independent
-cross-check: running it on the relation set must add nothing.
+cross-check: running it on the relations must add nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .derivation import ProblemInstance
 from .errors import BudgetExceededError
 from .orders import CORRECTED, DillOrder
 from .poly import PMonomial, Polynomial, format_monomial, leading_term
-from .presentation import RelationSet, build_relations, relation_count, relation_label
+from .presentation import Relation, build_relations, relation_count
 
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
 # took 28 s on 2 CPUs); d = 13 has 500,500.
@@ -158,18 +158,17 @@ class LeadConformanceEntry(namedtuple("LeadConformanceEntry", "label expected co
 
 
 def verify_lead_conformance(
-    inst: ProblemInstance, relations: RelationSet, variant: str = CORRECTED
+    inst: ProblemInstance, relations: list[Relation], variant: str = CORRECTED
 ) -> list[LeadConformanceEntry]:
-    """Compare each relation's computed lead with the expected pattern, R's first."""
+    """Compare each relation's computed lead with the expected pattern, in list order."""
     order = DillOrder(variant)
     return [
         LeadConformanceEntry(
-            relation_label(family, indices),
-            expected_lead(inst, family, indices),
-            leading_term(poly, order)[0],
+            rel.label,
+            expected_lead(inst, rel.family, rel.indices),
+            leading_term(rel.poly, order)[0],
         )
-        for family, items in (("R", relations.quadratic), ("S", relations.mixed))
-        for indices, poly in items
+        for rel in relations
     ]
 
 
@@ -223,7 +222,7 @@ class GroebnerCertificate(
 
     @property
     def verdict(self) -> bool:
-        return self.conformance_ok and all(p.normal_form_zero for p in self.pairs) and self.reduced
+        return self.first_failure() is None
 
     def first_failure(self) -> str | None:
         """The first reason the verdict is false, or None.
@@ -277,9 +276,9 @@ def verify_reduced(basis, order) -> bool:
 def verify_groebner(
     inst: ProblemInstance,
     variant: str = CORRECTED,
-    relations: RelationSet | None = None,
+    relations: list[Relation] | None = None,
 ) -> GroebnerCertificate:
-    """Check that the relation set is a reduced Groebner basis.
+    """Check that the relations R and S form a reduced Groebner basis.
 
     A lead that does not conform aborts the pair phase; the verdict is
     then false.  Pairs with coprime leads are discharged by Buchberger's
@@ -294,9 +293,8 @@ def verify_groebner(
         relations = build_relations(inst)
     order = DillOrder(variant)
     conformance = verify_lead_conformance(inst, relations, variant)
-    labeled = relations.labeled()
-    labels = [label for label, _ in labeled]
-    basis = [poly for _, poly in labeled]
+    labels = [rel.label for rel in relations]
+    basis = [rel.poly for rel in relations]
     pairs: list[PairOutcome] = []
     if all(e.ok for e in conformance) and len(basis) >= 2:
         leads = LeadTable(basis, order)

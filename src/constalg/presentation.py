@@ -149,31 +149,14 @@ def mixed_relation(inst: ProblemInstance, i: int, j: int, k: int) -> Polynomial:
     return fi * u_var(ring, j, k) - fj * u_var(ring, i, k) + fk * u_var(ring, i, j)
 
 
-class RelationSet(namedtuple("RelationSet", "quadratic mixed")):
-    """The full relation families, in lexicographic index order.
-
-    quadratic holds (indices, r(i,j,k,l)) for all i<j<k<l; mixed holds
-    (indices, s(i,j,k)) for all i<j<k.  Every polynomial maps to zero
-    under pi.  `len` counts the relations, not the two families, so the
-    namedtuple helpers `_make` and `_replace` do not apply.
-    """
+class Relation(namedtuple("Relation", "family indices poly")):
+    """One relation: family "R" or "S", its index tuple and its polynomial."""
 
     __slots__ = ()
 
-    def labeled(self) -> list[tuple[str, Polynomial]]:
-        out = [(relation_label("R", idx), p) for idx, p in self.quadratic]
-        out.extend((relation_label("S", idx), p) for idx, p in self.mixed)
-        return out
-
-    def polynomials(self) -> list[Polynomial]:
-        return [p for _, p in self.labeled()]
-
-    def __len__(self):
-        return len(self.quadratic) + len(self.mixed)
-
-
-def relation_label(family: str, indices) -> str:
-    return f"{family}({','.join(str(i) for i in indices)})"
+    @property
+    def label(self) -> str:
+        return f"{self.family}({','.join(map(str, self.indices))})"
 
 
 def relation_count(d: int) -> int:
@@ -181,13 +164,17 @@ def relation_count(d: int) -> int:
     return comb(d, 4) + comb(d, 3)
 
 
-def build_relations(inst: ProblemInstance) -> RelationSet:
-    """All r(i,j,k,l) and s(i,j,k); more than MAX_RELATIONS raise BudgetExceededError."""
+def build_relations(inst: ProblemInstance) -> list[Relation]:
+    """All r(i,j,k,l), then all s(i,j,k), each family in lexicographic index order.
+
+    Every polynomial maps to zero under pi.  More than MAX_RELATIONS raise
+    BudgetExceededError.
+    """
     count = relation_count(inst.d)
     if count > MAX_RELATIONS:
         raise BudgetExceededError(f"d={inst.d} has {count} relations, more than {MAX_RELATIONS}")
     indices = range(1, inst.d + 1)
-    return RelationSet(
-        [(idx, quadratic_relation(inst, *idx)) for idx in combinations(indices, 4)],
-        [(idx, mixed_relation(inst, *idx)) for idx in combinations(indices, 3)],
-    )
+    return [
+        *(Relation("R", idx, quadratic_relation(inst, *idx)) for idx in combinations(indices, 4)),
+        *(Relation("S", idx, mixed_relation(inst, *idx)) for idx in combinations(indices, 3)),
+    ]

@@ -155,13 +155,12 @@ def reference_reduce(p, basis, order):
 
 def reference_pair_outcomes(relations, order):
     """{(left, right): normal form is zero} with every S-polynomial reduced."""
-    labeled = relations.labeled()
-    basis = [poly for _, poly in labeled]
+    basis = [rel.poly for rel in relations]
     outcomes = {}
-    for i, (left, g) in enumerate(labeled):
-        for right, h in labeled[i + 1:]:
-            spoly = s_polynomial(g, h, order)
-            outcomes[left, right] = reference_reduce(spoly, basis, order).is_zero()
+    for i, left in enumerate(relations):
+        for right in relations[i + 1:]:
+            spoly = s_polynomial(left.poly, right.poly, order)
+            outcomes[left.label, right.label] = reference_reduce(spoly, basis, order).is_zero()
     return outcomes
 
 

@@ -61,8 +61,8 @@ def test_criterion_1_relation_vanishing():
         table = build_generators(inst)
         relations = build_relations(inst)
         assert len(relations) == comb(inst.d, 4) + comb(inst.d, 3)
-        for _, poly in relations.labeled():
-            if not pi_substitute(table, poly).is_zero():
+        for rel in relations:
+            if not pi_substitute(table, rel.poly).is_zero():
                 ok = False
     assert time.monotonic() - started < 10.0
     _report(1, "relation vanishing", ok, started)
@@ -104,7 +104,7 @@ def test_criterion_4_independent_completion():
     rng = random.Random(SWEEP_SEED + 4)
     inst = random_instance(rng, 4, max_m=2)
     order = DillOrder(CORRECTED)
-    basis = build_relations(inst).polynomials()
+    basis = [rel.poly for rel in build_relations(inst)]
     completed = buchberger_complete(basis, order)
     before = {leading_term(g, order)[0] for g in basis}
     after = {leading_term(g, order)[0] for g in completed}

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -357,7 +358,7 @@ def test_unwritable_output_exit_2(instance_file, tmp_path, capsys, argv, data):
         ({"d": 2, "f": [[0, True], [0, 1]]}, "coefficient True is not an exact rational"),
         ({"d": "2", "f": [[0, 1], [0, 1]]}, "field 'd' must be an integer, got '2'"),
         ({"d": 2, "f": "x1"}, "field 'f' must be a list of coefficient lists"),
-        ({"d": 2, "f": [1, 2]}, "field 'f' must be a list of coefficient lists"),
+        ({"d": 2, "f": [1, 2]}, "coefficients of f_1 must be a list or tuple, got 1"),
     ],
     ids=["bool-coefficient", "string-d", "string-f", "flat-f"],
 )
@@ -392,6 +393,9 @@ def test_byte_identical_reruns(instance_file, capsys):
 
 
 def test_module_entry_point(instance_file):
+    # the child imports the tree's own code, installed or not
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
         [
             sys.executable,
@@ -405,6 +409,7 @@ def test_module_entry_point(instance_file):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "constant"

@@ -60,6 +60,17 @@ def test_verify_gb_matches_golden(name, variant, tmp_path, capsys):
     assert_matches_recorded(recorded, json.loads(cert_path.read_text()))
 
 
+# relations listings, recorded before the relation families became one list
+# of `Relation` records:
+#
+#     constalg relations --instance NAME.json > NAME.relations.stdout
+@pytest.mark.parametrize("name", [*NAMES, "mixed4"])
+def test_relations_listing_matches_golden(name, capsys):
+    assert run(["relations", "--instance", str(GOLDEN / f"{name}.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.relations.stdout").read_text()
+
+
 # kernel-dim --basis and normal-words listings, recorded before the sparse
 # back-substitution in `linalg.nullspace` and the closed-form image degree in
 # `enumerate_normal_words`:

@@ -11,7 +11,6 @@ from constalg import (
     LexOrder,
     PMonomial,
     ProblemInstance,
-    RelationSet,
     buchberger_complete,
     build_generators,
     build_relations,
@@ -38,10 +37,14 @@ def classical(d):
     return ProblemInstance.from_coeffs(d, [[0, 1]] * d)
 
 
+def relation_polys(inst):
+    return [rel.poly for rel in build_relations(inst)]
+
+
 def assert_certificate_fields_agree(cert, relations, order):
     """The flags of the certificate JSON agree with the leads, `discharged_by` and `reduced`."""
     data = cert.to_json_dict()
-    leads = {label: leading_term(p, order)[0] for label, p in relations.labeled()}
+    leads = {rel.label: leading_term(rel.poly, order)[0] for rel in relations}
     conformance = data["lead_conformance"]
     for entry in conformance["entries"]:
         assert entry["computed"] == format_monomial(leads[entry["relation"]])
@@ -58,14 +61,14 @@ def assert_certificate_fields_agree(cert, relations, order):
 
 def test_reduce_self_to_zero():
     inst = classical(4)
-    r = build_relations(inst).quadratic[0][1]
+    r = build_relations(inst)[0].poly
     assert reduce(r, [r], DillOrder()).is_zero()
 
 
 def test_reduce_crossing_pair_product():
     # one step against r(1,2,3,4); its image under pi must be unchanged
     inst = classical(4)
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     p = parse_poly("u1_3*u2_4", "P", 4)
     normal_form = reduce(p, basis, DillOrder())
     assert normal_form == parse_poly("u1_2*u3_4 + u1_4*u2_3", "P", 4)
@@ -75,7 +78,7 @@ def test_reduce_crossing_pair_product():
 
 def test_reduce_untouched_x_power():
     inst = classical(4)
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     p = parse_poly("x1^7", "P", 4)
     assert reduce(p, basis, DillOrder()) == p
 
@@ -95,7 +98,7 @@ def test_reduce_result_is_in_normal_form():
     rng = random.Random(97)
     order = DillOrder()
     inst = random_instance(rng, 4, max_m=2)
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     leads = [leading_term(g, order)[0] for g in basis]
     for _ in range(40):
         p = random_ppoly(rng, 4, terms=4, max_x=2, max_u=2, max_factors=2)
@@ -109,7 +112,7 @@ def test_reduce_result_is_in_normal_form():
 def test_reduce_is_idempotent_and_stays_in_coset():
     rng = random.Random(101)
     inst = random_instance(rng, 4, max_m=2)
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     table = build_generators(inst)
     order = DillOrder()
     for _ in range(25):
@@ -121,7 +124,7 @@ def test_reduce_is_idempotent_and_stays_in_coset():
 
 def test_s_polynomial_of_equal_inputs_vanishes():
     inst = classical(4)
-    r = build_relations(inst).quadratic[0][1]
+    r = build_relations(inst)[0].poly
     assert s_polynomial(r, r, DillOrder()).is_zero()
 
 
@@ -144,9 +147,9 @@ def test_s_polynomial_rejects_zero():
 def test_s_polynomial_of_relation_pair_reduces_to_zero():
     inst = classical(4)
     relations = build_relations(inst)
-    basis = relations.polynomials()
-    r = relations.quadratic[0][1]
-    s124 = dict(relations.mixed)[(1, 2, 4)]
+    basis = [rel.poly for rel in relations]
+    r = relations[0].poly
+    s124 = {rel.label: rel.poly for rel in relations}["S(1,2,4)"]
     spoly = s_polynomial(r, s124, DillOrder())
     assert reduce(spoly, basis, DillOrder()).is_zero()
 
@@ -214,10 +217,9 @@ def test_verify_groebner_unreduced_basis_first_failure():
     # S(1,2,3) + S(2,3,4) keeps the lead of S(1,2,3), so leads conform and
     # every pair still reduces to zero, but a tail term is another lead.
     inst = classical(4)
-    full = build_relations(inst)
-    mixed = dict(full.mixed)
-    summed = mixed[(1, 2, 3)] + mixed[(2, 3, 4)]
-    broken = RelationSet(full.quadratic, [((1, 2, 3), summed), *full.mixed[1:]])
+    r1234, s123, *rest = build_relations(inst)
+    assert (s123.label, rest[-1].label) == ("S(1,2,3)", "S(2,3,4)")
+    broken = [r1234, s123._replace(poly=s123.poly + rest[-1].poly), *rest]
     cert = verify_groebner(inst, relations=broken)
     assert_certificate_fields_agree(cert, broken, DillOrder())
     assert cert.conformance_ok
@@ -244,7 +246,7 @@ def test_verify_reduced_flags_divisible_monomial():
 
 def test_buchberger_complete_relations_add_nothing():
     inst = classical(4)
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     order = DillOrder()
     completed = buchberger_complete(basis, order)
     assert len(completed) == len(basis)
@@ -269,7 +271,7 @@ def test_buchberger_complete_linear_elimination():
 def test_buchberger_complete_under_plain_lex(monkeypatch):
     # independent cross-check order: completion still adds nothing for d=4
     inst = instance_with_degrees(random.Random(127), (1, 2, 1, 2))
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     monkeypatch.setattr(groebner, "MAX_PAIR_QUEUE", 10_000)
     completed = buchberger_complete(basis, LexOrder())
     # plain lex has different leads, so completion may add elements, but
@@ -281,7 +283,7 @@ def test_buchberger_complete_under_plain_lex(monkeypatch):
 
 def test_buchberger_budget_error(monkeypatch):
     inst = classical(5)
-    basis = build_relations(inst).polynomials()
+    basis = relation_polys(inst)
     monkeypatch.setattr(groebner, "MAX_PAIR_QUEUE", 3)
     with pytest.raises(BudgetExceededError):
         buchberger_complete(basis, DillOrder())
@@ -315,7 +317,7 @@ def test_reduce_matches_reference_reduce():
     rng = random.Random(131)
     for d in (3, 4, 5):
         inst = random_instance(rng, d, max_m=3)
-        bases = [build_relations(inst).polynomials()]
+        bases = [relation_polys(inst)]
         bases.append([random_ppoly(rng, d, terms=3, max_factors=1) for _ in range(4)])
         bases[-1].append(parse_poly("x1^2 + x2", "P", d))
         for basis in bases:
@@ -332,7 +334,7 @@ def test_coprime_pairs_reduce_to_zero_under_reference():
         relations = build_relations(inst)
         cert = verify_groebner(inst, relations=relations)
         assert cert.verdict
-        basis = dict(relations.labeled())
+        basis = {rel.label: rel.poly for rel in relations}
         order = DillOrder()
         assert_certificate_fields_agree(cert, relations, order)
         paper = verify_groebner(inst, LITERAL, relations)
@@ -351,8 +353,10 @@ def test_broken_relation_sets_match_reference_verdict():
     inst = random_instance(random.Random(139), 5, max_m=3, dense=True)
     full = build_relations(inst)
     failed = 0
-    for dropped in range(len(full.mixed)):
-        broken = RelationSet(full.quadratic, full.mixed[:dropped] + full.mixed[dropped + 1:])
+    mixed = [index for index, rel in enumerate(full) if rel.family == "S"]
+    assert len(mixed) == 10
+    for dropped in mixed:
+        broken = full[:dropped] + full[dropped + 1:]
         cert = verify_groebner(inst, relations=broken)
         reference = reference_pair_outcomes(broken, DillOrder())
         assert_certificate_fields_agree(cert, broken, DillOrder())

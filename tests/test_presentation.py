@@ -2,12 +2,15 @@
 
 import random
 import sys
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from constalg import (
     PMonomial,
     ProblemInstance,
+    Relation,
     apply_delta,
     build_generators,
     build_relations,
@@ -18,7 +21,7 @@ from constalg import (
     u_pairs,
 )
 from constalg import BudgetExceededError, presentation
-from constalg.presentation import pi_image_of_monomial
+from constalg.presentation import pi_image_of_monomial, relation_count
 from helpers import random_instance, random_ppoly
 
 
@@ -114,15 +117,38 @@ def test_every_pi_image_is_a_constant():
 
 def test_relation_counts():
     rng = random.Random(83)
-    for d in (2, 3, 4, 5, 6):
+    for d in (1, 2, 3, 4, 5, 6):
         inst = random_instance(rng, d)
         rel = build_relations(inst)
-        from math import comb
-
-        assert len(rel.quadratic) == comb(d, 4)
-        assert len(rel.mixed) == comb(d, 3)
-        assert len(rel) == len(rel.labeled()) == comb(d, 4) + comb(d, 3)
+        assert type(rel) is list and all(type(r) is Relation for r in rel)
+        assert len(rel) == relation_count(d) == comb(d, 4) + comb(d, 3)
+        assert sum(r.family == "R" for r in rel) == comb(d, 4)
+        assert sum(r.family == "S" for r in rel) == comb(d, 3)
         assert rel == build_relations(inst)
+        if d <= 2:
+            assert rel == []
+
+
+def test_relation_order_r_then_s_lexicographic():
+    inst = ProblemInstance.from_coeffs(6, [[0, 1]] * 6)
+    rel = build_relations(inst)
+    families = [r.family for r in rel]
+    assert families == ["R"] * comb(6, 4) + ["S"] * comb(6, 3)
+    indices = range(1, 7)
+    assert [r.indices for r in rel] == [*combinations(indices, 4), *combinations(indices, 3)]
+    assert [r.label for r in rel[:2]] == ["R(1,2,3,4)", "R(1,2,3,5)"]
+    assert rel[comb(6, 4)].label == "S(1,2,3)"
+    assert rel[-1].label == "S(4,5,6)"
+
+
+def test_relation_replace_keeps_the_record():
+    inst = ProblemInstance.from_coeffs(4, [[0, 1]] * 4)
+    s123 = build_relations(inst)[1]
+    doubled = s123._replace(poly=s123.poly.scale(2))
+    assert type(doubled) is Relation
+    assert (doubled.family, doubled.indices, doubled.label) == ("S", (1, 2, 3), "S(1,2,3)")
+    assert doubled.poly == s123.poly + s123.poly
+    assert Relation._make(s123) == s123
 
 
 def test_relation_budget_admits_d24_and_refuses_d25(monkeypatch):
@@ -142,16 +168,17 @@ def test_relation_budget_admits_d24_and_refuses_d25(monkeypatch):
 def test_quadratic_relation_d4():
     inst = ProblemInstance.from_coeffs(4, [[0, 1]] * 4)
     rel = build_relations(inst)
-    assert len(rel.quadratic) == 1
-    assert rel.quadratic[0][1] == parse_poly(
+    assert [r.family for r in rel] == ["R", "S", "S", "S", "S"]
+    assert rel[0].poly == parse_poly(
         "u1_2*u3_4 - u1_3*u2_4 + u1_4*u2_3", "P", 4
     )
 
 
 def test_mixed_relation_monomial_f():
     inst = ProblemInstance.from_coeffs(3, [[0, 0, 1], [0, 0, 0, 1], [0, 1]])
-    rel = build_relations(inst)
-    assert rel.mixed[0][1] == parse_poly(
+    (rel,) = build_relations(inst)
+    assert rel.label == "S(1,2,3)"
+    assert rel.poly == parse_poly(
         "x1^2*u2_3 - x2^3*u1_3 + x3*u1_2", "P", 3
     )
 
@@ -171,8 +198,8 @@ def test_relations_vanish_under_pi():
     for d in (3, 4, 5, 6):
         inst = random_instance(rng, d)
         table = build_generators(inst)
-        for _, poly in build_relations(inst).labeled():
-            assert pi_substitute(table, poly).is_zero()
+        for rel in build_relations(inst):
+            assert pi_substitute(table, rel.poly).is_zero()
 
 
 def test_relation_index_validation():
@@ -185,7 +212,7 @@ def test_relation_index_validation():
 
 def test_labels_are_lexicographic():
     inst = ProblemInstance.from_coeffs(5, [[0, 1]] * 5)
-    labels = [label for label, _ in build_relations(inst).labeled()]
+    labels = [rel.label for rel in build_relations(inst)]
     assert labels[:5] == [
         "R(1,2,3,4)",
         "R(1,2,3,5)",
