@@ -6,11 +6,14 @@ computed leading monomials must match the expected pattern (u_ik*u_jl for
 quadratic relations, xj^mj*u_ik for mixed ones), every S-polynomial of a
 pair of relations must reduce to zero, and the basis must be reduced.
 Pairs with coprime leads are discharged by Buchberger's first criterion
-instead of a reduction.  The result carries a per-pair certificate that
-records what discharged each pair.
+instead of a reduction; the others are pseudo-reduced over the integers
+by `reduce_int` (fraction-free pseudo-division; Geddes, Czapor and
+Labahn, Algorithms for Computer Algebra, 1992).  The result carries a
+per-pair certificate that records what discharged each pair.
 
-`buchberger_complete` is a generic completion used as an independent
-cross-check: running it on the relations must add nothing.
+`reduce`, over Fraction, and `buchberger_complete`, a generic completion
+that must add nothing when run on the relations, are the independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -18,71 +21,86 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
-from math import comb
+from math import comb, gcd
 
 from .derivation import ProblemInstance
 from .errors import BudgetExceededError
 from .orders import CORRECTED, DillOrder
-from .poly import PMonomial, Polynomial, format_monomial, leading_term
+from .poly import PMonomial, Polynomial, format_monomial, int_terms, leading_term, p_dimension
 from .presentation import Relation, build_relations, relation_count
 
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
-# took 28 s on 2 CPUs); d = 13 has 500,500.
+# took 48 s in process on 2 CPUs); d = 13 has 500,500.
 MAX_VERIFY_PAIRS = 300_000
+# Most steps the integer reductions of one `verify_groebner` run may take.
+# Dense instances with f_i of degree 1-3 take 28,580 steps at d = 10 and
+# 91,098 at d = 12; the count grows linearly with the degrees of the f_i.
+MAX_REDUCTION_STEPS = 500_000
 # Largest pair queue `buchberger_complete` may hold.
 MAX_PAIR_QUEUE = 100_000
 
 
 class LeadTable:
-    """Leading terms (lm, lc, g) of a reduction basis, indexed by u-position.
+    """Leading terms (lm, lc, terms) of a reduction basis, indexed by u-position.
 
-    Each lead is filed under the first nonzero u-position of its exponent
-    tuple (leads without u-factors under None).  A lead can only divide
-    monomials that are nonzero at that position, so `reducer` tests a
-    monomial only against the leads filed under its nonzero u-positions.
-    The table is built for one order and must be used with that order.
+    The basis is a list of term maps {monomial: coefficient}, Fraction for
+    `reduce`, int for `reduce_int`.  Each lead is filed under the first
+    nonzero u-position of its exponent tuple (leads without u-factors under
+    None).  A lead can only divide monomials that are nonzero at that
+    position, so `reducer` and `divided_by_other` test a monomial only
+    against the leads filed under its nonzero u-positions.  The table is
+    built for one order and must be used with that order.
     """
 
     def __init__(self, basis, order):
         basis = list(basis)
         if not basis:
             raise ValueError("reduction needs a nonempty basis")
-        if any(g.is_zero() for g in basis):
+        if not all(basis):
             raise ValueError("reduction basis must not contain zero")
-        d = basis[0].ring.d
-        self._u_positions = range(d * (d - 1) // 2)
+        width = len(next(iter(basis[0])))
+        self._u_positions = range(width - p_dimension(width))
         self.entries = []
         self._by_position: dict = {}
-        for index, g in enumerate(basis):
-            lm, lc = leading_term(g, order)
-            self.entries.append((lm, lc, g))
+        for index, terms in enumerate(basis):
+            lm = max(terms, key=order.key)
+            self.entries.append((lm, terms[lm], terms))
             first = next(compress(self._u_positions, lm), None)
-            self._by_position.setdefault(first, []).append((index, lm, lc, g))
+            self._by_position.setdefault(first, []).append((index, *self.entries[-1]))
 
     def reducer(self, mono: PMonomial):
-        """(lm, lc, g) of the first basis element whose lead divides mono, or None."""
+        """(lm, lc, terms) of the first basis element whose lead divides mono, or None."""
         best = None
         best_index = len(self.entries)
         by_position = self._by_position
         for pos in (None, *compress(self._u_positions, mono)):
-            for index, lm, lc, g in by_position.get(pos, ()):
+            for index, lm, lc, terms in by_position.get(pos, ()):
                 if index >= best_index:
                     break
                 if lm.divides(mono):
-                    best, best_index = (lm, lc, g), index
+                    best, best_index = (lm, lc, terms), index
                     break
         return best
+
+    def divided_by_other(self, mono: PMonomial, own: int) -> bool:
+        """Whether the lead of a basis element other than entry `own` divides mono."""
+        by_position = self._by_position
+        for pos in (None, *compress(self._u_positions, mono)):
+            for index, lm, _, _ in by_position.get(pos, ()):
+                if index != own and lm.divides(mono):
+                    return True
+        return False
 
 
 def reduce(p: Polynomial, basis, order) -> Polynomial:
     """Full normal form of p modulo the basis.
 
-    `basis` is a list of polynomials or a `LeadTable` built for `order`.
-    Deterministic: the order-maximal reducible monomial is rewritten
-    first, always against the first basis element whose lead divides it.
-    No monomial of the result is divisible by any basis lead.
+    `basis` is a list of polynomials or a `LeadTable` of their term maps
+    built for `order`.  Deterministic: the order-maximal reducible monomial
+    is rewritten first, always against the first basis element whose lead
+    divides it.  No monomial of the result is divisible by any basis lead.
     """
-    leads = basis if isinstance(basis, LeadTable) else LeadTable(basis, order)
+    leads = basis if isinstance(basis, LeadTable) else LeadTable([g.terms for g in basis], order)
     key = order.key
     work = dict(p.terms)
     remainder: dict = {}
@@ -96,8 +114,8 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
         lm, lc, g = hit
         quot = mono.div(lm)
         factor = coeff / lc
-        for gm, gc in g.terms.items():
-            if gm is lm or gm == lm:
+        for gm, gc in g.items():
+            if gm is lm:
                 continue
             target = gm.mul(quot)
             new = work.get(target, 0) - factor * gc
@@ -108,16 +126,86 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
     return Polynomial._make(p.ring, remainder)
 
 
+def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> int:
+    """Pseudo-reduce the int term map `work` in place; return steps plus the steps taken.
+
+    `leads` holds int term maps.  The reducer is chosen as in `reduce`.
+    With c the coefficient of the work's maximal monomial, a its reducer
+    g's lead coefficient, k = gcd(c, a) signed like a and q the monomial
+    quotient, the work becomes (a/k)*work - (c/k)*q*g: a nonzero integer
+    multiple of `reduce`'s work, so it empties exactly when the normal form
+    is zero.  A maximal monomial that no lead divides cannot cancel, since
+    later steps add only smaller ones, so it stops the reduction and stays
+    in the work.  A total above MAX_REDUCTION_STEPS raises BudgetExceededError.
+    """
+    key = order.key
+    reducer = leads.reducer
+    while work:
+        mono = max(work, key=key)
+        hit = reducer(mono)
+        if hit is None:
+            break
+        steps += 1
+        if steps > MAX_REDUCTION_STEPS:
+            raise BudgetExceededError(
+                f"verification needs more than {MAX_REDUCTION_STEPS} reduction steps"
+            )
+        lm, lead, g = hit
+        coeff = work.pop(mono)
+        common = gcd(coeff, lead)
+        if lead < 0:
+            common = -common
+        quotient, multiplier = coeff // common, lead // common
+        if multiplier != 1:
+            for m in work:
+                work[m] *= multiplier
+        quot = mono.div(lm)
+        for gm, gc in g.items():
+            if gm is lm:
+                continue
+            target = gm.mul(quot)
+            new = work.get(target, 0) - quotient * gc
+            if new:
+                work[target] = new
+            else:
+                work.pop(target, None)
+    return steps
+
+
+def _primitive(p: Polynomial) -> dict:
+    """p as an int term map whose coefficients have gcd 1: a nonzero rational multiple of p."""
+    terms, _ = int_terms(p)
+    content = gcd(*terms.values())
+    return {m: c // content for m, c in terms.items()}
+
+
 def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
-    """The cancellation combination lcm/lead(g)*g/lc(g) - lcm/lead(h)*h/lc(h)."""
+    """The cancellation combination lcm/lead(g)*g/lc(g) - lcm/lead(h)*h/lc(h).
+
+    Built in one pass over the two term maps; the lead terms, which
+    cancel, are skipped.
+    """
     if g.is_zero() or h.is_zero():
         raise ValueError("s_polynomial needs nonzero inputs")
+    g._check_compatible(h)
     lmg, lcg = leading_term(g, order)
     lmh, lch = leading_term(h, order)
     lcm = lmg.lcm(lmh)
-    return g.mul_term(lcm.div(lmg), Fraction(1) / lcg) - h.mul_term(
-        lcm.div(lmh), Fraction(1) / lch
-    )
+    qg, qh = lcm.div(lmg), lcm.div(lmh)
+    terms = {m.mul(qg): c / lcg for m, c in g.terms.items() if m is not lmg}
+    neg = -lch
+    for m, c in h.terms.items():
+        if m is lmh:
+            continue
+        target = m.mul(qh)
+        new = c / neg
+        if target in terms:
+            new += terms[target]
+        if new:
+            terms[target] = new
+        else:
+            del terms[target]
+    return Polynomial._make(g.ring, terms)
 
 
 def _monic(p: Polynomial, order) -> Polynomial:
@@ -260,17 +348,21 @@ class GroebnerCertificate(
 def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
+    `basis` is a list of polynomials or a `LeadTable` built for `order`.
     Divisibility reads only monomials, so coefficients are irrelevant to
     the verdict.
     """
-    leads = [leading_term(g, order)[0] for g in basis]
-    for gi, lead in enumerate(leads):
-        for hi, h in enumerate(basis):
-            if gi == hi:
-                continue
-            if any(lead.divides(mono) for mono in h.terms):
-                return False
-    return True
+    if isinstance(basis, LeadTable):
+        leads = basis
+    elif not basis:
+        return True
+    else:
+        leads = LeadTable([g.terms for g in basis], order)
+    return not any(
+        leads.divided_by_other(mono, own)
+        for own, (_, _, terms) in enumerate(leads.entries)
+        for mono in terms
+    )
 
 
 def verify_groebner(
@@ -282,9 +374,11 @@ def verify_groebner(
 
     A lead that does not conform aborts the pair phase; the verdict is
     then false.  Pairs with coprime leads are discharged by Buchberger's
-    first criterion; every other S-polynomial is fully reduced against the
-    basis.  More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError
-    before the relations are built.
+    first criterion; every other S-polynomial is pseudo-reduced by
+    `reduce_int` against the relations scaled to primitive int term maps.
+    More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError before the
+    relations are built, more than MAX_REDUCTION_STEPS reduction steps
+    when they are taken.
     """
     count = relation_count(inst.d) if relations is None else len(relations)
     if comb(count, 2) > MAX_VERIFY_PAIRS:
@@ -293,22 +387,24 @@ def verify_groebner(
         relations = build_relations(inst)
     order = DillOrder(variant)
     conformance = verify_lead_conformance(inst, relations, variant)
-    labels = [rel.label for rel in relations]
-    basis = [rel.poly for rel in relations]
     pairs: list[PairOutcome] = []
-    if all(e.ok for e in conformance) and len(basis) >= 2:
-        leads = LeadTable(basis, order)
-        for i, (lmg, _, g) in enumerate(leads.entries):
-            for j in range(i + 1, len(basis)):
-                lmh, _, h = leads.entries[j]
-                spoly = s_polynomial(g, h, order)
+    if not relations:
+        return GroebnerCertificate(inst, variant, conformance, pairs, True)
+    leads = LeadTable([_primitive(rel.poly) for rel in relations], order)
+    if all(e.ok for e in conformance):
+        steps = 0
+        rows = list(zip(relations, leads.entries))
+        for i, (left, (lmg, _, _)) in enumerate(rows):
+            for right, (lmh, _, _) in rows[i + 1:]:
+                spoly = s_polynomial(left.poly, right.poly, order)
                 if lmg.lcm(lmh) == lmg.mul(lmh):
                     discharged_by = "coprime"
                 else:
-                    discharged_by = "reduction" if reduce(spoly, leads, order).is_zero() else None
-                pairs.append(PairOutcome(labels[i], labels[j], discharged_by))
-    reduced = verify_reduced(basis, order) if basis else True
-    return GroebnerCertificate(inst, variant, conformance, pairs, reduced)
+                    work, _ = int_terms(spoly)
+                    steps = reduce_int(work, leads, order, steps)
+                    discharged_by = None if work else "reduction"
+                pairs.append(PairOutcome(left.label, right.label, discharged_by))
+    return GroebnerCertificate(inst, variant, conformance, pairs, verify_reduced(leads, order))
 
 
 # -- generic completion --------------------------------------------------------

@@ -373,15 +373,6 @@ class Polynomial:
             return Polynomial.zero(self.ring)
         return Polynomial._make(self.ring, {m: c * factor for m, c in self.terms.items()})
 
-    def mul_term(self, mono, coeff) -> "Polynomial":
-        """Multiply by the single term coeff * mono (fast path for reducers)."""
-        coeff = _exact(coeff)
-        if not coeff:
-            return Polynomial.zero(self.ring)
-        return Polynomial._make(
-            self.ring, {m.mul(mono): c * coeff for m, c in self.terms.items()}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

@@ -122,8 +122,29 @@ def random_ppoly_of_degree(rng, d, max_degree, terms):
 # -- reference Groebner path -------------------------------------------------
 #
 # The plain algorithms that `reduce` and `verify_groebner` speed up: a linear
-# scan for the first basis element whose lead divides, and a pair loop that
-# reduces every S-polynomial, with no criterion.
+# scan for the first basis element whose lead divides, a pair loop that
+# reduces every S-polynomial over Fraction, with no criterion, the product
+# formula of the S-polynomial, and the all-pairs reducedness scan.
+
+
+def reference_s_polynomial(g, h, order):
+    """lcm/lm(g)*g/lc(g) - lcm/lm(h)*h/lc(h), multiplied out with `Polynomial.__mul__`."""
+    lmg, lcg = leading_term(g, order)
+    lmh, lch = leading_term(h, order)
+    lcm = lmg.lcm(lmh)
+    return Polynomial.from_term(g.ring, lcm.div(lmg), 1 / lcg) * g - Polynomial.from_term(
+        h.ring, lcm.div(lmh), 1 / lch
+    ) * h
+
+
+def reference_reduced(basis, order):
+    """No lead divides a monomial of another element: every lead against every term."""
+    leads = [leading_term(g, order)[0] for g in basis]
+    for gi, lead in enumerate(leads):
+        for hi, h in enumerate(basis):
+            if gi != hi and any(lead.divides(mono) for mono in h.terms):
+                return False
+    return True
 
 
 def reference_reduce(p, basis, order):

@@ -293,6 +293,22 @@ def test_verify_gb_pair_budget_exit_2(instance_file, monkeypatch, capsys, d, rel
     assert captured.err == f"error: {relations} relations give more than 300000 pairs\n"
 
 
+def test_verify_gb_reduction_step_budget_exit_2(instance_file, tmp_path, monkeypatch, capsys):
+    path = instance_file(CLASSICAL_4)
+    cert = tmp_path / "cert.json"
+    argv = ["verify-gb", "--instance", path, "--certificate", str(cert)]
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10)  # d = 4 takes 10 steps
+    assert run(argv) == 0
+    assert capsys.readouterr().out.endswith("verdict: verified reduced Groebner basis\n")
+    cert.unlink()
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 9)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verification needs more than 9 reduction steps\n"
+    assert not cert.exists()
+
+
 def test_degenerate_instances_exit_2(instance_file, capsys):
     for bad in (
         {"d": 2, "f": [[3], [0, 1]]},  # constant f_1

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from constalg import (
+    CORRECTED,
     LITERAL,
     BudgetExceededError,
     DillOrder,
     LexOrder,
     PMonomial,
+    Polynomial,
     ProblemInstance,
     buchberger_complete,
     build_generators,
@@ -23,13 +25,16 @@ from constalg import (
     verify_reduced,
 )
 from constalg import groebner
-from constalg.poly import format_monomial, leading_term
+from constalg.groebner import LeadTable
+from constalg.poly import format_monomial, int_terms, leading_term
 from helpers import (
     instance_with_degrees,
     random_instance,
     random_ppoly,
     reference_pair_outcomes,
     reference_reduce,
+    reference_reduced,
+    reference_s_polynomial,
 )
 
 
@@ -374,9 +379,7 @@ def test_broken_relation_sets_match_reference_verdict():
 
 
 def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
-    from constalg import groebner
-
-    counts = {"reduce": 0, "s_polynomial": 0}
+    counts = {"reduce": 0, "reduce_int": 0, "s_polynomial": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -385,10 +388,117 @@ def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(groebner, "reduce", counting("reduce", groebner.reduce))
-    monkeypatch.setattr(groebner, "s_polynomial", counting("s_polynomial", groebner.s_polynomial))
+    for name in counts:
+        monkeypatch.setattr(groebner, name, counting(name, getattr(groebner, name)))
     cert = verify_groebner(classical(5))
     assert counts["s_polynomial"] == len(cert.pairs) == 105
-    assert counts["reduce"] == sum(not p.coprime_leads for p in cert.pairs) > 0
+    assert counts["reduce_int"] == sum(not p.coprime_leads for p in cert.pairs) > 0
+    assert counts["reduce"] == 0
     entries = [p.to_json_dict() for p in cert.pairs]
     assert {e["discharged_by"] for e in entries} == {"coprime", "reduction"}
+
+
+# -- the integer reduction, reducedness and S-polynomials against references ----
+
+
+def int_leads(relations, order):
+    """The table `verify_groebner` reduces against: primitive int term maps."""
+    return LeadTable([groebner._primitive(rel.poly) for rel in relations], order)
+
+
+def coprime_leads(g, h, order):
+    lmg, lmh = leading_term(g, order)[0], leading_term(h, order)[0]
+    return lmg.lcm(lmh) == lmg.mul(lmh)
+
+
+def dense_relation_sets():
+    """(d, relations) of seeded dense instances, d = 4..7, and of broken sets at d = 5."""
+    rng = random.Random(149)
+    for d in (4, 5, 6, 7):
+        yield d, build_relations(random_instance(rng, d, max_m=3, dense=True))
+    full = build_relations(random_instance(random.Random(139), 5, max_m=3, dense=True))
+    for dropped, rel in enumerate(full):
+        if rel.family == "S":
+            yield 5, full[:dropped] + full[dropped + 1:]
+
+
+@pytest.mark.parametrize("variant", [CORRECTED, LITERAL])
+def test_reduce_int_zero_matches_reference_reduce(variant):
+    order = DillOrder(variant)
+    outcomes = []
+    for d, relations in dense_relation_sets():
+        basis = [rel.poly for rel in relations]
+        leads = int_leads(relations, order)
+        pairs = [
+            (g, h)
+            for i, g in enumerate(basis)
+            for h in basis[i + 1:]
+            if not coprime_leads(g, h, order)
+        ]
+        for g, h in pairs:
+            spoly = s_polynomial(g, h, order)
+            work, _ = int_terms(spoly)
+            groebner.reduce_int(work, leads, order, 0)
+            assert (not work) == reference_reduce(spoly, basis, order).is_zero()
+            outcomes.append(not work)
+    assert any(outcomes) and not all(outcomes)  # both verdicts occur
+
+
+def test_reduce_int_budget_counts_steps_across_calls(monkeypatch):
+    relations = build_relations(classical(4))
+    order = DillOrder()
+    leads = int_leads(relations, order)
+    g, h = relations[0].poly, relations[-1].poly
+    work, _ = int_terms(s_polynomial(g, h, order))
+    steps = groebner.reduce_int(dict(work), leads, order, 0)
+    assert steps > 0
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10 + steps)
+    assert groebner.reduce_int(dict(work), leads, order, 10) == 10 + steps
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 9 + steps)
+    with pytest.raises(BudgetExceededError, match=f"more than {9 + steps} reduction steps"):
+        groebner.reduce_int(dict(work), leads, order, 10)
+
+
+def unreduced_bases(rng, d, relations):
+    """Bases that fail reducedness, and random ones that may.
+
+    A duplicate element, a multiple of an element, and an element with the
+    square of another's lead added.
+    """
+    basis = [rel.poly for rel in relations]
+    yield basis + [basis[0]]
+    yield basis[:-1] + [basis[-1] * parse_poly("x1 + 2", "P", d)]
+    first, last = basis[0], basis[-1]
+    lead = leading_term(last, DillOrder())[0]
+    yield [first + Polynomial.from_term(first.ring, lead.mul(lead), 3)] + basis[1:]
+    yield [random_ppoly(rng, d, terms=3, max_factors=2) for _ in range(6)]
+
+
+@pytest.mark.parametrize("variant", [CORRECTED, LITERAL])
+def test_lead_table_reducedness_matches_reference_reduced(variant):
+    order = DillOrder(variant)
+    rng = random.Random(151)
+    verdicts = []
+    for d, relations in dense_relation_sets():
+        bases = [[rel.poly for rel in relations], *unreduced_bases(rng, d, relations)]
+        for basis in bases:
+            basis = [g for g in basis if not g.is_zero()]
+            expected = reference_reduced(basis, order)
+            table = LeadTable([g.terms for g in basis], order)
+            assert verify_reduced(basis, order) == verify_reduced(table, order) == expected
+            verdicts.append(expected)
+        assert verify_reduced(int_leads(relations, order), order) == reference_reduced(
+            bases[0], order
+        )
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_s_polynomial_matches_product_formula():
+    rng = random.Random(157)
+    for d in (4, 5, 6):
+        for variant in (CORRECTED, LITERAL):
+            order = DillOrder(variant)
+            basis = relation_polys(random_instance(rng, d, max_m=3, dense=True))
+            for i, g in enumerate(basis):
+                for h in basis[i:]:
+                    assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)

@@ -54,13 +54,12 @@ _MONO = AMonomial((1, 0), (0, 1))
         lambda v: Polynomial.constant(ring_a(2), v),
         lambda v: Polynomial.from_term(ring_a(2), _MONO, v),
         lambda v: _P.scale(v),
-        lambda v: _P.mul_term(_MONO, v),
         lambda v: univariate(ring_a(2), 1, [(2, 1), (1, v)]),
         lambda v: _P * v,
         lambda v: v * _P,
         lambda v: _P / v,
     ],
-    ids=["init", "constant", "from_term", "scale", "mul_term", "univariate", "mul", "rmul", "div"],
+    ids=["init", "constant", "from_term", "scale", "univariate", "mul", "rmul", "div"],
 )
 def test_floats_and_bools_are_no_coefficients(build, value):
     # a float is inexact and a bool no number, so neither reaches a Fraction;
@@ -74,7 +73,7 @@ def test_exact_coefficients_still_convert():
     half = Fraction(1, 2)
     assert Polynomial.constant(a2, "1/2") == Polynomial.constant(a2, half)
     assert Polynomial.from_term(a2, _MONO, "-3") == Polynomial(a2, {_MONO: -3})
-    assert _P.scale("1/2") == _P.mul_term(AMonomial.one(2), half) == _P / 2
+    assert _P.scale("1/2") == _P / 2
     assert univariate(a2, 1, [(0, 0), (1, "1/2")]) == parse_poly("1/2*x1", "A", 2)
 
 
