@@ -95,12 +95,12 @@ class LeadTable:
 def reduce(p: Polynomial, basis, order) -> Polynomial:
     """Full normal form of p modulo the basis.
 
-    `basis` is a list of polynomials or a `LeadTable` of their term maps
-    built for `order`.  Deterministic: the order-maximal reducible monomial
-    is rewritten first, always against the first basis element whose lead
-    divides it.  No monomial of the result is divisible by any basis lead.
+    `basis` is a list of polynomials.  Deterministic: the order-maximal
+    reducible monomial is rewritten first, always against the first basis
+    element whose lead divides it.  No monomial of the result is divisible
+    by any basis lead.
     """
-    leads = basis if isinstance(basis, LeadTable) else LeadTable([g.terms for g in basis], order)
+    leads = LeadTable([g.terms for g in basis], order)
     key = order.key
     work = dict(p.terms)
     remainder: dict = {}

@@ -1,30 +1,19 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
-Rows are dicts column -> value.  Elimination is fraction-free: each row of
-ints or Fractions is scaled to coprime integers once, in one lcm/gcd pass;
-every update is the integer cross-multiplication row*pivot - pivotrow*entry,
-and rows are divided by their content gcd to keep growth in check.
-Back-substitution keeps each variable as int numerators over one positive
-denominator; only the returned kernel vectors hold Fractions.  Pivot choices are
-deterministic (columns in ascending order, then the sparsest candidate row),
-so results are reproducible.
+Rows are dicts column -> int; a Fraction entry raises TypeError.
+Elimination is fraction-free (Bareiss 1968; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992): every update is the integer
+cross-multiplication row*pivot - pivotrow*entry, and rows are divided by
+their content gcd to keep growth in check.  Back-substitution keeps each
+variable as int numerators over one denominator, and each kernel vector is
+returned as primitive ints.  Pivot choices are deterministic (columns in
+ascending order, then the sparsest candidate row), so results are
+reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-
-def _to_integer_row(row: dict) -> dict:
-    """Scale a row of ints or Fractions by a positive rational to coprime integers.
-
-    Reduced fractions n_i/d_i have content gcd(n)/lcm(d): n_i/gcd(n) * lcm(d)/d_i.
-    """
-    # Lists, not generators: unpacking generators raised a d = 4 kernel-dim's peak RSS 0.25 MB.
-    num_gcd = gcd(*[v.numerator for v in row.values()]) or 1
-    den_lcm = lcm(*[v.denominator for v in row.values()])
-    return {c: v.numerator // num_gcd * (den_lcm // v.denominator) for c, v in row.items()}
 
 
 def _reduce_content(row: dict):
@@ -44,9 +33,10 @@ def _echelon(rows: list[dict], ncols: int):
     active: dict[int, dict] = {}
     col_rows: dict[int, set] = {}
     for rid, row in enumerate(rows):
-        cleaned = {c: v for c, v in _to_integer_row(row).items() if v}
+        cleaned = {c: v for c, v in row.items() if v}
         if not cleaned:
             continue
+        _reduce_content(cleaned)
         active[rid] = cleaned
         for col in cleaned:
             col_rows.setdefault(col, set()).add(rid)
@@ -91,16 +81,17 @@ def rank(rows: list[dict], ncols: int) -> int:
     return len(_echelon(rows, ncols))
 
 
-def nullspace(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:
+def nullspace(rows: list[dict], ncols: int) -> list[dict[int, int]]:
     """Basis of the kernel of the matrix, one sparse vector per free column.
 
-    Vector t is a dict {column: Fraction} in ascending column order that
-    stores no zero; it has entry 1 at its free column and none at any other
-    free column.  One reverse pass over the pivots writes each pivot
-    variable as a sparse combination {free column: coefficient} of the free
-    columns; a frozen pivot row holds only its own column, free columns and
-    later pivot columns, so the combinations it needs already exist.
-    Transposing the combinations gives the vectors.
+    Vector t is a dict {column: int} in ascending column order that stores
+    no zero; its entries are coprime, positive at its own free column and
+    zero at every other free column.  One reverse pass over the pivots
+    writes each pivot variable as a sparse combination {free column:
+    coefficient} of the free columns; a frozen pivot row holds only its own
+    column, free columns and later pivot columns, so the combinations it
+    needs already exist.  Transposing the combinations, each scaled by the
+    lcm of its free column's denominators, gives the vectors.
     """
     pivots = _echelon(rows, ncols)
     pivot_cols = {col for col, _ in pivots}
@@ -122,9 +113,16 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:
         den *= -row[col]
         content = gcd(den, *acc.values())
         combos[col] = (den // content, {fc: total // content for fc, total in acc.items()})
-    basis: dict[int, dict[int, Fraction]] = {fc: {} for fc in free_cols}
+    # scale[fc] is a positive multiple of every denominator in vector fc.
+    scale = dict.fromkeys(free_cols, 1)
+    for den, nums in combos.values():
+        for fc in nums:
+            scale[fc] = lcm(scale[fc], den)
+    basis: dict[int, dict[int, int]] = {fc: {} for fc in free_cols}
     for col in sorted(combos):
         den, nums = combos[col]
         for fc, num in nums.items():
-            basis[fc][col] = Fraction(num, den)
+            basis[fc][col] = num * (scale[fc] // den)
+    for vector in basis.values():
+        _reduce_content(vector)
     return list(basis.values())

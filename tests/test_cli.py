@@ -214,6 +214,21 @@ def test_rewrite_non_constant_exits_1(instance_file, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_rewrite_rejects_non_constant_before_peeling(instance_file, monkeypatch, capsys):
+    # Without the constancy test first, peeling x1^N*y2^N would take u1_2^N
+    # and fail only after N steps; the test rejects it before any generator.
+    def no_generators(inst):
+        raise AssertionError("build_generators called on a non-constant")
+
+    monkeypatch.setattr(normal_words, "build_generators", no_generators)
+    path = instance_file(CLASSICAL_2)
+    code = run(["rewrite", "--instance", path, "--poly", "x1^1000000*y2^1000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: polynomial is not a constant of the derivation\n"
+
+
 def test_rewrite_peel_budget_exit_2(instance_file, monkeypatch, capsys):
     path = instance_file(CLASSICAL_2)
     poly = "x1*y2 - x2*y1 + x1^2"  # pi(u1_2 + x1^2): two peel steps

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import pytest
 
 from constalg import linalg
 from constalg.normal_words import kernel_dim_oracle
@@ -10,9 +12,13 @@ from helpers import densify, instance_with_degrees, reference_nullspace
 
 
 def dense_to_rows(matrix):
-    return [
-        {c: Fraction(v) for c, v in enumerate(row) if v} for row in matrix
-    ]
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def integer_row(row):
+    """The row of Fractions times the lcm of its denominators; same kernel."""
+    scale = lcm(*[v.denominator for v in row.values()])
+    return {c: int(v * scale) for c, v in row.items()}
 
 
 def test_rank_known_cases():
@@ -50,7 +56,7 @@ def test_nullspace_properties_randomized():
                 for c in range(ncols)
                 if rng.random() < 0.55
             }
-            rows.append({c: v for c, v in row.items() if v})
+            rows.append(integer_row({c: v for c, v in row.items() if v}))
         vectors = densify(linalg.nullspace(rows, ncols), ncols)
         assert linalg.rank(rows, ncols) + len(vectors) == ncols
         for vec in vectors:
@@ -85,35 +91,33 @@ def test_deterministic_output():
     assert first == second
 
 
-def test_to_integer_row_scales_to_coprime_integers():
-    rng = random.Random(4404)
-    rows = [{}, {0: 0}, {0: 0, 1: Fraction(-3, 4), 2: 6}]
-    for kind in ("int", "fraction", "mixed") * 100:
-        row = {}
-        for c in range(rng.randint(1, 6)):
-            value = rng.randint(-12, 12) * rng.choice([1, 1, 6, 35])
-            if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
-                value = Fraction(value, rng.choice([1, 2, 3, 4, 9, 10]))
-            row[c] = value
-        rows.append(row)
-    for row in rows:
-        scaled = linalg._to_integer_row(row)
-        assert list(scaled) == list(row)
-        assert all(type(v) is int for v in scaled.values())
-        nonzero = [c for c, v in row.items() if v]
-        if not nonzero:
-            assert not any(scaled.values())
-            continue
-        assert gcd(*scaled.values()) == 1
-        ratio = scaled[nonzero[0]] / Fraction(row[nonzero[0]])
-        assert ratio > 0
-        assert all(scaled[c] == ratio * v for c, v in row.items())
+def test_fraction_rows_raise_type_error():
+    for row in ({0: Fraction(1, 2)}, {0: 2, 1: Fraction(3, 4)}, {1: Fraction(4)}):
+        with pytest.raises(TypeError):
+            linalg.rank([row], 2)
+        with pytest.raises(TypeError):
+            linalg.nullspace([{0: 1}, row], 2)
+
+
+def primitive(vector):
+    """The dense Fraction vector scaled by a positive rational to coprime ints."""
+    scale = lcm(*[v.denominator for v in vector])
+    ints = [int(v * scale) for v in vector]
+    content = gcd(*ints)
+    return [v // content for v in ints]
 
 
 def assert_same_as_reference(rows, ncols):
     vectors = linalg.nullspace(rows, ncols)
-    assert densify(vectors, ncols) == reference_nullspace(rows, ncols)
-    assert all(type(v) is Fraction for vec in vectors for v in vec.values())
+    reference = reference_nullspace(rows, ncols)
+    # A reference vector is 1 at its free column and zero after it.
+    free_cols = [max(c for c, v in enumerate(vec) if v) for vec in reference]
+    assert densify(vectors, ncols) == [primitive(vec) for vec in reference]
+    for vec, fc in zip(vectors, free_cols):
+        assert all(type(v) is int for v in vec.values())
+        assert gcd(*vec.values()) == 1
+        assert vec[fc] > 0
+        assert not any(vec.get(other) for other in free_cols if other != fc)
     # sparse: no stored zeros, columns ascending
     assert all(all(vec.values()) and list(vec) == sorted(vec) for vec in vectors)
     return vectors
@@ -127,7 +131,7 @@ def random_rational_rows(rng, nrows, ncols, density):
             for c in range(ncols)
             if rng.random() < density
         }
-        rows.append({c: v for c, v in row.items() if v})
+        rows.append(integer_row({c: v for c, v in row.items() if v}))
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 import pytest
 
@@ -30,9 +31,10 @@ from constalg import (
     rewrite_constant,
     u_pairs,
 )
-from constalg import normal_words
+from constalg import linalg, normal_words
 from constalg.groebner import expected_lead
 from constalg.normal_words import image_degree
+from constalg.poly import int_terms
 from constalg.presentation import pi_image_of_monomial
 from helpers import (
     instance_with_degrees,
@@ -40,6 +42,8 @@ from helpers import (
     random_instance,
     random_pmonomial,
     random_ppoly,
+    rational_instance,
+    reference_nullspace,
 )
 
 
@@ -405,19 +409,14 @@ def test_kernel_oracle_d2_classical():
         assert is_constant(inst, g)
         assert g.degree() <= 2
     # span check against the expected basis, via ranks of the joint system
-    from constalg import linalg
-
     expected = [parse_poly(t, "A", 2) for t in (
         "1", "x1", "x2", "x1^2", "x1*x2", "x2^2", "x1*y2 - x2*y1"
     )]
     cols = {}
     rows = []
     for poly in basis + expected:
-        row = {}
-        for mono, coeff in poly.terms.items():
-            col = cols.setdefault(mono, len(cols))
-            row[col] = coeff
-        rows.append(row)
+        terms, _ = int_terms(poly)
+        rows.append({cols.setdefault(mono, len(cols)): coeff for mono, coeff in terms.items()})
     joint_rank = linalg.rank(rows, len(cols))
     assert joint_rank == linalg.rank(rows[:7], len(cols)) == 7
 
@@ -428,6 +427,39 @@ def test_kernel_oracle_basis_members_are_constants():
         inst = random_instance(rng, d, max_m=2)
         for g in kernel_dim_oracle(inst, 3):
             assert is_constant(inst, g)
+
+
+@pytest.mark.parametrize("d, degrees", [(1, (3, 6)), (2, (2, 4)), (3, (2, 4))])
+def test_kernel_oracle_basis_is_normalized(d, degrees, monkeypatch):
+    # Each element is primitive over Z with a positive A-lex-leading
+    # coefficient, and the basis is sorted by lead, descending.  Leads may
+    # repeat: on tests/golden/mixed4.json at degree 5 the 185 elements have
+    # 149 distinct leads.
+    captured = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        captured.append((rows, ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    rng = random.Random(1700 + d)
+    for _ in range(3):
+        inst = rational_instance(rng, d)
+        for degree in degrees:
+            captured.clear()
+            basis = kernel_dim_oracle(inst, degree)
+            ((rows, ncols),) = captured
+            assert len(basis) == len(reference_nullspace(rows, ncols))
+            leads = []
+            for g in basis:
+                assert all(c.denominator == 1 for c in g.terms.values())
+                assert gcd(*[int(c) for c in g.terms.values()]) == 1
+                lead, lc = leading_term(g, LexOrder())
+                assert lc > 0
+                assert is_constant(inst, g)
+                leads.append(lead)
+            assert leads == sorted(leads, reverse=True)
 
 
 def test_kernel_oracle_budget_guard(monkeypatch):
