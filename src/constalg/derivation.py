@@ -199,60 +199,34 @@ def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:
     return is_constant_int(inst, int_terms(g)[0])
 
 
-def _univariate_coeffs(inst: ProblemInstance, i: int, g: Polynomial) -> list[Fraction]:
-    """Coefficient list of g, which must involve no variable besides x_i."""
-    coeffs: list[Fraction] = []
-    x_pos = 2 * i - 2
-    for mono, coeff in g.terms.items():
-        if any(e and t != x_pos for t, e in enumerate(mono)):
-            raise ValueError(
-                f"polynomial must be univariate in x{i}, got term {mono!r}"
-            )
-        power = mono[x_pos]
-        if power >= len(coeffs):
-            coeffs.extend([Fraction(0)] * (power + 1 - len(coeffs)))
-        coeffs[power] = coeff
-    return coeffs
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder of univariate coefficient lists (ascending)."""
-    num = list(num)
-    dm = len(den) - 1
-    dlc = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dm, 0)
-    while len(num) - 1 >= dm and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dm:
-            break
-        shift = len(num) - 1 - dm
-        factor = num[-1] / dlc
-        quot[shift] = factor
-        for t, dc in enumerate(den):
-            num[shift + t] -= factor * dc
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def f_adic_expand(inst: ProblemInstance, i: int, g: Polynomial) -> list[Polynomial]:
     """Write g = sum_n q_n(x_i) * f_i(x_i)^n with every deg q_n < deg f_i.
 
     g must be a polynomial in x_i alone; the list [q_0, q_1, ...] is
     returned positionally, so inner quotients that happen to vanish stay
-    in place.  Computed by repeated Euclidean division by f_i.
+    in place.  Computed by long division: each pass divides the remaining
+    coefficients by f_i in place, keeps the low m_i of them (the remainder)
+    as the next layer and goes on with the quotient until it is zero.
     """
     if not (1 <= i <= inst.d):
         raise ValueError(f"index {i} out of range 1..{inst.d}")
     _check_ring(inst, g)
-    remainder = _univariate_coeffs(inst, i, g)
-    fi = list(inst.f[i - 1])
-    layers: list[list[Fraction]] = []
-    while any(remainder):
-        quot, rem = _poly_divmod(remainder, fi)
-        layers.append(rem)
-        remainder = quot
-    if not layers:
-        layers.append([])
-    return [univariate(inst.ring_a, i, enumerate(layer)) for layer in layers]
+    x_pos = 2 * i - 2
+    coeffs = [Fraction(0)] * (g.degree() + 1)
+    for mono, coeff in g.terms.items():
+        if any(e and t != x_pos for t, e in enumerate(mono)):
+            raise ValueError(f"polynomial must be univariate in x{i}, got term {mono!r}")
+        coeffs[mono[x_pos]] = coeff
+    fi = inst.f[i - 1]
+    m = len(fi) - 1
+    layers = []
+    while True:
+        for top in range(len(coeffs) - 1, m - 1, -1):
+            # coeffs[top] becomes the quotient's coefficient of x_i^(top - m)
+            factor = coeffs[top] = coeffs[top] / fi[m]
+            for t in range(m):
+                coeffs[top - m + t] -= factor * fi[t]
+        layers.append(univariate(inst.ring_a, i, enumerate(coeffs[:m])))
+        coeffs = coeffs[m:]
+        if not any(coeffs):
+            return layers

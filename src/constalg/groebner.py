@@ -11,9 +11,11 @@ by `reduce_int` (fraction-free pseudo-division; Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992).  The result carries a
 per-pair certificate that records what discharged each pair.
 
-`reduce`, over Fraction, and `buchberger_complete`, a generic completion
-that must add nothing when run on the relations, are the independent
-cross-checks.
+`buchberger_complete`, a generic completion over Fraction that must add
+nothing when run on the relations, is an independent cross-check.  Its
+`reduce` picks each reducer through the same `LeadTable.reducer` as
+`reduce_int`; the table-free reference reduction is
+`tests/helpers.reference_reduce`.
 """
 
 from __future__ import annotations
@@ -435,10 +437,7 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
         lcm = leads[i].lcm(leads[j])
         if lcm == leads[i].mul(leads[j]):
             continue
-        spoly = s_polynomial(work[i], work[j], order)
-        if spoly.is_zero():
-            continue
-        normal_form = reduce(spoly, work, order)
+        normal_form = reduce(s_polynomial(work[i], work[j], order), work, order)
         if normal_form.is_zero():
             continue
         work.append(_monic(normal_form, order))

@@ -76,12 +76,8 @@ def is_normal_word(inst: ProblemInstance, mono: PMonomial) -> bool:
     pairs = u_pairs(inst.d)
     x_offset = len(pairs) - 1
     intervals = [pair for pair, e in zip(pairs, mono) if e]
-    for b in range(len(intervals)):
-        jb, kb = intervals[b]
-        for c in range(b + 1, len(intervals)):
-            jc, kc = intervals[c]
-            if jb < jc < kb < kc:
-                return False
+    if not all(_compatible(pair, intervals[:b]) for b, pair in enumerate(intervals)):
+        return False
     for j, k in intervals:
         for i in range(j + 1, k):
             if mono[x_offset + i] >= inst.m[i - 1]:

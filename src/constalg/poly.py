@@ -214,11 +214,6 @@ def _layout(ring: Ring) -> tuple:
     return PMonomial, d * (d + 1) // 2
 
 
-def _monomial_matches_ring(mono, ring: Ring) -> bool:
-    cls, width = _layout(ring)
-    return isinstance(mono, cls) and len(mono) == width
-
-
 def _exact(value) -> Fraction:
     """value as a Fraction; a float or a bool is no exact coefficient and raises TypeError."""
     if isinstance(value, (float, bool)):
@@ -243,8 +238,9 @@ class Polynomial:
     def __init__(self, ring: Ring, terms=None):
         normalized: dict = {}
         if terms:
+            cls, width = _layout(ring)
             for mono, coeff in terms.items():
-                if not _monomial_matches_ring(mono, ring):
+                if not (isinstance(mono, cls) and len(mono) == width):
                     raise RingMismatchError(
                         f"monomial {mono!r} does not belong to ring {ring}"
                     )
@@ -344,10 +340,7 @@ class Polynomial:
         self._check_compatible(other)
         return Polynomial._make(self.ring, mul_terms(self.terms, other.terms))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

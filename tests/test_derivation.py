@@ -19,7 +19,7 @@ from constalg import (
     u_pairs,
 )
 from constalg.derivation import delta_terms
-from helpers import f_poly, random_apoly, random_instance
+from helpers import f_poly, random_apoly, random_instance, rational_instance
 
 
 def test_instance_fields():
@@ -220,10 +220,10 @@ def test_f_adic_constant_and_tautology():
     c = Polynomial.constant(inst.ring_a, Fraction(5, 3))
     assert f_adic_expand(inst, 1, c) == [c]
     f1 = f_poly(inst, 1)
-    assert f_adic_expand(inst, 1, f1) == [
-        Polynomial.zero(inst.ring_a),
-        Polynomial.constant(inst.ring_a, 1),
-    ]
+    zero, one = Polynomial.zero(inst.ring_a), Polynomial.constant(inst.ring_a, 1)
+    assert f_adic_expand(inst, 1, f1) == [zero, one]
+    # the vanishing inner layers of f_1^2 stay in place
+    assert f_adic_expand(inst, 1, f1**2) == [zero, zero, one]
 
 
 def test_f_adic_rejects_foreign_variables():
@@ -236,10 +236,11 @@ def test_f_adic_rejects_foreign_variables():
 
 def test_f_adic_round_trip_randomized():
     rng = random.Random(53)
-    for _ in range(200):
+    for case in range(400):
         d = rng.randint(1, 3)
         i = rng.randint(1, d)
-        inst = random_instance(rng, d, max_m=5)
+        make_instance = random_instance if case < 200 else rational_instance
+        inst = make_instance(rng, d, max_m=5)
         ring = ring_a(d)
         g = Polynomial.zero(ring)
         for power in range(rng.randint(0, 12) + 1):

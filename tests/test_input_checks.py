@@ -54,6 +54,11 @@ def test_independence_check_slice_guard(monkeypatch):
             RingMismatchError,
             "does not belong",
         ),
+        (
+            lambda: Polynomial(ring_a(2), {AMonomial.one(3): 1}),
+            RingMismatchError,
+            "does not belong",
+        ),
         (lambda: setattr(Polynomial.zero(ring_a(2)), "ring", ring_a(3)), AttributeError, "immutable"),
         (lambda: PMonomial((0, 0, 0), (((1, 2), -1),)), ValueError, "nonnegative"),
         (lambda: Ring("Q", 2), ValueError, "flavor"),
@@ -72,6 +77,7 @@ def test_independence_check_slice_guard(monkeypatch):
         "is-constant-ring-p",
         "rewrite-constant-ring-p",
         "polynomial-foreign-monomial",
+        "polynomial-wrong-width-monomial",
         "polynomial-immutable",
         "pmonomial-negative-u-exponent",
         "ring-bad-flavor",

@@ -35,9 +35,21 @@ def test_add_cancellation():
 def test_scalar_mul_and_division():
     p = parse_poly("x1*y2 - 3/2*x2", "A", 2)
     assert 2 * p == p * 2 == p.scale(2)
-    assert p / 2 == p.scale(Fraction(1, 2))
+    assert p / 2 == p.scale(Fraction(1, 2)) == Fraction(1, 2) * p
     with pytest.raises(ZeroDivisionError):
         p / 0
+
+
+def test_negation_truth_and_text():
+    p = parse_poly("x1*y2 - 3/2*x2", "A", 2)
+    assert -p == p * -1 and -(-p) == p
+    assert p and not Polynomial.zero(ring_a(2))
+    assert parse_poly(str(p), "A", 2) == p
+    assert repr(p) == "Polynomial('x1*y2 - 3/2*x2', d=2)"
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p - 1
 
 
 _P = parse_poly("x1*y2 - 3/2*x2", "A", 2)

@@ -1,0 +1,33 @@
+"""Every name a constalg module imports is used in that module.
+
+`__init__.py` is left out: it imports names only to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import constalg
+
+SOURCE = Path(constalg.__file__).resolve().parent
+
+# perfbench's TracerTest checks that normal_words binds this name.
+ALLOWED = {("normal_words", "leading_term")}
+
+
+def unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(path.stem, name) for name in imported - used}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    unused = set().union(*(unused_imports(path) for path in modules))
+    assert unused == ALLOWED
