@@ -11,11 +11,11 @@ by `reduce_int` (fraction-free pseudo-division; Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992).  The result carries a
 per-pair certificate that records what discharged each pair.
 
-`buchberger_complete`, a generic completion over Fraction that must add
-nothing when run on the relations, is an independent cross-check.  Its
-`reduce` picks each reducer through the same `LeadTable.reducer` as
-`reduce_int`; the table-free reference reduction is
-`tests/helpers.reference_reduce`.
+`reduce` is `reduce_int` plus one division at the end.  The generic
+completion `buchberger_complete`, which must add nothing when run on the
+relations, is a cross-check by its own pair algorithm.  The Fraction
+references, which share no code with `LeadTable`, are
+`tests/helpers.reference_reduce` and `reference_pair_outcomes`.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ MAX_PAIR_QUEUE = 100_000
 class LeadTable:
     """Leading terms (lm, lc, terms) of a reduction basis, indexed by u-position.
 
-    The basis is a list of term maps {monomial: coefficient}, Fraction for
-    `reduce`, int for `reduce_int`.  Each lead is filed under the first
-    nonzero u-position of its exponent tuple (leads without u-factors under
-    None).  A lead can only divide monomials that are nonzero at that
-    position, so `reducer` and `divided_by_other` test a monomial only
-    against the leads filed under its nonzero u-positions.  The table is
-    built for one order and must be used with that order.
+    The basis is a list of term maps {monomial: coefficient}, int for
+    `reduce_int`; `verify_reduced` reads only their monomials.  Each lead is
+    filed under the first nonzero u-position of its exponent tuple (leads
+    without u-factors under None).  A lead can only divide monomials that
+    are nonzero at that position, so `reducer` and `divided_by_other` test
+    a monomial only against the leads filed under its nonzero u-positions.
+    The table is built for one order and must be used with that order.
     """
 
     def __init__(self, basis, order):
@@ -97,70 +97,56 @@ class LeadTable:
 def reduce(p: Polynomial, basis, order) -> Polynomial:
     """Full normal form of p modulo the basis.
 
-    `basis` is a list of polynomials.  Deterministic: the order-maximal
-    reducible monomial is rewritten first, always against the first basis
-    element whose lead divides it.  No monomial of the result is divisible
-    by any basis lead.
+    `basis` is a list of polynomials over p's ring.  Deterministic: the
+    order-maximal reducible monomial is rewritten first, always against the
+    first basis element whose lead divides it.  No monomial of the result is
+    divisible by any basis lead.  `reduce_int` computes it up to a positive factor.
     """
-    leads = LeadTable([g.terms for g in basis], order)
-    key = order.key
-    work = dict(p.terms)
-    remainder: dict = {}
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        hit = leads.reducer(mono)
-        if hit is None:
-            remainder[mono] = coeff
-            continue
-        lm, lc, g = hit
-        quot = mono.div(lm)
-        factor = coeff / lc
-        for gm, gc in g.items():
-            if gm is lm:
-                continue
-            target = gm.mul(quot)
-            new = work.get(target, 0) - factor * gc
-            if new:
-                work[target] = new
-            else:
-                work.pop(target, None)
-    return Polynomial._make(p.ring, remainder)
+    for g in basis:
+        p._check_compatible(g)
+    work, den = int_terms(p)
+    _, scale = reduce_int(work, LeadTable([_primitive(g) for g in basis], order), order, 0)
+    return Polynomial._make(p.ring, {m: Fraction(c, den * scale) for m, c in work.items()})
 
 
-def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> int:
-    """Pseudo-reduce the int term map `work` in place; return steps plus the steps taken.
+def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> tuple[int, int]:
+    """Pseudo-reduce the int term map `work` in place; return (steps + steps taken, scale).
 
-    `leads` holds int term maps.  The reducer is chosen as in `reduce`.
-    With c the coefficient of the work's maximal monomial, a its reducer
-    g's lead coefficient, k = gcd(c, a) signed like a and q the monomial
-    quotient, the work becomes (a/k)*work - (c/k)*q*g: a nonzero integer
-    multiple of `reduce`'s work, so it empties exactly when the normal form
-    is zero.  A maximal monomial that no lead divides cannot cancel, since
-    later steps add only smaller ones, so it stops the reduction and stays
-    in the work.  A total above MAX_REDUCTION_STEPS raises BudgetExceededError.
+    `leads` holds int term maps.  The work's maximal monomial goes first: to
+    a remainder when no lead divides it, else, with c its coefficient, a the
+    lead coefficient of the first basis element g whose lead divides it,
+    k = gcd(c, a) signed like a and q the monomial quotient, the work
+    becomes (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
+    remainder then goes back into the work, which holds scale*NF: NF is the
+    normal form over Fraction, scale the product of the factors a/k > 0.
+    A total above MAX_REDUCTION_STEPS raises BudgetExceededError.
     """
     key = order.key
     reducer = leads.reducer
+    remainder: dict = {}
+    scale = 1
     while work:
         mono = max(work, key=key)
+        coeff = work.pop(mono)
         hit = reducer(mono)
         if hit is None:
-            break
+            remainder[mono] = coeff
+            continue
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
             raise BudgetExceededError(
                 f"verification needs more than {MAX_REDUCTION_STEPS} reduction steps"
             )
         lm, lead, g = hit
-        coeff = work.pop(mono)
         common = gcd(coeff, lead)
         if lead < 0:
             common = -common
         quotient, multiplier = coeff // common, lead // common
         if multiplier != 1:
-            for m in work:
-                work[m] *= multiplier
+            scale *= multiplier
+            for terms in (work, remainder):
+                for m in terms:
+                    terms[m] *= multiplier
         quot = mono.div(lm)
         for gm, gc in g.items():
             if gm is lm:
@@ -171,7 +157,8 @@ def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> int:
                 work[target] = new
             else:
                 work.pop(target, None)
-    return steps
+    work.update(remainder)
+    return steps, scale
 
 
 def _primitive(p: Polynomial) -> dict:
@@ -359,6 +346,8 @@ def verify_reduced(basis, order) -> bool:
     elif not basis:
         return True
     else:
+        for g in basis:
+            basis[0]._check_compatible(g)
         leads = LeadTable([g.terms for g in basis], order)
     return not any(
         leads.divided_by_other(mono, own)
@@ -403,7 +392,7 @@ def verify_groebner(
                     discharged_by = "coprime"
                 else:
                     work, _ = int_terms(spoly)
-                    steps = reduce_int(work, leads, order, steps)
+                    steps, _ = reduce_int(work, leads, order, steps)
                     discharged_by = None if work else "reduction"
                 pairs.append(PairOutcome(left.label, right.label, discharged_by))
     return GroebnerCertificate(inst, variant, conformance, pairs, verify_reduced(leads, order))

@@ -9,8 +9,6 @@ import random
 import time
 from math import comb
 
-import pytest
-
 from constalg import (
     CORRECTED,
     DillOrder,

@@ -1,6 +1,7 @@
 """Reduction, S-polynomials, verification and completion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from helpers import (
     instance_with_degrees,
     random_instance,
     random_ppoly,
+    rational_instance,
     reference_pair_outcomes,
     reference_reduce,
     reference_reduced,
@@ -317,19 +319,24 @@ def test_buchberger_empty_input_rejected():
 
 
 def test_reduce_matches_reference_reduce():
-    # Same reducer choice, so the same normal form, for relation bases and for
-    # bases whose leads carry no u-factor.
+    # Same reducer choice, so the same normal form, for relation bases with
+    # integer and with rational f, whose scaled leads are not 1, and for bases
+    # whose leads carry no u-factor, under three orders.
     rng = random.Random(131)
+    rational_rng = random.Random(133)
+    orders = (DillOrder(), DillOrder(LITERAL), LexOrder())
     for d in (3, 4, 5):
         inst = random_instance(rng, d, max_m=3)
         bases = [relation_polys(inst)]
         bases.append([random_ppoly(rng, d, terms=3, max_factors=1) for _ in range(4)])
         bases[-1].append(parse_poly("x1^2 + x2", "P", d))
+        bases.append(relation_polys(rational_instance(rational_rng, d)))
         for basis in bases:
             basis = [g for g in basis if not g.is_zero()]
             for _ in range(10):
                 p = random_ppoly(rng, d, terms=5, max_x=3, max_u=2, max_factors=3)
-                assert reduce(p, basis, DillOrder()) == reference_reduce(p, basis, DillOrder())
+                for order in orders:
+                    assert reduce(p, basis, order) == reference_reduce(p, basis, order)
 
 
 def test_coprime_pairs_reduce_to_zero_under_reference():
@@ -437,9 +444,13 @@ def test_reduce_int_zero_matches_reference_reduce(variant):
         ]
         for g, h in pairs:
             spoly = s_polynomial(g, h, order)
-            work, _ = int_terms(spoly)
-            groebner.reduce_int(work, leads, order, 0)
-            assert (not work) == reference_reduce(spoly, basis, order).is_zero()
+            work, den = int_terms(spoly)
+            _, scale = groebner.reduce_int(work, leads, order, 0)
+            normal_form = reference_reduce(spoly, basis, order)
+            assert (not work) == normal_form.is_zero()
+            assert scale > 0
+            rescaled = {m: Fraction(c, den * scale) for m, c in work.items()}
+            assert Polynomial(spoly.ring, rescaled) == normal_form
             outcomes.append(not work)
     assert any(outcomes) and not all(outcomes)  # both verdicts occur
 
@@ -450,13 +461,27 @@ def test_reduce_int_budget_counts_steps_across_calls(monkeypatch):
     leads = int_leads(relations, order)
     g, h = relations[0].poly, relations[-1].poly
     work, _ = int_terms(s_polynomial(g, h, order))
-    steps = groebner.reduce_int(dict(work), leads, order, 0)
+    steps, scale = groebner.reduce_int(dict(work), leads, order, 0)
     assert steps > 0
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10 + steps)
-    assert groebner.reduce_int(dict(work), leads, order, 10) == 10 + steps
+    assert groebner.reduce_int(dict(work), leads, order, 10) == (10 + steps, scale)
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 9 + steps)
     with pytest.raises(BudgetExceededError, match=f"more than {9 + steps} reduction steps"):
         groebner.reduce_int(dict(work), leads, order, 10)
+
+
+def test_reduce_runs_under_the_step_budget(monkeypatch):
+    relations = build_relations(classical(4))
+    basis = [rel.poly for rel in relations]
+    order = DillOrder()
+    spoly = s_polynomial(basis[0], basis[-1], order)
+    steps, _ = groebner.reduce_int(int_terms(spoly)[0], int_leads(relations, order), order, 0)
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps)
+    assert reduce(spoly, basis, order).is_zero()
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps - 1)
+    message = f"verification needs more than {steps - 1} reduction steps"
+    with pytest.raises(BudgetExceededError, match=message):
+        reduce(spoly, basis, order)
 
 
 def unreduced_bases(rng, d, relations):

@@ -19,15 +19,19 @@ from constalg import (
     parse_poly,
     pi_substitute,
     recover_word_from_lead,
+    reduce,
     rewrite_constant,
     ring_a,
     ring_p,
+    verify_reduced,
 )
 from constalg import normal_words
 from constalg.normal_words import image_degree
 from constalg.poly import univariate
 
 NOWICKI3 = ProblemInstance.from_coeffs(3, [[0, 1]] * 3)
+P4_POLY = parse_poly("u1_3*u2_4 + x1", "P", 4)
+P5_POLY = parse_poly("u1_3 + x2", "P", 5)
 
 
 def test_independence_check_slice_guard(monkeypatch):
@@ -59,6 +63,16 @@ def test_independence_check_slice_guard(monkeypatch):
             RingMismatchError,
             "does not belong",
         ),
+        (
+            lambda: reduce(P4_POLY, [P5_POLY], DillOrder()),
+            RingMismatchError,
+            "cannot combine polynomials over",
+        ),
+        (
+            lambda: verify_reduced([P4_POLY, P5_POLY], DillOrder()),
+            RingMismatchError,
+            "cannot combine polynomials over",
+        ),
         (lambda: setattr(Polynomial.zero(ring_a(2)), "ring", ring_a(3)), AttributeError, "immutable"),
         (lambda: PMonomial((0, 0, 0), (((1, 2), -1),)), ValueError, "nonnegative"),
         (lambda: Ring("Q", 2), ValueError, "flavor"),
@@ -78,6 +92,8 @@ def test_independence_check_slice_guard(monkeypatch):
         "rewrite-constant-ring-p",
         "polynomial-foreign-monomial",
         "polynomial-wrong-width-monomial",
+        "reduce-basis-other-d",
+        "verify-reduced-basis-other-d",
         "polynomial-immutable",
         "pmonomial-negative-u-exponent",
         "ring-bad-flavor",

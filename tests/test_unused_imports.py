@@ -1,6 +1,6 @@
-"""Every name a constalg module imports is used in that module.
+"""Every name a constalg module or a test module imports is used in that module.
 
-`__init__.py` is left out: it imports names only to re-export them.
+constalg's `__init__.py` is left out: it imports names only to re-export them.
 """
 
 import ast
@@ -9,6 +9,7 @@ from pathlib import Path
 import constalg
 
 SOURCE = Path(constalg.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # perfbench's TracerTest checks that normal_words binds this name.
 ALLOWED = {("normal_words", "leading_term")}
@@ -28,6 +29,7 @@ def unused_imports(path: Path) -> set:
 
 def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) > 5
-    unused = set().union(*(unused_imports(path) for path in modules))
+    tests = sorted(TESTS.glob("*.py"))
+    assert len(modules) > 5 and len(tests) > 5
+    unused = set().union(*(unused_imports(path) for path in modules + tests))
     assert unused == ALLOWED
