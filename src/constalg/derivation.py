@@ -12,6 +12,12 @@ returns for a text, D clearing g's denominators, and tests L*D*delta(g) = 0
 with ints, so `constalg check` builds no Fraction; `is_constant` runs the
 same test on a Fraction polynomial.  `kernel_dim_oracle` builds L*delta's
 matrix.
+
+All of them run `delta_terms` on packed ring-A monomials (see `poly`): it
+reads b_i with one shift, lowers y_i by subtracting its unit and reaches
+each term of f_i(x_i) by adding the packed x_i^p.  `check_field_room`
+refuses, with BudgetExceededError, an input from which delta, the
+generator images or the peel could build an exponent wider than a field.
 """
 
 from __future__ import annotations
@@ -20,10 +26,23 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import ceil, lcm
+from operator import mul
 
-from .errors import InstanceError, RingMismatchError
-from .poly import AMonomial, Polynomial, Ring, _new, int_terms, ring_a, ring_p, univariate
+from .errors import BudgetExceededError, InstanceError, RingMismatchError
+from .poly import (
+    FIELD_MAX,
+    MAX_EXPONENT,
+    Polynomial,
+    Ring,
+    field_shift,
+    int_terms,
+    pack_terms,
+    ring_a,
+    ring_p,
+    univariate,
+    unpack_terms,
+)
 
 # Largest supported d.  A P-monomial stores d(d+1)/2 exponents, so the work
 # per monomial grows quadratically in d; beyond this bound it is impractical.
@@ -140,35 +159,72 @@ def load_instance(path) -> ProblemInstance:
     return ProblemInstance.from_json_dict(data)
 
 
-def delta_terms(rows, mono: AMonomial, coeff=1):
-    """The terms of delta(coeff * x^a y^b) = sum_i coeff * b_i * x^a y^(b - e_i) * f_i(x_i).
+def delta_plan(rows) -> tuple:
+    """What `delta_terms` needs of the coefficient rows of f_1..f_d, on packed monomials.
 
-    `rows` holds the coefficient lists of f_1..f_d: `inst.f` for delta
-    itself, or the integer rows of `ProblemInstance.integer_f` for L*delta.
-    Terms of different i differ in y_i, terms of one i in x_i: no two
-    yielded (monomial, coefficient) pairs share a monomial.
+    `rows` is `inst.f` for delta itself or the integer rows of
+    `ProblemInstance.integer_f` for L*delta.  Entry i-1 is (y_i's shift,
+    y_i's unit, the (x_i^p, c) pairs of the nonzero coefficients c of f_i).
     """
+    d = len(rows)
+    plan = []
     for i, fi in enumerate(rows):
-        y_pos = 2 * i + 1
-        bi = mono[y_pos]
-        if not bi:
-            continue
-        factor = coeff * bi
-        exps = list(mono)
-        exps[y_pos] -= 1
-        for power, fc in enumerate(fi):
-            if fc:
-                exps[y_pos - 1] = mono[y_pos - 1] + power
-                yield _new(AMonomial, exps), factor * fc
+        x_shift, y_shift = field_shift(d, 2 * i), field_shift(d, 2 * i + 1)
+        powers = tuple((p << x_shift, c) for p, c in enumerate(fi) if c)
+        plan.append((y_shift, 1 << y_shift, powers))
+    return tuple(plan)
 
 
-def _delta_sums(rows, terms) -> dict:
-    """{monomial: coefficient} of the image of the (monomial, coefficient) pairs; may hold zeros."""
+def delta_terms(plan, terms) -> dict:
+    """{packed monomial: coefficient} of delta applied to the (packed monomial, coefficient) pairs.
+
+    delta(c * x^a y^b) = sum_i c * b_i * x^a y^(b - e_i) * f_i(x_i), with
+    `plan` from `delta_plan`.  The map may hold zeros; the caller keeps the
+    fields within FIELD_MAX (`check_field_room`).
+    """
     sums: dict = {}
+    get = sums.get
     for mono, coeff in terms:
-        for target, value in delta_terms(rows, mono, coeff):
-            sums[target] = sums.get(target, 0) + value
+        for y_shift, y_unit, powers in plan:
+            b = mono >> y_shift & FIELD_MAX
+            if b:
+                base = mono - y_unit
+                factor = coeff * b
+                for power, c in powers:
+                    target = base + power
+                    sums[target] = get(target, 0) + factor * c
     return sums
+
+
+def check_field_room(inst: ProblemInstance, weight) -> None:
+    """Raise BudgetExceededError if monomials of this weight could overflow a packed field.
+
+    Weight x_i by 1/m_i and y_i by 1.  delta trades a y_i for at most
+    x_i^m_i, every term of a generator u_jk weighs at most 2, which its
+    A-lex lead x_j^m_j*y_k weighs, and the peel subtracts images no heavier
+    than their leads.  So from monomials of weight at most `weight` none
+    of them builds an exponent x_i above m_i*weight or y_i above weight.
+    """
+    top = max(inst.m) * weight
+    if top > FIELD_MAX:
+        raise BudgetExceededError(
+            f"exponents could grow to {ceil(top)}, more than a monomial field holds ({FIELD_MAX})"
+        )
+
+
+def _check_terms_room(inst: ProblemInstance, terms) -> None:
+    """`check_field_room` for the heaviest of the packed monomials `terms`.
+
+    Each exponent of `terms` is at most MAX_EXPONENT, so they weigh at
+    most 2*d*MAX_EXPONENT, which settles most instances without unpacking
+    a monomial.
+    """
+    if max(inst.m) * 2 * inst.d * MAX_EXPONENT > FIELD_MAX:
+        common = lcm(*inst.m)  # weights in units of 1/common, in slot order x1, y1, ...
+        units = [unit for m in inst.m for unit in (common // m, common)]
+        monos = unpack_terms(terms, inst.d)
+        heaviest = max((sum(map(mul, mono, units)) for mono in monos), default=0)
+        check_field_room(inst, Fraction(heaviest, common))
 
 
 def _check_ring(inst: ProblemInstance, g: Polynomial) -> None:
@@ -179,18 +235,26 @@ def _check_ring(inst: ProblemInstance, g: Polynomial) -> None:
 def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
     """Image of g under the derivation, over Fraction."""
     _check_ring(inst, g)
-    sums = _delta_sums(inst.f, g.terms.items())
-    return Polynomial._make(inst.ring_a, {m: c for m, c in sums.items() if c})
+    terms = pack_terms(g.terms)
+    _check_terms_room(inst, terms)
+    sums = delta_terms(delta_plan(inst.f), terms.items())
+    image = unpack_terms({m: c for m, c in sums.items() if c}, inst.d)
+    return Polynomial._make(inst.ring_a, image)
 
 
 def is_constant_int(inst: ProblemInstance, terms: dict) -> bool:
     """True iff the derivation annihilates the polynomial with int term map `terms`.
 
-    `terms` is D*g for any positive D, as `parse_poly_int` returns it: L*D*delta(g),
-    accumulated from the integer rows, vanishes exactly when delta(g) does.
+    `terms` is D*g for any positive D, keyed by packed monomials with every
+    exponent at most MAX_EXPONENT, as `parse_poly_int` returns it:
+    L*D*delta(g), accumulated from the integer rows, vanishes exactly when
+    delta(g) does.  A g from which delta or the peel could build an
+    exponent too large for a packed field raises BudgetExceededError, so
+    `check` and `rewrite` accept the same inputs.
     """
+    _check_terms_room(inst, terms)
     _, rows = inst.integer_f
-    return not any(_delta_sums(rows, terms.items()).values())
+    return not any(delta_terms(delta_plan(rows), terms.items()).values())
 
 
 def is_constant(inst: ProblemInstance, g: Polynomial) -> bool:

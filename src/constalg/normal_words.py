@@ -10,8 +10,10 @@ constant into the generators a deterministic peeling loop.  The loop,
 (as `poly.parse_poly_int` reads it), peels with the integer images L^e *
 pi(w) of `presentation.scaled_image` by fraction-free pseudo-division
 (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992), builds
-only its result over Fraction and stops after MAX_PEEL_STEPS words.
-`rewrite_constant` runs it on a Fraction polynomial.
+only its result over Fraction and stops after MAX_PEEL_STEPS words.  It
+works on packed ring-A monomials (see `poly`), whose int order is the
+A-lex order: its heap holds the negated keys, and only the lead of each
+step is unpacked.  `rewrite_constant` runs it on a Fraction polynomial.
 
 A normal word is its P-monomial: `enumerate_normal_words` and
 `recover_word_from_lead` return PMonomials, and `lead_of_image` checks
@@ -23,6 +25,8 @@ intervals and builds no word.
 `kernel_dim_oracle` is the independent brute-force side: it computes the
 nullspace of the derivation on a degree slice over the integers
 (`linalg.nullspace`) without touching any of the normal-word machinery.
+Its columns and rows are packed monomials; only the basis it returns is
+keyed by AMonomials.
 """
 
 from __future__ import annotations
@@ -31,10 +35,17 @@ import heapq
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
-from operator import add, neg
+from operator import add
 
 from . import linalg
-from .derivation import ProblemInstance, _check_ring, delta_terms, is_constant_int
+from .derivation import (
+    ProblemInstance,
+    _check_ring,
+    check_field_room,
+    delta_plan,
+    delta_terms,
+    is_constant_int,
+)
 from .errors import (
     BudgetExceededError,
     NotAConstantError,
@@ -47,10 +58,13 @@ from .poly import (
     PMonomial,
     Polynomial,
     _new,
+    field_shift,
     int_terms,
     leading_term,  # unused here; perfbench's tracer test expects this module to bind it
     u_pairs,
     u_position,
+    unpack,
+    unpack_terms,
 )
 from .presentation import build_generators, scaled_image
 
@@ -323,7 +337,8 @@ def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> PMonomial:
 def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polynomial:
     """Express the constant g = terms/den as a linear combination of normal words.
 
-    `terms` maps A-monomials to ints, as `parse_poly_int` returns them.
+    `terms` maps packed A-monomials to ints, as `parse_poly_int` returns
+    them; each step unpacks only its lead, for `recover_word_from_lead`.
     Returns h over ring P with pi(h) = g and every monomial of h normal.
     Each step peels the A-lex lead with the word w whose image it leads, by
     fraction-free pseudo-division.  With c the lead coefficient of the
@@ -340,11 +355,13 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
     if not is_constant_int(inst, terms):
         raise NotAConstantError("polynomial is not a constant of the derivation")
     table = build_generators(inst)
+    d = inst.d
     coeffs: dict = {}  # word -> (numerator, denominator) of its coefficient in h
     work = dict(terms)
-    # Lazy max-heap in A-lex order (negated exponents); stale entries are skipped on pop.
-    heap = [(*map(neg, m), m) for m in work]
+    # Lazy max-heap in A-lex order (negated packed keys); stale entries are skipped on pop.
+    heap = [-m for m in work]
     heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
     steps = 0
     while work:
         steps += 1
@@ -352,13 +369,13 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
             raise BudgetExceededError(f"rewriting needs more than {MAX_PEEL_STEPS} peel steps")
         mono = None
         while heap:
-            mono = heapq.heappop(heap)[-1]
+            mono = -pop(heap)
             if mono in work:
                 break
             mono = None
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
-        word = recover_word_from_lead(inst, mono)
+        word = recover_word_from_lead(inst, unpack(mono, d))
         image, scale = scaled_image(table, word)
         # mono is the A-lex lead of the image
         lead = image[mono]
@@ -372,13 +389,15 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
                 work[m] *= multiplier
         coeffs[word] = quotient * scale, den
         for im, ic in image.items():
-            new = work.get(im, 0) - quotient * ic
-            if new:
-                if im not in work:
-                    heapq.heappush(heap, (*map(neg, im), im))
-                work[im] = new
+            sub = quotient * ic
+            old = get(im)
+            if old is None:
+                push(heap, -im)
+                work[im] = -sub
+            elif old == sub:
+                del work[im]
             else:
-                work.pop(im, None)
+                work[im] = old - sub
     return Polynomial._make(inst.ring_p, {w: Fraction(*c) for w, c in coeffs.items()})
 
 
@@ -397,21 +416,20 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
 # -- brute-force oracle ---------------------------------------------------------
 
 
-def _monomials_up_to_degree(d: int, bound: int) -> list[AMonomial]:
-    """All ring-A monomials of total degree <= bound, in descending A-lex order."""
-    out: list[AMonomial] = []
+def _monomials_up_to_degree(d: int, bound: int) -> list[int]:
+    """All packed ring-A monomials of total degree <= bound, in descending A-lex order."""
+    out: list[int] = []
+    shifts = [field_shift(d, slot) for slot in range(2 * d)]
 
-    def fill(idx: int, remaining: int, acc: list):
-        # acc lists the exponents in storage order (x1, y1, ..., xd, yd)
+    def fill(idx: int, remaining: int, acc: int):
+        # idx walks the exponent slots x1, y1, ..., xd, yd, most significant first
         if idx == 2 * d:
-            out.append(_new(AMonomial, acc))
+            out.append(acc)
             return
         for e in range(remaining, -1, -1):
-            acc.append(e)
-            fill(idx + 1, remaining - e, acc)
-            acc.pop()
+            fill(idx + 1, remaining - e, acc | e << shifts[idx])
 
-    fill(0, bound, [])
+    fill(0, bound, 0)
     return out
 
 
@@ -421,25 +439,27 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> list[Polynomial
     Brute force: the derivation is a linear map from the degree slice into
     a higher slice; its nullspace is computed by fraction-free elimination.
     Completely independent of the relation/normal-word machinery.  The
-    columns are the slice's monomials in descending A-lex order; that order
-    fixes the pivot columns and so the basis.  Each element has coprime
-    integer coefficients and a positive A-lex-leading coefficient; the
-    elements are sorted by lead, largest first (leads may repeat).
+    columns are the slice's packed monomials in descending A-lex order;
+    that order fixes the pivot columns and so the basis.  Each element has
+    coprime integer coefficients and a positive A-lex-leading coefficient;
+    the elements are sorted by lead, largest first (leads may repeat).
     """
     ncols = comb(max_degree + 2 * inst.d, 2 * inst.d)  # ring-A monomials of degree <= bound
     if ncols > MAX_SLICE_MONOMIALS:
         raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}")
+    check_field_room(inst, max_degree)  # a monomial of degree D weighs at most D
     cols = _monomials_up_to_degree(inst.d, max_degree)
-    _, f_rows = inst.integer_f  # L*delta has the kernel of delta
-    rows: dict[AMonomial, dict[int, int]] = {}  # target monomial -> row
+    plan = delta_plan(inst.integer_f[1])  # L*delta has the kernel of delta
+    rows: dict[int, dict[int, int]] = {}  # target monomial -> row
     for cidx, mono in enumerate(cols):
-        for target, value in delta_terms(f_rows, mono):
+        for target, value in delta_terms(plan, ((mono, 1),)).items():
             rows.setdefault(target, {})[cidx] = value
     basis = []
     # A vector's A-lex lead is its smallest column; make its coefficient positive.
     for vector in sorted(linalg.nullspace(list(rows.values()), len(cols)), key=min):
         sign = 1 if vector[min(vector)] > 0 else -1
-        basis.append(Polynomial(inst.ring_a, {cols[c]: sign * v for c, v in vector.items()}))
+        terms = unpack_terms({cols[c]: sign * v for c, v in vector.items()}, inst.d)
+        basis.append(Polynomial(inst.ring_a, terms))
     return basis
 
 
@@ -459,11 +479,12 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
     The images are independent iff the rank equals the word count; the
     image leads must also be pairwise distinct.
     """
+    check_field_room(inst, max_degree)  # an image of degree D weighs at most D
     table = build_generators(inst)
     words = enumerate_normal_words(inst, max_degree)
     # The rank does not see the positive factor L^e of each integer image.
     images = [scaled_image(table, w)[0] for w in words]
-    col_index: dict[AMonomial, int] = {}
+    col_index: dict[int, int] = {}
     for image in images:
         for mono in image:
             if mono not in col_index:

@@ -4,9 +4,9 @@ Ring A = Q[x_1..x_d, y_1..y_d] hosts the derivation and its constants;
 ring P = Q[x_1..x_d, u_jk : 1 <= j < k <= d] hosts presentations of the
 constants.  A `Polynomial` holds `fractions.Fraction` coefficients; the hot
 paths elsewhere clear denominators once and work on plain term maps
-{monomial: int} (see `mul_terms`).  Floating point never enters.
-Polynomials are immutable values and every operation is a pure function,
-so they are safe to share across threads.
+{monomial: int}.  Floating point never enters.  Polynomials are immutable
+values and every operation is a pure function, so they are safe to share
+across threads.
 
 The text grammar has one scanner, `parse_poly_int`, which returns such an
 int term map and one common denominator; `parse_poly` divides it into a
@@ -14,29 +14,52 @@ Fraction polynomial, and `int_terms` takes a Fraction polynomial back to
 that form.
 
 Variable indices are 1-based everywhere they are visible (text syntax,
-u-pair labels).  A monomial is one dense exponent tuple, laid out so that
-plain tuple order is the lexicographic order the rings use:
+u-pair labels).  A `Polynomial` keys its terms by one dense exponent tuple
+per monomial, laid out so that plain tuple order is the lexicographic
+order the rings use:
 
 * ring A: (a_1, b_1, ..., a_d, b_d) for x^a * y^b, precedence
   x1 > y1 > x2 > ... > yd (the A-lex order);
 * ring P: (e_12, e_13, ..., e_(d-1)d, a_1, ..., a_d) for
   prod u_jk^e_jk * x^a, u-pairs in `u_pairs(d)` order, precedence
   u1_2 > u1_3 > ... > u(d-1)_d > x1 > ... > xd (the DILL tie-break).
+
+The int term maps of ring A key a monomial by one packed int instead: the
+same 2d exponents in fields of FIELD_BITS bits, a_1 in the most significant
+field and b_d in the least, so plain int order is the A-lex order and the
+product of two monomials is the sum of their keys.  This module alone owns
+that layout (`field_shift`, `pack`, `unpack`, `pack_terms`,
+`unpack_terms`).  A sum of keys is exact only while no field exceeds
+FIELD_MAX; the parser and `pack_terms` refuse exponents above
+MAX_EXPONENT, and `derivation.check_field_room` bounds what the
+derivation, the generator images and the peel build from them.  The int
+term maps of ring P keep PMonomial keys.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import add, le, sub
 
-from .errors import ParseError, RingMismatchError
+from .errors import BudgetExceededError, ParseError, RingMismatchError
 
 RING_A = "A"
 RING_P = "P"
+
+# Width of one exponent field of a packed ring-A monomial; `pack` and
+# `unpack` read and write the fields as big-endian unsigned 32-bit words.
+FIELD_BITS = 32
+FIELD_MAX = (1 << FIELD_BITS) - 1
+
+# Largest exponent the parser and `pack_terms` accept for any one variable;
+# larger ones raise BudgetExceededError.  While 2*d*m_i*MAX_EXPONENT stays
+# within FIELD_MAX, no derived exponent can reach a neighbouring field.
+MAX_EXPONENT = (1 << 21) - 1
 
 
 class Ring(namedtuple("Ring", "flavor d")):
@@ -226,6 +249,64 @@ def _x_position(ring: Ring, i: int) -> int:
     return 2 * i - 2 if ring.flavor == RING_A else d * (d - 1) // 2 + i - 1
 
 
+# -- packed ring-A monomials -------------------------------------------------
+
+
+@lru_cache(maxsize=128)
+def _fields(width: int) -> struct.Struct:
+    """Big-endian 32-bit words, one per exponent of a ring-A monomial of this width."""
+    return struct.Struct(f">{width}I")
+
+
+@lru_cache(maxsize=128)
+def _over_cap(width: int) -> int:
+    """The bits of a packed monomial of this width that only a field above MAX_EXPONENT sets."""
+    high = FIELD_MAX ^ MAX_EXPONENT  # MAX_EXPONENT is 2^k - 1
+    return sum(high << (FIELD_BITS * slot) for slot in range(width))
+
+
+def field_shift(d: int, slot: int) -> int:
+    """Bit offset of exponent slot `slot` (x_i at 2i-2, y_i at 2i-1) in a packed monomial."""
+    return (2 * d - 1 - slot) * FIELD_BITS
+
+
+def pack(exps) -> int:
+    """The packed key of the ring-A exponents (a_1, b_1, ..., a_d, b_d), each at most FIELD_MAX."""
+    return int.from_bytes(_fields(len(exps)).pack(*exps), "big")
+
+
+def unpack(key: int, d: int) -> AMonomial:
+    """The AMonomial of a packed key of ring A(d)."""
+    return _new(AMonomial, _fields(2 * d).unpack(key.to_bytes(8 * d, "big")))
+
+
+def _cap_error(exps, flavor: str, d: int) -> BudgetExceededError:
+    """The error for the largest of the exponents `exps`, which exceeds MAX_EXPONENT."""
+    slot = max(range(len(exps)), key=exps.__getitem__)
+    name = dict(_variable_names(flavor, d))[slot]
+    return BudgetExceededError(
+        f"exponent {exps[slot]} of {name} exceeds the cap of {MAX_EXPONENT}"
+    )
+
+
+def pack_terms(terms: dict) -> dict:
+    """A ring-A term map with AMonomial keys, keyed by packed monomials instead.
+
+    An exponent above MAX_EXPONENT raises BudgetExceededError.
+    """
+    packed = {}
+    for mono, coeff in terms.items():
+        if max(mono) > MAX_EXPONENT:
+            raise _cap_error(mono, RING_A, mono.d)
+        packed[pack(mono)] = coeff
+    return packed
+
+
+def unpack_terms(terms: dict, d: int) -> dict:
+    """A ring-A(d) term map with packed keys, keyed by AMonomials instead."""
+    return {unpack(key, d): coeff for key, coeff in terms.items()}
+
+
 class Polynomial:
     """Sparse polynomial: a finite map monomial -> nonzero Fraction.
 
@@ -338,7 +419,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        return Polynomial._make(self.ring, mul_terms(self.terms, other.terms))
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                prod = m1.mul(m2)
+                new = terms.get(prod, 0) + c1 * c2
+                if new:
+                    terms[prod] = new
+                else:
+                    terms.pop(prod, None)
+        return Polynomial._make(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -348,7 +438,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Polynomial.constant(self.ring, 1)
         base = self
@@ -384,15 +474,17 @@ class Polynomial:
 
 
 def mul_terms(left: dict, right: dict) -> dict:
-    """Product of two term maps {monomial: coefficient}; no zero is stored.
+    """Product of two ring-A term maps {packed monomial: int}; no zero is stored.
 
-    The coefficients may be ints or Fractions; ints stay ints.
+    A product's key is the sum of the two keys; the caller keeps every
+    field of the sums within FIELD_MAX.
     """
     terms: dict = {}
+    get = terms.get
     for m1, c1 in left.items():
         for m2, c2 in right.items():
-            prod = m1.mul(m2)
-            new = terms.get(prod, 0) + c1 * c2
+            prod = m1 + m2
+            new = get(prod, 0) + c1 * c2
             if new:
                 terms[prod] = new
             else:
@@ -511,15 +603,18 @@ def _checked_slot(text: str, pos: int, ring: Ring) -> int:
 def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
     """Parse `text` in the grammar above into (terms, den): the polynomial is terms/den.
 
-    `terms` maps monomials to nonzero ints and `den` is the lcm of the
-    denominators as written, so no Fraction is built.  One pass over the
-    text: the factors of a term add their exponents into one list, from
-    which the term's monomial is built once.  The terms are then summed
-    over `den`, each scaled once, so many distinct denominators cost no
-    rescaling of the terms already read.
+    `terms` maps monomials to nonzero ints, packed ones in ring A, and `den`
+    is the lcm of the denominators as written, so no Fraction is built.
+    One pass over the text: the factors of a term add their exponents into
+    one list, from which the term's monomial is built once.  A summed
+    exponent above MAX_EXPONENT raises BudgetExceededError.  The terms are
+    then summed over `den`, each scaled once, so many distinct denominators
+    cost no rescaling of the terms already read.
     """
     ring = Ring(flavor, d)
     cls, width = _layout(ring)
+    packed = flavor == RING_A
+    fields, over_cap, from_bytes = _fields(width).pack, _over_cap(width), int.from_bytes
     slots = _slots(flavor, d)
     star_factor = _STAR_FACTOR.match
     if _END.match(text):
@@ -566,9 +661,20 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
                 slot = _checked_slot(text, match.start(1), ring)
             exps[slot] += 1 if exp is None else _nat(match, 2)
             match = star_factor(text, pos)
+        if packed:
+            try:
+                mono = from_bytes(fields(*exps), "big")
+            except struct.error:  # an exponent wider than a field
+                mono = over_cap
+            if mono & over_cap:
+                raise _cap_error(exps, flavor, d)
+        elif max(exps) > MAX_EXPONENT:
+            raise _cap_error(exps, flavor, d)
+        else:
+            mono = _new(cls, exps)
         if den % cden:
             den = lcm(den, cden)
-        parsed.append((_new(cls, exps), -num if negative else num, cden))
+        parsed.append((mono, -num if negative else num, cden))
     terms: dict = {}
     for mono, num, cden in parsed:
         new = terms.get(mono, 0) + num * (den // cden)
@@ -582,13 +688,20 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
     """Parse `text` in the grammar above into a polynomial over Fraction: terms/den."""
     terms, den = parse_poly_int(text, flavor, d)
+    if flavor == RING_A:
+        terms = unpack_terms(terms, d)
     return Polynomial._make(Ring(flavor, d), {m: Fraction(c, den) for m, c in terms.items()})
 
 
 def int_terms(p: Polynomial) -> tuple[dict, int]:
-    """(terms, den) with p = terms/den: int coefficients, den the lcm of p's denominators."""
+    """(terms, den) with p = terms/den: int coefficients, den the lcm of p's denominators.
+
+    Ring-A keys are packed by `pack_terms`, which refuses exponents above
+    MAX_EXPONENT.
+    """
     den = lcm(*[c.denominator for c in p.terms.values()])
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+    terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    return (pack_terms(terms) if p.ring.flavor == RING_A else terms), den
 
 
 @lru_cache(maxsize=256)

@@ -12,11 +12,13 @@ with the f factors of s fully expanded over ring P, since reduction needs
 every term.
 
 The generator table works over the integers: it stores L*u_jk with int
-coefficients, L = the lcm of the f-coefficient denominators, and caches
-their powers.  `scaled_image` returns L^e * pi(w) for a word w of u-degree
-e, which `rewrite_constant_int` peels with; `u_power` and
-`pi_image_of_monomial` divide by the power of L and return the true
-polynomials over Fraction.
+coefficients, L = the lcm of the f-coefficient denominators, keyed by
+packed ring-A monomials (see `poly`), and caches their powers, so every
+monomial product is one int addition.  `scaled_image` returns L^e * pi(w)
+for a word w of u-degree e, which `rewrite_constant_int` peels with;
+`u_power`, `pi_image_of_monomial` and `pi_substitute` check that the
+image fits the packed fields, divide by the power of L and return the true
+polynomials over Fraction, keyed by AMonomials.
 """
 
 from __future__ import annotations
@@ -26,9 +28,19 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .derivation import ProblemInstance
+from .derivation import ProblemInstance, check_field_room
 from .errors import BudgetExceededError, RingMismatchError
-from .poly import AMonomial, PMonomial, Polynomial, _new, mul_terms, u_pairs, u_var, univariate
+from .poly import (
+    PMonomial,
+    Polynomial,
+    field_shift,
+    mul_terms,
+    pack,
+    u_pairs,
+    u_var,
+    univariate,
+    unpack_terms,
+)
 
 # Most relations `build_relations` may build: C(24,4) + C(24,3), so d <= 24.
 MAX_RELATIONS = 12_650
@@ -37,8 +49,8 @@ MAX_RELATIONS = 12_650
 class GeneratorTable:
     """The pair determinants u_jk of one instance, kept as L*u_jk with int coefficients.
 
-    `scaled` maps (j, k) to the term map of L*u_jk, and `_power_cache`
-    maps (j, k, e) to that of (L*u_jk)^e.
+    `scaled` maps (j, k) to the term map {packed monomial: int} of L*u_jk,
+    and `_power_cache` maps (j, k, e) to that of (L*u_jk)^e.
     """
 
     def __init__(self, instance: ProblemInstance, scaled: dict):
@@ -55,7 +67,7 @@ class GeneratorTable:
         power = self._power_cache.get(key)
         if power is None:
             if exponent <= 1:
-                power = self.scaled[(j, k)] if exponent else {AMonomial.one(self.instance.d): 1}
+                power = self.scaled[(j, k)] if exponent else {0: 1}
             else:
                 half = self.scaled_power(j, k, exponent // 2)
                 power = mul_terms(half, half)
@@ -66,30 +78,39 @@ class GeneratorTable:
 
     def u_power(self, j: int, k: int, exponent: int) -> Polynomial:
         """u_jk^exponent, read off the cached power of L*u_jk."""
+        check_field_room(self.instance, 2 * exponent)
         scale = self.instance.integer_f[0] ** exponent
         return _unscale(self.instance.ring_a, self.scaled_power(j, k, exponent), scale)
 
 
 def _unscale(ring, terms: dict, scale: int) -> Polynomial:
-    """The polynomial terms/scale over Fraction."""
-    return Polynomial._make(ring, {m: Fraction(c, scale) for m, c in terms.items()})
+    """The polynomial terms/scale over Fraction, `terms` keyed by packed monomials."""
+    unscaled = {m: Fraction(c, scale) for m, c in terms.items()}
+    return Polynomial._make(ring, unpack_terms(unscaled, ring.d))
 
 
 def build_generators(inst: ProblemInstance) -> GeneratorTable:
     """All L*u_jk = (L*f_j)(x_j)*y_k - (L*f_k)(x_k)*y_j, keyed by (j, k) with j < k."""
     _, rows = inst.integer_f
+    d = inst.d
     scaled = {}
-    for j, k in combinations(range(1, inst.d + 1), 2):
+    for j, k in combinations(range(1, d + 1), 2):
         terms = {}
         for i, other, sign in ((j, k, 1), (k, j, -1)):
-            exps = [0] * (2 * inst.d)
-            exps[2 * other - 1] = 1
+            y_other = 1 << field_shift(d, 2 * other - 1)
+            x_shift = field_shift(d, 2 * i - 2)
             for power, c in enumerate(rows[i - 1]):
                 if c:
-                    exps[2 * i - 2] = power
-                    terms[_new(AMonomial, exps)] = sign * c
+                    terms[y_other + (power << x_shift)] = sign * c
         scaled[(j, k)] = terms
     return GeneratorTable(inst, scaled)
+
+
+def _check_image_room(inst: ProblemInstance, mono: PMonomial) -> None:
+    """`check_field_room` for pi(mono), whose A-lex lead weighs sum_i a_i/m_i + 2*(u-degree)."""
+    npairs = len(u_pairs(inst.d))
+    weight = sum(map(Fraction, mono[npairs:], inst.m)) + 2 * sum(mono[:npairs])
+    check_field_room(inst, weight)
 
 
 def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
@@ -99,6 +120,7 @@ def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
         raise RingMismatchError(f"polynomial over {p.ring} does not match d={inst.d}")
     terms: dict = {}
     for mono, coeff in p.terms.items():
+        _check_image_room(inst, mono)
         image, scale = scaled_image(table, mono)
         factor = coeff / scale
         for m, c in image.items():
@@ -107,16 +129,20 @@ def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
                 terms[m] = new
             else:
                 del terms[m]
-    return Polynomial._make(inst.ring_a, terms)
+    return Polynomial._make(inst.ring_a, unpack_terms(terms, inst.d))
 
 
 def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:
-    """(terms, L^e): the int term map of L^e * pi(mono), e the u-degree of mono."""
+    """(terms, L^e): the int term map of L^e * pi(mono), e the u-degree of mono.
+
+    The keys are packed; the caller has checked that pi(mono) fits the
+    fields (`derivation.check_field_room`).
+    """
     d = table.instance.d
     pairs = u_pairs(d)
     exps = [0] * (2 * d)
     exps[0::2] = mono[len(pairs):]
-    terms = {_new(AMonomial, exps): 1}
+    terms = {pack(exps): 1}
     for (j, k), e in zip(pairs, mono):
         if e:
             terms = mul_terms(terms, table.scaled_power(j, k, e))
@@ -125,6 +151,7 @@ def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:
 
 def pi_image_of_monomial(table: GeneratorTable, mono: PMonomial) -> Polynomial:
     """pi(mono) over Fraction."""
+    _check_image_room(table.instance, mono)
     return _unscale(table.instance.ring_a, *scaled_image(table, mono))
 
 

@@ -205,6 +205,20 @@ def y_poly(ring, k):
     return Polynomial.from_term(ring, AMonomial((0,) * ring.d, yexp), 1)
 
 
+def reference_delta(inst, g):
+    """delta(g) over Fraction, term by term: x^a y^b -> sum_i b_i * x^a y^(b - e_i) * f_i(x_i)."""
+    ring = inst.ring_a
+    image = Polynomial.zero(ring)
+    for mono, coeff in g.terms.items():
+        for i, b in enumerate(mono.yexp, start=1):
+            if b:
+                yexp = list(mono.yexp)
+                yexp[i - 1] -= 1
+                lowered = Polynomial.from_term(ring, AMonomial(mono.xexp, yexp), coeff * b)
+                image = image + lowered * f_poly(inst, i)
+    return image
+
+
 def reference_image(inst, mono):
     """pi(mono) over Fraction, multiplied out from fresh Fraction generators."""
     ring = inst.ring_a

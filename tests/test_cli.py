@@ -11,6 +11,7 @@ import pytest
 
 from constalg import groebner, normal_words, presentation
 from constalg.cli import run
+from constalg.poly import FIELD_MAX, MAX_EXPONENT
 
 
 @pytest.fixture
@@ -175,6 +176,66 @@ def test_check_huge_exponent(instance_file, capsys):
     path = instance_file(CLASSICAL_2)
     assert run(["check", "--instance", path, "--poly", "x1^2000000"]) == 0
     assert capsys.readouterr().out.strip() == "constant"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["check", "--poly", f"x1^{MAX_EXPONENT}*y2^{MAX_EXPONENT}"], 1, "not a constant\n"),
+        (["check", "--poly", f"3*x2^{MAX_EXPONENT}"], 0, "constant\n"),
+        (["rewrite", "--poly", f"x1^{MAX_EXPONENT}"], 0, f"x1^{MAX_EXPONENT}\n"),
+        (["rewrite", "--poly", f"x1^{MAX_EXPONENT - 1}*x1*x2"], 0, f"x1^{MAX_EXPONENT}*x2\n"),
+    ],
+    ids=["check-non-constant", "check-constant", "rewrite", "rewrite-summed"],
+)
+def test_exponents_at_the_cap(instance_file, capsys, argv, code, out):
+    assert run([*argv, "--instance", instance_file(CLASSICAL_2)]) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("command", ["check", "rewrite"])
+@pytest.mark.parametrize(
+    "poly, name",
+    [
+        (f"x1^{MAX_EXPONENT + 1}", "x1"),
+        (f"x1*y1^{MAX_EXPONENT + 1}", "y1"),
+        (f"x2^{MAX_EXPONENT}*x2 - y1", "x2"),  # summed before the cap is applied
+        (f"x1 + x2^{MAX_EXPONENT - 1}*x1*x2^2", "x2"),
+    ],
+    ids=["x", "y", "summed", "summed-apart"],
+)
+def test_exponents_past_the_cap_exit_2(instance_file, capsys, command, poly, name):
+    assert run([command, "--instance", instance_file(CLASSICAL_2), "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: exponent {MAX_EXPONENT + 1} of {name} exceeds the cap of {MAX_EXPONENT}\n"
+    )
+
+
+# f1 = x1^4097, f2 = x2: the peel of x2^a*u1_2 may build exponents up to
+# 4097*(a + 2) by the weight bound, which must fit a 32-bit field.
+WIDE_F = {"d": 2, "f": [[0] * 4097 + [1], [0, 1]]}
+WIDE_A = FIELD_MAX // 4097 - 2
+
+
+@pytest.mark.parametrize(
+    "command, out", [("check", "constant\n"), ("rewrite", f"x2^{WIDE_A}*u1_2\n")]
+)
+def test_field_limit_inside_and_past(instance_file, capsys, command, out):
+    path = instance_file(WIDE_F)
+    for a, code in ((WIDE_A, 0), (WIDE_A + 1, 2)):
+        poly = f"x1^4097*x2^{a}*y2 - x2^{a + 1}*y1"
+        assert run([command, "--instance", path, "--poly", poly]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert (captured.out, captured.err) == (out, "")
+        else:
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: exponents could grow to {4097 * (a + 2)}, more than a monomial field "
+                f"holds ({FIELD_MAX})\n"
+            )
 
 
 def test_check_overlong_numbers_exit_2(instance_file, capsys):

@@ -18,8 +18,9 @@ from constalg import (
     ring_a,
     u_pairs,
 )
-from constalg.derivation import delta_terms
-from helpers import f_poly, random_apoly, random_instance, rational_instance
+from constalg.derivation import delta_plan, delta_terms
+from constalg.poly import int_terms, pack_terms, parse_poly_int, unpack_terms
+from helpers import f_poly, random_apoly, random_instance, rational_instance, reference_delta
 
 
 def test_instance_fields():
@@ -138,13 +139,36 @@ def test_apply_delta_kills_x():
 
 def test_delta_terms_of_one_monomial():
     inst = ProblemInstance.from_coeffs(2, [[2, 1], [0, 0, 3]])  # f1 = x1 + 2, f2 = 3*x2^2
-    (mono,) = parse_poly("x1*y1^2*y2^3", "A", 2).terms
-    terms = list(delta_terms(inst.f, mono, Fraction(5, 2)))
-    assert len({m for m, _ in terms}) == len(terms)
+    plan = delta_plan(inst.f)
+    (mono,) = parse_poly_int("x1*y1^2*y2^3", "A", 2)[0]
+    terms = delta_terms(plan, [(mono, Fraction(5, 2))])
+    # one target per nonzero coefficient of f_i times y_i present: 2 from f1, 1 from f2
+    assert len(terms) == 3
     expected = parse_poly("5*x1^2*y1*y2^3 + 10*x1*y1*y2^3 + 45/2*x1*x2^2*y1^2*y2^2", "A", 2)
-    assert dict(terms) == expected.terms
-    (pure_x,) = parse_poly("x1^4*x2", "A", 2).terms
-    assert list(delta_terms(inst.f, pure_x)) == []
+    assert unpack_terms(terms, 2) == expected.terms
+    (pure_x,) = parse_poly_int("x1^4*x2", "A", 2)[0]
+    assert delta_terms(plan, [(pure_x, 1)]) == {}
+
+
+@pytest.mark.parametrize("integer_f", [True, False])
+def test_packed_delta_matches_reference_delta(integer_f):
+    # delta_terms on packed keys, through apply_delta and directly, over the
+    # Fraction rows of f and over L*f, against the term-by-term Leibniz rule.
+    rng = random.Random(53 if integer_f else 59)
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        inst = random_instance(rng, d, max_m=3) if integer_f else rational_instance(rng, d)
+        g = random_apoly(rng, d, terms=4, max_exp=3)
+        expected = reference_delta(inst, g)
+        assert apply_delta(inst, g) == expected
+        sums = delta_terms(delta_plan(inst.f), pack_terms(g.terms).items())
+        assert unpack_terms({m: c for m, c in sums.items() if c}, d) == expected.terms
+        terms, den = int_terms(g)
+        scale, rows = inst.integer_f
+        sums = delta_terms(delta_plan(rows), terms.items())
+        scaled = {m: Fraction(c, scale * den) for m, c in sums.items() if c}
+        assert unpack_terms(scaled, d) == expected.terms
+        assert is_constant(inst, g) == expected.is_zero()
 
 
 def test_apply_delta_determinant_identity():

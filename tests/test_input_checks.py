@@ -27,9 +27,12 @@ from constalg import (
 )
 from constalg import normal_words
 from constalg.normal_words import image_degree
-from constalg.poly import univariate
+from constalg.derivation import check_field_room
+from constalg.poly import FIELD_MAX, MAX_EXPONENT, univariate
 
 NOWICKI3 = ProblemInstance.from_coeffs(3, [[0, 1]] * 3)
+X1 = parse_poly("x1", "A", 1)
+OVER_CAP = AMonomial((0, 0, 0), (0, 0, MAX_EXPONENT + 1))
 P4_POLY = parse_poly("u1_3*u2_4 + x1", "P", 4)
 P5_POLY = parse_poly("u1_3 + x2", "P", 5)
 
@@ -82,6 +85,33 @@ def test_independence_check_slice_guard(monkeypatch):
         (lambda: univariate(ring_a(3), 4, ((1, 1),)), ValueError, "out of range"),
         (lambda: f_adic_expand(NOWICKI3, 0, parse_poly("x1", "A", 3)), ValueError, "out of range"),
         (lambda: f_adic_expand(NOWICKI3, 4, parse_poly("x1", "A", 3)), ValueError, "out of range"),
+        (lambda: X1 ** True, ValueError, "nonnegative integer"),
+        (lambda: X1 ** False, ValueError, "nonnegative integer"),
+        (
+            lambda: parse_poly(f"u1_2^{MAX_EXPONENT}*x1*u1_2", "P", 3),
+            BudgetExceededError,
+            f"exponent {MAX_EXPONENT + 1} of u1_2 exceeds the cap",
+        ),
+        (
+            lambda: is_constant(NOWICKI3, Polynomial(ring_a(3), {OVER_CAP: 1})),
+            BudgetExceededError,
+            f"exponent {MAX_EXPONENT + 1} of y3 exceeds the cap",
+        ),
+        (
+            lambda: rewrite_constant(NOWICKI3, Polynomial(ring_a(3), {OVER_CAP: 1})),
+            BudgetExceededError,
+            f"exponent {MAX_EXPONENT + 1} of y3 exceeds the cap",
+        ),
+        (
+            lambda: check_field_room(NOWICKI3, FIELD_MAX + 1),
+            BudgetExceededError,
+            f"could grow to {FIELD_MAX + 1}, more than a monomial field holds",
+        ),
+        (
+            lambda: build_generators(NOWICKI3).u_power(1, 2, FIELD_MAX // 2 + 1),
+            BudgetExceededError,
+            "more than a monomial field holds",
+        ),
     ],
     ids=[
         "enumerate-negative-bound",
@@ -103,6 +133,13 @@ def test_independence_check_slice_guard(monkeypatch):
         "univariate-index-above-d",
         "f-adic-index-0",
         "f-adic-index-above-d",
+        "pow-true",
+        "pow-false",
+        "parse-ring-p-exponent-cap",
+        "is-constant-exponent-cap",
+        "rewrite-constant-exponent-cap",
+        "field-room",
+        "u-power-field-room",
     ],
 )
 def test_input_check_raises(call, error, match):

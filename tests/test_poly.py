@@ -21,7 +21,7 @@ from constalg import (
     u_pairs,
     u_var,
 )
-from constalg.poly import int_terms, parse_poly_int, univariate
+from constalg.poly import int_terms, parse_poly_int, univariate, unpack_terms
 from helpers import random_apoly, random_ppoly
 
 
@@ -391,6 +391,9 @@ def test_integer_parse_over_its_denominator_is_parse_poly():
         text = " ".join(_render_term(rng, c, m, t == 0) for t, (m, c) in enumerate(terms))
         int_form, den = parse_poly_int(text, flavor, d)
         assert den >= 1 and all(type(c) is int and c for c in int_form.values())
+        if flavor == "A":  # packed keys; the Fraction polynomial keys AMonomials
+            assert all(type(m) is int for m in int_form)
+            int_form = unpack_terms(int_form, d)
         divided = {m: Fraction(c, den) for m, c in int_form.items()}
         assert divided == parse_poly(text, flavor, d).terms == p.terms, text
     # den is the lcm of the denominators as written, reduced or not

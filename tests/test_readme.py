@@ -11,6 +11,7 @@ from constalg.normal_words import (
     MAX_PEEL_STEPS,
     MAX_SLICE_MONOMIALS,
 )
+from constalg.poly import FIELD_BITS, MAX_EXPONENT
 from constalg.presentation import MAX_RELATIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -37,5 +38,8 @@ def test_quoted_budgets_match_constants():
         f"may not exceed {MAX_COUNT_WORK:,} coefficient operations",
         f"`d` above {MAX_D}",
         f"`d <= {MAX_D}` (`derivation.MAX_D`)",
+        f"above {MAX_EXPONENT:,} (`poly.MAX_EXPONENT`,",
+        f"caps every exponent at {MAX_EXPONENT:,} (`poly.MAX_EXPONENT`)",
+        f"in {FIELD_BITS}-bit fields (`poly.FIELD_BITS`)",
     ):
         assert phrase in text, phrase

@@ -1,4 +1,4 @@
-"""Dense exponent tuples against the sparse reference representation."""
+"""Dense exponent tuples and packed ring-A keys against the sparse reference representation."""
 
 import random
 
@@ -8,13 +8,23 @@ from constalg import (
     CORRECTED,
     LITERAL,
     AMonomial,
+    BudgetExceededError,
     PMonomial,
     build_generators,
     dill_key,
     format_monomial,
     u_pairs,
 )
-from constalg.poly import u_position
+from constalg.poly import (
+    FIELD_MAX,
+    MAX_EXPONENT,
+    field_shift,
+    pack,
+    pack_terms,
+    u_position,
+    unpack,
+    unpack_terms,
+)
 from helpers import (
     random_instance,
     random_sparse_p,
@@ -112,3 +122,34 @@ def test_generator_degree_closed_form():
         table = build_generators(inst)
         for j, k in u_pairs(d):
             assert table.u_power(j, k, 1).degree() == max(inst.m[j - 1], inst.m[k - 1]) + 1
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_packed_monomial_round_trip_and_order(d):
+    # Packed keys of ring A: the fields read back as the tuple, int order is
+    # the tuple order (so the A-lex order), and + is the monomial product.
+    rng = random.Random(6000 + d)
+    monos = [AMonomial.one(d)]
+    for _ in range(300):
+        top = rng.choice((3, MAX_EXPONENT))
+        monos.append(AMonomial(*(tuple(rng.randint(0, top) for _ in range(d)) for _ in "xy")))
+    monos.append(AMonomial((FIELD_MAX,) * d, (FIELD_MAX,) * d))
+    keys = [pack(mono) for mono in monos]
+    for mono, key in zip(monos, keys):
+        assert unpack(key, d) == mono and type(unpack(key, d)) is AMonomial
+        assert [key >> field_shift(d, slot) & FIELD_MAX for slot in range(2 * d)] == list(mono)
+    assert sorted(range(len(monos)), key=keys.__getitem__) == sorted(
+        range(len(monos)), key=monos.__getitem__
+    )
+    assert sorted(keys) == [pack(mono) for mono in sorted(monos)]
+    for a, b in zip(monos[1:100], monos[2:101]):
+        if max(a) + max(b) <= FIELD_MAX:
+            assert pack(a) + pack(b) == pack(a.mul(b))
+    capped = {mono: 1 for mono in monos[:-1]}
+    assert unpack_terms(pack_terms(capped), d) == capped
+
+
+def test_pack_terms_refuses_exponents_above_the_cap():
+    over = AMonomial((0, MAX_EXPONENT + 1), (MAX_EXPONENT, 0))
+    with pytest.raises(BudgetExceededError, match=f"exponent {MAX_EXPONENT + 1} of x2 exceeds"):
+        pack_terms({over: 1})

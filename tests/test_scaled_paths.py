@@ -2,17 +2,22 @@
 
 `is_constant` decides delta(g) = 0 from L*D*delta(g) over the integers and
 `rewrite_constant` peels with the images L^e * pi(w) by fraction-free
-pseudo-division; both must agree with the Fraction paths in `apply_delta`
-and `helpers.reference_rewrite` on instances whose f_i have denominators
-2..5 or rational leads such as 3/2, 2/3 and 5/4.
+pseudo-division, both on packed ring-A monomials; both must agree with the
+Fraction paths in `apply_delta`, `helpers.reference_image` and
+`helpers.reference_rewrite` on instances with integer f_i and on instances
+whose f_i have denominators 2..5 or rational leads such as 3/2, 2/3 and
+5/4.  Inputs at the field limit must still agree; one past it is refused.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from constalg import (
     AMonomial,
+    BudgetExceededError,
     PMonomial,
     Polynomial,
     ProblemInstance,
@@ -20,19 +25,21 @@ from constalg import (
     build_generators,
     format_poly,
     is_constant,
+    parse_poly,
     pi_substitute,
     rewrite_constant,
     u_pairs,
 )
 from constalg import normal_words
-from constalg.derivation import delta_terms, is_constant_int
+from constalg.derivation import delta_plan, delta_terms, is_constant_int
 from constalg.normal_words import rewrite_constant_int
-from constalg.poly import int_terms
+from constalg.poly import FIELD_MAX, MAX_EXPONENT, int_terms, pack, parse_poly_int, unpack_terms
 from constalg.presentation import pi_image_of_monomial, scaled_image
 from helpers import (
     random_amonomial,
     random_apoly,
     random_pmonomial,
+    random_instance,
     random_ppoly,
     rational_instance,
     reference_image,
@@ -71,9 +78,12 @@ def test_integer_delta_terms_are_l_times_delta_terms():
         scale, rows = inst.integer_f
         for _ in range(10):
             mono = random_amonomial(rng, d)
-            exact = dict(delta_terms(inst.f, mono, Fraction(3, 7)))
-            scaled = dict(delta_terms(rows, mono, 3))
+            key = pack(mono)
+            exact = delta_terms(delta_plan(inst.f), [(key, Fraction(3, 7))])
+            scaled = delta_terms(delta_plan(rows), [(key, 3)])
             assert scaled == {m: c * 7 * scale for m, c in exact.items()}
+            g = Polynomial(inst.ring_a, {mono: Fraction(3, 7)})
+            assert unpack_terms(exact, d) == apply_delta(inst, g).terms
 
 
 def test_is_constant_matches_apply_delta():
@@ -111,7 +121,7 @@ def test_scaled_image_is_l_power_times_reference_image():
             assert factor == scale ** sum(mono[: d * (d - 1) // 2])
             assert all(type(c) is int for c in terms.values())
             expected = reference_image(inst, mono)
-            assert Polynomial(inst.ring_a, terms) == expected.scale(factor)
+            assert Polynomial(inst.ring_a, unpack_terms(terms, d)) == expected.scale(factor)
             assert pi_image_of_monomial(table, mono) == expected
 
 
@@ -195,3 +205,73 @@ def test_integer_peel_of_a_large_request():
     assert rewrite_constant_int(inst, {m: 6 * c for m, c in terms.items()}, 6 * den) == h
     assert format_poly(h) == format_poly(reference_rewrite(inst, g))
     assert pi_substitute(table, h) == g
+
+
+def instance_for(integer_f, rng, d):
+    return random_instance(rng, d, max_m=3) if integer_f else rational_instance(rng, d)
+
+
+@pytest.mark.parametrize("integer_f", [True, False])
+def test_packed_generator_powers_match_reference_image(integer_f):
+    rng = random.Random(29 if integer_f else 31)
+    for d in DIMENSIONS:
+        inst = instance_for(integer_f, rng, d)
+        table = build_generators(inst)
+        scale = inst.integer_f[0]
+        for j, k in u_pairs(d):
+            for e in (0, 1, rng.randint(2, 4)):
+                word = PMonomial((0,) * d, (((j, k), e),))
+                expected = reference_image(inst, word).scale(scale**e)
+                assert unpack_terms(table.scaled_power(j, k, e), d) == expected.terms
+        for _ in range(6):
+            mono = random_pmonomial(rng, d, max_x=2, max_u=2, max_factors=3)
+            terms, factor = scaled_image(table, mono)
+            assert unpack_terms(terms, d) == reference_image(inst, mono).scale(factor).terms
+
+
+@pytest.mark.parametrize("integer_f", [True, False])
+def test_packed_peel_of_parsed_text_matches_reference_rewrite(integer_f):
+    rng = random.Random(37 if integer_f else 41)
+    for d in DIMENSIONS:
+        inst = instance_for(integer_f, rng, d)
+        table = build_generators(inst)
+        for terms in (1, 4):
+            h = random_ppoly(rng, d, terms=terms, max_x=2, max_u=2, max_factors=2)
+            g = pi_substitute(table, h)
+            packed, den = parse_poly_int(format_poly(g), "A", d)
+            assert packed == int_terms(g)[0] and is_constant_int(inst, packed)
+            rewritten = rewrite_constant_int(inst, packed, den)
+            assert rewritten == reference_rewrite(inst, g)
+            assert pi_substitute(table, rewritten) == g
+
+
+# f1 = x1^4097, f2 = x2.  x2^a*u1_2 = x1^4097*x2^a*y2 - x2^(a+1)*y1 weighs a + 2
+# (x1 counts 1/4097, x2 and y 1 each), so the peel is allowed while
+# 4097*(a + 2) <= FIELD_MAX, although the exponents it builds stay far smaller.
+WIDE_F = ProblemInstance.from_coeffs(2, [[0] * 4097 + [1], [0, 1]])
+WIDE_A = FIELD_MAX // 4097 - 2
+
+
+def wide_text(a):
+    return f"x1^4097*x2^{a}*y2 - x2^{a + 1}*y1"
+
+
+def test_peel_just_inside_the_field_limit():
+    assert 4097 * (WIDE_A + 2) <= FIELD_MAX < 4097 * (WIDE_A + 3)
+    assert 4097 * 2 * 2 * MAX_EXPONENT > FIELD_MAX  # the bound is computed from the terms
+    g = parse_poly(wide_text(WIDE_A), "A", 2)
+    packed, den = parse_poly_int(wide_text(WIDE_A), "A", 2)
+    assert is_constant_int(WIDE_F, packed)
+    h = rewrite_constant_int(WIDE_F, packed, den)
+    assert h == reference_rewrite(WIDE_F, g) == parse_poly(f"x2^{WIDE_A}*u1_2", "P", 2)
+
+
+def test_peel_just_past_the_field_limit():
+    packed, den = parse_poly_int(wide_text(WIDE_A + 1), "A", 2)
+    message = f"exponents could grow to {4097 * (WIDE_A + 3)}, more than a monomial field holds"
+    with pytest.raises(BudgetExceededError, match=message):
+        is_constant_int(WIDE_F, packed)
+    with pytest.raises(BudgetExceededError, match=message):
+        rewrite_constant_int(WIDE_F, packed, den)
+    with pytest.raises(BudgetExceededError, match=message):
+        pi_substitute(build_generators(WIDE_F), parse_poly(f"x2^{WIDE_A + 1}*u1_2", "P", 2))
