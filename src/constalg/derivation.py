@@ -27,7 +27,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, lcm
-from operator import mul
 
 from .errors import BudgetExceededError, InstanceError, RingMismatchError
 from .poly import (
@@ -35,13 +34,14 @@ from .poly import (
     MAX_EXPONENT,
     Polynomial,
     Ring,
+    capped,
     field_shift,
+    field_shifts,
+    format_monomial,
     int_terms,
-    pack_terms,
     ring_a,
     ring_p,
     univariate,
-    unpack_terms,
 )
 
 # Largest supported d.  A P-monomial stores d(d+1)/2 exponents, so the work
@@ -166,10 +166,8 @@ def delta_plan(rows) -> tuple:
     `ProblemInstance.integer_f` for L*delta.  Entry i-1 is (y_i's shift,
     y_i's unit, the (x_i^p, c) pairs of the nonzero coefficients c of f_i).
     """
-    d = len(rows)
     plan = []
-    for i, fi in enumerate(rows):
-        x_shift, y_shift = field_shift(d, 2 * i), field_shift(d, 2 * i + 1)
+    for fi, (x_shift, y_shift) in zip(rows, field_shifts(len(rows))):
         powers = tuple((p << x_shift, c) for p, c in enumerate(fi) if c)
         plan.append((y_shift, 1 << y_shift, powers))
     return tuple(plan)
@@ -216,14 +214,16 @@ def _check_terms_room(inst: ProblemInstance, terms) -> None:
     """`check_field_room` for the heaviest of the packed monomials `terms`.
 
     Each exponent of `terms` is at most MAX_EXPONENT, so they weigh at
-    most 2*d*MAX_EXPONENT, which settles most instances without unpacking
-    a monomial.
+    most 2*d*MAX_EXPONENT, which settles most instances without reading a
+    field.
     """
     if max(inst.m) * 2 * inst.d * MAX_EXPONENT > FIELD_MAX:
-        common = lcm(*inst.m)  # weights in units of 1/common, in slot order x1, y1, ...
-        units = [unit for m in inst.m for unit in (common // m, common)]
-        monos = unpack_terms(terms, inst.d)
-        heaviest = max((sum(map(mul, mono, units)) for mono in monos), default=0)
+        common = lcm(*inst.m)  # weights in units of 1/common
+        units = []  # (shift, weight) of each field
+        for m, (x_shift, y_shift) in zip(inst.m, field_shifts(inst.d)):
+            units += [(x_shift, common // m), (y_shift, common)]
+        weights = (sum((key >> shift & FIELD_MAX) * unit for shift, unit in units) for key in terms)
+        heaviest = max(weights, default=0)
         check_field_room(inst, Fraction(heaviest, common))
 
 
@@ -233,13 +233,14 @@ def _check_ring(inst: ProblemInstance, g: Polynomial) -> None:
 
 
 def apply_delta(inst: ProblemInstance, g: Polynomial) -> Polynomial:
-    """Image of g under the derivation, over Fraction."""
+    """Image of g under the derivation, over Fraction.
+
+    An image exponent above MAX_EXPONENT raises BudgetExceededError.
+    """
     _check_ring(inst, g)
-    terms = pack_terms(g.terms)
-    _check_terms_room(inst, terms)
-    sums = delta_terms(delta_plan(inst.f), terms.items())
-    image = unpack_terms({m: c for m, c in sums.items() if c}, inst.d)
-    return Polynomial._make(inst.ring_a, image)
+    _check_terms_room(inst, g.terms)
+    sums = delta_terms(delta_plan(inst.f), g.terms.items())
+    return Polynomial._make(inst.ring_a, capped(inst.ring_a, {m: c for m, c in sums.items() if c}))
 
 
 def is_constant_int(inst: ProblemInstance, terms: dict) -> bool:
@@ -275,12 +276,15 @@ def f_adic_expand(inst: ProblemInstance, i: int, g: Polynomial) -> list[Polynomi
     if not (1 <= i <= inst.d):
         raise ValueError(f"index {i} out of range 1..{inst.d}")
     _check_ring(inst, g)
-    x_pos = 2 * i - 2
+    shift = field_shift(inst.d, 2 * i - 2)
     coeffs = [Fraction(0)] * (g.degree() + 1)
     for mono, coeff in g.terms.items():
-        if any(e and t != x_pos for t, e in enumerate(mono)):
-            raise ValueError(f"polynomial must be univariate in x{i}, got term {mono!r}")
-        coeffs[mono[x_pos]] = coeff
+        power = mono >> shift
+        if mono != power << shift or power > FIELD_MAX:
+            raise ValueError(
+                f"polynomial must be univariate in x{i}, got term {format_monomial(mono, inst.d)}"
+            )
+        coeffs[power] = coeff
     fi = inst.f[i - 1]
     m = len(fi) - 1
     layers = []

@@ -12,8 +12,9 @@ pi(w) of `presentation.scaled_image` by fraction-free pseudo-division
 (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992), builds
 only its result over Fraction and stops after MAX_PEEL_STEPS words.  It
 works on packed ring-A monomials (see `poly`), whose int order is the
-A-lex order: its heap holds the negated keys, and only the lead of each
-step is unpacked.  `rewrite_constant` runs it on a Fraction polynomial.
+A-lex order: its heap holds the negated keys, and `recover_word_from_lead`
+reads the fields of each lead by shift.  `rewrite_constant` runs it on a
+Fraction polynomial.
 
 A normal word is its P-monomial: `enumerate_normal_words` and
 `recover_word_from_lead` return PMonomials, and `lead_of_image` checks
@@ -25,8 +26,6 @@ intervals and builds no word.
 `kernel_dim_oracle` is the independent brute-force side: it computes the
 nullspace of the derivation on a degree slice over the integers
 (`linalg.nullspace`) without touching any of the normal-word machinery.
-Its columns and rows are packed monomials; only the basis it returns is
-keyed by AMonomials.
 """
 
 from __future__ import annotations
@@ -54,17 +53,19 @@ from .errors import (
 )
 from .orders import CORRECTED, dill_key
 from .poly import (
-    AMonomial,
+    FIELD_MAX,
     PMonomial,
     Polynomial,
     _new,
+    check_monomial,
     field_shift,
+    field_shifts,
+    format_monomial,
     int_terms,
     leading_term,  # unused here; perfbench's tracer test expects this module to bind it
+    pack,
     u_pairs,
     u_position,
-    unpack,
-    unpack_terms,
 )
 from .presentation import build_generators, scaled_image
 
@@ -282,10 +283,11 @@ def count_normal_words(inst: ProblemInstance, max_image_degree: int) -> list[int
     return tail[1]
 
 
-def lead_of_image(inst: ProblemInstance, mono: PMonomial) -> tuple[AMonomial, Fraction]:
+def lead_of_image(inst: ProblemInstance, mono: PMonomial) -> tuple[int, Fraction]:
     """Lead of pi(mono) under the A-lex order, without expanding the image.
 
-    The lead is x^a * prod_b x_jb^m_jb * y_kb with coefficient prod_b lc_jb.
+    The lead is the packed key of x^a * prod_b x_jb^m_jb * y_kb, with
+    coefficient prod_b lc_jb.
     A monomial of another d raises RingMismatchError, one that is not a
     normal word ValueError.
     """
@@ -300,37 +302,40 @@ def lead_of_image(inst: ProblemInstance, mono: PMonomial) -> tuple[AMonomial, Fr
             exps[2 * j - 2] += e * inst.m[j - 1]
             exps[2 * k - 1] += e
             coeff *= inst.lc[j - 1] ** e
-    return _new(AMonomial, exps), coeff
+    return pack(exps), coeff
 
 
-def recover_word_from_lead(inst: ProblemInstance, lead: AMonomial) -> PMonomial:
-    """The unique normal word whose image lead is the given monomial.
+def recover_word_from_lead(inst: ProblemInstance, lead: int) -> PMonomial:
+    """The unique normal word whose image lead is the packed monomial `lead`.
 
-    Peeling loop: while some y-exponent is positive, take the smallest
-    index k with y_k present, the largest i < k whose x-exponent reaches
-    m_i, emit a factor u_ik and divide by x_i^m_i * y_k.  Failure to find
-    such an i means the monomial is not the lead of any normal image.
+    Peeling loop, over k = 1..d: while y_k has exponent b > 0, take the
+    largest i < k whose x-exponent a_i reaches m_i, emit
+    t = min(b, a_i // m_i) factors u_ik and divide by (x_i^m_i * y_k)^t.
+    Peeling y_k changes no x_i with i >= k, so x_k is read only once y_k's
+    turn ends.  Failure to find such an i means the monomial is not the
+    lead of any normal image.  A key with a field outside ring A(d) raises
+    RingMismatchError.
     """
-    if lead.d != inst.d:
-        raise RingMismatchError(f"monomial has d={lead.d}, instance d={inst.d}")
-    d = inst.d
-    xexp = list(lead[0::2])
-    yexp = list(lead[1::2])
+    d, m = inst.d, inst.m
+    check_monomial(lead, inst.ring_a)
+    xexp: list[int] = []
     uexp = [0] * (d * (d - 1) // 2)
-    while any(yexp):
-        k = next(t + 1 for t, e in enumerate(yexp) if e)
-        candidates = [
-            i for i in range(1, k) if xexp[i - 1] >= inst.m[i - 1]
-        ]
-        if not candidates:
-            raise PeelingError(
-                f"no index i < {k} with x-exponent >= m_i while peeling "
-                f"{lead!r}; it is not the lead of a normal image"
-            )
-        i = max(candidates)
-        uexp[u_position(d, i, k)] += 1
-        xexp[i - 1] -= inst.m[i - 1]
-        yexp[k - 1] -= 1
+    for k, (x_shift, y_shift) in enumerate(field_shifts(d)):  # k zero-based
+        b = lead >> y_shift & FIELD_MAX
+        i = k - 1
+        while b:
+            while i >= 0 and xexp[i] < m[i]:
+                i -= 1
+            if i < 0:
+                raise PeelingError(
+                    f"no index i < {k + 1} with x-exponent >= m_i while peeling "
+                    f"{format_monomial(lead, d)}; it is not the lead of a normal image"
+                )
+            t = min(b, xexp[i] // m[i])
+            uexp[u_position(d, i + 1, k + 1)] = t
+            xexp[i] -= t * m[i]
+            b -= t
+        xexp.append(lead >> x_shift & FIELD_MAX)
     return _new(PMonomial, uexp + xexp)
 
 
@@ -338,8 +343,7 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
     """Express the constant g = terms/den as a linear combination of normal words.
 
     `terms` maps packed A-monomials to ints, as `parse_poly_int` returns
-    them; each step unpacks only its lead, for `recover_word_from_lead`.
-    Returns h over ring P with pi(h) = g and every monomial of h normal.
+    them.  Returns h over ring P with pi(h) = g and every monomial of h normal.
     Each step peels the A-lex lead with the word w whose image it leads, by
     fraction-free pseudo-division.  With c the lead coefficient of the
     work, a that of the integer image L^e*pi(w) (`scaled_image`) and
@@ -355,7 +359,6 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
     if not is_constant_int(inst, terms):
         raise NotAConstantError("polynomial is not a constant of the derivation")
     table = build_generators(inst)
-    d = inst.d
     coeffs: dict = {}  # word -> (numerator, denominator) of its coefficient in h
     work = dict(terms)
     # Lazy max-heap in A-lex order (negated packed keys); stale entries are skipped on pop.
@@ -375,7 +378,7 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
             mono = None
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
-        word = recover_word_from_lead(inst, unpack(mono, d))
+        word = recover_word_from_lead(inst, mono)
         image, scale = scaled_image(table, word)
         # mono is the A-lex lead of the image
         lead = image[mono]
@@ -458,8 +461,7 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> list[Polynomial
     # A vector's A-lex lead is its smallest column; make its coefficient positive.
     for vector in sorted(linalg.nullspace(list(rows.values()), len(cols)), key=min):
         sign = 1 if vector[min(vector)] > 0 else -1
-        terms = unpack_terms({cols[c]: sign * v for c, v in vector.items()}, inst.d)
-        basis.append(Polynomial(inst.ring_a, terms))
+        basis.append(Polynomial(inst.ring_a, {cols[c]: sign * v for c, v in vector.items()}))
     return basis
 
 

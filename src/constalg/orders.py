@@ -14,10 +14,10 @@ Two tie-break conventions are provided:
   leading monomials above (see verify_lead_conformance) and is kept for
   experimentation only.
 
-Both rings also carry the lexicographic order of their exponent tuples,
-handled by `LexOrder`: on ring A it has variable precedence
-x1 > y1 > x2 > y2 > ... > yd, on ring P the DILL tie-break precedence
-above.  A monomial is its own lex key.
+Both rings also carry a lexicographic order, handled by `LexOrder`: on
+ring A the int order of the packed keys, variable precedence
+x1 > y1 > x2 > y2 > ... > yd; on ring P the tuple order, the DILL
+tie-break precedence above.  A monomial is its own lex key.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class DillOrder:
 
 
 class LexOrder:
-    """Lex order handle for either ring: the monomial tuple is the key."""
+    """Lex order handle for either ring: the monomial is its own key."""
 
     def key(self, mono):
         return mono

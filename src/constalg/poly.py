@@ -14,26 +14,26 @@ Fraction polynomial, and `int_terms` takes a Fraction polynomial back to
 that form.
 
 Variable indices are 1-based everywhere they are visible (text syntax,
-u-pair labels).  A `Polynomial` keys its terms by one dense exponent tuple
-per monomial, laid out so that plain tuple order is the lexicographic
-order the rings use:
+u-pair labels).  Each ring has one monomial form, whose natural order is
+the lexicographic order the ring uses:
 
-* ring A: (a_1, b_1, ..., a_d, b_d) for x^a * y^b, precedence
-  x1 > y1 > x2 > ... > yd (the A-lex order);
-* ring P: (e_12, e_13, ..., e_(d-1)d, a_1, ..., a_d) for
-  prod u_jk^e_jk * x^a, u-pairs in `u_pairs(d)` order, precedence
-  u1_2 > u1_3 > ... > u(d-1)_d > x1 > ... > xd (the DILL tie-break).
+* ring A: one packed int, the exponents a_1, b_1, ..., a_d, b_d of
+  x^a * y^b in fields of FIELD_BITS bits, a_1 in the most significant
+  field, so int order is the A-lex order x1 > y1 > x2 > ... > yd and the
+  product of two monomials is the sum of their keys;
+* ring P: a `PMonomial`, the exponent tuple (e_12, e_13, ..., e_(d-1)d,
+  a_1, ..., a_d) of prod u_jk^e_jk * x^a, u-pairs in `u_pairs(d)` order,
+  so tuple order is the DILL tie-break u1_2 > u1_3 > ... > u(d-1)_d > x1 >
+  ... > xd.
 
-The int term maps of ring A key a monomial by one packed int instead: the
-same 2d exponents in fields of FIELD_BITS bits, a_1 in the most significant
-field and b_d in the least, so plain int order is the A-lex order and the
-product of two monomials is the sum of their keys.  This module alone owns
-that layout (`field_shift`, `pack`, `unpack`, `pack_terms`,
-`unpack_terms`).  A sum of keys is exact only while no field exceeds
-FIELD_MAX; the parser and `pack_terms` refuse exponents above
-MAX_EXPONENT, and `derivation.check_field_room` bounds what the
-derivation, the generator images and the peel build from them.  The int
-term maps of ring P keep PMonomial keys.
+This module alone owns the ring-A layout (`field_shift`, `field_shifts`,
+`pack`, `unpack`).  No field of a ring-A `Polynomial` exceeds
+MAX_EXPONENT: the parser checks the cap as it reads, and the constructor
+and every computed ring-A result pass through `capped`; both raise
+BudgetExceededError.  So the sum of two keys never carries into a
+neighbouring field.  `mul_terms`, the hot path, does not check;
+`derivation.check_field_room` bounds what the derivation, the generator
+images and the peel build there.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ RING_P = "P"
 FIELD_BITS = 32
 FIELD_MAX = (1 << FIELD_BITS) - 1
 
-# Largest exponent the parser and `pack_terms` accept for any one variable;
+# Largest exponent the parser and `capped` accept for any one variable;
 # larger ones raise BudgetExceededError.  While 2*d*m_i*MAX_EXPONENT stays
 # within FIELD_MAX, no derived exponent can reach a neighbouring field.
 MAX_EXPONENT = (1 << 21) - 1
@@ -102,92 +102,25 @@ def u_position(d: int, j: int, k: int) -> int:
     return (j - 1) * (2 * d - j) // 2 + k - j - 1
 
 
-# Unchecked monomial constructor _new(cls, exps), also used by the hot paths of
-# derivation, presentation and normal_words: exps must be nonnegative and in
-# cls's storage layout.
+# Unchecked constructor _new(PMonomial, exps), also used by the hot paths of
+# normal_words: exps must be nonnegative and in PMonomial's layout.
 _new = tuple.__new__
 
 
-class _Monomial(tuple):
-    """Exponent tuple of a monomial; the arithmetic both rings share.
-
-    Operations are single passes over the two tuples.  Tuples of different
-    classes or widths must not be mixed.
-    """
-
-    __slots__ = ()
-
-    def degree(self) -> int:
-        return sum(self)
-
-    def is_one(self) -> bool:
-        return not any(self)
-
-    def mul(self, other):
-        return _new(self.__class__, map(add, self, other))
-
-    def divides(self, other) -> bool:
-        return all(map(le, self, other))
-
-    def div(self, other):
-        """Quotient self / other; other must divide self."""
-        return _new(self.__class__, map(sub, self, other))
-
-    def lcm(self, other):
-        return _new(self.__class__, map(max, self, other))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({format_monomial(self)!r})"
-
-
-def _check_exponents(exps):
-    if any(e < 0 for e in exps):
-        raise ValueError("exponents must be nonnegative")
-
-
-class AMonomial(_Monomial):
-    """Monomial x^a * y^b of ring A, stored as (a_1, b_1, ..., a_d, b_d)."""
-
-    __slots__ = ()
-
-    def __new__(cls, xexp, yexp):
-        xexp = tuple(xexp)
-        yexp = tuple(yexp)
-        if len(xexp) != len(yexp):
-            raise ValueError("x and y exponent vectors must have equal length")
-        _check_exponents(xexp)
-        _check_exponents(yexp)
-        return _new(cls, [e for pair in zip(xexp, yexp) for e in pair])
-
-    @staticmethod
-    def one(d: int) -> "AMonomial":
-        return _new(AMonomial, (0,) * (2 * d))
-
-    @property
-    def d(self) -> int:
-        return len(self) // 2
-
-    @property
-    def xexp(self) -> tuple:
-        return self[0::2]
-
-    @property
-    def yexp(self) -> tuple:
-        return self[1::2]
-
-
-class PMonomial(_Monomial):
+class PMonomial(tuple):
     """Monomial prod u_jk^e * x^a of ring P, stored as (e_12, ..., e_(d-1)d, a_1, ..., a_d).
 
     The constructor takes the x-exponents and ((j, k), e) items with 1-based
-    labels j < k; absent pairs have exponent zero.
+    labels j < k; absent pairs have exponent zero.  The operations are
+    single passes over two tuples of the same width.
     """
 
     __slots__ = ()
 
     def __new__(cls, xexp, upairs):
         xexp = tuple(xexp)
-        _check_exponents(xexp)
+        if any(e < 0 for e in xexp):
+            raise ValueError("exponents must be nonnegative")
         d = len(xexp)
         exps = [0] * (d * (d - 1) // 2)
         for (j, k), e in upairs:
@@ -221,20 +154,27 @@ class PMonomial(_Monomial):
         """The nonzero u-exponents as ((j, k), e) items in ascending label order."""
         return tuple((pair, e) for pair, e in zip(u_pairs(self.d), self) if e)
 
-    # Bound here rather than inherited so that the P-monomial operations can
-    # be replaced on this class alone, e.g. by perfbench's call counter.
-    mul = _Monomial.mul
-    divides = _Monomial.divides
-    div = _Monomial.div
-    lcm = _Monomial.lcm
+    def mul(self, other):
+        return _new(PMonomial, map(add, self, other))
+
+    def divides(self, other) -> bool:
+        return all(map(le, self, other))
+
+    def div(self, other):
+        """Quotient self / other; other must divide self."""
+        return _new(PMonomial, map(sub, self, other))
+
+    def lcm(self, other):
+        return _new(PMonomial, map(max, self, other))
+
+    def __repr__(self):
+        return f"PMonomial({format_monomial(self)!r})"
 
 
-def _layout(ring: Ring) -> tuple:
-    """Monomial class and exponent-tuple width of the ring."""
+def _width(ring: Ring) -> int:
+    """Number of exponents of a monomial of the ring."""
     d = ring.d
-    if ring.flavor == RING_A:
-        return AMonomial, 2 * d
-    return PMonomial, d * (d + 1) // 2
+    return 2 * d if ring.flavor == RING_A else d * (d + 1) // 2
 
 
 def _exact(value) -> Fraction:
@@ -270,14 +210,33 @@ def field_shift(d: int, slot: int) -> int:
     return (2 * d - 1 - slot) * FIELD_BITS
 
 
+@lru_cache(maxsize=128)
+def field_shifts(d: int) -> tuple:
+    """(x_i's, y_i's `field_shift`) for i = 1..d, in that order."""
+    return tuple((field_shift(d, 2 * i), field_shift(d, 2 * i + 1)) for i in range(d))
+
+
 def pack(exps) -> int:
     """The packed key of the ring-A exponents (a_1, b_1, ..., a_d, b_d), each at most FIELD_MAX."""
     return int.from_bytes(_fields(len(exps)).pack(*exps), "big")
 
 
-def unpack(key: int, d: int) -> AMonomial:
-    """The AMonomial of a packed key of ring A(d)."""
-    return _new(AMonomial, _fields(2 * d).unpack(key.to_bytes(8 * d, "big")))
+def unpack(key: int, d: int) -> tuple:
+    """The exponents (a_1, b_1, ..., a_d, b_d) of a packed key of ring A(d)."""
+    return _fields(2 * d).unpack(key.to_bytes(8 * d, "big"))
+
+
+def AMonomial(xexp, yexp) -> int:
+    """The packed key of x^xexp * y^yexp in ring A, from two exponent vectors of one length.
+
+    Named like the monomial class it replaced.  Exponents must lie in
+    0..FIELD_MAX; a `Polynomial` takes keys whose exponents are at most
+    MAX_EXPONENT.
+    """
+    exps = [e for pair in zip(xexp, yexp, strict=True) for e in pair]
+    if not all(0 <= e <= FIELD_MAX for e in exps):
+        raise ValueError(f"exponents must lie in 0..{FIELD_MAX}")
+    return pack(exps)
 
 
 def _cap_error(exps, flavor: str, d: int) -> BudgetExceededError:
@@ -289,29 +248,39 @@ def _cap_error(exps, flavor: str, d: int) -> BudgetExceededError:
     )
 
 
-def pack_terms(terms: dict) -> dict:
-    """A ring-A term map with AMonomial keys, keyed by packed monomials instead.
+def capped(ring: Ring, terms: dict) -> dict:
+    """The ring-A term map `terms`, once no key has a field above MAX_EXPONENT.
 
-    An exponent above MAX_EXPONENT raises BudgetExceededError.
+    Every ring-A `Polynomial` is built through here; a field above the cap
+    raises BudgetExceededError, as in the parser.
     """
-    packed = {}
-    for mono, coeff in terms.items():
-        if max(mono) > MAX_EXPONENT:
-            raise _cap_error(mono, RING_A, mono.d)
-        packed[pack(mono)] = coeff
-    return packed
+    over = _over_cap(2 * ring.d)
+    for key in terms:
+        if key & over:
+            raise _cap_error(unpack(key, ring.d), RING_A, ring.d)
+    return terms
 
 
-def unpack_terms(terms: dict, d: int) -> dict:
-    """A ring-A(d) term map with packed keys, keyed by AMonomials instead."""
-    return {unpack(key, d): coeff for key, coeff in terms.items()}
+def check_monomial(mono, ring: Ring) -> None:
+    """Raise RingMismatchError unless `mono` is a monomial of `ring`.
+
+    In ring A that is an int, not a bool, with no bit above its 2d fields.
+    A key does not record its d, so a key of A(d) passes at every larger d.
+    """
+    if ring.flavor == RING_A:
+        ok = type(mono) is int and not mono >> 2 * ring.d * FIELD_BITS
+    else:
+        ok = isinstance(mono, PMonomial) and len(mono) == _width(ring)
+    if not ok:
+        raise RingMismatchError(f"monomial {mono!r} does not belong to ring {ring}")
 
 
 class Polynomial:
     """Sparse polynomial: a finite map monomial -> nonzero Fraction.
 
-    The zero polynomial is the empty map.  Equality is equality of term
-    maps.  Instances are immutable; the `terms` dict must not be mutated.
+    The monomials are packed ints in ring A and PMonomials in ring P.  The
+    zero polynomial is the empty map.  Equality is equality of term maps.
+    Instances are immutable; the `terms` dict must not be mutated.
     """
 
     __slots__ = ("ring", "terms")
@@ -319,16 +288,14 @@ class Polynomial:
     def __init__(self, ring: Ring, terms=None):
         normalized: dict = {}
         if terms:
-            cls, width = _layout(ring)
             for mono, coeff in terms.items():
-                if not (isinstance(mono, cls) and len(mono) == width):
-                    raise RingMismatchError(
-                        f"monomial {mono!r} does not belong to ring {ring}"
-                    )
+                check_monomial(mono, ring)
                 if not isinstance(coeff, Fraction):
                     coeff = _exact(coeff)
                 if coeff:
                     normalized[mono] = coeff
+            if ring.flavor == RING_A:
+                capped(ring, normalized)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", normalized)
 
@@ -337,7 +304,7 @@ class Polynomial:
         """Unchecked constructor for computed results.
 
         `terms` must already map monomials of `ring` to nonzero Fractions,
-        and is taken over, not copied.
+        ring-A keys within the cap (`capped`), and is taken over, not copied.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "ring", ring)
@@ -355,7 +322,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
-        mono = AMonomial.one(ring.d) if ring.flavor == RING_A else PMonomial.one(ring.d)
+        mono = 0 if ring.flavor == RING_A else PMonomial.one(ring.d)
         return Polynomial(ring, {mono: value})
 
     @staticmethod
@@ -374,7 +341,12 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.degree() for m in self.terms)
+        if self.ring.flavor == RING_A:
+            # 2^FIELD_BITS is 1 modulo FIELD_MAX, so a key is its field sum
+            # modulo FIELD_MAX, and that sum, at most 2*d*MAX_EXPONENT, is
+            # smaller while d < 1024.
+            return max(m % FIELD_MAX for m in self.terms)
+        return max(map(sum, self.terms))
 
     # -- ring operations ---------------------------------------------------
 
@@ -419,6 +391,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
+        ring = self.ring
+        if ring.flavor == RING_A:
+            return Polynomial._make(ring, capped(ring, mul_terms(self.terms, other.terms)))
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -474,7 +449,7 @@ class Polynomial:
 
 
 def mul_terms(left: dict, right: dict) -> dict:
-    """Product of two ring-A term maps {packed monomial: int}; no zero is stored.
+    """Product of two ring-A term maps {packed monomial: coefficient}; no zero is stored.
 
     A product's key is the sum of the two keys; the caller keeps every
     field of the sums within FIELD_MAX.
@@ -496,18 +471,27 @@ def mul_terms(left: dict, right: dict) -> dict:
 
 
 def univariate(ring: Ring, i: int, terms) -> Polynomial:
-    """The polynomial sum of coeff * x_i^power over the (power, coeff) pairs of `terms`."""
+    """The polynomial sum of coeff * x_i^power over the (power, coeff) pairs of `terms`.
+
+    A negative power raises ValueError, one above MAX_EXPONENT
+    BudgetExceededError.
+    """
     if not (1 <= i <= ring.d):
         raise ValueError(f"index {i} out of range 1..{ring.d}")
-    cls, width = _layout(ring)
-    exps = [0] * width
+    exps = [0] * _width(ring)
     pos = _x_position(ring, i)
+    packed = ring.flavor == RING_A
+    shift = field_shift(ring.d, pos)
     out = {}
     for power, coeff in terms:
         coeff = _exact(coeff)
         if coeff:
             exps[pos] = power
-            out[_new(cls, exps)] = coeff
+            if power < 0:
+                raise ValueError("exponents must be nonnegative")
+            if power > MAX_EXPONENT:  # before the shift, which would carry
+                raise _cap_error(exps, ring.flavor, ring.d)
+            out[power << shift if packed else _new(PMonomial, exps)] = coeff
     return Polynomial._make(ring, out)
 
 
@@ -612,7 +596,7 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
     cost no rescaling of the terms already read.
     """
     ring = Ring(flavor, d)
-    cls, width = _layout(ring)
+    width = _width(ring)
     packed = flavor == RING_A
     fields, over_cap, from_bytes = _fields(width).pack, _over_cap(width), int.from_bytes
     slots = _slots(flavor, d)
@@ -671,7 +655,7 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
         elif max(exps) > MAX_EXPONENT:
             raise _cap_error(exps, flavor, d)
         else:
-            mono = _new(cls, exps)
+            mono = _new(PMonomial, exps)
         if den % cden:
             den = lcm(den, cden)
         parsed.append((mono, -num if negative else num, cden))
@@ -688,20 +672,13 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
     """Parse `text` in the grammar above into a polynomial over Fraction: terms/den."""
     terms, den = parse_poly_int(text, flavor, d)
-    if flavor == RING_A:
-        terms = unpack_terms(terms, d)
     return Polynomial._make(Ring(flavor, d), {m: Fraction(c, den) for m, c in terms.items()})
 
 
 def int_terms(p: Polynomial) -> tuple[dict, int]:
-    """(terms, den) with p = terms/den: int coefficients, den the lcm of p's denominators.
-
-    Ring-A keys are packed by `pack_terms`, which refuses exponents above
-    MAX_EXPONENT.
-    """
+    """(terms, den) with p = terms/den: int coefficients, den the lcm of p's denominators."""
     den = lcm(*[c.denominator for c in p.terms.values()])
-    terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    return (pack_terms(terms) if p.ring.flavor == RING_A else terms), den
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
 
 
 @lru_cache(maxsize=256)
@@ -721,12 +698,19 @@ def _slots(flavor: str, d: int) -> dict:
     return {name: pos for pos, name in _variable_names(flavor, d)}
 
 
-def format_monomial(mono) -> str:
-    """Render a monomial in the text grammar; the unit monomial is '1'."""
-    flavor = RING_A if isinstance(mono, AMonomial) else RING_P
+def format_monomial(mono, d: int | None = None) -> str:
+    """Render a monomial in the text grammar; the unit monomial is '1'.
+
+    A packed ring-A key does not record its d, so it needs `d`; a PMonomial
+    carries its own.
+    """
+    if isinstance(mono, PMonomial):
+        flavor, exps, d = RING_P, mono, mono.d
+    else:
+        flavor, exps = RING_A, unpack(mono, d)
     parts = []
-    for pos, name in _variable_names(flavor, mono.d):
-        e = mono[pos]
+    for pos, name in _variable_names(flavor, d):
+        e = exps[pos]
         if e:
             parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
@@ -736,7 +720,7 @@ def format_poly(p: Polynomial) -> str:
     """Render p with terms in descending canonical order; reparses equal."""
     if p.is_zero():
         return "0"
-    # Canonical display order per ring: A-lex (the tuple order) for ring A,
+    # Canonical display order per ring: A-lex (the int order) for ring A,
     # corrected DILL for ring P.  Local import: orders depends on this module.
     from .orders import dill_key
 
@@ -746,12 +730,13 @@ def format_poly(p: Polynomial) -> str:
         coeff = p.terms[mono]
         negative = coeff < 0
         mag = -coeff if negative else coeff
-        if mono.is_one():
+        text = format_monomial(mono, p.ring.d)
+        if text == "1":
             body = str(mag)
         elif mag == 1:
-            body = format_monomial(mono)
+            body = text
         else:
-            body = f"{mag}*{format_monomial(mono)}"
+            body = f"{mag}*{text}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

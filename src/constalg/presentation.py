@@ -18,7 +18,7 @@ monomial product is one int addition.  `scaled_image` returns L^e * pi(w)
 for a word w of u-degree e, which `rewrite_constant_int` peels with;
 `u_power`, `pi_image_of_monomial` and `pi_substitute` check that the
 image fits the packed fields, divide by the power of L and return the true
-polynomials over Fraction, keyed by AMonomials.
+polynomials over Fraction.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from .errors import BudgetExceededError, RingMismatchError
 from .poly import (
     PMonomial,
     Polynomial,
+    capped,
     field_shift,
     mul_terms,
     pack,
     u_pairs,
     u_var,
     univariate,
-    unpack_terms,
 )
 
 # Most relations `build_relations` may build: C(24,4) + C(24,3), so d <= 24.
@@ -84,9 +84,8 @@ class GeneratorTable:
 
 
 def _unscale(ring, terms: dict, scale: int) -> Polynomial:
-    """The polynomial terms/scale over Fraction, `terms` keyed by packed monomials."""
-    unscaled = {m: Fraction(c, scale) for m, c in terms.items()}
-    return Polynomial._make(ring, unpack_terms(unscaled, ring.d))
+    """The polynomial terms/scale over Fraction, `terms` a ring-A term map."""
+    return Polynomial._make(ring, capped(ring, {m: Fraction(c, scale) for m, c in terms.items()}))
 
 
 def build_generators(inst: ProblemInstance) -> GeneratorTable:
@@ -129,7 +128,7 @@ def pi_substitute(table: GeneratorTable, p: Polynomial) -> Polynomial:
                 terms[m] = new
             else:
                 del terms[m]
-    return Polynomial._make(inst.ring_a, unpack_terms(terms, inst.d))
+    return Polynomial._make(inst.ring_a, capped(inst.ring_a, terms))
 
 
 def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:

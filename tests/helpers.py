@@ -7,18 +7,18 @@ from math import comb
 from constalg import (
     AMonomial,
     NotAConstantError,
+    PeelingError,
     PMonomial,
     Polynomial,
     ProblemInstance,
     RingMismatchError,
     apply_delta,
-    recover_word_from_lead,
     ring_a,
     ring_p,
     s_polynomial,
     u_pairs,
 )
-from constalg.poly import _new, leading_term, univariate
+from constalg.poly import leading_term, pack, univariate, unpack
 
 
 def random_instance(rng, d, max_m=4, coeff_bound=5, dense=False):
@@ -62,6 +62,12 @@ def rational_instance(rng, d, max_m=3):
         coeffs.append(Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(2, 5)))
         coeff_lists.append(coeffs)
     return ProblemInstance.from_coeffs(d, coeff_lists)
+
+
+def a_exponents(key, d):
+    """(xexp, yexp) of a packed monomial of ring A(d)."""
+    exps = unpack(key, d)
+    return exps[0::2], exps[1::2]
 
 
 def random_amonomial(rng, d, max_exp=3):
@@ -189,8 +195,10 @@ def reference_pair_outcomes(relations, order):
 #
 # The peeling loop over Fraction that `rewrite_constant` replaced by its
 # integer-scaled version.  It expands each word's image from its own Fraction
-# generators f_j(x_j)*y_k - f_k(x_k)*y_j and tests constancy with
-# `apply_delta`, so it shares neither the generator table nor `is_constant`.
+# generators f_j(x_j)*y_k - f_k(x_k)*y_j, tests constancy with `apply_delta`
+# and recovers each word with the one-factor-per-step peel on exponent lists,
+# so it shares neither the generator table, `is_constant` nor
+# `recover_word_from_lead`.
 
 
 def f_poly(inst, i):
@@ -210,11 +218,12 @@ def reference_delta(inst, g):
     ring = inst.ring_a
     image = Polynomial.zero(ring)
     for mono, coeff in g.terms.items():
-        for i, b in enumerate(mono.yexp, start=1):
+        xexp, yexp = a_exponents(mono, inst.d)
+        for i, b in enumerate(yexp, start=1):
             if b:
-                yexp = list(mono.yexp)
-                yexp[i - 1] -= 1
-                lowered = Polynomial.from_term(ring, AMonomial(mono.xexp, yexp), coeff * b)
+                lower_y = list(yexp)
+                lower_y[i - 1] -= 1
+                lowered = Polynomial.from_term(ring, AMonomial(xexp, lower_y), coeff * b)
                 image = image + lowered * f_poly(inst, i)
     return image
 
@@ -225,12 +234,35 @@ def reference_image(inst, mono):
     pairs = u_pairs(inst.d)
     exps = [0] * (2 * inst.d)
     exps[0::2] = mono[len(pairs):]
-    image = Polynomial.from_term(ring, _new(AMonomial, exps), 1)
+    image = Polynomial.from_term(ring, pack(exps), 1)
     for (j, k), e in zip(pairs, mono):
         if e:
             u = f_poly(inst, j) * y_poly(ring, k) - f_poly(inst, k) * y_poly(ring, j)
             image = image * u**e
     return image
+
+
+def reference_recover_word(inst, exps):
+    """The normal word whose image lead has the exponents (a_1, b_1, ..., a_d, b_d).
+
+    One factor per step: while some y-exponent is positive, take the
+    smallest index k with y_k present, the largest i < k whose x-exponent
+    reaches m_i, emit a factor u_ik and divide by x_i^m_i * y_k.
+    """
+    d = inst.d
+    xexp = list(exps[0::2])
+    yexp = list(exps[1::2])
+    uexp = dict.fromkeys(u_pairs(d), 0)
+    while any(yexp):
+        k = next(t + 1 for t, e in enumerate(yexp) if e)
+        candidates = [i for i in range(1, k) if xexp[i - 1] >= inst.m[i - 1]]
+        if not candidates:
+            raise PeelingError(f"no index i < {k} with x-exponent >= m_i")
+        i = max(candidates)
+        uexp[i, k] += 1
+        xexp[i - 1] -= inst.m[i - 1]
+        yexp[k - 1] -= 1
+    return PMonomial(xexp, uexp.items())
 
 
 def reference_rewrite(inst, g):
@@ -241,19 +273,19 @@ def reference_rewrite(inst, g):
         raise NotAConstantError("polynomial is not a constant of the derivation")
     result: dict = {}
     work = dict(g.terms)
-    # Lazy max-heap in A-lex order (negated exponents); stale entries are skipped on pop.
-    heap = [tuple(-v for v in m) + (m,) for m in work]
+    # Lazy max-heap in A-lex order (negated keys); stale entries are skipped on pop.
+    heap = [-m for m in work]
     heapq.heapify(heap)
     while work:
         mono = None
         while heap:
-            mono = heapq.heappop(heap)[-1]
+            mono = -heapq.heappop(heap)
             if mono in work:
                 break
             mono = None
         if mono is None:
             raise AssertionError("heap exhausted before work emptied")
-        word = recover_word_from_lead(inst, mono)
+        word = reference_recover_word(inst, unpack(mono, inst.d))
         image = reference_image(inst, word)
         # mono is the A-lex lead of the image
         factor = work[mono] / image.terms[mono]
@@ -262,7 +294,7 @@ def reference_rewrite(inst, g):
             new = work.get(im, 0) - factor * ic
             if new:
                 if im not in work:
-                    heapq.heappush(heap, tuple(-v for v in im) + (im,))
+                    heapq.heappush(heap, -im)
                 work[im] = new
             else:
                 work.pop(im, None)

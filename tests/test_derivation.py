@@ -19,7 +19,7 @@ from constalg import (
     u_pairs,
 )
 from constalg.derivation import delta_plan, delta_terms
-from constalg.poly import int_terms, pack_terms, parse_poly_int, unpack_terms
+from constalg.poly import int_terms, parse_poly_int
 from helpers import f_poly, random_apoly, random_instance, rational_instance, reference_delta
 
 
@@ -145,7 +145,7 @@ def test_delta_terms_of_one_monomial():
     # one target per nonzero coefficient of f_i times y_i present: 2 from f1, 1 from f2
     assert len(terms) == 3
     expected = parse_poly("5*x1^2*y1*y2^3 + 10*x1*y1*y2^3 + 45/2*x1*x2^2*y1^2*y2^2", "A", 2)
-    assert unpack_terms(terms, 2) == expected.terms
+    assert terms == expected.terms
     (pure_x,) = parse_poly_int("x1^4*x2", "A", 2)[0]
     assert delta_terms(plan, [(pure_x, 1)]) == {}
 
@@ -161,13 +161,13 @@ def test_packed_delta_matches_reference_delta(integer_f):
         g = random_apoly(rng, d, terms=4, max_exp=3)
         expected = reference_delta(inst, g)
         assert apply_delta(inst, g) == expected
-        sums = delta_terms(delta_plan(inst.f), pack_terms(g.terms).items())
-        assert unpack_terms({m: c for m, c in sums.items() if c}, d) == expected.terms
+        sums = delta_terms(delta_plan(inst.f), g.terms.items())
+        assert {m: c for m, c in sums.items() if c} == expected.terms
         terms, den = int_terms(g)
         scale, rows = inst.integer_f
         sums = delta_terms(delta_plan(rows), terms.items())
         scaled = {m: Fraction(c, scale * den) for m, c in sums.items() if c}
-        assert unpack_terms(scaled, d) == expected.terms
+        assert scaled == expected.terms
         assert is_constant(inst, g) == expected.is_zero()
 
 

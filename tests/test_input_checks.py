@@ -48,7 +48,11 @@ def test_independence_check_slice_guard(monkeypatch):
     [
         (lambda: enumerate_normal_words(NOWICKI3, -1), ValueError, "nonnegative"),
         (lambda: image_degree(NOWICKI3, PMonomial.one(4)), RingMismatchError, "d=4"),
-        (lambda: recover_word_from_lead(NOWICKI3, AMonomial.one(2)), RingMismatchError, "d=2"),
+        (
+            lambda: recover_word_from_lead(NOWICKI3, AMonomial((1, 0, 0, 0), (0, 0, 0, 0))),
+            RingMismatchError,
+            "d=3",
+        ),
         (
             lambda: pi_substitute(build_generators(NOWICKI3), parse_poly("x1", "A", 3)),
             RingMismatchError,
@@ -62,10 +66,13 @@ def test_independence_check_slice_guard(monkeypatch):
             "does not belong",
         ),
         (
-            lambda: Polynomial(ring_a(2), {AMonomial.one(3): 1}),
+            lambda: Polynomial(ring_a(2), {AMonomial((1, 0, 0), (0, 0, 0)): 1}),
             RingMismatchError,
             "does not belong",
         ),
+        (lambda: Polynomial(ring_a(2), {(1, 0, 0, 1): 1}), RingMismatchError, "does not belong"),
+        (lambda: Polynomial(ring_a(2), {True: 1}), RingMismatchError, "does not belong"),
+        (lambda: Polynomial(ring_a(2), {-1: 1}), RingMismatchError, "does not belong"),
         (
             lambda: reduce(P4_POLY, [P5_POLY], DillOrder()),
             RingMismatchError,
@@ -83,6 +90,7 @@ def test_independence_check_slice_guard(monkeypatch):
         (lambda: DillOrder("bogus"), ValueError, "bogus"),
         (lambda: univariate(ring_p(3), 0, ((1, 1),)), ValueError, "out of range"),
         (lambda: univariate(ring_a(3), 4, ((1, 1),)), ValueError, "out of range"),
+        (lambda: univariate(ring_a(3), 1, ((-1, 1),)), ValueError, "nonnegative"),
         (lambda: f_adic_expand(NOWICKI3, 0, parse_poly("x1", "A", 3)), ValueError, "out of range"),
         (lambda: f_adic_expand(NOWICKI3, 4, parse_poly("x1", "A", 3)), ValueError, "out of range"),
         (lambda: X1 ** True, ValueError, "nonnegative integer"),
@@ -122,6 +130,9 @@ def test_independence_check_slice_guard(monkeypatch):
         "rewrite-constant-ring-p",
         "polynomial-foreign-monomial",
         "polynomial-wrong-width-monomial",
+        "polynomial-tuple-key",
+        "polynomial-bool-key",
+        "polynomial-negative-key",
         "reduce-basis-other-d",
         "verify-reduced-basis-other-d",
         "polynomial-immutable",
@@ -131,6 +142,7 @@ def test_independence_check_slice_guard(monkeypatch):
         "dill-order-bogus-variant",
         "univariate-index-0",
         "univariate-index-above-d",
+        "univariate-negative-power",
         "f-adic-index-0",
         "f-adic-index-above-d",
         "pow-true",

@@ -34,7 +34,7 @@ from constalg import (
 from constalg import linalg, normal_words
 from constalg.groebner import expected_lead
 from constalg.normal_words import image_degree
-from constalg.poly import int_terms
+from constalg.poly import int_terms, pack, unpack
 from constalg.presentation import pi_image_of_monomial
 from helpers import (
     instance_with_degrees,
@@ -44,6 +44,7 @@ from helpers import (
     random_ppoly,
     rational_instance,
     reference_nullspace,
+    reference_recover_word,
 )
 
 
@@ -336,6 +337,35 @@ def test_recover_round_trip_for_all_enumerated_words():
         for word in enumerate_normal_words(inst, 5):
             lead, _ = lead_of_image(inst, word)
             assert recover_word_from_lead(inst, lead) == word
+
+
+def _peel_outcome(peel, inst, lead):
+    try:
+        return peel(inst, lead)
+    except PeelingError:
+        return PeelingError
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_peel_by_shift_matches_reference_peel(d):
+    # Several factors u_ik per step against one per step, on every lead of the
+    # enumerated words and on random keys, most of which are no lead at all.
+    rng = random.Random(900 + d)
+    inst = random_instance(rng, d, max_m=3)
+    words = enumerate_normal_words(inst, 6)
+    leads = [unpack(lead_of_image(inst, w)[0], d) for w in words]
+    randoms = [
+        tuple(rng.randint(0, 7) if slot % 2 == 0 else rng.randint(0, 2) for slot in range(2 * d))
+        for _ in range(400)
+    ]
+    outcomes = []
+    for exps in leads + randoms:
+        outcome = _peel_outcome(recover_word_from_lead, inst, pack(exps))
+        assert outcome == _peel_outcome(reference_recover_word, inst, exps), exps
+        outcomes.append(outcome)
+    assert outcomes[: len(words)] == words
+    failed = outcomes[len(words):].count(PeelingError)
+    assert len(randoms) // 2 < failed < len(randoms)
 
 
 def test_recovered_leads_are_injective():

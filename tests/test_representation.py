@@ -1,6 +1,7 @@
 """Dense exponent tuples and packed ring-A keys against the sparse reference representation."""
 
 import random
+from operator import add
 
 import pytest
 
@@ -10,9 +11,15 @@ from constalg import (
     AMonomial,
     BudgetExceededError,
     PMonomial,
+    Polynomial,
+    ProblemInstance,
+    apply_delta,
     build_generators,
     dill_key,
     format_monomial,
+    parse_poly,
+    pi_substitute,
+    ring_a,
     u_pairs,
 )
 from constalg.poly import (
@@ -20,12 +27,13 @@ from constalg.poly import (
     MAX_EXPONENT,
     field_shift,
     pack,
-    pack_terms,
     u_position,
+    univariate,
     unpack,
-    unpack_terms,
 )
+from constalg.presentation import pi_image_of_monomial
 from helpers import (
+    a_exponents,
     random_instance,
     random_sparse_p,
     sparse_alex_key,
@@ -74,19 +82,17 @@ def test_amonomial_matches_sparse_reference(d):
         xexp = tuple(rng.randint(0, 3) for _ in range(d))
         yexp = tuple(rng.randint(0, 3) for _ in range(d))
         mono = AMonomial(xexp, yexp)
-        assert (mono.d, mono.xexp, mono.yexp) == (d, xexp, yexp)
-        assert mono == sparse_alex_key(xexp, yexp)
-        assert format_monomial(mono) == sparse_format(xexp, yexp)
+        assert a_exponents(mono, d) == (xexp, yexp)
+        assert unpack(mono, d) == sparse_alex_key(xexp, yexp)
+        assert format_monomial(mono, d) == sparse_format(xexp, yexp)
         if monos:
-            other = monos[-1]
-            product = mono.mul(other)
-            assert product.xexp == tuple(a + b for a, b in zip(xexp, other.xexp))
-            assert product.yexp == tuple(a + b for a, b in zip(yexp, other.yexp))
-            assert product.div(other) == mono
-            assert other.divides(product)
-            assert mono.divides(other) == all(
-                a <= b for a, b in zip(xexp + yexp, other.xexp + other.yexp)
+            other, (other_x, other_y) = monos[-1], refs[-1]
+            product = mono + other
+            assert a_exponents(product, d) == (
+                tuple(map(add, xexp, other_x)),
+                tuple(map(add, yexp, other_y)),
             )
+            assert unpack(product, d) == tuple(map(add, unpack(mono, d), unpack(other, d)))
         monos.append(mono)
         refs.append((xexp, yexp))
     by_key = sorted(range(len(monos)), key=lambda t: monos[t])
@@ -105,6 +111,8 @@ def test_constructors_validate():
         AMonomial((0, 1), (0,))
     with pytest.raises(ValueError):
         AMonomial((0,), (-1,))
+    with pytest.raises(ValueError):
+        AMonomial((FIELD_MAX + 1,), (0,))
     assert PMonomial((1, 0), (((1, 2), 0),)) == PMonomial((1, 0), ())
 
 
@@ -126,17 +134,19 @@ def test_generator_degree_closed_form():
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_packed_monomial_round_trip_and_order(d):
-    # Packed keys of ring A: the fields read back as the tuple, int order is
-    # the tuple order (so the A-lex order), and + is the monomial product.
+    # Packed keys of ring A: the fields read back as the exponent tuple, int
+    # order is the tuple order (so the A-lex order), and + is the product.
     rng = random.Random(6000 + d)
-    monos = [AMonomial.one(d)]
+    monos = [(0,) * (2 * d)]
     for _ in range(300):
         top = rng.choice((3, MAX_EXPONENT))
-        monos.append(AMonomial(*(tuple(rng.randint(0, top) for _ in range(d)) for _ in "xy")))
-    monos.append(AMonomial((FIELD_MAX,) * d, (FIELD_MAX,) * d))
+        xexp, yexp = (tuple(rng.randint(0, top) for _ in range(d)) for _ in "xy")
+        monos.append(sparse_alex_key(xexp, yexp))
+        assert AMonomial(xexp, yexp) == pack(monos[-1])
+    monos.append((FIELD_MAX,) * (2 * d))
     keys = [pack(mono) for mono in monos]
     for mono, key in zip(monos, keys):
-        assert unpack(key, d) == mono and type(unpack(key, d)) is AMonomial
+        assert unpack(key, d) == mono
         assert [key >> field_shift(d, slot) & FIELD_MAX for slot in range(2 * d)] == list(mono)
     assert sorted(range(len(monos)), key=keys.__getitem__) == sorted(
         range(len(monos)), key=monos.__getitem__
@@ -144,12 +154,81 @@ def test_packed_monomial_round_trip_and_order(d):
     assert sorted(keys) == [pack(mono) for mono in sorted(monos)]
     for a, b in zip(monos[1:100], monos[2:101]):
         if max(a) + max(b) <= FIELD_MAX:
-            assert pack(a) + pack(b) == pack(a.mul(b))
-    capped = {mono: 1 for mono in monos[:-1]}
-    assert unpack_terms(pack_terms(capped), d) == capped
+            assert pack(a) + pack(b) == pack(tuple(map(add, a, b)))
+    capped = [key for key, mono in zip(keys, monos) if max(mono) <= MAX_EXPONENT]
+    assert set(Polynomial(ring_a(d), dict.fromkeys(capped, 1)).terms) == set(capped)
 
 
-def test_pack_terms_refuses_exponents_above_the_cap():
+def test_polynomial_refuses_exponents_above_the_cap():
     over = AMonomial((0, MAX_EXPONENT + 1), (MAX_EXPONENT, 0))
     with pytest.raises(BudgetExceededError, match=f"exponent {MAX_EXPONENT + 1} of x2 exceeds"):
-        pack_terms({over: 1})
+        Polynomial(ring_a(2), {over: 1})
+
+
+@pytest.mark.parametrize("d", (1, 8, 64))
+def test_degree_is_the_field_sum(d):
+    rng = random.Random(7000 + d)
+    keys = [AMonomial((MAX_EXPONENT,) * d, (MAX_EXPONENT,) * d), 0]
+    for _ in range(100):
+        top = rng.choice((3, MAX_EXPONENT))
+        keys.append(AMonomial(*(tuple(rng.randint(0, top) for _ in range(d)) for _ in "xy")))
+    for key in keys:
+        assert Polynomial(ring_a(d), {key: 1}).degree() == sum(sum(a_exponents(key, d), ()))
+    assert Polynomial(ring_a(d), dict.fromkeys(keys[1:], 1)).degree() == max(
+        sum(unpack(key, d)) for key in keys[1:]
+    )
+
+
+OVER = f"exponent {MAX_EXPONENT + 1} of x1 exceeds the cap"
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_product_at_the_cap_is_exact(slot):
+    # one field sums to MAX_EXPONENT exactly, its neighbours to 3; one more overflows
+    a = 1000
+    left = [1] * 4
+    right = [2] * 4
+    left[slot], right[slot] = a, MAX_EXPONENT - a
+    product = Polynomial(ring_a(2), {pack(left): 1}) * Polynomial(ring_a(2), {pack(right): 1})
+    expected = [3] * 4
+    expected[slot] = MAX_EXPONENT
+    assert list(product.terms) == [pack(expected)]
+    assert product.degree() == MAX_EXPONENT + 9
+    right[slot] += 1
+    with pytest.raises(BudgetExceededError, match="exceeds the cap"):
+        Polynomial(ring_a(2), {pack(left): 1}) * Polynomial(ring_a(2), {pack(right): 1})
+
+
+def test_ring_a_results_refuse_exponents_above_the_cap():
+    x1 = parse_poly("x1", "A", 2)
+    assert (x1**MAX_EXPONENT).degree() == MAX_EXPONENT
+    with pytest.raises(BudgetExceededError, match=OVER):
+        x1 ** (MAX_EXPONENT + 1)
+    with pytest.raises(BudgetExceededError, match=OVER):
+        x1 ** (1 << 64)  # fails on a squaring, long before the last one
+    assert univariate(ring_a(2), 1, ((MAX_EXPONENT, 1),)).degree() == MAX_EXPONENT
+    with pytest.raises(BudgetExceededError, match=OVER):
+        univariate(ring_a(2), 1, ((MAX_EXPONENT + 1, 1),))
+    with pytest.raises(BudgetExceededError, match=f"exponent {FIELD_MAX + 1} of x1 exceeds"):
+        univariate(ring_a(2), 1, ((FIELD_MAX + 1, 1),))
+
+    nowicki = ProblemInstance.from_coeffs(2, [[0, 1], [0, 1]])
+    near = parse_poly(f"x1^{MAX_EXPONENT - 1}*y1", "A", 2)
+    assert apply_delta(nowicki, near) == parse_poly(f"x1^{MAX_EXPONENT}", "A", 2)
+    with pytest.raises(BudgetExceededError, match=OVER):
+        apply_delta(nowicki, near * parse_poly("x1", "A", 2))
+
+    table = build_generators(nowicki)
+    word = PMonomial((MAX_EXPONENT - 1, 0), (((1, 2), 1),))
+    assert pi_image_of_monomial(table, word).degree() == MAX_EXPONENT + 1
+    over_word = PMonomial((MAX_EXPONENT, 0), (((1, 2), 1),))
+    with pytest.raises(BudgetExceededError, match=OVER):
+        pi_image_of_monomial(table, over_word)
+    with pytest.raises(BudgetExceededError, match=OVER):
+        pi_substitute(table, Polynomial.from_term(nowicki.ring_p, over_word, 1))
+
+    # f1 = x1^65536: the lead x1^(65536*e)*y2^e of u1_2^e reaches 2^21 at e = 32
+    wide = build_generators(ProblemInstance.from_coeffs(2, [[0] * 65536 + [1], [0, 1]]))
+    assert wide.u_power(1, 2, 31).degree() == 65536 * 31 + 31
+    with pytest.raises(BudgetExceededError, match=OVER):
+        wide.u_power(1, 2, 32)
