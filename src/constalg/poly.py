@@ -8,10 +8,13 @@ paths elsewhere clear denominators once and work on plain term maps
 values and every operation is a pure function, so they are safe to share
 across threads.
 
-The text grammar has one scanner, `parse_poly_int`, which returns such an
-int term map and one common denominator; `parse_poly` divides it into a
-Fraction polynomial, and `int_terms` takes a Fraction polynomial back to
-that form.
+`parse_poly_int` reads the text grammar into such an int term map and one
+common denominator; `parse_poly` divides it into a Fraction polynomial,
+and `int_terms` takes a Fraction polynomial back to that form.  The text
+is first cut into terms and tokens in C and each distinct token read once
+(`_split_poly_int`); a text with any token that this tokenizer does not
+accept goes whole to the step scanner `_scan_poly_int`, the reference
+reading, which also raises every ParseError.
 
 Variable indices are 1-based everywhere they are visible (text syntax,
 u-pair labels).  Each ring has one monomial form, whose natural order is
@@ -60,6 +63,14 @@ FIELD_MAX = (1 << FIELD_BITS) - 1
 # larger ones raise BudgetExceededError.  While 2*d*m_i*MAX_EXPONENT stays
 # within FIELD_MAX, no derived exponent can reach a neighbouring field.
 MAX_EXPONENT = (1 << 21) - 1
+
+# Most terms a polynomial text may have, counted from its signs before any
+# term is read; more raise BudgetExceededError.
+MAX_TERMS = 1_000_000
+
+# Most tokens of one term the tokenizer sums into a packed key: that many
+# fields of at most MAX_EXPONENT cannot carry into a neighbouring field.
+_MAX_FACTORS = FIELD_MAX // MAX_EXPONENT
 
 
 class Ring(namedtuple("Ring", "flavor d")):
@@ -528,11 +539,11 @@ def leading_term(p: Polynomial, order) -> tuple:
 #
 # Whitespace is insignificant between tokens; indices are 1-based.
 
-# The scanner matches these patterns in place; each skips leading whitespace.
-# A factor is read as one name token, which `_slots` resolves; a name it does
-# not list (x01, x9 at d = 2, y1 in ring P) is read again by `_VARIABLE`,
-# whose checks raise the ParseError.  `_STAR_FACTOR` reads a '*' together
-# with the factor after it.
+# The step scanner matches these patterns in place; each skips leading
+# whitespace.  A factor is read as one name token, which `_slots` resolves;
+# a name it does not list (x01, x9 at d = 2, y1 in ring P) is read again by
+# `_VARIABLE`, whose checks raise the ParseError.  `_STAR_FACTOR` reads a
+# '*' together with the factor after it.
 _SIGN = re.compile(r"\s*([+-])")
 _COEF = re.compile(r"\s*(\d+)(?:\s*/\s*(\d*))?")
 _FACTOR_BODY = r"([xy]\d+|u\d+_\d+)(?:\s*\^\s*(\d*))?"
@@ -541,6 +552,12 @@ _STAR_FACTOR = re.compile(r"\s*\*\s*" + _FACTOR_BODY)
 _STAR = re.compile(r"\s*\*")
 _END = re.compile(r"\s*\Z")
 _VARIABLE = re.compile(r"([xy])(\d+)|u(\d+)_(\d+)")
+
+# The tokenizer cuts a text at its signs into terms and each term at '*'
+# into tokens; `_TOKEN` must match a whole token: a coefficient (groups 1
+# and 2) or a factor (groups 3 and 4).
+_TERMS = re.compile(r"([+-])")
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|([xy]\d+|u\d+_\d+)(?:\s*\^\s*(\d+))?)\s*")
 
 
 def _fault(text: str, pos: int, expected: str) -> ParseError:
@@ -588,12 +605,102 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
     """Parse `text` in the grammar above into (terms, den): the polynomial is terms/den.
 
     `terms` maps monomials to nonzero ints, packed ones in ring A, and `den`
-    is the lcm of the denominators as written, so no Fraction is built.
+    is the lcm of the denominators as written, so no Fraction is built.  A
+    text of more than MAX_TERMS terms, counted from its signs before any
+    term is read, raises BudgetExceededError.  The tokenizer reads the text
+    when it accepts every token, and the step scanner otherwise.
+    """
+    count = text.count("+") + text.count("-") + (_SIGN.match(text) is None)
+    if count > MAX_TERMS:
+        raise BudgetExceededError(f"{count} terms exceed the cap of {MAX_TERMS}")
+    return _split_poly_int(text, flavor, d) or _scan_poly_int(text, flavor, d)
+
+
+class _Tokens(dict):
+    """The memo of one call: token -> what the tokenizer reads from it, on first sight.
+
+    That is (num, den) for a coefficient, the packed exponents of a factor,
+    or None for a token left to the step scanner: no full match of
+    `_TOKEN`, a name `_slots` does not list, a number too long for int(),
+    an exponent above MAX_EXPONENT or a zero denominator.
+    """
+
+    __slots__ = ("slots", "width")
+
+    def __init__(self, slots: dict, width: int):
+        self.slots, self.width = slots, width
+
+    def __missing__(self, token: str):
+        self[token] = value = self._read(token)
+        return value
+
+    def _read(self, token: str):
+        match = _TOKEN.fullmatch(token)
+        if match is None:
+            return None
+        num, den, name, exp = match.groups()
+        try:
+            if name is None:
+                den = 1 if den is None else int(den)
+                return (int(num), den) if den else None
+            exp = 1 if exp is None else int(exp)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            return None
+        slot = self.slots.get(name)
+        if slot is None or exp > MAX_EXPONENT:
+            return None
+        return exp << (self.width - 1 - slot) * FIELD_BITS
+
+
+def _split_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int] | None:
+    """`_scan_poly_int(text, flavor, d)` if the tokenizer accepts every token, else None.
+
+    Terms come from one re.split at the signs, tokens from str.split at
+    '*', and each distinct token is read once, into a memo local to the
+    call.  A term's monomial, in ring P too, is the sum of its factors'
+    packed exponents; with at most _MAX_FACTORS tokens no field carries
+    into the next, so one above MAX_EXPONENT shows as a bit of `_over_cap`.
+    """
+    width = _width(Ring(flavor, d))
+    read, over_cap = _Tokens(_slots(flavor, d), width).__getitem__, _over_cap(width)
+    parts = _TERMS.split(text)
+    signs, terms = ["+", *parts[1::2]], parts[::2]
+    if len(terms) > 1 and not terms[0].strip():  # a sign before the first term
+        del signs[0], terms[0]
+    parsed = []  # (packed monomial, numerator, denominator) of each term, in text order
+    den = 1
+    try:
+        for sign, term in zip(signs, terms):
+            factors = term.split("*")
+            if len(factors) > _MAX_FACTORS:
+                return None
+            head = read(factors[0])
+            if type(head) is tuple:
+                num, cden = head
+                del factors[0]
+            else:
+                num = cden = 1
+            mono = sum(map(read, factors))
+            if mono & over_cap:  # the step scanner raises the cap error
+                return None
+            if den % cden:
+                den = lcm(den, cden)
+            parsed.append((mono, -num if sign == "-" else num, cden))
+    except TypeError:  # a None or a coefficient among the summed tokens
+        return None
+    summed, den = _sum_terms(parsed, den)
+    if flavor == RING_A:
+        return summed, den
+    exps = _fields(width).unpack
+    return {_new(PMonomial, exps(k.to_bytes(4 * width, "big"))): c for k, c in summed.items()}, den
+
+
+def _scan_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
+    """The step scanner: `parse_poly_int` of `text`, or the error it raises.
+
     One pass over the text: the factors of a term add their exponents into
     one list, from which the term's monomial is built once.  A summed
-    exponent above MAX_EXPONENT raises BudgetExceededError.  The terms are
-    then summed over `den`, each scaled once, so many distinct denominators
-    cost no rescaling of the terms already read.
+    exponent above MAX_EXPONENT raises BudgetExceededError.
     """
     ring = Ring(flavor, d)
     width = _width(ring)
@@ -659,6 +766,15 @@ def parse_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
         if den % cden:
             den = lcm(den, cden)
         parsed.append((mono, -num if negative else num, cden))
+    return _sum_terms(parsed, den)
+
+
+def _sum_terms(parsed: list, den: int) -> tuple[dict, int]:
+    """(terms, den) from the (monomial, numerator, denominator) of each term in `parsed`.
+
+    `den` is the lcm of the denominators.  Each term is scaled once, so many
+    distinct denominators cost no rescaling of the terms already summed.
+    """
     terms: dict = {}
     for mono, num, cden in parsed:
         new = terms.get(mono, 0) + num * (den // cden)

@@ -11,7 +11,7 @@ import pytest
 
 from constalg import groebner, normal_words, presentation
 from constalg.cli import run
-from constalg.poly import FIELD_MAX, MAX_EXPONENT
+from constalg.poly import FIELD_MAX, MAX_EXPONENT, _split_poly_int
 
 
 @pytest.fixture
@@ -211,6 +211,42 @@ def test_exponents_past_the_cap_exit_2(instance_file, capsys, command, poly, nam
     assert captured.err == (
         f"error: exponent {MAX_EXPONENT + 1} of {name} exceeds the cap of {MAX_EXPONENT}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check", "rewrite"])
+@pytest.mark.parametrize(
+    "canonical, irregular, code",
+    [
+        ("x1^3*y2 - x1^2*x2*y1 + 2*x3", "  1/1 * x01^2*x1 *\ty2   -  x1^2*x2*y1+2 * x3 ", 0),
+        ("x1^3*y2 - 5*y3", " x1^2 * x1*y2 -5*y03", 1),
+    ],
+    ids=["constant", "non-constant"],
+)
+def test_irregular_spelling_prints_as_the_canonical_one(
+    instance_file, capsys, command, canonical, irregular, code
+):
+    # The tokenizer leaves x01 to the step scanner; the output must not tell.
+    assert _split_poly_int(irregular, "A", 4) is None
+    path = instance_file(CLASSICAL_4)
+    outcomes = []
+    for text in (canonical, irregular):
+        outcomes.append((run([command, "--instance", path, "--poly", text]), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+
+
+@pytest.mark.parametrize("command", ["check", "rewrite"])
+def test_term_cap_exit_2(instance_file, capsys, monkeypatch, command):
+    path = instance_file(CLASSICAL_2)
+    text = "x1*y2 - x2*y1 + x1^2"
+    monkeypatch.setattr("constalg.poly.MAX_TERMS", 3)
+    assert run([command, "--instance", path, "--poly", text]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("constalg.poly.MAX_TERMS", 2)
+    assert run([command, "--instance", path, "--poly", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 3 terms exceed the cap of 2\n"
 
 
 # f1 = x1^4097, f2 = x2: the peel of x2^a*u1_2 may build exponents up to

@@ -7,6 +7,7 @@ import pytest
 
 from constalg import (
     AMonomial,
+    BudgetExceededError,
     DillOrder,
     LexOrder,
     ParseError,
@@ -21,7 +22,14 @@ from constalg import (
     u_pairs,
     u_var,
 )
-from constalg.poly import int_terms, parse_poly_int, univariate
+from constalg.poly import (
+    MAX_EXPONENT,
+    _scan_poly_int,
+    _split_poly_int,
+    int_terms,
+    parse_poly_int,
+    univariate,
+)
 from helpers import a_exponents, random_apoly, random_ppoly
 
 
@@ -346,8 +354,11 @@ def _render_term(rng, coeff, mono, first, d):
     return text + star.join(factors)
 
 
-def test_parse_round_trip_of_rendered_polynomials():
-    # The expected polynomials are built from monomials, never parsed.
+def _rendered_polynomials():
+    """(text, flavor, d, expected terms) of 400 seeded texts, each spelled in one of many ways.
+
+    The expected polynomials are built from monomials, never parsed.
+    """
     rng = random.Random(83)
     for _ in range(400):
         flavor, d = rng.choice("AP"), rng.randint(1, 4)
@@ -376,8 +387,103 @@ def test_parse_round_trip_of_rendered_polynomials():
         text = rng.choice(_SPACES) + " ".join(
             _render_term(rng, c, m, t == 0, d) for t, (c, m) in enumerate(terms)
         ) + rng.choice(_SPACES)
+        yield text, flavor, d, expected
+
+
+def test_parse_round_trip_of_rendered_polynomials():
+    for text, flavor, d, expected in _rendered_polynomials():
         ring = ring_a(d) if flavor == "A" else ring_p(d)
         assert parse_poly(text, flavor, d) == Polynomial(ring, expected), text
+
+
+def _reading(parse, text, flavor, d):
+    """What `parse` returns, terms in order with their key types, or the error it raises."""
+    try:
+        terms, den = parse(text, flavor, d)
+    except (ParseError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+    return [(type(m), m, c) for m, c in terms.items()], den
+
+
+def _mutations(rng, text, count):
+    """`count` seeded copies of text, each with one character deleted, inserted or replaced."""
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        char = rng.choice("+-*/^_ xyu0129\t")
+        edit = rng.choice(("delete", "insert", "replace") if at < len(text) else ("insert",))
+        if edit == "delete":
+            yield text[:at] + text[at + 1 :]
+        else:
+            yield text[:at] + char + text[at + (edit == "replace") :]
+
+
+def test_tokenizer_reads_as_the_step_scanner():
+    rng = random.Random(97)
+    rows = [(text, flavor, d) for text, flavor, d, _ in PARSE_ERRORS]
+    rendered = [(text, flavor, d) for text, flavor, d, _ in _rendered_polynomials()]
+    rows += rendered
+    rows += [  # Unicode digits and whitespace, which \d, \s and int() all take
+        ("x1^\u0663 + \u0662/\u0663*y2", "A", 2),
+        ("x\u0661*y1", "A", 2),
+        ("\u00a0x1\u2003*\u3000y2\u2028-\u205f3", "A", 2),
+        ("\u2003- u1_2", "P", 3),
+        ("\u00a0", "A", 2),
+    ]
+    rows += [
+        (mutant, flavor, d)
+        for text, flavor, d in rows
+        for mutant in _mutations(rng, text, 3 if len(text) < 1000 else 1)
+    ]
+    read = 0
+    for text, flavor, d in rows:
+        expected = _reading(_scan_poly_int, text, flavor, d)
+        assert _reading(parse_poly_int, text, flavor, d) == expected, text[:60]
+        read += _split_poly_int(text, flavor, d) is not None
+    # every rendered text takes the tokenizer, and so do many mutants
+    assert all(_split_poly_int(*row) is not None for row in rendered)
+    assert read > len(rendered) + 300
+
+
+@pytest.mark.parametrize(
+    "text, flavor, d, message",
+    [
+        ("*".join([f"y1^{MAX_EXPONENT}"] * 2049), "A", 2, "exponent 4297062399 of y1"),
+        ("*".join([f"x1^{MAX_EXPONENT}"] * 2049), "A", 2, "exponent 4297062399 of x1"),
+        ("*".join([f"x1^{MAX_EXPONENT}"] * 2048), "A", 2, "exponent 4294965248 of x1"),
+        ("*".join([f"u1_2^{MAX_EXPONENT}"] * 2049), "P", 2, "exponent 4297062399 of u1_2"),
+    ],
+    ids=["y-2049", "x-2049", "x-2048", "p-2049"],
+)
+def test_factors_summed_past_a_field_raise_the_cap(text, flavor, d, message):
+    # Summed per token without a guard on the factor count, 2,049 such
+    # factors would carry into the next field, or above the top one.
+    with pytest.raises(BudgetExceededError) as excinfo:
+        parse_poly_int(text, flavor, d)
+    assert str(excinfo.value) == f"{message} exceeds the cap of {MAX_EXPONENT}"
+
+
+def test_many_factors_of_one_variable():
+    terms, den = parse_poly_int("*".join(["x1"] * 2048), "A", 2)
+    assert (terms, den) == ({AMonomial((2048, 0), (0, 0)): 1}, 1)
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ("x1 + x2 - y1 + 2", 4),
+        ("  - x1 - x2 - y1 - 2/3", 4),
+        ("x1*x2*y1*y2", 1),
+        ("x1 + 2x2 - y1", 3),  # counted before any term is read
+    ],
+    ids=["unsigned-lead", "signed-lead", "one-term", "parse-error"],
+)
+def test_term_cap(monkeypatch, text, count):
+    monkeypatch.setattr("constalg.poly.MAX_TERMS", count)
+    assert _reading(parse_poly_int, text, "A", 2) == _reading(_scan_poly_int, text, "A", 2)
+    monkeypatch.setattr("constalg.poly.MAX_TERMS", count - 1)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        parse_poly_int(text, "A", 2)
+    assert str(excinfo.value) == f"{count} terms exceed the cap of {count - 1}"
 
 
 def test_integer_parse_over_its_denominator_is_parse_poly():

@@ -11,7 +11,7 @@ from constalg.normal_words import (
     MAX_PEEL_STEPS,
     MAX_SLICE_MONOMIALS,
 )
-from constalg.poly import FIELD_BITS, MAX_EXPONENT
+from constalg.poly import FIELD_BITS, MAX_EXPONENT, MAX_TERMS
 from constalg.presentation import MAX_RELATIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -41,5 +41,6 @@ def test_quoted_budgets_match_constants():
         f"above {MAX_EXPONENT:,} (`poly.MAX_EXPONENT`,",
         f"caps every exponent at {MAX_EXPONENT:,} (`poly.MAX_EXPONENT`)",
         f"in {FIELD_BITS}-bit fields (`poly.FIELD_BITS`)",
+        f"more than {MAX_TERMS:,} terms (`poly.MAX_TERMS`)",
     ):
         assert phrase in text, phrase
