@@ -11,24 +11,39 @@ by `reduce_int` (fraction-free pseudo-division; Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992).  The result carries a
 per-pair certificate that records what discharged each pair.
 
-`reduce` is `reduce_int` plus one division at the end.  The generic
-completion `buchberger_complete`, which must add nothing when run on the
-relations, is a cross-check by its own pair algorithm.  The Fraction
-references, which share no code with `LeadTable`, are
-`tests/helpers.reference_reduce` and `reference_pair_outcomes`.
+The layer works over ring P alone.  `LeadTable` and `reduce_int` key
+monomials by the packed ints of `poly.PLayout`, whose int order is the
+corrected DILL order, whose product is `+` and whose divisibility test
+is one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
+Monagan and Pearce, CASC 2007).  Polynomials keep their tuple monomials;
+`reduce` packs its input and basis, runs `reduce_int` and divides once at
+the end.  The generic completion `buchberger_complete`, which must add
+nothing when run on the relations, is a cross-check by its own pair
+algorithm.  The Fraction references, which share no code with
+`LeadTable`, are `tests/helpers.reference_reduce` and
+`reference_pair_outcomes`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 from math import comb, gcd
 
 from .derivation import ProblemInstance
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, RingMismatchError
 from .orders import CORRECTED, DillOrder
-from .poly import PMonomial, Polynomial, format_monomial, int_terms, leading_term, p_dimension
+from .poly import (
+    RING_P,
+    PMonomial,
+    Polynomial,
+    Ring,
+    format_monomial,
+    int_terms,
+    leading_term,
+    p_layout,
+)
 from .presentation import Relation, build_relations, relation_count
 
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
@@ -43,86 +58,114 @@ MAX_PAIR_QUEUE = 100_000
 
 
 class LeadTable:
-    """Leading terms (lm, lc, terms) of a reduction basis, indexed by u-position.
+    """Leading terms (lm, lc, terms) of a reduction basis over ring P(d), filed by u-position.
 
-    The basis is a list of term maps {monomial: coefficient}, int for
-    `reduce_int`; `verify_reduced` reads only their monomials.  Each lead is
-    filed under the first nonzero u-position of its exponent tuple (leads
-    without u-factors under None).  A lead can only divide monomials that
-    are nonzero at that position, so `reducer` and `divided_by_other` test
-    a monomial only against the leads filed under its nonzero u-positions.
-    The table is built for one order and must be used with that order.
+    The basis is a list of term maps {packed monomial: coefficient}
+    (`poly.PLayout`), int for `reduce_int`; `verify_reduced` reads only
+    their monomials.  `key` is the order's key on packed monomials, None
+    when int order is the order (`packed_key`).  Each lead is filed under
+    its first nonzero u-position, or under none.  A lead divides only
+    monomials that are nonzero there, so `reducer` and `divided_by_other`
+    test a monomial against the leads filed under none or under one of its
+    nonzero u-positions, in basis order; that list is built once for each
+    set of positions.  The table is built for one order and must be used
+    with that order.
     """
 
-    def __init__(self, basis, order):
+    def __init__(self, basis, order, d: int):
         basis = list(basis)
         if not basis:
             raise ValueError("reduction needs a nonempty basis")
         if not all(basis):
             raise ValueError("reduction basis must not contain zero")
-        width = len(next(iter(basis[0])))
-        self._u_positions = range(width - p_dimension(width))
+        self.layout = layout = p_layout(d)
+        self.key = key = order.packed_key(d)
         self.entries = []
-        self._by_position: dict = {}
+        # {guard bit of a u-position, or 0 for none: [(index, entry)] filed there}
+        self._filed: dict = {}
         for index, terms in enumerate(basis):
-            lm = max(terms, key=order.key)
+            lm = max(terms, key=key)
             self.entries.append((lm, terms[lm], terms))
-            first = next(compress(self._u_positions, lm), None)
-            self._by_position.setdefault(first, []).append((index, *self.entries[-1]))
+            positions = (lm + layout.fill) & layout.u_guards
+            first = 1 << positions.bit_length() - 1 if positions else 0
+            self._filed.setdefault(first, []).append((index, self.entries[-1]))
+        self._candidates: dict = {}
 
-    def reducer(self, mono: PMonomial):
+    def _candidates_of(self, mono: int) -> list:
+        """The entries filed under none or under a nonzero u-position of mono, in basis order."""
+        layout = self.layout
+        positions = (mono + layout.fill) & layout.u_guards
+        found = self._candidates.get(positions)
+        if found is None:
+            filed = [self._filed.get(0, ())]
+            rest = positions
+            while rest:
+                bit = 1 << rest.bit_length() - 1
+                filed.append(self._filed.get(bit, ()))
+                rest ^= bit
+            found = self._candidates[positions] = [entry for _, entry in sorted(chain(*filed))]
+        return found
+
+    def reducer(self, mono: int):
         """(lm, lc, terms) of the first basis element whose lead divides mono, or None."""
-        best = None
-        best_index = len(self.entries)
-        by_position = self._by_position
-        for pos in (None, *compress(self._u_positions, mono)):
-            for index, lm, lc, terms in by_position.get(pos, ()):
-                if index >= best_index:
-                    break
-                if lm.divides(mono):
-                    best, best_index = (lm, lc, terms), index
-                    break
-        return best
+        guards = self.layout.guards
+        for entry in self._candidates_of(mono):
+            if not (mono - entry[0]) & guards:
+                return entry
+        return None
 
-    def divided_by_other(self, mono: PMonomial, own: int) -> bool:
+    def divided_by_other(self, mono: int, own: int) -> bool:
         """Whether the lead of a basis element other than entry `own` divides mono."""
-        by_position = self._by_position
-        for pos in (None, *compress(self._u_positions, mono)):
-            for index, lm, _, _ in by_position.get(pos, ()):
-                if index != own and lm.divides(mono):
-                    return True
-        return False
+        guards, own = self.layout.guards, self.entries[own]
+        return any(
+            entry is not own and not (mono - entry[0]) & guards
+            for entry in self._candidates_of(mono)
+        )
+
+
+def _ring_p(p: Polynomial) -> Ring:
+    """p's ring, which must be a ring P: the Groebner layer works there alone."""
+    if p.ring.flavor != RING_P:
+        raise RingMismatchError(f"Groebner bases are computed over ring P, not {p.ring}")
+    return p.ring
 
 
 def reduce(p: Polynomial, basis, order) -> Polynomial:
     """Full normal form of p modulo the basis.
 
-    `basis` is a list of polynomials over p's ring.  Deterministic: the
-    order-maximal reducible monomial is rewritten first, always against the
-    first basis element whose lead divides it.  No monomial of the result is
-    divisible by any basis lead.  `reduce_int` computes it up to a positive factor.
+    `basis` is a list of polynomials over p's ring, which must be a ring P.
+    Deterministic: the order-maximal reducible monomial is rewritten first,
+    always against the first basis element whose lead divides it.  No
+    monomial of the result is divisible by any basis lead.  `reduce_int`
+    computes it up to a positive factor.
     """
+    ring = _ring_p(p)
     for g in basis:
         p._check_compatible(g)
+    layout = p_layout(ring.d)
     work, den = int_terms(p)
-    _, scale = reduce_int(work, LeadTable([_primitive(g) for g in basis], order), order, 0)
-    return Polynomial._make(p.ring, {m: Fraction(c, den * scale) for m, c in work.items()})
+    work = layout.pack_terms(work)
+    _, scale = reduce_int(work, LeadTable([_primitive(g) for g in basis], order, ring.d), 0)
+    unpack = layout.unpack
+    return Polynomial._make(ring, {unpack(m): Fraction(c, den * scale) for m, c in work.items()})
 
 
-def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> tuple[int, int]:
+def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     """Pseudo-reduce the int term map `work` in place; return (steps + steps taken, scale).
 
-    `leads` holds int term maps.  The work's maximal monomial goes first: to
-    a remainder when no lead divides it, else, with c its coefficient, a the
-    lead coefficient of the first basis element g whose lead divides it,
-    k = gcd(c, a) signed like a and q the monomial quotient, the work
-    becomes (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
-    remainder then goes back into the work, which holds scale*NF: NF is the
-    normal form over Fraction, scale the product of the factors a/k > 0.
-    A total above MAX_REDUCTION_STEPS raises BudgetExceededError.
+    `work` and `leads` hold int term maps on packed monomials.  The work's
+    maximal monomial under `leads.key` goes first: to a remainder when no
+    lead divides it, else, with c its coefficient, a the lead coefficient
+    of the first basis element g whose lead divides it, k = gcd(c, a)
+    signed like a and q the monomial quotient, the work becomes
+    (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
+    remainder then goes back into the work, which holds scale*NF: NF is
+    the normal form over Fraction, scale the product of the factors
+    a/k > 0.  A total above MAX_REDUCTION_STEPS, or a product that
+    overflows a packed field, raises BudgetExceededError.
     """
-    key = order.key
-    reducer = leads.reducer
+    key, layout, reducer = leads.key, leads.layout, leads.reducer
+    guards = layout.guards
     remainder: dict = {}
     scale = 1
     while work:
@@ -147,11 +190,15 @@ def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> tuple[int, in
             for terms in (work, remainder):
                 for m in terms:
                     terms[m] *= multiplier
-        quot = mono.div(lm)
+        quot = mono - lm
         for gm, gc in g.items():
             if gm is lm:
                 continue
-            target = gm.mul(quot)
+            target = gm + quot
+            if target & guards:
+                raise BudgetExceededError(
+                    f"a reduction product overflows a packed field of at most {layout.field_max}"
+                )
             new = work.get(target, 0) - quotient * gc
             if new:
                 work[target] = new
@@ -162,10 +209,11 @@ def reduce_int(work: dict, leads: LeadTable, order, steps: int) -> tuple[int, in
 
 
 def _primitive(p: Polynomial) -> dict:
-    """p as an int term map whose coefficients have gcd 1: a nonzero rational multiple of p."""
+    """p as a packed int term map whose coefficients have gcd 1: a nonzero rational multiple of p."""
     terms, _ = int_terms(p)
     content = gcd(*terms.values())
-    return {m: c // content for m, c in terms.items()}
+    pack = p_layout(_ring_p(p).d).pack
+    return {pack(m): c // content for m, c in terms.items()}
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
@@ -174,6 +222,7 @@ def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
     Built in one pass over the two term maps; the lead terms, which
     cancel, are skipped.
     """
+    _ring_p(g)
     if g.is_zero() or h.is_zero():
         raise ValueError("s_polynomial needs nonzero inputs")
     g._check_compatible(h)
@@ -337,18 +386,19 @@ class GroebnerCertificate(
 def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
-    `basis` is a list of polynomials or a `LeadTable` built for `order`.
-    Divisibility reads only monomials, so coefficients are irrelevant to
-    the verdict.
+    `basis` is a list of polynomials over one ring P or a `LeadTable` built
+    for `order`.  Divisibility reads only monomials, so coefficients are
+    irrelevant to the verdict.
     """
     if isinstance(basis, LeadTable):
         leads = basis
     elif not basis:
         return True
     else:
+        d = _ring_p(basis[0]).d
         for g in basis:
             basis[0]._check_compatible(g)
-        leads = LeadTable([g.terms for g in basis], order)
+        leads = LeadTable([p_layout(d).pack_terms(g.terms) for g in basis], order, d)
     return not any(
         leads.divided_by_other(mono, own)
         for own, (_, _, terms) in enumerate(leads.entries)
@@ -364,12 +414,13 @@ def verify_groebner(
     """Check that the relations R and S form a reduced Groebner basis.
 
     A lead that does not conform aborts the pair phase; the verdict is
-    then false.  Pairs with coprime leads are discharged by Buchberger's
-    first criterion; every other S-polynomial is pseudo-reduced by
-    `reduce_int` against the relations scaled to primitive int term maps.
-    More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError before the
-    relations are built, more than MAX_REDUCTION_STEPS reduction steps
-    when they are taken.
+    then false.  Pairs with coprime leads, whose supports are disjoint, are
+    discharged by Buchberger's first criterion; every other S-polynomial
+    is packed and pseudo-reduced by `reduce_int` against the relations
+    scaled to primitive packed int term maps.  More than MAX_VERIFY_PAIRS
+    pairs raise BudgetExceededError before the relations are built, more
+    than MAX_REDUCTION_STEPS reduction steps when they are taken, and so
+    does a monomial that overflows a packed field.
     """
     count = relation_count(inst.d) if relations is None else len(relations)
     if comb(count, 2) > MAX_VERIFY_PAIRS:
@@ -381,19 +432,20 @@ def verify_groebner(
     pairs: list[PairOutcome] = []
     if not relations:
         return GroebnerCertificate(inst, variant, conformance, pairs, True)
-    leads = LeadTable([_primitive(rel.poly) for rel in relations], order)
+    leads = LeadTable([_primitive(rel.poly) for rel in relations], order, inst.d)
     if all(e.ok for e in conformance):
         steps = 0
-        rows = list(zip(relations, leads.entries))
-        for i, (left, (lmg, _, _)) in enumerate(rows):
-            for right, (lmh, _, _) in rows[i + 1:]:
+        pack_terms, support = leads.layout.pack_terms, leads.layout.support
+        rows = [(rel, support(lm)) for rel, (lm, _, _) in zip(relations, leads.entries)]
+        for i, (left, left_support) in enumerate(rows):
+            for right, right_support in rows[i + 1:]:
                 spoly = s_polynomial(left.poly, right.poly, order)
-                if lmg.lcm(lmh) == lmg.mul(lmh):
-                    discharged_by = "coprime"
-                else:
-                    work, _ = int_terms(spoly)
-                    steps, _ = reduce_int(work, leads, order, steps)
+                if left_support & right_support:
+                    work = pack_terms(int_terms(spoly)[0])
+                    steps, _ = reduce_int(work, leads, steps)
                     discharged_by = None if work else "reduction"
+                else:
+                    discharged_by = "coprime"
                 pairs.append(PairOutcome(left.label, right.label, discharged_by))
     return GroebnerCertificate(inst, variant, conformance, pairs, verify_reduced(leads, order))
 
@@ -413,6 +465,9 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     basis = list(basis)
     if not basis:
         raise ValueError("completion needs a nonempty input set")
+    _ring_p(basis[0])
+    for g in basis:
+        basis[0]._check_compatible(g)
     work = [_monic(g, order) for g in basis if not g.is_zero()]
     leads = [leading_term(g, order)[0] for g in work]
     queue = {(i, j) for i in range(len(work)) for j in range(i + 1, len(work))}

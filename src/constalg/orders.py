@@ -18,6 +18,10 @@ Both rings also carry a lexicographic order, handled by `LexOrder`: on
 ring A the int order of the packed keys, variable precedence
 x1 > y1 > x2 > y2 > ... > yd; on ring P the tuple order, the DILL
 tie-break precedence above.  A monomial is its own lex key.
+
+`packed_key(d)` gives each order's key on the packed P-monomials of
+`poly.PLayout`: None for the corrected order, which is their int order,
+the exponent fields for lex, and an unpacking key for the literal variant.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .poly import PMonomial, p_dimension, u_pairs
+from .poly import PMonomial, p_dimension, p_layout, u_pairs
 
 CORRECTED = "corrected"
 LITERAL = "literal"
@@ -89,6 +93,24 @@ class DillOrder:
             key = self._keys[mono] = dill_key(mono, self.variant)
         return key
 
+    def packed_key(self, d: int):
+        """Key on the packed monomials of ring P(d) (`poly.PLayout`), None for int order.
+
+        Int order is the corrected order.  The literal key unpacks each
+        monomial once, into a memo of the returned key.
+        """
+        if self.variant == CORRECTED:
+            return None
+        keys, unpack = {}, p_layout(d).unpack
+
+        def key(packed: int) -> tuple:
+            found = keys.get(packed)
+            if found is None:
+                found = keys[packed] = dill_key(unpack(packed), self.variant)
+            return found
+
+        return key
+
     def __repr__(self):
         return f"DillOrder({self.variant!r})"
 
@@ -98,6 +120,10 @@ class LexOrder:
 
     def key(self, mono):
         return mono
+
+    def packed_key(self, d: int):
+        """Key on the packed monomials of ring P(d): their exponent fields, in tuple order."""
+        return p_layout(d).exponent_mask.__and__
 
     def __repr__(self):
         return "LexOrder()"

@@ -29,14 +29,18 @@ the lexicographic order the ring uses:
   so tuple order is the DILL tie-break u1_2 > u1_3 > ... > u(d-1)_d > x1 >
   ... > xd.
 
-This module alone owns the ring-A layout (`field_shift`, `field_shifts`,
-`pack`, `unpack`).  No field of a ring-A `Polynomial` exceeds
-MAX_EXPONENT: the parser checks the cap as it reads, and the constructor
-and every computed ring-A result pass through `capped`; both raise
-BudgetExceededError.  So the sum of two keys never carries into a
-neighbouring field.  `mul_terms`, the hot path, does not check;
-`derivation.check_field_room` bounds what the derivation, the generator
-images and the peel build there.
+On the reduction path of `groebner` a P-monomial is one packed int
+instead, laid out by `PLayout`: its int order is the corrected DILL
+order, not the tuple order.
+
+This module alone owns both packed layouts: ring A's (`field_shift`,
+`field_shifts`, `pack`, `unpack`) and ring P's (`PLayout`).  No field of
+a ring-A `Polynomial` exceeds MAX_EXPONENT: the parser checks the cap as
+it reads, and the constructor and every computed ring-A result pass
+through `capped`; both raise BudgetExceededError.  So the sum of two keys
+never carries into a neighbouring field.  `mul_terms`, the hot path, does
+not check; `derivation.check_field_room` bounds what the derivation, the
+generator images and the peel build there.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError, ParseError, RingMismatchError
 
@@ -180,6 +184,81 @@ class PMonomial(tuple):
 
     def __repr__(self):
         return f"PMonomial({format_monomial(self)!r})"
+
+
+# -- packed ring-P monomials -------------------------------------------------
+
+
+class PLayout:
+    """The packed key of a P-monomial of ring P(d): one int of `bits`-bit fields.
+
+    Fields, most significant first: u-degree, interval length, x-degree,
+    then the exponents in tuple order e_12, ..., e_(d-1)d, a_1, ..., a_d.
+    The top bit of each field is its guard, zero in every valid key, so a
+    field holds at most `field_max`.  Int order is then the corrected DILL
+    order; a product is the sum of two keys and a quotient their
+    difference.  lm divides m exactly when m - lm sets no guard bit: a
+    field of m below lm's borrows, and the borrow sets that field's guard.
+    A sum of two valid keys sets the guard of every field it overflows.
+    `p_layout(d)` is the shared layout of P_FIELD_BITS-bit fields.
+    """
+
+    def __init__(self, d: int, bits: int):
+        pairs = u_pairs(d)
+        width = len(pairs) + d
+        self.field_max = (1 << bits - 1) - 1
+        ones = sum(1 << bits * f for f in range(width + 3))  # bit 0 of every field
+        u_degree, length, x_degree = (1 << bits * (width + f) for f in (2, 1, 0))
+        exponent = [1 << bits * f for f in reversed(range(width))]
+        self.units = tuple(
+            [u_degree + (k - j) * length + e for (j, k), e in zip(pairs, exponent)]
+            + [x_degree + e for e in exponent[len(pairs):]]
+        )
+        self.guards = ones << bits - 1
+        self.fill = self.guards - ones  # field_max in every field
+        # The exponent fields as one int, whose order is the tuple order.
+        self.exponent_mask = (1 << bits * width) - 1
+        self.u_guards = self.guards & self.exponent_mask & ~((1 << bits * d) - 1)
+        self._shifts = [bits * f for f in reversed(range(width))]
+        self._lengths = [k - j for j, k in pairs]
+        self._spread = max(d - 1, 1)
+
+    def pack(self, mono: PMonomial) -> int:
+        """The key of `mono`; a field above `field_max` raises BudgetExceededError.
+
+        No field exceeds the interval length (or, for x-exponents, the
+        x-degree), and neither exceeds (d - 1) times the total degree.
+        """
+        if sum(mono) * self._spread > self.field_max:
+            n = len(self._lengths)
+            if max(sum(map(mul, self._lengths, mono)), sum(mono[n:])) > self.field_max:
+                raise BudgetExceededError(
+                    f"monomial {format_monomial(mono)} overflows a packed field of "
+                    f"at most {self.field_max}"
+                )
+        return sum(map(mul, mono, self.units))
+
+    def pack_terms(self, terms: dict) -> dict:
+        """The term map `terms` of P-monomials keyed by their packed keys."""
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def unpack(self, key: int) -> PMonomial:
+        mask = self.field_max
+        return _new(PMonomial, [key >> shift & mask for shift in self._shifts])
+
+    def support(self, key: int) -> int:
+        """The guards of the nonzero exponent fields; coprime keys have disjoint supports."""
+        return (key + self.fill) & self.guards & self.exponent_mask
+
+
+# Width of a field of `p_layout`, guard bit included.
+P_FIELD_BITS = 32
+
+
+@lru_cache(maxsize=64)
+def p_layout(d: int) -> PLayout:
+    return PLayout(d, P_FIELD_BITS)
 
 
 def _width(ring: Ring) -> int:

@@ -15,7 +15,6 @@ from constalg import (
     apply_delta,
     ring_a,
     ring_p,
-    s_polynomial,
     u_pairs,
 )
 from constalg.poly import leading_term, pack, univariate, unpack
@@ -181,12 +180,16 @@ def reference_reduce(p, basis, order):
 
 
 def reference_pair_outcomes(relations, order):
-    """{(left, right): normal form is zero} with every S-polynomial reduced."""
+    """{(left, right): normal form is zero} with every S-polynomial reduced.
+
+    The S-polynomials come from `reference_s_polynomial`, so no code of the
+    pair path is shared.
+    """
     basis = [rel.poly for rel in relations]
     outcomes = {}
     for i, left in enumerate(relations):
         for right in relations[i + 1:]:
-            spoly = s_polynomial(left.poly, right.poly, order)
+            spoly = reference_s_polynomial(left.poly, right.poly, order)
             outcomes[left.label, right.label] = reference_reduce(spoly, basis, order).is_zero()
     return outcomes
 

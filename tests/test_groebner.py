@@ -1,7 +1,11 @@
 """Reduction, S-polynomials, verification and completion."""
 
+import importlib.util
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from constalg import (
     PMonomial,
     Polynomial,
     ProblemInstance,
+    RingMismatchError,
     buchberger_complete,
     build_generators,
     build_relations,
@@ -26,8 +31,9 @@ from constalg import (
     verify_reduced,
 )
 from constalg import groebner
+from constalg.cli import run
 from constalg.groebner import LeadTable
-from constalg.poly import format_monomial, int_terms, leading_term
+from constalg.poly import PLayout, format_monomial, int_terms, leading_term, p_layout
 from helpers import (
     instance_with_degrees,
     random_instance,
@@ -409,8 +415,15 @@ def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
 
 
 def int_leads(relations, order):
-    """The table `verify_groebner` reduces against: primitive int term maps."""
-    return LeadTable([groebner._primitive(rel.poly) for rel in relations], order)
+    """The table `verify_groebner` reduces against: primitive packed int term maps."""
+    d = relations[0].poly.ring.d
+    return LeadTable([groebner._primitive(rel.poly) for rel in relations], order, d)
+
+
+def packed_int_terms(p):
+    """(terms, den) of `int_terms(p)` with the terms keyed by packed monomials."""
+    terms, den = int_terms(p)
+    return p_layout(p.ring.d).pack_terms(terms), den
 
 
 def coprime_leads(g, h, order):
@@ -444,12 +457,13 @@ def test_reduce_int_zero_matches_reference_reduce(variant):
         ]
         for g, h in pairs:
             spoly = s_polynomial(g, h, order)
-            work, den = int_terms(spoly)
-            _, scale = groebner.reduce_int(work, leads, order, 0)
+            work, den = packed_int_terms(spoly)
+            _, scale = groebner.reduce_int(work, leads, 0)
             normal_form = reference_reduce(spoly, basis, order)
             assert (not work) == normal_form.is_zero()
             assert scale > 0
-            rescaled = {m: Fraction(c, den * scale) for m, c in work.items()}
+            unpack = p_layout(d).unpack
+            rescaled = {unpack(m): Fraction(c, den * scale) for m, c in work.items()}
             assert Polynomial(spoly.ring, rescaled) == normal_form
             outcomes.append(not work)
     assert any(outcomes) and not all(outcomes)  # both verdicts occur
@@ -460,14 +474,14 @@ def test_reduce_int_budget_counts_steps_across_calls(monkeypatch):
     order = DillOrder()
     leads = int_leads(relations, order)
     g, h = relations[0].poly, relations[-1].poly
-    work, _ = int_terms(s_polynomial(g, h, order))
-    steps, scale = groebner.reduce_int(dict(work), leads, order, 0)
+    work, _ = packed_int_terms(s_polynomial(g, h, order))
+    steps, scale = groebner.reduce_int(dict(work), leads, 0)
     assert steps > 0
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10 + steps)
-    assert groebner.reduce_int(dict(work), leads, order, 10) == (10 + steps, scale)
+    assert groebner.reduce_int(dict(work), leads, 10) == (10 + steps, scale)
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 9 + steps)
     with pytest.raises(BudgetExceededError, match=f"more than {9 + steps} reduction steps"):
-        groebner.reduce_int(dict(work), leads, order, 10)
+        groebner.reduce_int(dict(work), leads, 10)
 
 
 def test_reduce_runs_under_the_step_budget(monkeypatch):
@@ -475,7 +489,7 @@ def test_reduce_runs_under_the_step_budget(monkeypatch):
     basis = [rel.poly for rel in relations]
     order = DillOrder()
     spoly = s_polynomial(basis[0], basis[-1], order)
-    steps, _ = groebner.reduce_int(int_terms(spoly)[0], int_leads(relations, order), order, 0)
+    steps, _ = groebner.reduce_int(packed_int_terms(spoly)[0], int_leads(relations, order), 0)
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps)
     assert reduce(spoly, basis, order).is_zero()
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps - 1)
@@ -509,7 +523,7 @@ def test_lead_table_reducedness_matches_reference_reduced(variant):
         for basis in bases:
             basis = [g for g in basis if not g.is_zero()]
             expected = reference_reduced(basis, order)
-            table = LeadTable([g.terms for g in basis], order)
+            table = LeadTable([p_layout(d).pack_terms(g.terms) for g in basis], order, d)
             assert verify_reduced(basis, order) == verify_reduced(table, order) == expected
             verdicts.append(expected)
         assert verify_reduced(int_leads(relations, order), order) == reference_reduced(
@@ -527,3 +541,103 @@ def test_s_polynomial_matches_product_formula():
             for i, g in enumerate(basis):
                 for h in basis[i:]:
                     assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
+
+
+# -- ring P only ----------------------------------------------------------------
+
+
+def ring_a_inputs():
+    return parse_poly("x1^2*y1 + y2", "A", 2), parse_poly("x1*y1 - x2", "A", 2)
+
+
+def test_reduce_rejects_ring_a():
+    p, g = ring_a_inputs()
+    with pytest.raises(RingMismatchError, match="over ring P"):
+        reduce(p, [g], LexOrder())
+
+
+def test_verify_reduced_rejects_ring_a():
+    p, g = ring_a_inputs()
+    with pytest.raises(RingMismatchError, match="over ring P"):
+        verify_reduced([p, g], LexOrder())
+
+
+def test_s_polynomial_rejects_ring_a():
+    p, g = ring_a_inputs()
+    with pytest.raises(RingMismatchError, match="over ring P"):
+        s_polynomial(p, g, LexOrder())
+
+
+def test_buchberger_complete_rejects_ring_a():
+    p, g = ring_a_inputs()
+    with pytest.raises(RingMismatchError, match="over ring P"):
+        buchberger_complete([p, g], LexOrder())
+
+
+# -- reducer choice and the packed-field guard ------------------------------------
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def dense_instance(profile):
+    """perfbench's dense instance of this degree profile, drawn from random.Random(7)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    if spec.name not in sys.modules:
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look the module up while it executes
+        spec.loader.exec_module(workloads)
+    data = sys.modules[spec.name].dense_instance(random.Random(7), profile)
+    return ProblemInstance.from_json_dict(data)
+
+
+@pytest.mark.parametrize("profile, total", [((3, 1, 2, 1, 2), 192), ((2, 1, 3, 1, 2, 1), 772)])
+def test_reduction_steps_over_non_coprime_pairs(monkeypatch, profile, total):
+    # The reducer is the lowest-index lead that divides; another choice
+    # changes the number of steps.
+    taken = []
+    original = groebner.reduce_int
+
+    def counting(work, leads, steps):
+        result = original(work, leads, steps)
+        taken.append(result[0] - steps)
+        return result
+
+    monkeypatch.setattr(groebner, "reduce_int", counting)
+    cert = verify_groebner(dense_instance(profile))
+    assert cert.verdict
+    assert len(taken) == sum(not p.coprime_leads for p in cert.pairs)
+    assert sum(taken) == total
+
+
+def narrow_layout(monkeypatch, bits):
+    monkeypatch.setattr(groebner, "p_layout", lambda d: PLayout(d, bits))
+
+
+def test_reduce_int_refuses_a_product_over_a_packed_field(monkeypatch):
+    # With 6-bit fields a field holds at most 31: x1^15*u1_2 and the basis
+    # element u1_2 - x1^20 pack, but the reduction step builds x1^35.
+    narrow_layout(monkeypatch, 6)
+    p = parse_poly("x1^15*u1_2", "P", 2)
+    g = parse_poly("u1_2 - x1^20", "P", 2)
+    assert reduce(parse_poly("x1^11*u1_2", "P", 2), [g], DillOrder()) == parse_poly(
+        "x1^31", "P", 2
+    )
+    with pytest.raises(BudgetExceededError, match="product overflows a packed field of at most 31"):
+        reduce(p, [g], DillOrder())
+
+
+def test_verify_gb_exits_2_when_a_packed_field_overflows(monkeypatch, tmp_path, capsys):
+    # Under 4-bit fields (at most 7) the relations and S-polynomials of a
+    # degree-(2, 1, 1, 6) instance pack, and a reduction product overflows.
+    path = tmp_path / "dense4.json"
+    inst = dense_instance((2, 1, 1, 6))
+    path.write_text(json.dumps(inst.to_json_dict()))
+    assert run(["verify-gb", "--instance", str(path)]) == 0
+    capsys.readouterr()
+    narrow_layout(monkeypatch, 4)
+    with pytest.raises(BudgetExceededError, match="product overflows a packed field of at most 7"):
+        verify_groebner(inst)
+    assert run(["verify-gb", "--instance", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "overflows a packed field" in err

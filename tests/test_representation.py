@@ -10,6 +10,8 @@ from constalg import (
     LITERAL,
     AMonomial,
     BudgetExceededError,
+    DillOrder,
+    LexOrder,
     PMonomial,
     Polynomial,
     ProblemInstance,
@@ -25,7 +27,9 @@ from constalg import (
 from constalg.poly import (
     FIELD_MAX,
     MAX_EXPONENT,
+    PLayout,
     field_shift,
+    p_layout,
     pack,
     u_position,
     univariate,
@@ -35,6 +39,7 @@ from constalg.presentation import pi_image_of_monomial
 from helpers import (
     a_exponents,
     random_instance,
+    random_pmonomial,
     random_sparse_p,
     sparse_alex_key,
     sparse_dill_key,
@@ -232,3 +237,78 @@ def test_ring_a_results_refuse_exponents_above_the_cap():
     assert wide.u_power(1, 2, 31).degree() == 65536 * 31 + 31
     with pytest.raises(BudgetExceededError, match=OVER):
         wide.u_power(1, 2, 32)
+
+
+# -- packed ring-P keys -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_packed_p_int_order_is_the_corrected_dill_order(d):
+    rng = random.Random(8000 + d)
+    layout = p_layout(d)
+    monos = [PMonomial.one(d)]
+    for _ in range(300):
+        top = rng.choice((3, MAX_EXPONENT))
+        monos.append(random_pmonomial(rng, d, max_x=top, max_u=top, max_factors=3))
+    width = len(monos[0])
+    for mono in monos:
+        key = layout.pack(mono)
+        assert layout.unpack(key) == mono
+        u_degree, length, x_degree, _ = dill_key(mono)
+        assert key >> 32 * width == (u_degree << 64) + (length << 32) + x_degree
+    assert sorted(monos, key=layout.pack) == sorted(monos, key=dill_key)
+    # The literal key spells out every factor, so only small exponents go there.
+    small = [mono for mono in monos if max(mono) <= 3]
+    for order in (DillOrder(LITERAL), LexOrder()):
+        packed_key = order.packed_key(d)
+        assert sorted(small, key=lambda m: packed_key(layout.pack(m))) == sorted(
+            small, key=order.key
+        )
+    assert DillOrder(CORRECTED).packed_key(d) is None
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_packed_p_operations_match_pmonomial(d):
+    rng = random.Random(8100 + d)
+    layout = p_layout(d)
+    pack, guards, support = layout.pack, layout.guards, layout.support
+    for _ in range(300):
+        a, b, c = (random_pmonomial(rng, d) for _ in "abc")
+        ka, kb, kc = pack(a), pack(b), pack(c)
+        multiple = a.mul(c)
+        assert ka + kc == pack(multiple)
+        assert pack(multiple) - ka == kc == pack(multiple.div(a))
+        assert not (pack(multiple) - ka) & guards
+        assert (not (ka - kb) & guards) == b.divides(a)
+        assert (not (kb - ka) & guards) == a.divides(b)
+        lcm = pack(a.lcm(b))
+        assert lcm - ka == pack(a.lcm(b).div(a)) and lcm - kb == pack(a.lcm(b).div(b))
+        assert not (lcm - ka) & guards and not (lcm - kb) & guards
+        assert (not support(ka) & support(kb)) == (a.lcm(b) == a.mul(b))
+
+
+def test_packed_p_fields_refuse_overflow():
+    layout = p_layout(3)
+    top = layout.field_max
+    fitting = [
+        PMonomial((top, 0, 0), ()),
+        PMonomial((0, 0, 0), (((1, 2), top),)),
+        PMonomial((0, 0, 1), (((1, 3), top // 2),)),  # interval length top - 1
+    ]
+    for mono in fitting:
+        assert layout.unpack(layout.pack(mono)) == mono
+    # a sum of two keys sets the guard of the field it overflows
+    assert (layout.pack(fitting[0]) + layout.pack(PMonomial((0, 1, 0), ()))) & layout.guards
+    assert not (layout.pack(fitting[2]) + layout.pack(PMonomial((0, 1, 0), ()))) & layout.guards
+    over = [
+        PMonomial((top, 1, 0), ()),  # x-degree top + 1
+        PMonomial((0, 0, 0), (((1, 3), top // 2 + 1),)),  # interval length top + 1
+        PMonomial((1 << 40, 0, 0), ()),
+    ]
+    for mono in over:
+        with pytest.raises(BudgetExceededError, match=f"overflows a packed field of at most {top}"):
+            layout.pack(mono)
+    narrow = PLayout(2, 4)
+    assert narrow.unpack(narrow.pack(PMonomial((7, 0), ()))) == PMonomial((7, 0), ())
+    with pytest.raises(BudgetExceededError, match=r"x1\^8 overflows a packed field of at most 7"):
+        narrow.pack(PMonomial((8, 0), ()))
