@@ -12,13 +12,14 @@ Labahn, Algorithms for Computer Algebra, 1992).  The result carries a
 per-pair certificate that records what discharged each pair.
 
 The layer works over ring P alone.  `LeadTable` and `reduce_int` key
-monomials by the packed ints of `poly.PLayout`, whose int order is the
-corrected DILL order, whose product is `+` and whose divisibility test
-is one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
+monomials by the packed ints of the order's layout (`order.layout(d)`, a
+`poly.PLayout`), whose int order is the order, so a leading monomial is
+a `max`, a product by a quotient one addition and a divisibility test
+one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
 Monagan and Pearce, CASC 2007).  Polynomials keep their tuple monomials;
-`reduce` packs its input and basis, runs `reduce_int` and divides once at
-the end.  The generic completion `buchberger_complete`, which must add
-nothing when run on the relations, is a cross-check by its own pair
+`reduce` packs its input and basis, runs `reduce_int` and divides once
+at the end.  The generic completion `buchberger_complete`, which must
+add nothing when run on the relations, is a cross-check by its own pair
 algorithm.  The Fraction references, which share no code with
 `LeadTable`, are `tests/helpers.reference_reduce` and
 `reference_pair_outcomes`.
@@ -42,7 +43,6 @@ from .poly import (
     format_monomial,
     int_terms,
     leading_term,
-    p_layout,
 )
 from .presentation import Relation, build_relations, relation_count
 
@@ -60,31 +60,28 @@ MAX_PAIR_QUEUE = 100_000
 class LeadTable:
     """Leading terms (lm, lc, terms) of a reduction basis over ring P(d), filed by u-position.
 
-    The basis is a list of term maps {packed monomial: coefficient}
-    (`poly.PLayout`), int for `reduce_int`; `verify_reduced` reads only
-    their monomials.  `key` is the order's key on packed monomials, None
-    when int order is the order (`packed_key`).  Each lead is filed under
-    its first nonzero u-position, or under none.  A lead divides only
-    monomials that are nonzero there, so `reducer` and `divided_by_other`
-    test a monomial against the leads filed under none or under one of its
-    nonzero u-positions, in basis order; that list is built once for each
-    set of positions.  The table is built for one order and must be used
-    with that order.
+    The basis is a list of term maps {packed monomial: coefficient} under
+    `layout`, whose int order is the order; the coefficients are ints for
+    `reduce_int`, and `verify_reduced` reads only the monomials.  Each lead
+    is filed under its first nonzero u-position, or under none.  A lead
+    divides only monomials that are nonzero there, so `reducer` and
+    `divided_by_other` test a monomial against the leads filed under none
+    or under one of its nonzero u-positions, in basis order; that list is
+    built once for each set of positions.
     """
 
-    def __init__(self, basis, order, d: int):
+    def __init__(self, basis, layout):
         basis = list(basis)
         if not basis:
             raise ValueError("reduction needs a nonempty basis")
         if not all(basis):
             raise ValueError("reduction basis must not contain zero")
-        self.layout = layout = p_layout(d)
-        self.key = key = order.packed_key(d)
+        self.layout = layout
         self.entries = []
         # {guard bit of a u-position, or 0 for none: [(index, entry)] filed there}
         self._filed: dict = {}
         for index, terms in enumerate(basis):
-            lm = max(terms, key=key)
+            lm = max(terms)
             self.entries.append((lm, terms[lm], terms))
             positions = (lm + layout.fill) & layout.u_guards
             first = 1 << positions.bit_length() - 1 if positions else 0
@@ -108,7 +105,7 @@ class LeadTable:
 
     def reducer(self, mono: int):
         """(lm, lc, terms) of the first basis element whose lead divides mono, or None."""
-        guards = self.layout.guards
+        guards = self.layout.exponent_guards
         for entry in self._candidates_of(mono):
             if not (mono - entry[0]) & guards:
                 return entry
@@ -116,7 +113,7 @@ class LeadTable:
 
     def divided_by_other(self, mono: int, own: int) -> bool:
         """Whether the lead of a basis element other than entry `own` divides mono."""
-        guards, own = self.layout.guards, self.entries[own]
+        guards, own = self.layout.exponent_guards, self.entries[own]
         return any(
             entry is not own and not (mono - entry[0]) & guards
             for entry in self._candidates_of(mono)
@@ -142,10 +139,10 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
     ring = _ring_p(p)
     for g in basis:
         p._check_compatible(g)
-    layout = p_layout(ring.d)
+    layout = order.layout(ring.d)
     work, den = int_terms(p)
     work = layout.pack_terms(work)
-    _, scale = reduce_int(work, LeadTable([_primitive(g) for g in basis], order, ring.d), 0)
+    _, scale = reduce_int(work, LeadTable([_primitive(g, layout) for g in basis], layout), 0)
     unpack = layout.unpack
     return Polynomial._make(ring, {unpack(m): Fraction(c, den * scale) for m, c in work.items()})
 
@@ -153,23 +150,23 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
 def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     """Pseudo-reduce the int term map `work` in place; return (steps + steps taken, scale).
 
-    `work` and `leads` hold int term maps on packed monomials.  The work's
-    maximal monomial under `leads.key` goes first: to a remainder when no
-    lead divides it, else, with c its coefficient, a the lead coefficient
-    of the first basis element g whose lead divides it, k = gcd(c, a)
-    signed like a and q the monomial quotient, the work becomes
-    (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
+    `work` and `leads` hold int term maps on packed monomials of one
+    layout.  The work's maximal monomial, its `max`, goes first: to a
+    remainder when no lead divides it, else, with c its coefficient, a
+    the lead coefficient of the first basis element g whose lead divides
+    it, k = gcd(c, a) signed like a and q the monomial quotient, the work
+    becomes (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
     remainder then goes back into the work, which holds scale*NF: NF is
     the normal form over Fraction, scale the product of the factors
     a/k > 0.  A total above MAX_REDUCTION_STEPS, or a product that
     overflows a packed field, raises BudgetExceededError.
     """
-    key, layout, reducer = leads.key, leads.layout, leads.reducer
+    layout, reducer = leads.layout, leads.reducer
     guards = layout.guards
     remainder: dict = {}
     scale = 1
     while work:
-        mono = max(work, key=key)
+        mono = max(work)
         coeff = work.pop(mono)
         hit = reducer(mono)
         if hit is None:
@@ -208,11 +205,11 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     return steps, scale
 
 
-def _primitive(p: Polynomial) -> dict:
-    """p as a packed int term map whose coefficients have gcd 1: a nonzero rational multiple of p."""
+def _primitive(p: Polynomial, layout) -> dict:
+    """p as an int term map under `layout` with coefficients of gcd 1: a nonzero multiple of p."""
     terms, _ = int_terms(p)
     content = gcd(*terms.values())
-    pack = p_layout(_ring_p(p).d).pack
+    pack = layout.pack
     return {pack(m): c // content for m, c in terms.items()}
 
 
@@ -395,10 +392,10 @@ def verify_reduced(basis, order) -> bool:
     elif not basis:
         return True
     else:
-        d = _ring_p(basis[0]).d
+        layout = order.layout(_ring_p(basis[0]).d)
         for g in basis:
             basis[0]._check_compatible(g)
-        leads = LeadTable([p_layout(d).pack_terms(g.terms) for g in basis], order, d)
+        leads = LeadTable([layout.pack_terms(g.terms) for g in basis], layout)
     return not any(
         leads.divided_by_other(mono, own)
         for own, (_, _, terms) in enumerate(leads.entries)
@@ -432,10 +429,11 @@ def verify_groebner(
     pairs: list[PairOutcome] = []
     if not relations:
         return GroebnerCertificate(inst, variant, conformance, pairs, True)
-    leads = LeadTable([_primitive(rel.poly) for rel in relations], order, inst.d)
+    layout = order.layout(inst.d)
+    leads = LeadTable([_primitive(rel.poly, layout) for rel in relations], layout)
     if all(e.ok for e in conformance):
         steps = 0
-        pack_terms, support = leads.layout.pack_terms, leads.layout.support
+        pack_terms, support = layout.pack_terms, layout.support
         rows = [(rel, support(lm)) for rel, (lm, _, _) in zip(relations, leads.entries)]
         for i, (left, left_support) in enumerate(rows):
             for right, right_support in rows[i + 1:]:

@@ -29,15 +29,17 @@ the lexicographic order the ring uses:
   so tuple order is the DILL tie-break u1_2 > u1_3 > ... > u(d-1)_d > x1 >
   ... > xd.
 
-On the reduction path of `groebner` a P-monomial is one packed int
-instead, laid out by `PLayout`: its int order is the corrected DILL
-order, not the tuple order.
+Each ring-P order is defined once, by its `PLayout`: packed by it, a
+P-monomial is one int whose int order is that order.  `orders.dill_key`
+(which `format_poly` sorts by) and the reduction path of `groebner` key
+P-monomials so.
 
-This module alone owns both packed layouts: ring A's (`field_shift`,
-`field_shifts`, `pack`, `unpack`) and ring P's (`PLayout`).  No field of
-a ring-A `Polynomial` exceeds MAX_EXPONENT: the parser checks the cap as
-it reads, and the constructor and every computed ring-A result pass
-through `capped`; both raise BudgetExceededError.  So the sum of two keys
+This module alone owns the packed layouts: ring A's (`field_shift`,
+`field_shifts`, `pack`, `unpack`) and ring P's (`PLayout`, one per
+order).  No field of a ring-A `Polynomial` exceeds MAX_EXPONENT: the
+parser checks the cap as it reads, and the constructor and every
+computed ring-A result pass through `capped`; both raise
+BudgetExceededError.  So the sum of two keys
 never carries into a neighbouring field.  `mul_terms`, the hot path, does
 not check; `derivation.check_field_room` bounds what the derivation, the
 generator images and the peel build there.
@@ -188,55 +190,93 @@ class PMonomial(tuple):
 
 # -- packed ring-P monomials -------------------------------------------------
 
+# The orders a ring-P layout realises; `orders.DillOrder` takes the first two.
+CORRECTED = "corrected"
+LITERAL = "literal"
+LEX = "lex"
+
+# Width of a field of `p_layout`, guard bit included.
+P_FIELD_BITS = 32
+
 
 class PLayout:
-    """The packed key of a P-monomial of ring P(d): one int of `bits`-bit fields.
+    """The packed key of a P-monomial of ring P(d) under one order: one int of `bits`-bit fields.
 
-    Fields, most significant first: u-degree, interval length, x-degree,
-    then the exponents in tuple order e_12, ..., e_(d-1)d, a_1, ..., a_d.
-    The top bit of each field is its guard, zero in every valid key, so a
-    field holds at most `field_max`.  Int order is then the corrected DILL
-    order; a product is the sum of two keys and a quotient their
-    difference.  lm divides m exactly when m - lm sets no guard bit: a
-    field of m below lm's borrows, and the borrow sets that field's guard.
-    A sum of two valid keys sets the guard of every field it overflows.
-    `p_layout(d)` is the shared layout of P_FIELD_BITS-bit fields.
+    Fields, most significant first: the order's leading fields, then the
+    exponents in tuple order e_12, ..., e_(d-1)d, a_1, ..., a_d, so that
+    int order is the order.  The leading fields are
+
+    * corrected: u-degree, interval length, x-degree;
+    * literal: x-degree, u-degree, interval length, then field_max - a_i,
+      field_max - c_j (c_j = sum_k e_jk, j < d) and field_max - e_jk.  Once
+      the degrees tie, the literal order's index lists (i once per unit of
+      a_i, then j and then k once per unit of e_jk) have equal lengths, and
+      the list with the larger count at the first differing index is the
+      smaller;
+    * lex: none; int order is then the tuple order.
+
+    Each field is an affine function of the exponents, so key(g*q) =
+    key(g) + key(m) - key(lm) when m = lm*q.  The top bit of each field is
+    its guard, zero in every valid key, so a field holds at most
+    `field_max`.  lm divides m exactly when m - lm sets no guard of an
+    exponent field (`exponent_guards`): those fields are the least
+    significant, and a field of m below lm's borrows, which sets its guard.
+    Each field of key(g) + key(m) - key(lm) lies in -field_max..2*field_max,
+    so the least significant one outside 0..field_max sets its guard.
+    `p_layout(d, order)` is the shared layout of P_FIELD_BITS-bit fields;
+    `bits` may be 8, 16, 32 or 64.
     """
 
-    def __init__(self, d: int, bits: int):
+    def __init__(self, d: int, order: str = CORRECTED, bits: int = P_FIELD_BITS):
         pairs = u_pairs(d)
-        width = len(pairs) + d
+        n = self._n = len(pairs)
+        width = self._width = n + d
+        self._lengths = [k - j for j, k in pairs]
+        # c_j sums the u-positions of the pairs (j, k), which are consecutive.
+        self._blocks = [(u_position(d, j, j + 1), u_position(d, j, d) + 1) for j in range(1, d)]
+        leading = {CORRECTED: self._corrected, LITERAL: self._literal, LEX: self._lex}
+        if order not in leading:
+            raise ValueError(f"unknown order variant {order!r}")
+        self._leading = leading[order]
+        fields = len(self._leading(PMonomial.one(d))) + width
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}[bits]
+        self._struct = struct.Struct(f">{fields}{code}")
         self.field_max = (1 << bits - 1) - 1
-        ones = sum(1 << bits * f for f in range(width + 3))  # bit 0 of every field
-        u_degree, length, x_degree = (1 << bits * (width + f) for f in (2, 1, 0))
-        exponent = [1 << bits * f for f in reversed(range(width))]
-        self.units = tuple(
-            [u_degree + (k - j) * length + e for (j, k), e in zip(pairs, exponent)]
-            + [x_degree + e for e in exponent[len(pairs):]]
-        )
+        ones = sum(1 << bits * f for f in range(fields))  # bit 0 of every field
         self.guards = ones << bits - 1
         self.fill = self.guards - ones  # field_max in every field
-        # The exponent fields as one int, whose order is the tuple order.
-        self.exponent_mask = (1 << bits * width) - 1
-        self.u_guards = self.guards & self.exponent_mask & ~((1 << bits * d) - 1)
-        self._shifts = [bits * f for f in reversed(range(width))]
-        self._lengths = [k - j for j, k in pairs]
-        self._spread = max(d - 1, 1)
+        self.exponent_guards = self.guards & (1 << bits * width) - 1
+        self.u_guards = self.exponent_guards >> bits * d << bits * d
+        # The literal fields field_max - v are packed as v, then flipped by one XOR.
+        self._flip = 0
+        if order == LITERAL:
+            self._flip = self.fill & (1 << bits * (fields - 3)) - (1 << bits * width)
+
+    def _corrected(self, mono: PMonomial) -> tuple:
+        u_degree = sum(mono[: self._n])
+        return u_degree, sum(map(mul, self._lengths, mono)), sum(mono) - u_degree
+
+    def _literal(self, mono: PMonomial) -> tuple:
+        us, xs = mono[: self._n], mono[self._n:]
+        counts = [sum(us[start:end]) for start, end in self._blocks]
+        return sum(xs), sum(us), sum(map(mul, self._lengths, us)), *xs, *counts, *us
+
+    @staticmethod
+    def _lex(mono: PMonomial) -> tuple:
+        return ()
 
     def pack(self, mono: PMonomial) -> int:
-        """The key of `mono`; a field above `field_max` raises BudgetExceededError.
-
-        No field exceeds the interval length (or, for x-exponents, the
-        x-degree), and neither exceeds (d - 1) times the total degree.
-        """
-        if sum(mono) * self._spread > self.field_max:
-            n = len(self._lengths)
-            if max(sum(map(mul, self._lengths, mono)), sum(mono[n:])) > self.field_max:
-                raise BudgetExceededError(
-                    f"monomial {format_monomial(mono)} overflows a packed field of "
-                    f"at most {self.field_max}"
-                )
-        return sum(map(mul, mono, self.units))
+        """The key of `mono`; a field above `field_max` raises BudgetExceededError."""
+        try:
+            key = int.from_bytes(self._struct.pack(*self._leading(mono), *mono), "big")
+        except struct.error:  # a field wider than `bits`
+            key = self.guards
+        if key & self.guards:
+            raise BudgetExceededError(
+                f"monomial {format_monomial(mono)} overflows a packed field of "
+                f"at most {self.field_max}"
+            )
+        return key ^ self._flip
 
     def pack_terms(self, terms: dict) -> dict:
         """The term map `terms` of P-monomials keyed by their packed keys."""
@@ -244,21 +284,17 @@ class PLayout:
         return {pack(m): c for m, c in terms.items()}
 
     def unpack(self, key: int) -> PMonomial:
-        mask = self.field_max
-        return _new(PMonomial, [key >> shift & mask for shift in self._shifts])
+        fields = self._struct.unpack(key.to_bytes(self._struct.size, "big"))
+        return _new(PMonomial, fields[len(fields) - self._width:])
 
     def support(self, key: int) -> int:
         """The guards of the nonzero exponent fields; coprime keys have disjoint supports."""
-        return (key + self.fill) & self.guards & self.exponent_mask
+        return (key + self.fill) & self.exponent_guards
 
 
-# Width of a field of `p_layout`, guard bit included.
-P_FIELD_BITS = 32
-
-
-@lru_cache(maxsize=64)
-def p_layout(d: int) -> PLayout:
-    return PLayout(d, P_FIELD_BITS)
+@lru_cache(maxsize=128)
+def p_layout(d: int, order: str = CORRECTED) -> PLayout:
+    return PLayout(d, order)
 
 
 def _width(ring: Ring) -> int:
@@ -916,7 +952,8 @@ def format_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     # Canonical display order per ring: A-lex (the int order) for ring A,
-    # corrected DILL for ring P.  Local import: orders depends on this module.
+    # corrected DILL for ring P, whose packed key refuses a field above
+    # PLayout.field_max.  Local import: orders depends on this module.
     from .orders import dill_key
 
     key = None if p.ring.flavor == RING_A else dill_key

@@ -33,7 +33,7 @@ from constalg import (
 from constalg import groebner
 from constalg.cli import run
 from constalg.groebner import LeadTable
-from constalg.poly import PLayout, format_monomial, int_terms, leading_term, p_layout
+from constalg.poly import PLayout, format_monomial, int_terms, leading_term
 from helpers import (
     instance_with_degrees,
     random_instance,
@@ -416,14 +416,14 @@ def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
 
 def int_leads(relations, order):
     """The table `verify_groebner` reduces against: primitive packed int term maps."""
-    d = relations[0].poly.ring.d
-    return LeadTable([groebner._primitive(rel.poly) for rel in relations], order, d)
+    layout = order.layout(relations[0].poly.ring.d)
+    return LeadTable([groebner._primitive(rel.poly, layout) for rel in relations], layout)
 
 
-def packed_int_terms(p):
-    """(terms, den) of `int_terms(p)` with the terms keyed by packed monomials."""
+def packed_int_terms(p, order):
+    """(terms, den) of `int_terms(p)` with the terms keyed by the order's packed monomials."""
     terms, den = int_terms(p)
-    return p_layout(p.ring.d).pack_terms(terms), den
+    return order.layout(p.ring.d).pack_terms(terms), den
 
 
 def coprime_leads(g, h, order):
@@ -457,12 +457,12 @@ def test_reduce_int_zero_matches_reference_reduce(variant):
         ]
         for g, h in pairs:
             spoly = s_polynomial(g, h, order)
-            work, den = packed_int_terms(spoly)
+            work, den = packed_int_terms(spoly, order)
             _, scale = groebner.reduce_int(work, leads, 0)
             normal_form = reference_reduce(spoly, basis, order)
             assert (not work) == normal_form.is_zero()
             assert scale > 0
-            unpack = p_layout(d).unpack
+            unpack = order.layout(d).unpack
             rescaled = {unpack(m): Fraction(c, den * scale) for m, c in work.items()}
             assert Polynomial(spoly.ring, rescaled) == normal_form
             outcomes.append(not work)
@@ -474,7 +474,7 @@ def test_reduce_int_budget_counts_steps_across_calls(monkeypatch):
     order = DillOrder()
     leads = int_leads(relations, order)
     g, h = relations[0].poly, relations[-1].poly
-    work, _ = packed_int_terms(s_polynomial(g, h, order))
+    work, _ = packed_int_terms(s_polynomial(g, h, order), order)
     steps, scale = groebner.reduce_int(dict(work), leads, 0)
     assert steps > 0
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10 + steps)
@@ -489,7 +489,8 @@ def test_reduce_runs_under_the_step_budget(monkeypatch):
     basis = [rel.poly for rel in relations]
     order = DillOrder()
     spoly = s_polynomial(basis[0], basis[-1], order)
-    steps, _ = groebner.reduce_int(packed_int_terms(spoly)[0], int_leads(relations, order), 0)
+    work, _ = packed_int_terms(spoly, order)
+    steps, _ = groebner.reduce_int(work, int_leads(relations, order), 0)
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps)
     assert reduce(spoly, basis, order).is_zero()
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps - 1)
@@ -523,13 +524,28 @@ def test_lead_table_reducedness_matches_reference_reduced(variant):
         for basis in bases:
             basis = [g for g in basis if not g.is_zero()]
             expected = reference_reduced(basis, order)
-            table = LeadTable([p_layout(d).pack_terms(g.terms) for g in basis], order, d)
+            layout = order.layout(d)
+            table = LeadTable([layout.pack_terms(g.terms) for g in basis], layout)
             assert verify_reduced(basis, order) == verify_reduced(table, order) == expected
             verdicts.append(expected)
         assert verify_reduced(int_leads(relations, order), order) == reference_reduced(
             bases[0], order
         )
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("variant", [CORRECTED, LITERAL])
+def test_conformance_and_lead_table_pick_the_same_leads(variant):
+    # `leading_term` under the order's memoised key and `LeadTable`'s max
+    # over packed keys must agree, also where the literal leads do not conform.
+    order = DillOrder(variant)
+    rng = random.Random(163)
+    for d in (4, 5, 6, 7):
+        inst = random_instance(rng, d, max_m=3, dense=True)
+        relations = build_relations(inst)
+        computed = [e.computed for e in verify_lead_conformance(inst, relations, variant)]
+        unpack = order.layout(d).unpack
+        assert computed == [unpack(lm) for lm, _, _ in int_leads(relations, order).entries]
 
 
 def test_s_polynomial_matches_product_formula():
@@ -609,33 +625,36 @@ def test_reduction_steps_over_non_coprime_pairs(monkeypatch, profile, total):
     assert sum(taken) == total
 
 
+NARROW = "product overflows a packed field of at most 127"
+
+
 def narrow_layout(monkeypatch, bits):
-    monkeypatch.setattr(groebner, "p_layout", lambda d: PLayout(d, bits))
+    monkeypatch.setattr(DillOrder, "layout", lambda self, d: PLayout(d, self.variant, bits))
 
 
 def test_reduce_int_refuses_a_product_over_a_packed_field(monkeypatch):
-    # With 6-bit fields a field holds at most 31: x1^15*u1_2 and the basis
-    # element u1_2 - x1^20 pack, but the reduction step builds x1^35.
-    narrow_layout(monkeypatch, 6)
-    p = parse_poly("x1^15*u1_2", "P", 2)
-    g = parse_poly("u1_2 - x1^20", "P", 2)
-    assert reduce(parse_poly("x1^11*u1_2", "P", 2), [g], DillOrder()) == parse_poly(
-        "x1^31", "P", 2
+    # With 8-bit fields a field holds at most 127: x1^60*u1_2 and the basis
+    # element u1_2 - x1^80 pack, but the reduction step builds x1^140.
+    narrow_layout(monkeypatch, 8)
+    p = parse_poly("x1^60*u1_2", "P", 2)
+    g = parse_poly("u1_2 - x1^80", "P", 2)
+    assert reduce(parse_poly("x1^47*u1_2", "P", 2), [g], DillOrder()) == parse_poly(
+        "x1^127", "P", 2
     )
-    with pytest.raises(BudgetExceededError, match="product overflows a packed field of at most 31"):
+    with pytest.raises(BudgetExceededError, match=NARROW):
         reduce(p, [g], DillOrder())
 
 
 def test_verify_gb_exits_2_when_a_packed_field_overflows(monkeypatch, tmp_path, capsys):
-    # Under 4-bit fields (at most 7) the relations and S-polynomials of a
-    # degree-(2, 1, 1, 6) instance pack, and a reduction product overflows.
+    # Under 8-bit fields (at most 127) the relations and S-polynomials of a
+    # degree-(2, 1, 1, 126) instance pack, and a reduction product overflows.
     path = tmp_path / "dense4.json"
-    inst = dense_instance((2, 1, 1, 6))
+    inst = dense_instance((2, 1, 1, 126))
     path.write_text(json.dumps(inst.to_json_dict()))
     assert run(["verify-gb", "--instance", str(path)]) == 0
     capsys.readouterr()
-    narrow_layout(monkeypatch, 4)
-    with pytest.raises(BudgetExceededError, match="product overflows a packed field of at most 7"):
+    narrow_layout(monkeypatch, 8)
+    with pytest.raises(BudgetExceededError, match=NARROW):
         verify_groebner(inst)
     assert run(["verify-gb", "--instance", str(path)]) == 2
     out, err = capsys.readouterr()

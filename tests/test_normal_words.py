@@ -1,12 +1,14 @@
 """Normal words, image leads, peeling, rewriting, and the nullspace oracle."""
 
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
 
 from constalg import (
+    LITERAL,
     AMonomial,
     BudgetExceededError,
     LexOrder,
@@ -184,6 +186,22 @@ def test_enumeration_word_guard(monkeypatch):
     monkeypatch.setattr(normal_words, "MAX_NORMAL_WORDS", 2)
     with pytest.raises(BudgetExceededError):
         enumerate_normal_words(inst, 1)
+
+
+def test_literal_enumeration_at_a_high_degree_stays_small():
+    # The literal key has a fixed number of fields, whatever the exponents:
+    # at d = 1, f = x1, degree 20,000 it sorts like the corrected key in a
+    # few MB, where a key listing every factor took about 3 GB.
+    inst = classical(1)
+    corrected = enumerate_normal_words(inst, 20_000)
+    tracemalloc.start()
+    try:
+        literal = enumerate_normal_words(inst, 20_000, LITERAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert literal == corrected and len(literal) == 20_001
+    assert peak < 8 * 2**20
 
 
 def words_per_degree(inst, bound):

@@ -1,5 +1,6 @@
 """DILL order variants and the A-lex order."""
 
+import operator
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from constalg import (
     leading_term,
     parse_poly,
 )
-from helpers import random_pmonomial
+from helpers import random_pmonomial, sparse_dill_key, sparse_of
 
 
 def mono(text, d):
@@ -96,15 +97,20 @@ def test_unit_minimality():
 
 
 def test_key_of_product_adds_componentwise():
+    # A product's key is the sum of its factors' keys less the key of 1,
+    # and products order like the reference keys.
     rng = random.Random(29)
-    for _ in range(1000):
-        v = random_pmonomial(rng, 4)
-        w = random_pmonomial(rng, 4)
-        kv, kw, kvw = (dill_key(m)[:3] for m in (v, w, v.mul(w)))
-        assert kvw == tuple(a + b for a, b in zip(kv, kw))
-    unit = dill_key(PMonomial.one(4))
-    assert unit[:3] == (0, 0, 0)
-    assert all(t == 0 for t in unit[3])
+    assert dill_key(PMonomial.one(4)) == 0
+    for variant in (CORRECTED, LITERAL):
+        unit = dill_key(PMonomial.one(4), variant)
+        for _ in range(1000):
+            v = random_pmonomial(rng, 4)
+            w = random_pmonomial(rng, 4)
+            z = random_pmonomial(rng, 4)
+            vw, vz = v.mul(w), v.mul(z)
+            assert dill_key(vw, variant) == dill_key(v, variant) + dill_key(w, variant) - unit
+            reference = (sparse_dill_key(sparse_of(m), variant) for m in (vw, vz))
+            assert (dill_key(vw, variant) < dill_key(vz, variant)) == operator.lt(*reference)
 
 
 def test_alex_precedence():

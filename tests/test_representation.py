@@ -19,13 +19,17 @@ from constalg import (
     build_generators,
     dill_key,
     format_monomial,
+    format_poly,
     parse_poly,
     pi_substitute,
     ring_a,
+    ring_p,
     u_pairs,
+    u_var,
 )
 from constalg.poly import (
     FIELD_MAX,
+    LEX,
     MAX_EXPONENT,
     PLayout,
     field_shift,
@@ -73,10 +77,8 @@ def test_pmonomial_matches_sparse_reference(d):
 
         for variant in (CORRECTED, LITERAL):
             ka, kb = dill_key(ma, variant), dill_key(mb, variant)
-            assert ka == sparse_dill_key(a, variant)
             assert (ka < kb) == (sparse_dill_key(a, variant) < sparse_dill_key(b, variant))
-        # the corrected key shares the monomial's tuple instead of copying it
-        assert dill_key(ma)[3] is ma
+            assert (ka == kb) == (a == b)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -244,52 +246,63 @@ def test_ring_a_results_refuse_exponents_above_the_cap():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_packed_p_int_order_is_the_corrected_dill_order(d):
+    # The int order of each layout is its order: the corrected and literal
+    # keys sort like the sparse reference keys, the lex key like the tuples.
     rng = random.Random(8000 + d)
-    layout = p_layout(d)
     monos = [PMonomial.one(d)]
     for _ in range(300):
         top = rng.choice((3, MAX_EXPONENT))
         monos.append(random_pmonomial(rng, d, max_x=top, max_u=top, max_factors=3))
+    # The reference literal key spells out every factor: small exponents only.
+    small = [mono for mono in monos if max(mono) <= 3]
+    cases = ((DillOrder(CORRECTED), monos), (DillOrder(LITERAL), small), (LexOrder(), monos))
+    for order, sample in cases:
+        layout = order.layout(d)
+        keys = [layout.pack(mono) for mono in sample]
+        assert [layout.unpack(key) for key in keys] == sample
+        if isinstance(order, DillOrder):
+            assert keys == [dill_key(mono, order.variant) for mono in sample]
+            reference = [sparse_dill_key(sparse_of(mono), order.variant) for mono in sample]
+        else:
+            reference = sample
+        by_key = sorted(range(len(sample)), key=keys.__getitem__)
+        assert by_key == sorted(range(len(sample)), key=reference.__getitem__)
     width = len(monos[0])
     for mono in monos:
-        key = layout.pack(mono)
-        assert layout.unpack(key) == mono
-        u_degree, length, x_degree, _ = dill_key(mono)
-        assert key >> 32 * width == (u_degree << 64) + (length << 32) + x_degree
-    assert sorted(monos, key=layout.pack) == sorted(monos, key=dill_key)
-    # The literal key spells out every factor, so only small exponents go there.
-    small = [mono for mono in monos if max(mono) <= 3]
-    for order in (DillOrder(LITERAL), LexOrder()):
-        packed_key = order.packed_key(d)
-        assert sorted(small, key=lambda m: packed_key(layout.pack(m))) == sorted(
-            small, key=order.key
-        )
-    assert DillOrder(CORRECTED).packed_key(d) is None
+        u_degree, length, x_degree, _ = sparse_dill_key(sparse_of(mono))
+        assert dill_key(mono) >> 32 * width == (u_degree << 64) + (length << 32) + x_degree
 
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_packed_p_operations_match_pmonomial(d):
+    # Under every order a quotient and a product are sums of keys less the
+    # key of 1, and divisibility reads the exponent fields' guards.
     rng = random.Random(8100 + d)
-    layout = p_layout(d)
-    pack, guards, support = layout.pack, layout.guards, layout.support
-    for _ in range(300):
-        a, b, c = (random_pmonomial(rng, d) for _ in "abc")
-        ka, kb, kc = pack(a), pack(b), pack(c)
-        multiple = a.mul(c)
-        assert ka + kc == pack(multiple)
-        assert pack(multiple) - ka == kc == pack(multiple.div(a))
-        assert not (pack(multiple) - ka) & guards
-        assert (not (ka - kb) & guards) == b.divides(a)
-        assert (not (kb - ka) & guards) == a.divides(b)
-        lcm = pack(a.lcm(b))
-        assert lcm - ka == pack(a.lcm(b).div(a)) and lcm - kb == pack(a.lcm(b).div(b))
-        assert not (lcm - ka) & guards and not (lcm - kb) & guards
-        assert (not support(ka) & support(kb)) == (a.lcm(b) == a.mul(b))
+    for order in (DillOrder(CORRECTED), DillOrder(LITERAL), LexOrder()):
+        layout = order.layout(d)
+        pack, guards, support = layout.pack, layout.exponent_guards, layout.support
+        one = pack(PMonomial.one(d))
+        for _ in range(300):
+            a, b, c = (random_pmonomial(rng, d) for _ in "abc")
+            ka, kb, kc = pack(a), pack(b), pack(c)
+            multiple = a.mul(c)
+            assert ka + kc - one == pack(multiple)
+            assert pack(multiple) - ka + one == kc == pack(multiple.div(a))
+            assert not (pack(multiple) - ka) & guards
+            assert (not (ka - kb) & guards) == b.divides(a)
+            assert (not (kb - ka) & guards) == a.divides(b)
+            lcm = pack(a.lcm(b))
+            assert lcm - ka + one == pack(a.lcm(b).div(a))
+            assert lcm - kb + one == pack(a.lcm(b).div(b))
+            assert not (lcm - ka) & guards and not (lcm - kb) & guards
+            assert kb + lcm - ka == pack(b.mul(a.lcm(b).div(a)))  # g*q from g, m and lm
+            assert (not support(ka) & support(kb)) == (a.lcm(b) == a.mul(b))
 
 
 def test_packed_p_fields_refuse_overflow():
     layout = p_layout(3)
     top = layout.field_max
+    assert top == 2**31 - 1
     fitting = [
         PMonomial((top, 0, 0), ()),
         PMonomial((0, 0, 0), (((1, 2), top),)),
@@ -305,10 +318,28 @@ def test_packed_p_fields_refuse_overflow():
         PMonomial((0, 0, 0), (((1, 3), top // 2 + 1),)),  # interval length top + 1
         PMonomial((1 << 40, 0, 0), ()),
     ]
-    for mono in over:
-        with pytest.raises(BudgetExceededError, match=f"overflows a packed field of at most {top}"):
-            layout.pack(mono)
-    narrow = PLayout(2, 4)
-    assert narrow.unpack(narrow.pack(PMonomial((7, 0), ()))) == PMonomial((7, 0), ())
-    with pytest.raises(BudgetExceededError, match=r"x1\^8 overflows a packed field of at most 7"):
-        narrow.pack(PMonomial((8, 0), ()))
+    # lex has no degree fields: only an exponent above top overflows there
+    for order, refused in ((CORRECTED, over), (LITERAL, over), (LEX, over[2:])):
+        for mono in refused:
+            with pytest.raises(BudgetExceededError, match=f"a packed field of at most {top}"):
+                p_layout(3, order).pack(mono)
+    assert p_layout(3, LEX).unpack(p_layout(3, LEX).pack(over[0])) == over[0]
+    narrow = PLayout(2, CORRECTED, 8)
+    assert narrow.unpack(narrow.pack(PMonomial((127, 0), ()))) == PMonomial((127, 0), ())
+    message = r"x1\^128 overflows a packed field of at most 127"
+    with pytest.raises(BudgetExceededError, match=message):
+        narrow.pack(PMonomial((128, 0), ()))
+
+
+def test_ordering_refuses_a_field_over_the_packed_width():
+    # Printing sorts ring-P terms by `dill_key`, so it refuses a monomial
+    # whose order field passes 2^31 - 1, as `verify-gb` does.
+    top = 2**31 - 1
+    assert format_poly(u_var(ring_p(2), 1, 2, top)) == f"u1_2^{top}"
+    for exp in (top + 1, 2**40):
+        message = f"u1_2\\^{exp} overflows a packed field of at most {top}"
+        with pytest.raises(BudgetExceededError, match=message):
+            format_poly(u_var(ring_p(2), 1, 2, exp))
+        for variant in (CORRECTED, LITERAL):
+            with pytest.raises(BudgetExceededError, match="overflows a packed field of at most"):
+                DillOrder(variant).key(PMonomial((exp, 0), ()))
