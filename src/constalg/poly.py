@@ -14,7 +14,10 @@ and `int_terms` takes a Fraction polynomial back to that form.  The text
 is first cut into terms and tokens in C and each distinct token read once
 (`_split_poly_int`); a text with any token that this tokenizer does not
 accept goes whole to the step scanner `_scan_poly_int`, the reference
-reading, which also raises every ParseError.
+reading, which also raises every ParseError.  Both readers give each term
+as (packed key, signed numerator, denominator), the key packing the
+exponents as `pack` does in either ring, and `_sum_terms` alone sums
+them, takes the lcm of the denominators and unpacks ring-P keys.
 
 Variable indices are 1-based everywhere they are visible (text syntax,
 u-pair labels).  Each ring has one monomial form, whose natural order is
@@ -30,9 +33,8 @@ the lexicographic order the ring uses:
   ... > xd.
 
 Each ring-P order is defined once, by its `PLayout`: packed by it, a
-P-monomial is one int whose int order is that order.  `orders.dill_key`
-(which `format_poly` sorts by) and the reduction path of `groebner` key
-P-monomials so.
+P-monomial is one int whose int order is that order.  `format_poly`,
+`orders.dill_key` and the reduction path of `groebner` key P-monomials so.
 
 This module alone owns the packed layouts: ring A's (`field_shift`,
 `field_shifts`, `pack`, `unpack`) and ring P's (`PLayout`, one per
@@ -238,19 +240,15 @@ class PLayout:
         if order not in leading:
             raise ValueError(f"unknown order variant {order!r}")
         self._leading = leading[order]
+        self.field_max = (1 << bits - 1) - 1
         fields = len(self._leading(PMonomial.one(d))) + width
         code = {8: "B", 16: "H", 32: "I", 64: "Q"}[bits]
         self._struct = struct.Struct(f">{fields}{code}")
-        self.field_max = (1 << bits - 1) - 1
         ones = sum(1 << bits * f for f in range(fields))  # bit 0 of every field
         self.guards = ones << bits - 1
         self.fill = self.guards - ones  # field_max in every field
         self.exponent_guards = self.guards & (1 << bits * width) - 1
         self.u_guards = self.exponent_guards >> bits * d << bits * d
-        # The literal fields field_max - v are packed as v, then flipped by one XOR.
-        self._flip = 0
-        if order == LITERAL:
-            self._flip = self.fill & (1 << bits * (fields - 3)) - (1 << bits * width)
 
     def _corrected(self, mono: PMonomial) -> tuple:
         u_degree = sum(mono[: self._n])
@@ -259,24 +257,25 @@ class PLayout:
     def _literal(self, mono: PMonomial) -> tuple:
         us, xs = mono[: self._n], mono[self._n:]
         counts = [sum(us[start:end]) for start, end in self._blocks]
-        return sum(xs), sum(us), sum(map(mul, self._lengths, us)), *xs, *counts, *us
+        flipped = [self.field_max - v for v in (*xs, *counts, *us)]
+        return sum(xs), sum(us), sum(map(mul, self._lengths, us)), *flipped
 
     @staticmethod
     def _lex(mono: PMonomial) -> tuple:
         return ()
 
     def pack(self, mono: PMonomial) -> int:
-        """The key of `mono`; a field above `field_max` raises BudgetExceededError."""
+        """The key of `mono`; a field outside 0..field_max raises BudgetExceededError."""
         try:
             key = int.from_bytes(self._struct.pack(*self._leading(mono), *mono), "big")
-        except struct.error:  # a field wider than `bits`
+        except struct.error:  # a field wider than `bits`, or a literal field below 0
             key = self.guards
         if key & self.guards:
             raise BudgetExceededError(
                 f"monomial {format_monomial(mono)} overflows a packed field of "
                 f"at most {self.field_max}"
             )
-        return key ^ self._flip
+        return key
 
     def pack_terms(self, terms: dict) -> dict:
         """The term map `terms` of P-monomials keyed by their packed keys."""
@@ -320,7 +319,7 @@ def _x_position(ring: Ring, i: int) -> int:
 
 @lru_cache(maxsize=128)
 def _fields(width: int) -> struct.Struct:
-    """Big-endian 32-bit words, one per exponent of a ring-A monomial of this width."""
+    """Big-endian 32-bit words, one per exponent of a monomial of this width."""
     return struct.Struct(f">{width}I")
 
 
@@ -343,7 +342,11 @@ def field_shifts(d: int) -> tuple:
 
 
 def pack(exps) -> int:
-    """The packed key of the ring-A exponents (a_1, b_1, ..., a_d, b_d), each at most FIELD_MAX."""
+    """The packed key of the exponents `exps`, each at most FIELD_MAX, exps[0] most significant.
+
+    For ring A they are (a_1, b_1, ..., a_d, b_d); the parser packs ring-P
+    exponent tuples so too, and `_sum_terms` unpacks them.
+    """
     return int.from_bytes(_fields(len(exps)).pack(*exps), "big")
 
 
@@ -482,31 +485,26 @@ class Polynomial:
                 f"cannot combine polynomials over {self.ring} and {other.ring}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, op being operator.add or operator.sub."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
+            new = op(terms.get(mono, 0), coeff)
             if new:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
         return Polynomial._make(self.ring, terms)
 
+    # Two methods, not one alias: perfbench's tracer wraps each.
+    def __add__(self, other):
+        return self._combine(other, add)
+
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) - coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-        return Polynomial._make(self.ring, terms)
+        return self._combine(other, sub)
 
     def __neg__(self):
         return Polynomial._make(self.ring, {m: -c for m, c in self.terms.items()})
@@ -571,7 +569,11 @@ class Polynomial:
         return format_poly(self)
 
     def __repr__(self):
-        return f"Polynomial({format_poly(self)!r}, d={self.ring.d})"
+        try:
+            text = repr(format_poly(self))
+        except BudgetExceededError:  # a ring-P field past PLayout.field_max: terms as stored
+            text = repr({format_monomial(m, self.ring.d): str(c) for m, c in self.terms.items()})
+        return f"Polynomial({text}, d={self.ring.d})"
 
 
 def mul_terms(left: dict, right: dict) -> dict:
@@ -655,18 +657,17 @@ def leading_term(p: Polynomial, order) -> tuple:
 # Whitespace is insignificant between tokens; indices are 1-based.
 
 # The step scanner matches these patterns in place; each skips leading
-# whitespace.  A factor is read as one name token, which `_slots` resolves;
-# a name it does not list (x01, x9 at d = 2, y1 in ring P) is read again by
-# `_VARIABLE`, whose checks raise the ParseError.  `_STAR_FACTOR` reads a
+# whitespace.  A factor match holds the letter and index of x or y (groups
+# 1 and 2) or the indices of u (groups 3 and 4), then the exponent (group
+# 5), which `_checked_slot` and the scanner check.  `_STAR_FACTOR` reads a
 # '*' together with the factor after it.
 _SIGN = re.compile(r"\s*([+-])")
 _COEF = re.compile(r"\s*(\d+)(?:\s*/\s*(\d*))?")
-_FACTOR_BODY = r"([xy]\d+|u\d+_\d+)(?:\s*\^\s*(\d*))?"
+_FACTOR_BODY = r"(?:([xy])(\d+)|u(\d+)_(\d+))(?:\s*\^\s*(\d*))?"
 _FACTOR = re.compile(r"\s*" + _FACTOR_BODY)
 _STAR_FACTOR = re.compile(r"\s*\*\s*" + _FACTOR_BODY)
 _STAR = re.compile(r"\s*\*")
 _END = re.compile(r"\s*\Z")
-_VARIABLE = re.compile(r"([xy])(\d+)|u(\d+)_(\d+)")
 
 # The tokenizer cuts a text at its signs into terms and each term at '*'
 # into tokens; `_TOKEN` must match a whole token: a coefficient (groups 1
@@ -692,14 +693,13 @@ def _nat(match, group: int) -> int:
         ) from None
 
 
-def _checked_slot(text: str, pos: int, ring: Ring) -> int:
-    """Exponent slot of the variable spelled at `pos` in a form `_slots` does not list.
+def _checked_slot(match, ring: Ring) -> int:
+    """Exponent slot of the variable of a `_FACTOR` match.
 
     Leading zeros are accepted; a wrong letter, an index out of range or a
     number too long for int() raises ParseError.
     """
     flavor, d = ring.flavor, ring.d
-    match = _VARIABLE.match(text, pos)
     letter = match[1]
     if letter:
         i = _nat(match, 2)
@@ -772,9 +772,9 @@ def _split_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int] | None:
 
     Terms come from one re.split at the signs, tokens from str.split at
     '*', and each distinct token is read once, into a memo local to the
-    call.  A term's monomial, in ring P too, is the sum of its factors'
-    packed exponents; with at most _MAX_FACTORS tokens no field carries
-    into the next, so one above MAX_EXPONENT shows as a bit of `_over_cap`.
+    call.  A term's key is the sum of its factors' packed exponents; with
+    at most _MAX_FACTORS tokens no field carries into the next, so one
+    above MAX_EXPONENT shows as a bit of `_over_cap`.
     """
     width = _width(Ring(flavor, d))
     read, over_cap = _Tokens(_slots(flavor, d), width).__getitem__, _over_cap(width)
@@ -782,8 +782,7 @@ def _split_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int] | None:
     signs, terms = ["+", *parts[1::2]], parts[::2]
     if len(terms) > 1 and not terms[0].strip():  # a sign before the first term
         del signs[0], terms[0]
-    parsed = []  # (packed monomial, numerator, denominator) of each term, in text order
-    den = 1
+    parsed = []
     try:
         for sign, term in zip(signs, terms):
             factors = term.split("*")
@@ -798,35 +797,25 @@ def _split_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int] | None:
             mono = sum(map(read, factors))
             if mono & over_cap:  # the step scanner raises the cap error
                 return None
-            if den % cden:
-                den = lcm(den, cden)
             parsed.append((mono, -num if sign == "-" else num, cden))
     except TypeError:  # a None or a coefficient among the summed tokens
         return None
-    summed, den = _sum_terms(parsed, den)
-    if flavor == RING_A:
-        return summed, den
-    exps = _fields(width).unpack
-    return {_new(PMonomial, exps(k.to_bytes(4 * width, "big"))): c for k, c in summed.items()}, den
+    return _sum_terms(parsed, flavor, width)
 
 
 def _scan_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
     """The step scanner: `parse_poly_int` of `text`, or the error it raises.
 
     One pass over the text: the factors of a term add their exponents into
-    one list, from which the term's monomial is built once.  A summed
-    exponent above MAX_EXPONENT raises BudgetExceededError.
+    one list, which is packed once.  A summed exponent above MAX_EXPONENT
+    raises BudgetExceededError.
     """
     ring = Ring(flavor, d)
     width = _width(ring)
-    packed = flavor == RING_A
-    fields, over_cap, from_bytes = _fields(width).pack, _over_cap(width), int.from_bytes
-    slots = _slots(flavor, d)
     star_factor = _STAR_FACTOR.match
     if _END.match(text):
         raise ParseError("empty polynomial expression")
-    parsed = []  # (monomial, numerator, denominator) of each term, in text order
-    den = 1
+    parsed = []
     pos = 0
     while True:
         match = _SIGN.match(text, pos)
@@ -858,38 +847,26 @@ def _scan_poly_int(text: str, flavor: str, d: int) -> tuple[dict, int]:
             if match is None:
                 raise _fault(text, pos, "a coefficient or a variable")
         while match:
-            name, exp = match.groups()
+            exp = match[5]
             pos = match.end()
             if exp == "":
                 raise _fault(text, pos, "a natural number after '^'")
-            slot = slots.get(name)
-            if slot is None:
-                slot = _checked_slot(text, match.start(1), ring)
-            exps[slot] += 1 if exp is None else _nat(match, 2)
+            exps[_checked_slot(match, ring)] += 1 if exp is None else _nat(match, 5)
             match = star_factor(text, pos)
-        if packed:
-            try:
-                mono = from_bytes(fields(*exps), "big")
-            except struct.error:  # an exponent wider than a field
-                mono = over_cap
-            if mono & over_cap:
-                raise _cap_error(exps, flavor, d)
-        elif max(exps) > MAX_EXPONENT:
+        if max(exps) > MAX_EXPONENT:
             raise _cap_error(exps, flavor, d)
-        else:
-            mono = _new(PMonomial, exps)
-        if den % cden:
-            den = lcm(den, cden)
-        parsed.append((mono, -num if negative else num, cden))
-    return _sum_terms(parsed, den)
+        parsed.append((pack(exps), -num if negative else num, cden))
+    return _sum_terms(parsed, flavor, width)
 
 
-def _sum_terms(parsed: list, den: int) -> tuple[dict, int]:
-    """(terms, den) from the (monomial, numerator, denominator) of each term in `parsed`.
+def _sum_terms(parsed: list, flavor: str, width: int) -> tuple[dict, int]:
+    """(terms, den) from the (packed key, signed numerator, denominator) of each term, in order.
 
-    `den` is the lcm of the denominators.  Each term is scaled once, so many
-    distinct denominators cost no rescaling of the terms already summed.
+    `den` is the lcm of the denominators; each term is scaled once, so many
+    distinct denominators cost no rescaling.  Keys pack the `width`
+    exponents as `pack` does; in ring P each is unpacked to a PMonomial.
     """
+    den = lcm(*{cden for _, _, cden in parsed})
     terms: dict = {}
     for mono, num, cden in parsed:
         new = terms.get(mono, 0) + num * (den // cden)
@@ -897,7 +874,10 @@ def _sum_terms(parsed: list, den: int) -> tuple[dict, int]:
             terms[mono] = new
         else:
             terms.pop(mono, None)
-    return terms, den
+    if flavor == RING_A:
+        return terms, den
+    exps = _fields(width).unpack
+    return {_new(PMonomial, exps(k.to_bytes(4 * width, "big"))): c for k, c in terms.items()}, den
 
 
 def parse_poly(text: str, flavor: str, d: int) -> Polynomial:
@@ -953,10 +933,8 @@ def format_poly(p: Polynomial) -> str:
         return "0"
     # Canonical display order per ring: A-lex (the int order) for ring A,
     # corrected DILL for ring P, whose packed key refuses a field above
-    # PLayout.field_max.  Local import: orders depends on this module.
-    from .orders import dill_key
-
-    key = None if p.ring.flavor == RING_A else dill_key
+    # PLayout.field_max.
+    key = None if p.ring.flavor == RING_A else p_layout(p.ring.d).pack
     pieces = []
     for mono in sorted(p.terms, key=key, reverse=True):
         coeff = p.terms[mono]

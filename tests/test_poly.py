@@ -429,6 +429,13 @@ def test_tokenizer_reads_as_the_step_scanner():
         ("\u2003- u1_2", "P", 3),
         ("\u00a0", "A", 2),
     ]
+    printed = []  # texts as `format_poly` writes them, as `check` and `rewrite` get them
+    draw = random.Random(101)
+    for _ in range(200):
+        flavor, d = draw.choice("AP"), draw.randint(1, 5)
+        make = random_apoly if flavor == "A" else random_ppoly
+        printed.append((format_poly(make(draw, d, terms=draw.randint(0, 8))), flavor, d))
+    rows += printed
     rows += [
         (mutant, flavor, d)
         for text, flavor, d in rows
@@ -439,8 +446,8 @@ def test_tokenizer_reads_as_the_step_scanner():
         expected = _reading(_scan_poly_int, text, flavor, d)
         assert _reading(parse_poly_int, text, flavor, d) == expected, text[:60]
         read += _split_poly_int(text, flavor, d) is not None
-    # every rendered text takes the tokenizer, and so do many mutants
-    assert all(_split_poly_int(*row) is not None for row in rendered)
+    # every rendered or printed text takes the tokenizer, and so do many mutants
+    assert all(_split_poly_int(*row) is not None for row in rendered + printed)
     assert read > len(rendered) + 300
 
 

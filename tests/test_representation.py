@@ -343,3 +343,15 @@ def test_ordering_refuses_a_field_over_the_packed_width():
         for variant in (CORRECTED, LITERAL):
             with pytest.raises(BudgetExceededError, match="overflows a packed field of at most"):
                 DillOrder(variant).key(PMonomial((exp, 0), ()))
+
+
+def test_repr_of_an_unorderable_polynomial_lists_its_terms_as_stored():
+    # `str` sorts ring-P terms by the packed order, so it refuses this
+    # polynomial; `repr` still shows it, terms in insertion order.
+    p = u_var(ring_p(2), 1, 2, 2**31) * -2 + parse_poly("1/2*x1", "P", 2)
+    assert repr(p) == "Polynomial({'u1_2^2147483648': '-2', 'x1': '1/2'}, d=2)"
+    for show in (str, format_poly):
+        with pytest.raises(BudgetExceededError, match="overflows a packed field"):
+            show(p)
+    fitting = u_var(ring_p(2), 1, 2, 2**31 - 1) * -2 + parse_poly("1/2*x1", "P", 2)
+    assert repr(fitting) == "Polynomial('-2*u1_2^2147483647 + 1/2*x1', d=2)"

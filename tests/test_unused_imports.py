@@ -1,6 +1,7 @@
 """Every name a constalg module or a test module imports is used in that module.
 
 constalg's `__init__.py` is left out: it imports names only to re-export them.
+No constalg module imports inside a function: each import runs once, at the top.
 """
 
 import ast
@@ -33,3 +34,15 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 5 and len(tests) > 5
     unused = set().union(*(unused_imports(path) for path in modules + tests))
     assert unused == ALLOWED
+
+
+def test_no_constalg_module_imports_inside_a_function():
+    late = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        late.add((path.stem, func.name, node.lineno))
+    assert late == set()
