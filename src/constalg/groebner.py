@@ -18,17 +18,21 @@ a `max`, a product by a quotient one addition and a divisibility test
 one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
 Monagan and Pearce, CASC 2007).  Polynomials keep their tuple monomials;
 `reduce` packs its input and basis, runs `reduce_int` and divides once
-at the end.  The generic completion `buchberger_complete`, which must
-add nothing when run on the relations, is a cross-check by its own pair
-algorithm.  The Fraction references, which share no code with
-`LeadTable`, are `tests/helpers.reference_reduce` and
-`reference_pair_outcomes`.
+at the end.  `s_polynomial` (Buchberger 1965) takes each input's lead
+and monic tail from the order handle's memo, built once per polynomial,
+so a pair costs its lcm, two quotients and the merge of two tail
+products.  The generic completion `buchberger_complete`, which must add
+nothing when run on the relations, is a cross-check by its own pair
+algorithm; its queue is a heap that keys each pair once.  The Fraction
+references, which share no code with `LeadTable`, are
+`tests/helpers.reference_reduce` and `reference_pair_outcomes`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd
 
@@ -47,7 +51,7 @@ from .poly import (
 from .presentation import Relation, build_relations, relation_count
 
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
-# took 48 s in process on 2 CPUs); d = 13 has 500,500.
+# took 18-24 s in process on 2 shared CPUs); d = 13 has 500,500.
 MAX_VERIFY_PAIRS = 300_000
 # Most steps the integer reductions of one `verify_groebner` run may take.
 # Dense instances with f_i of degree 1-3 take 28,580 steps at d = 10 and
@@ -216,31 +220,45 @@ def _primitive(p: Polynomial, layout) -> dict:
 def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
     """The cancellation combination lcm/lead(g)*g/lc(g) - lcm/lead(h)*h/lc(h).
 
-    Built in one pass over the two term maps; the lead terms, which
-    cancel, are skipped.
+    Each input's lead, monic tail and negated monic tail are built once
+    per order handle, in its `monic` memo.  A pair then takes the lcm, the
+    two quotients and the products of the tails by them; the leads, which
+    cancel, are not in the tails, and a coefficient is added only where
+    two products meet.
     """
     _ring_p(g)
     if g.is_zero() or h.is_zero():
         raise ValueError("s_polynomial needs nonzero inputs")
     g._check_compatible(h)
-    lmg, lcg = leading_term(g, order)
-    lmh, lch = leading_term(h, order)
+    _, lmg, tail, _ = _monic_parts(g, order)
+    _, lmh, _, neg_tail = _monic_parts(h, order)
     lcm = lmg.lcm(lmh)
     qg, qh = lcm.div(lmg), lcm.div(lmh)
-    terms = {m.mul(qg): c / lcg for m, c in g.terms.items() if m is not lmg}
-    neg = -lch
-    for m, c in h.terms.items():
-        if m is lmh:
-            continue
+    terms = {m.mul(qg): c for m, c in tail}
+    for m, c in neg_tail:
         target = m.mul(qh)
-        new = c / neg
         if target in terms:
-            new += terms[target]
-        if new:
-            terms[target] = new
-        else:
-            del terms[target]
+            c += terms[target]
+            if not c:
+                del terms[target]
+                continue
+        terms[target] = c
     return Polynomial._make(g.ring, terms)
+
+
+def _monic_parts(p: Polynomial, order) -> tuple:
+    """order.monic[id(p)] = (p, lead, monic tail, negated monic tail) for nonzero p, made once.
+
+    The tails are lists of (monomial, coefficient / lc) without the lead.
+    The entry holds p, so no other polynomial can take its id while the
+    handle lives.
+    """
+    entry = order.monic.get(id(p))
+    if entry is None:
+        lead, lc = leading_term(p, order)
+        tail = [(m, c / lc) for m, c in p.terms.items() if m is not lead]
+        entry = order.monic[id(p)] = (p, lead, tail, [(m, -c) for m, c in tail])
+    return entry
 
 
 def _monic(p: Polynomial, order) -> Polynomial:
@@ -424,6 +442,11 @@ def verify_groebner(
         raise BudgetExceededError(f"{count} relations give more than {MAX_VERIFY_PAIRS} pairs")
     if relations is None:
         relations = build_relations(inst)
+    for rel in relations:
+        if rel.poly.ring != inst.ring_p:
+            raise RingMismatchError(
+                f"relation {rel.label} lies in {rel.poly.ring}, not in {inst.ring_p}"
+            )
     order = DillOrder(variant)
     conformance = verify_lead_conformance(inst, relations, variant)
     pairs: list[PairOutcome] = []
@@ -456,7 +479,8 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
 
     Standard completion with the normal selection strategy (pair of
     minimal lcm under the order; ties broken by index), the coprime-lead
-    criterion, and full reduction of each S-polynomial.  The result is
+    criterion, and full reduction of each S-polynomial.  Each pair's lcm
+    is keyed once, when the pair is queued.  The result is
     monic-normalized.  Zero inputs are dropped; a pair queue larger than
     MAX_PAIR_QUEUE raises BudgetExceededError instead of silently churning.
     """
@@ -468,22 +492,24 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
         basis[0]._check_compatible(g)
     work = [_monic(g, order) for g in basis if not g.is_zero()]
     leads = [leading_term(g, order)[0] for g in work]
-    queue = {(i, j) for i in range(len(work)) for j in range(i + 1, len(work))}
-    while queue:
+    queue: list = []  # heap of (key of the lcm, i, j)
+
+    def enqueue(new):
+        for t in range(new):
+            heappush(queue, (order.key(leads[t].lcm(leads[new])), t, new))
         if len(queue) > MAX_PAIR_QUEUE:
-            raise BudgetExceededError(
-                f"pair queue grew past the budget of {MAX_PAIR_QUEUE}"
-            )
-        i, j = min(queue, key=lambda ij: (order.key(leads[ij[0]].lcm(leads[ij[1]])), ij))
-        queue.remove((i, j))
-        lcm = leads[i].lcm(leads[j])
-        if lcm == leads[i].mul(leads[j]):
+            raise BudgetExceededError(f"pair queue grew past the budget of {MAX_PAIR_QUEUE}")
+
+    for new in range(1, len(work)):
+        enqueue(new)
+    while queue:
+        _, i, j = heappop(queue)
+        if leads[i].lcm(leads[j]) == leads[i].mul(leads[j]):
             continue
         normal_form = reduce(s_polynomial(work[i], work[j], order), work, order)
         if normal_form.is_zero():
             continue
         work.append(_monic(normal_form, order))
         leads.append(leading_term(normal_form, order)[0])
-        new = len(work) - 1
-        queue.update((t, new) for t in range(new))
+        enqueue(len(work) - 1)
     return work

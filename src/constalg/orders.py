@@ -42,11 +42,12 @@ def dill_key(mono: PMonomial, variant: str = CORRECTED) -> int:
 class DillOrder:
     """Order handle for ring P monomials.
 
-    `key` memoises its results in the handle, so a handle should serve one
-    computation: the memo is freed with it.  The memo pays because
-    `verify_groebner` builds the S-polynomial of every pair, coprime ones
-    included, and `s_polynomial` keys the terms of both relations again on
-    each; once only the non-coprime S-polynomials are built, it can go.
+    A handle holds two memos, so it should serve one computation: they are
+    freed with it.  `key` keeps each monomial's key; it pays in
+    `buchberger_complete`, which keys each element's terms up to three
+    times, while `verify_groebner` keys each relation's terms once.
+    `monic` holds the lead and monic tails of each input of
+    `groebner.s_polynomial`, built on its first use.
     """
 
     def __init__(self, variant: str = CORRECTED):
@@ -54,6 +55,7 @@ class DillOrder:
             raise ValueError(f"unknown order variant {variant!r}")
         self.variant = variant
         self._keys: dict = {}
+        self.monic: dict = {}
 
     def key(self, mono: PMonomial) -> int:
         key = self._keys.get(mono)
@@ -70,7 +72,14 @@ class DillOrder:
 
 
 class LexOrder:
-    """Lex order handle for either ring: the monomial is its own key."""
+    """Lex order handle for either ring: the monomial is its own key.
+
+    Like a `DillOrder`, a handle should serve one computation, since it
+    holds the same `monic` memo.
+    """
+
+    def __init__(self):
+        self.monic: dict = {}
 
     def key(self, mono):
         return mono

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from helpers import (
     instance_with_degrees,
     random_instance,
     random_ppoly,
+    random_ppoly_of_degree,
     rational_instance,
     reference_pair_outcomes,
     reference_reduce,
@@ -321,6 +323,60 @@ def test_buchberger_empty_input_rejected():
         buchberger_complete([], DillOrder())
 
 
+def order_handle(name):
+    return LexOrder() if name == "lex" else DillOrder(name)
+
+
+def min_over_queue_completion(basis, order):
+    """(pairs reduced as (g, h), result) of completion picking by the least (lcm key, (i, j)).
+
+    The pick rule `buchberger_complete` had before its heap, a `min` over
+    the whole queue at each pick, run on the Fraction references.
+    """
+    work = [g.scale(1 / leading_term(g, order)[1]) for g in basis]
+    leads = [leading_term(g, order)[0] for g in work]
+    queue = {(i, j) for i in range(len(work)) for j in range(i + 1, len(work))}
+    reduced = []
+    while queue:
+        i, j = min(queue, key=lambda ij: (order.key(leads[ij[0]].lcm(leads[ij[1]])), ij))
+        queue.remove((i, j))
+        if leads[i].lcm(leads[j]) == leads[i].mul(leads[j]):
+            continue
+        reduced.append((work[i], work[j]))
+        spoly = reference_s_polynomial(work[i], work[j], order)
+        normal_form = reference_reduce(spoly, work, order)
+        if normal_form.is_zero():
+            continue
+        lead, lc = leading_term(normal_form, order)
+        work.append(normal_form.scale(1 / lc))
+        leads.append(lead)
+        new = len(work) - 1
+        queue.update((t, new) for t in range(new))
+    return reduced, work
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_buchberger_complete_reduces_pairs_in_min_over_queue_order(monkeypatch, name):
+    # The heap keys each pair once when it is queued and must pop the pairs
+    # in the order of the former min over the whole queue at each pick.
+    rng = random.Random(174)
+    basis = [random_ppoly_of_degree(rng, 3, 3, 3) for _ in range(4)]
+    reduced = []
+    original = groebner.s_polynomial
+
+    def recording(g, h, order):
+        reduced.append((g, h))
+        return original(g, h, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", recording)
+    completed = buchberger_complete(basis, order_handle(name))
+    expected_reduced, expected = min_over_queue_completion(basis, order_handle(name))
+    assert len(completed) > len(basis) + 5  # the input is far from a Groebner basis
+    assert len(reduced) > 30
+    assert reduced == expected_reduced
+    assert completed == expected
+
+
 # -- the fast pair phase against the reference path ---------------------------
 
 
@@ -409,6 +465,38 @@ def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
     assert counts["reduce"] == 0
     entries = [p.to_json_dict() for p in cert.pairs]
     assert {e["discharged_by"] for e in entries} == {"coprime", "reduction"}
+
+
+def test_verify_groebner_takes_each_lead_at_most_twice(monkeypatch):
+    # Lead conformance takes each relation's lead once and the S-polynomial
+    # memo once more; no pair takes a lead again.
+    taken = []
+    original = groebner.leading_term
+
+    def counting(p, order):
+        taken.append(id(p))
+        return original(p, order)
+
+    monkeypatch.setattr(groebner, "leading_term", counting)
+    inst = classical(5)
+    relations = build_relations(inst)
+    cert = verify_groebner(inst, relations=relations)
+    assert len(cert.pairs) == 105 and cert.verdict
+    counts = Counter(taken)
+    assert set(counts) == {id(rel.poly) for rel in relations}
+    assert max(counts.values()) <= 2
+
+
+def test_verify_groebner_rejects_relations_of_another_ring():
+    relations = build_relations(classical(4))
+    with pytest.raises(RingMismatchError, match=r"lies in Ring\(flavor='P', d=4\), not in"):
+        verify_groebner(classical(5), relations=relations)
+    with pytest.raises(RingMismatchError, match="not in Ring"):
+        verify_groebner(classical(3), relations=relations)
+    table = build_generators(classical(4))
+    images = [rel._replace(poly=pi_substitute(table, rel.poly)) for rel in relations]
+    with pytest.raises(RingMismatchError, match=r"lies in Ring\(flavor='A', d=4\)"):
+        verify_groebner(classical(4), relations=images)
 
 
 # -- the integer reduction, reducedness and S-polynomials against references ----
@@ -557,6 +645,34 @@ def test_s_polynomial_matches_product_formula():
             for i, g in enumerate(basis):
                 for h in basis[i:]:
                     assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_s_polynomial_memo_matches_product_formula(name):
+    # One handle serves every call, so all but the first call on an input
+    # read its lead and monic tails from the handle's memo.
+    order = order_handle(name)
+    for d, relations in dense_relation_sets():
+        basis = [rel.poly for rel in relations]
+        for i, g in enumerate(basis):
+            assert s_polynomial(g, g, order).is_zero()
+            for h in basis[i + 1:]:
+                assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
+                assert s_polynomial(h, g, order) == reference_s_polynomial(h, g, order)
+        # equal polynomials that are distinct objects get entries of their own
+        g, h = basis[0], basis[-1]
+        twin = Polynomial(g.ring, g.terms)
+        assert twin == g and twin is not g
+        assert s_polynomial(twin, g, order).is_zero()
+        assert s_polynomial(twin, h, order) == reference_s_polynomial(g, h, order)
+    # inputs built and dropped in a loop: a recycled id must not find a stale entry
+    rng = random.Random(167)
+    for _ in range(300):
+        g = random_ppoly(rng, 4, terms=4, max_factors=3)
+        h = random_ppoly(rng, 4, terms=4, max_factors=3)
+        if g.is_zero() or h.is_zero():
+            continue
+        assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
 
 
 # -- ring P only ----------------------------------------------------------------
