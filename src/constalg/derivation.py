@@ -165,6 +165,7 @@ def delta_plan(rows) -> tuple:
     `rows` is `inst.f` for delta itself or the integer rows of
     `ProblemInstance.integer_f` for L*delta.  Entry i-1 is (y_i's shift,
     y_i's unit, the (x_i^p, c) pairs of the nonzero coefficients c of f_i).
+    `presentation.build_generators` reads L*u_jk off the plan for L*delta.
     """
     plan = []
     for fi, (x_shift, y_shift) in zip(rows, field_shifts(len(rows))):

@@ -16,14 +16,16 @@ monomials by the packed ints of the order's layout (`order.layout(d)`, a
 `poly.PLayout`), whose int order is the order, so a leading monomial is
 a `max`, a product by a quotient one addition and a divisibility test
 one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
-Monagan and Pearce, CASC 2007).  Polynomials keep their tuple monomials;
-`reduce` packs its input and basis, runs `reduce_int` and divides once
-at the end.  `s_polynomial` (Buchberger 1965) takes each input's lead
-and monic tail from the order handle's memo, built once per polynomial,
-so a pair costs its lcm, two quotients and the merge of two tail
-products.  The generic completion `buchberger_complete`, which must add
-nothing when run on the relations, is a cross-check by its own pair
-algorithm; its queue is a heap that keys each pair once.  The Fraction
+Monagan and Pearce, CASC 2007).  `LeadTable` tries a lead only on the
+monomials whose u-support holds the lead's.  Polynomials keep their
+tuple monomials; `reduce` packs its input and basis, runs `reduce_int`
+and divides once at the end.  `s_polynomial` (Buchberger 1965) takes
+each input's lead and monic tail from the order handle's memo, built
+once per polynomial, so a pair costs its lcm, two quotients and the
+merge of two tail products.  The generic completion
+`buchberger_complete`, which must add nothing when run on the relations,
+is a cross-check by its own pair algorithm; it takes each element's lead
+once, and its queue is a heap that keys each pair once.  The Fraction
 references, which share no code with `LeadTable`, are
 `tests/helpers.reference_reduce` and `reference_pair_outcomes`.
 """
@@ -33,7 +35,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain
 from math import comb, gcd
 
 from .derivation import ProblemInstance
@@ -62,16 +63,13 @@ MAX_PAIR_QUEUE = 100_000
 
 
 class LeadTable:
-    """Leading terms (lm, lc, terms) of a reduction basis over ring P(d), filed by u-position.
+    """Leading terms (lm, lc, terms) of a reduction basis over ring P(d), with their u-supports.
 
-    The basis is a list of term maps {packed monomial: coefficient} under
-    `layout`, whose int order is the order; the coefficients are ints for
-    `reduce_int`, and `verify_reduced` reads only the monomials.  Each lead
-    is filed under its first nonzero u-position, or under none.  A lead
-    divides only monomials that are nonzero there, so `reducer` and
-    `divided_by_other` test a monomial against the leads filed under none
-    or under one of its nonzero u-positions, in basis order; that list is
-    built once for each set of positions.
+    The basis is a list of int term maps {packed monomial: coefficient}
+    under `layout`, whose int order is the order.  A lead divides only
+    monomials whose u-support, the set of nonzero u-positions, holds its
+    own, so `reducer` and `divided_by_other` test a monomial against those
+    leads alone, in basis order; that list is built once for each support.
     """
 
     def __init__(self, basis, layout):
@@ -82,29 +80,21 @@ class LeadTable:
             raise ValueError("reduction basis must not contain zero")
         self.layout = layout
         self.entries = []
-        # {guard bit of a u-position, or 0 for none: [(index, entry)] filed there}
-        self._filed: dict = {}
-        for index, terms in enumerate(basis):
+        self._supports = []  # [(the guard bits of the lead's u-support, entry)]
+        for terms in basis:
             lm = max(terms)
             self.entries.append((lm, terms[lm], terms))
-            positions = (lm + layout.fill) & layout.u_guards
-            first = 1 << positions.bit_length() - 1 if positions else 0
-            self._filed.setdefault(first, []).append((index, self.entries[-1]))
+            self._supports.append(((lm + layout.fill) & layout.u_guards, self.entries[-1]))
         self._candidates: dict = {}
 
     def _candidates_of(self, mono: int) -> list:
-        """The entries filed under none or under a nonzero u-position of mono, in basis order."""
-        layout = self.layout
-        positions = (mono + layout.fill) & layout.u_guards
+        """The entries whose lead's u-support lies in mono's, in basis order."""
+        positions = (mono + self.layout.fill) & self.layout.u_guards
         found = self._candidates.get(positions)
         if found is None:
-            filed = [self._filed.get(0, ())]
-            rest = positions
-            while rest:
-                bit = 1 << rest.bit_length() - 1
-                filed.append(self._filed.get(bit, ()))
-                rest ^= bit
-            found = self._candidates[positions] = [entry for _, entry in sorted(chain(*filed))]
+            found = self._candidates[positions] = [
+                entry for own, entry in self._supports if own & positions == own
+            ]
         return found
 
     def reducer(self, mono: int):
@@ -261,11 +251,6 @@ def _monic_parts(p: Polynomial, order) -> tuple:
     return entry
 
 
-def _monic(p: Polynomial, order) -> Polynomial:
-    _, lc = leading_term(p, order)
-    return p.scale(Fraction(1) / lc)
-
-
 # -- expected leading monomials ----------------------------------------------
 
 
@@ -402,8 +387,8 @@ def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
     `basis` is a list of polynomials over one ring P or a `LeadTable` built
-    for `order`.  Divisibility reads only monomials, so coefficients are
-    irrelevant to the verdict.
+    for `order`.  A list is packed into primitive int term maps; divisibility
+    reads only monomials, so that keeps its verdict.
     """
     if isinstance(basis, LeadTable):
         leads = basis
@@ -413,7 +398,7 @@ def verify_reduced(basis, order) -> bool:
         layout = order.layout(_ring_p(basis[0]).d)
         for g in basis:
             basis[0]._check_compatible(g)
-        leads = LeadTable([layout.pack_terms(g.terms) for g in basis], layout)
+        leads = LeadTable([_primitive(g, layout) for g in basis], layout)
     return not any(
         leads.divided_by_other(mono, own)
         for own, (_, _, terms) in enumerate(leads.entries)
@@ -490,26 +475,29 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     _ring_p(basis[0])
     for g in basis:
         basis[0]._check_compatible(g)
-    work = [_monic(g, order) for g in basis if not g.is_zero()]
-    leads = [leading_term(g, order)[0] for g in work]
+    work: list[Polynomial] = []
+    leads: list[PMonomial] = []
     queue: list = []  # heap of (key of the lcm, i, j)
 
-    def enqueue(new):
+    def add(g):
+        """Append g made monic and its lead, and queue its pairs with the elements before it."""
+        lead, lc = leading_term(g, order)
+        work.append(g.scale(Fraction(1) / lc))
+        leads.append(lead)
+        new = len(work) - 1
         for t in range(new):
-            heappush(queue, (order.key(leads[t].lcm(leads[new])), t, new))
+            heappush(queue, (order.key(leads[t].lcm(lead)), t, new))
         if len(queue) > MAX_PAIR_QUEUE:
             raise BudgetExceededError(f"pair queue grew past the budget of {MAX_PAIR_QUEUE}")
 
-    for new in range(1, len(work)):
-        enqueue(new)
+    for g in basis:
+        if not g.is_zero():
+            add(g)
     while queue:
         _, i, j = heappop(queue)
         if leads[i].lcm(leads[j]) == leads[i].mul(leads[j]):
             continue
         normal_form = reduce(s_polynomial(work[i], work[j], order), work, order)
-        if normal_form.is_zero():
-            continue
-        work.append(_monic(normal_form, order))
-        leads.append(leading_term(normal_form, order)[0])
-        enqueue(len(work) - 1)
+        if not normal_form.is_zero():
+            add(normal_form)
     return work

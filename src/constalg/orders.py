@@ -20,8 +20,9 @@ x1 > y1 > x2 > y2 > ... > yd; on ring P the tuple order, the DILL
 tie-break precedence above.  A monomial is its own lex key.
 
 Each ring-P order is defined once, by its packed layout `poly.PLayout`:
-`dill_key` is the packed key, whose int order is the order, and an order
-handle's `layout(d)` is the layout `groebner` reduces on.
+`dill_key` is the packed key, whose int order is the order; an order
+handle's `key` packs a monomial on each call, and its `layout(d)` is the
+layout `groebner` reduces on.
 """
 
 from __future__ import annotations
@@ -42,26 +43,20 @@ def dill_key(mono: PMonomial, variant: str = CORRECTED) -> int:
 class DillOrder:
     """Order handle for ring P monomials.
 
-    A handle holds two memos, so it should serve one computation: they are
-    freed with it.  `key` keeps each monomial's key; it pays in
-    `buchberger_complete`, which keys each element's terms up to three
-    times, while `verify_groebner` keys each relation's terms once.
-    `monic` holds the lead and monic tails of each input of
-    `groebner.s_polynomial`, built on its first use.
+    A handle holds one memo, `monic`: the lead and monic tails of each
+    input of `groebner.s_polynomial`, built on its first use.  So a handle
+    should serve one computation, and the memo is freed with it.  `key`
+    packs the monomial anew on each call.
     """
 
     def __init__(self, variant: str = CORRECTED):
         if variant not in VARIANTS:
             raise ValueError(f"unknown order variant {variant!r}")
         self.variant = variant
-        self._keys: dict = {}
         self.monic: dict = {}
 
     def key(self, mono: PMonomial) -> int:
-        key = self._keys.get(mono)
-        if key is None:
-            key = self._keys[mono] = dill_key(mono, self.variant)
-        return key
+        return dill_key(mono, self.variant)
 
     def layout(self, d: int):
         """The packed layout of ring P(d) under this order."""

@@ -28,13 +28,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .derivation import ProblemInstance, check_field_room
+from .derivation import ProblemInstance, check_field_room, delta_plan
 from .errors import BudgetExceededError, RingMismatchError
 from .poly import (
     PMonomial,
     Polynomial,
     capped,
-    field_shift,
     mul_terms,
     pack,
     u_pairs,
@@ -89,18 +88,16 @@ def _unscale(ring, terms: dict, scale: int) -> Polynomial:
 
 
 def build_generators(inst: ProblemInstance) -> GeneratorTable:
-    """All L*u_jk = (L*f_j)(x_j)*y_k - (L*f_k)(x_k)*y_j, keyed by (j, k) with j < k."""
-    _, rows = inst.integer_f
-    d = inst.d
+    """All L*u_jk = (L*f_j)(x_j)*y_k - (L*f_k)(x_k)*y_j, keyed by (j, k) with j < k.
+
+    The y_i units and the (x_i^p, L*c) pairs are those of `delta_plan` for L*delta.
+    """
+    plan = delta_plan(inst.integer_f[1])
     scaled = {}
-    for j, k in combinations(range(1, d + 1), 2):
-        terms = {}
-        for i, other, sign in ((j, k, 1), (k, j, -1)):
-            y_other = 1 << field_shift(d, 2 * other - 1)
-            x_shift = field_shift(d, 2 * i - 2)
-            for power, c in enumerate(rows[i - 1]):
-                if c:
-                    terms[y_other + (power << x_shift)] = sign * c
+    for j, k in combinations(range(1, inst.d + 1), 2):
+        (_, y_j, powers_j), (_, y_k, powers_k) = plan[j - 1], plan[k - 1]
+        terms = {y_k + xp: c for xp, c in powers_j}
+        terms.update((y_j + xp, -c) for xp, c in powers_k)
         scaled[(j, k)] = terms
     return GeneratorTable(inst, scaled)
 

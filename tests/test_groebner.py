@@ -257,6 +257,7 @@ def test_verify_reduced_flags_divisible_monomial():
     h = parse_poly("u1_3 + u1_2*x1", "P", 3)
     assert not verify_reduced([g, h], order)
     assert verify_reduced([g, parse_poly("u1_3 + x1", "P", 3)], order)
+    assert verify_reduced([], order)
 
 
 def test_buchberger_complete_relations_add_nothing():
@@ -624,7 +625,7 @@ def test_lead_table_reducedness_matches_reference_reduced(variant):
 
 @pytest.mark.parametrize("variant", [CORRECTED, LITERAL])
 def test_conformance_and_lead_table_pick_the_same_leads(variant):
-    # `leading_term` under the order's memoised key and `LeadTable`'s max
+    # `leading_term` under the order's key and `LeadTable`'s max
     # over packed keys must agree, also where the literal leads do not conform.
     order = DillOrder(variant)
     rng = random.Random(163)

@@ -184,6 +184,9 @@ def test_degree_is_the_field_sum(d):
     assert Polynomial(ring_a(d), dict.fromkeys(keys[1:], 1)).degree() == max(
         sum(unpack(key, d)) for key in keys[1:]
     )
+    # ring P sums the exponent tuple; zero has degree -1 in both rings
+    assert parse_poly("u1_2^2*x1 + x2", "P", 2).degree() == 3
+    assert Polynomial(ring_p(2), {}).degree() == Polynomial(ring_a(d), {}).degree() == -1
 
 
 OVER = f"exponent {MAX_EXPONENT + 1} of x1 exceeds the cap"
