@@ -67,7 +67,6 @@ from .poly import (
     ring_a,
     ring_p,
     u_pairs,
-    u_var,
 )
 from .presentation import (
     GeneratorTable,

@@ -17,9 +17,9 @@ monomials by the packed ints of the order's layout (`order.layout(d)`, a
 a `max`, a product by a quotient one addition and a divisibility test
 one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
 Monagan and Pearce, CASC 2007).  `LeadTable` tries a lead only on the
-monomials whose u-support holds the lead's.  Polynomials keep their
-tuple monomials; `reduce` packs its input and basis, runs `reduce_int`
-and divides once at the end.  `s_polynomial` (Buchberger 1965) takes
+monomials whose u-support holds the lead's.  `LeadTable(basis, order)`
+alone packs a basis, each element a primitive int term map; `reduce`
+packs its input too, runs `reduce_int` and divides once at the end.  `s_polynomial` (Buchberger 1965) takes
 each input's lead and monic tail from the order handle's memo, built
 once per polynomial, so a pair costs its lcm, two quotients and the
 merge of two tail products.  The generic completion
@@ -65,23 +65,30 @@ MAX_PAIR_QUEUE = 100_000
 class LeadTable:
     """Leading terms (lm, lc, terms) of a reduction basis over ring P(d), with their u-supports.
 
-    The basis is a list of int term maps {packed monomial: coefficient}
-    under `layout`, whose int order is the order.  A lead divides only
+    Each nonzero polynomial of `basis`, all over one ring P, becomes an int
+    term map {packed monomial: coefficient} of gcd 1 under `layout` =
+    `order.layout(d)`, whose int order is the order.  A lead divides only
     monomials whose u-support, the set of nonzero u-positions, holds its
     own, so `reducer` and `divided_by_other` test a monomial against those
     leads alone, in basis order; that list is built once for each support.
     """
 
-    def __init__(self, basis, layout):
+    def __init__(self, basis, order):
         basis = list(basis)
         if not basis:
             raise ValueError("reduction needs a nonempty basis")
+        ring = _ring_p(basis[0])
+        for g in basis:
+            basis[0]._check_compatible(g)
         if not all(basis):
             raise ValueError("reduction basis must not contain zero")
-        self.layout = layout
+        self.layout = layout = order.layout(ring.d)
         self.entries = []
         self._supports = []  # [(the guard bits of the lead's u-support, entry)]
-        for terms in basis:
+        for g in basis:
+            terms, _ = int_terms(g)
+            content = gcd(*terms.values())
+            terms = {layout.pack(m): c // content for m, c in terms.items()}
             lm = max(terms)
             self.entries.append((lm, terms[lm], terms))
             self._supports.append(((lm + layout.fill) & layout.u_guards, self.entries[-1]))
@@ -133,11 +140,11 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
     ring = _ring_p(p)
     for g in basis:
         p._check_compatible(g)
-    layout = order.layout(ring.d)
+    leads = LeadTable(basis, order)
     work, den = int_terms(p)
-    work = layout.pack_terms(work)
-    _, scale = reduce_int(work, LeadTable([_primitive(g, layout) for g in basis], layout), 0)
-    unpack = layout.unpack
+    work = leads.layout.pack_terms(work)
+    _, scale = reduce_int(work, leads, 0)
+    unpack = leads.layout.unpack
     return Polynomial._make(ring, {unpack(m): Fraction(c, den * scale) for m, c in work.items()})
 
 
@@ -197,14 +204,6 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
                 work.pop(target, None)
     work.update(remainder)
     return steps, scale
-
-
-def _primitive(p: Polynomial, layout) -> dict:
-    """p as an int term map under `layout` with coefficients of gcd 1: a nonzero multiple of p."""
-    terms, _ = int_terms(p)
-    content = gcd(*terms.values())
-    pack = layout.pack
-    return {pack(m): c // content for m, c in terms.items()}
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
@@ -387,18 +386,13 @@ def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
     `basis` is a list of polynomials over one ring P or a `LeadTable` built
-    for `order`.  A list is packed into primitive int term maps; divisibility
-    reads only monomials, so that keeps its verdict.
+    for `order`.  A list becomes a `LeadTable`, whose int term maps are
+    multiples of its polynomials; divisibility reads only monomials, so
+    that keeps its verdict.
     """
-    if isinstance(basis, LeadTable):
-        leads = basis
-    elif not basis:
+    if not basis:
         return True
-    else:
-        layout = order.layout(_ring_p(basis[0]).d)
-        for g in basis:
-            basis[0]._check_compatible(g)
-        leads = LeadTable([_primitive(g, layout) for g in basis], layout)
+    leads = basis if isinstance(basis, LeadTable) else LeadTable(basis, order)
     return not any(
         leads.divided_by_other(mono, own)
         for own, (_, _, terms) in enumerate(leads.entries)
@@ -437,11 +431,10 @@ def verify_groebner(
     pairs: list[PairOutcome] = []
     if not relations:
         return GroebnerCertificate(inst, variant, conformance, pairs, True)
-    layout = order.layout(inst.d)
-    leads = LeadTable([_primitive(rel.poly, layout) for rel in relations], layout)
+    leads = LeadTable([rel.poly for rel in relations], order)
     if all(e.ok for e in conformance):
         steps = 0
-        pack_terms, support = layout.pack_terms, layout.support
+        pack_terms, support = leads.layout.pack_terms, leads.layout.support
         rows = [(rel, support(lm)) for rel, (lm, _, _) in zip(relations, leads.entries)]
         for i, (left, left_support) in enumerate(rows):
             for right, right_support in rows[i + 1:]:

@@ -447,6 +447,8 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> list[Polynomial
     coprime integer coefficients and a positive A-lex-leading coefficient;
     the elements are sorted by lead, largest first (leads may repeat).
     """
+    if max_degree < 0:
+        raise ValueError("degree bound must be nonnegative")
     ncols = comb(max_degree + 2 * inst.d, 2 * inst.d)  # ring-A monomials of degree <= bound
     if ncols > MAX_SLICE_MONOMIALS:
         raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}")

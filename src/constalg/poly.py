@@ -35,6 +35,8 @@ the lexicographic order the ring uses:
 Each ring-P order is defined once, by its `PLayout`: packed by it, a
 P-monomial is one int whose int order is that order.  `format_poly`,
 `orders.dill_key` and the reduction path of `groebner` key P-monomials so.
+Ring P has no variable constructor: a term is `Polynomial.from_term` of a
+`PMonomial`, and `univariate` builds a polynomial in one x_i of either ring.
 
 This module alone owns the packed layouts: ring A's (`field_shift`,
 `field_shifts`, `pack`, `unpack`) and ring P's (`PLayout`, one per
@@ -621,13 +623,6 @@ def univariate(ring: Ring, i: int, terms) -> Polynomial:
                 raise _cap_error(exps, ring.flavor, ring.d)
             out[power << shift if packed else _new(PMonomial, exps)] = coeff
     return Polynomial._make(ring, out)
-
-
-def u_var(ring: Ring, j: int, k: int, exp: int = 1) -> Polynomial:
-    if ring.flavor != RING_P:
-        raise ValueError("u variables only exist in ring P")
-    mono = PMonomial((0,) * ring.d, (((j, k), exp),))
-    return Polynomial.from_term(ring, mono, 1)
 
 
 # -- leading terms -----------------------------------------------------------

@@ -8,8 +8,9 @@ relation families vanish under pi:
     r(i,j,k,l) = u_ij*u_kl - u_ik*u_jl + u_il*u_jk        (i < j < k < l)
     s(i,j,k)   = f_i*u_jk - f_j*u_ik + f_k*u_ij           (i < j < k)
 
-with the f factors of s fully expanded over ring P, since reduction needs
-every term.
+Both are written down term by term, with no polynomial product: s has
+one term c*x_t^p*u per nonzero coefficient c of x_t^p in its f_t, since
+reduction needs every term.
 
 The generator table works over the integers: it stores L*u_jk with int
 coefficients, L = the lcm of the f-coefficient denominators, keyed by
@@ -37,8 +38,6 @@ from .poly import (
     mul_terms,
     pack,
     u_pairs,
-    u_var,
-    univariate,
 )
 
 # Most relations `build_relations` may build: C(24,4) + C(24,3), so d <= 24.
@@ -155,21 +154,26 @@ def quadratic_relation(inst: ProblemInstance, i: int, j: int, k: int, l: int) ->
     """The three-term quadratic identity among pair determinants."""
     if not (1 <= i < j < k < l <= inst.d):
         raise ValueError(f"indices must satisfy 1 <= {i} < {j} < {k} < {l} <= {inst.d}")
-    ring = inst.ring_p
-    return (
-        u_var(ring, i, j) * u_var(ring, k, l)
-        - u_var(ring, i, k) * u_var(ring, j, l)
-        + u_var(ring, i, l) * u_var(ring, j, k)
-    )
+    xexp = (0,) * inst.d
+    terms = {
+        PMonomial(xexp, (((i, j), 1), ((k, l), 1))): 1,
+        PMonomial(xexp, (((i, k), 1), ((j, l), 1))): -1,
+        PMonomial(xexp, (((i, l), 1), ((j, k), 1))): 1,
+    }
+    return Polynomial(inst.ring_p, terms)
 
 
 def mixed_relation(inst: ProblemInstance, i: int, j: int, k: int) -> Polynomial:
-    """The identity f_i*u_jk - f_j*u_ik + f_k*u_ij, f factors expanded."""
+    """The identity f_i*u_jk - f_j*u_ik + f_k*u_ij, one term per nonzero coefficient of an f."""
     if not (1 <= i < j < k <= inst.d):
         raise ValueError(f"indices must satisfy 1 <= {i} < {j} < {k} <= {inst.d}")
-    ring = inst.ring_p
-    fi, fj, fk = (univariate(ring, t, enumerate(inst.f[t - 1])) for t in (i, j, k))
-    return fi * u_var(ring, j, k) - fj * u_var(ring, i, k) + fk * u_var(ring, i, j)
+    terms = {}
+    for t, sign, pair in ((i, 1, (j, k)), (j, -1, (i, k)), (k, 1, (i, j))):
+        for power, coeff in enumerate(inst.f[t - 1]):
+            xexp = [0] * inst.d
+            xexp[t - 1] = power
+            terms[PMonomial(xexp, ((pair, 1),))] = sign * coeff
+    return Polynomial(inst.ring_p, terms)
 
 
 class Relation(namedtuple("Relation", "family indices poly")):

@@ -2,6 +2,7 @@
 
 import heapq
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from constalg import (
@@ -11,8 +12,10 @@ from constalg import (
     PMonomial,
     Polynomial,
     ProblemInstance,
+    Relation,
     RingMismatchError,
     apply_delta,
+    parse_poly,
     ring_a,
     ring_p,
     u_pairs,
@@ -192,6 +195,32 @@ def reference_pair_outcomes(relations, order):
             spoly = reference_s_polynomial(left.poly, right.poly, order)
             outcomes[left.label, right.label] = reference_reduce(spoly, basis, order).is_zero()
     return outcomes
+
+
+# -- reference relations ---------------------------------------------------------
+
+
+def reference_relations(inst):
+    """All R, then all S, by the product formula over ring P: u's parsed, f_i by `univariate`."""
+    d, ring = inst.d, inst.ring_p
+
+    def u(j, k):
+        return parse_poly(f"u{j}_{k}", "P", d)
+
+    def f(t):
+        return univariate(ring, t, enumerate(inst.f[t - 1]))
+
+    indices = range(1, d + 1)
+    return [
+        *(
+            Relation("R", (i, j, k, l), u(i, j) * u(k, l) - u(i, k) * u(j, l) + u(i, l) * u(j, k))
+            for i, j, k, l in combinations(indices, 4)
+        ),
+        *(
+            Relation("S", (i, j, k), f(i) * u(j, k) - f(j) * u(i, k) + f(k) * u(i, j))
+            for i, j, k in combinations(indices, 3)
+        ),
+    ]
 
 
 # -- reference rewriting -------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -505,8 +506,7 @@ def test_verify_groebner_rejects_relations_of_another_ring():
 
 def int_leads(relations, order):
     """The table `verify_groebner` reduces against: primitive packed int term maps."""
-    layout = order.layout(relations[0].poly.ring.d)
-    return LeadTable([groebner._primitive(rel.poly, layout) for rel in relations], layout)
+    return LeadTable([rel.poly for rel in relations], order)
 
 
 def packed_int_terms(p, order):
@@ -613,8 +613,7 @@ def test_lead_table_reducedness_matches_reference_reduced(variant):
         for basis in bases:
             basis = [g for g in basis if not g.is_zero()]
             expected = reference_reduced(basis, order)
-            layout = order.layout(d)
-            table = LeadTable([layout.pack_terms(g.terms) for g in basis], layout)
+            table = LeadTable(basis, order)
             assert verify_reduced(basis, order) == verify_reduced(table, order) == expected
             verdicts.append(expected)
         assert verify_reduced(int_leads(relations, order), order) == reference_reduced(
@@ -705,6 +704,63 @@ def test_buchberger_complete_rejects_ring_a():
     p, g = ring_a_inputs()
     with pytest.raises(RingMismatchError, match="over ring P"):
         buchberger_complete([p, g], LexOrder())
+
+
+P3 = r"Ring\(flavor='P', d=3\)"
+A3 = r"Ring\(flavor='A', d=3\)"
+NOT_RING_P = f"^Groebner bases are computed over ring P, not {A3}$"
+MIXED = f"^cannot combine polynomials over {P3} and {A3}$"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a, p: reduce(a, [p], DillOrder()), NOT_RING_P),
+        (lambda a, p: reduce(p, [a], DillOrder()), MIXED),
+        (lambda a, p: reduce(p, [p, a], DillOrder()), MIXED),
+        (lambda a, p: verify_reduced([a, p], DillOrder()), NOT_RING_P),
+        (lambda a, p: verify_reduced([p, a], DillOrder()), MIXED),
+        (lambda a, p: buchberger_complete([a, p], DillOrder()), NOT_RING_P),
+        (lambda a, p: buchberger_complete([p, a], DillOrder()), MIXED),
+    ],
+    ids=[
+        "reduce-ring-a-by-ring-p",
+        "reduce-ring-p-by-ring-a",
+        "reduce-ring-p-by-mixed",
+        "verify-reduced-a-first",
+        "verify-reduced-p-first",
+        "buchberger-a-first",
+        "buchberger-p-first",
+    ],
+)
+def test_mixed_rings_raise_ring_mismatch(call, message):
+    a, p = parse_poly("x1 + y2", "A", 3), parse_poly("u1_2 + x3", "P", 3)
+    with pytest.raises(RingMismatchError, match=message):
+        call(a, p)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [DillOrder(CORRECTED), DillOrder(LITERAL), LexOrder()],
+    ids=[CORRECTED, LITERAL, "lex"],
+)
+def test_lead_table_packs_primitive_int_terms(order):
+    rng = random.Random(167)
+    for d in (3, 4, 5):
+        polys = relation_polys(rational_instance(rng, d))
+        polys += [random_ppoly(rng, d, terms=4) for _ in range(5)]
+        polys = [g for g in polys if not g.is_zero()]
+        layout = order.layout(d)
+        table = LeadTable(polys, order)
+        assert table.layout is layout
+        expected = []
+        for g in polys:
+            terms, _ = int_terms(g)
+            content = gcd(*terms.values())
+            packed = {layout.pack(m): c // content for m, c in terms.items()}
+            lm = max(packed)
+            expected.append((lm, packed[lm], packed))
+        assert table.entries == expected
 
 
 # -- reducer choice and the packed-field guard ------------------------------------

@@ -16,6 +16,7 @@ from constalg import (
     f_adic_expand,
     independence_check,
     is_constant,
+    kernel_dim_oracle,
     parse_poly,
     pi_substitute,
     recover_word_from_lead,
@@ -47,6 +48,7 @@ def test_independence_check_slice_guard(monkeypatch):
     "call, error, match",
     [
         (lambda: enumerate_normal_words(NOWICKI3, -1), ValueError, "nonnegative"),
+        (lambda: kernel_dim_oracle(NOWICKI3, -1), ValueError, "degree bound must be nonnegative"),
         (lambda: image_degree(NOWICKI3, PMonomial.one(4)), RingMismatchError, "d=4"),
         (
             lambda: recover_word_from_lead(NOWICKI3, AMonomial((1, 0, 0, 0), (0, 0, 0, 0))),
@@ -85,6 +87,7 @@ def test_independence_check_slice_guard(monkeypatch):
         ),
         (lambda: setattr(Polynomial.zero(ring_a(2)), "ring", ring_a(3)), AttributeError, "immutable"),
         (lambda: PMonomial((0, 0, 0), (((1, 2), -1),)), ValueError, "nonnegative"),
+        (lambda: PMonomial((0, 0, 0), (((2, 2), 1),)), ValueError, r"u-pair \(2,2\) out of range"),
         (lambda: Ring("Q", 2), ValueError, "flavor"),
         (lambda: Ring("A", 0), ValueError, ">= 1"),
         (lambda: DillOrder("bogus"), ValueError, "bogus"),
@@ -123,6 +126,7 @@ def test_independence_check_slice_guard(monkeypatch):
     ],
     ids=[
         "enumerate-negative-bound",
+        "kernel-dim-negative-bound",
         "image-degree-other-d",
         "recover-word-other-d",
         "pi-substitute-ring-a",
@@ -137,6 +141,7 @@ def test_independence_check_slice_guard(monkeypatch):
         "verify-reduced-basis-other-d",
         "polynomial-immutable",
         "pmonomial-negative-u-exponent",
+        "pmonomial-u-pair-out-of-range",
         "ring-bad-flavor",
         "ring-d-below-1",
         "dill-order-bogus-variant",

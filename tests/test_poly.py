@@ -20,7 +20,6 @@ from constalg import (
     ring_a,
     ring_p,
     u_pairs,
-    u_var,
 )
 from constalg.poly import (
     MAX_EXPONENT,
@@ -303,7 +302,8 @@ def test_parse_accepts_irregular_spellings():
     assert parse_poly("0*x1 + x1^0", "A", 2) == Polynomial.constant(a2, 1)
     assert parse_poly("1/2*x1 - 1/2*x1", "A", 2) == Polynomial.zero(a2)
     x2 = univariate(ring_p(2), 2, ((1, 1),))
-    assert parse_poly("u01_002 + x02", "P", 2) == u_var(ring_p(2), 1, 2) + x2
+    u12 = Polynomial.from_term(ring_p(2), PMonomial((0, 0), (((1, 2), 1),)), 1)
+    assert parse_poly("u01_002 + x02", "P", 2) == u12 + x2
 
 
 _SPACES =("", "", " ", "  ", "\t", "\n")
@@ -535,13 +535,6 @@ def test_format_is_deterministic_and_readable():
     assert format_poly(p) == "x1*y2 - x2^2*y1"
     assert format_poly(Polynomial.zero(ring_a(2))) == "0"
     assert format_poly(Polynomial.constant(ring_p(3), Fraction(-3, 2))) == "-3/2"
-
-
-def test_u_var_validation():
-    with pytest.raises(ValueError):
-        u_var(ring_p(3), 2, 2)
-    with pytest.raises(ValueError):
-        u_var(ring_a(3), 1, 2)
 
 
 def test_pmonomial_divmul():

@@ -22,7 +22,7 @@ from constalg import (
 )
 from constalg import BudgetExceededError, presentation
 from constalg.presentation import pi_image_of_monomial, relation_count
-from helpers import random_instance, random_ppoly
+from helpers import random_instance, random_ppoly, rational_instance, reference_relations
 
 
 def test_generator_classical():
@@ -191,6 +191,30 @@ def test_mixed_relation_expands_full_f():
         "x1*u2_3 + 2*u2_3 - x2^2*u1_3 - u1_3 + x3*u1_2", "P", 3
     )
     assert s == expected
+
+
+def relation_instances(rng, d):
+    """A dense, a rational-coefficient and a zero-inner-coefficient instance of dimension d."""
+    yield random_instance(rng, d, max_m=3, dense=True)
+    yield rational_instance(rng, d)
+    coeffs = [[rng.choice([0, 0, 1, -2]) for _ in range(rng.randint(1, 4))] + [3] for _ in range(d)]
+    yield ProblemInstance.from_coeffs(d, coeffs)
+
+
+def test_relations_match_the_product_formula():
+    rng = random.Random(173)
+    zero_inner = 0
+    for d in range(1, 8):
+        for inst in relation_instances(rng, d):
+            zero_inner += sum(not c for fi in inst.f for c in fi[1:-1])
+            relations = build_relations(inst)
+            expected = reference_relations(inst)
+            assert relations == expected
+            # the same terms in the same order, which `repr` shows
+            assert [list(r.poly.terms) for r in relations] == [
+                list(r.poly.terms) for r in expected
+            ]
+    assert zero_inner
 
 
 def test_relations_vanish_under_pi():

@@ -25,7 +25,6 @@ from constalg import (
     ring_a,
     ring_p,
     u_pairs,
-    u_var,
 )
 from constalg.poly import (
     FIELD_MAX,
@@ -334,15 +333,20 @@ def test_packed_p_fields_refuse_overflow():
         narrow.pack(PMonomial((128, 0), ()))
 
 
+def u12_power(exp, coeff=1):
+    """coeff * u1_2^exp in ring P(2)."""
+    return Polynomial.from_term(ring_p(2), PMonomial((0, 0), (((1, 2), exp),)), coeff)
+
+
 def test_ordering_refuses_a_field_over_the_packed_width():
     # Printing sorts ring-P terms by `dill_key`, so it refuses a monomial
     # whose order field passes 2^31 - 1, as `verify-gb` does.
     top = 2**31 - 1
-    assert format_poly(u_var(ring_p(2), 1, 2, top)) == f"u1_2^{top}"
+    assert format_poly(u12_power(top)) == f"u1_2^{top}"
     for exp in (top + 1, 2**40):
         message = f"u1_2\\^{exp} overflows a packed field of at most {top}"
         with pytest.raises(BudgetExceededError, match=message):
-            format_poly(u_var(ring_p(2), 1, 2, exp))
+            format_poly(u12_power(exp))
         for variant in (CORRECTED, LITERAL):
             with pytest.raises(BudgetExceededError, match="overflows a packed field of at most"):
                 DillOrder(variant).key(PMonomial((exp, 0), ()))
@@ -351,10 +355,10 @@ def test_ordering_refuses_a_field_over_the_packed_width():
 def test_repr_of_an_unorderable_polynomial_lists_its_terms_as_stored():
     # `str` sorts ring-P terms by the packed order, so it refuses this
     # polynomial; `repr` still shows it, terms in insertion order.
-    p = u_var(ring_p(2), 1, 2, 2**31) * -2 + parse_poly("1/2*x1", "P", 2)
+    p = u12_power(2**31, -2) + parse_poly("1/2*x1", "P", 2)
     assert repr(p) == "Polynomial({'u1_2^2147483648': '-2', 'x1': '1/2'}, d=2)"
     for show in (str, format_poly):
         with pytest.raises(BudgetExceededError, match="overflows a packed field"):
             show(p)
-    fitting = u_var(ring_p(2), 1, 2, 2**31 - 1) * -2 + parse_poly("1/2*x1", "P", 2)
+    fitting = u12_power(2**31 - 1, -2) + parse_poly("1/2*x1", "P", 2)
     assert repr(fitting) == "Polynomial('-2*u1_2^2147483647 + 1/2*x1', d=2)"

@@ -2,15 +2,18 @@
 
 constalg's `__init__.py` is left out: it imports names only to re-export them.
 No constalg module imports inside a function: each import runs once, at the top.
+Every top-level function and class of constalg has a caller outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import constalg
 
 SOURCE = Path(constalg.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 # perfbench's TracerTest checks that normal_words binds this name.
 ALLOWED = {("normal_words", "leading_term")}
@@ -46,3 +49,33 @@ def test_no_constalg_module_imports_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         late.add((path.stem, func.name, node.lineno))
     assert late == set()
+
+
+def references(node) -> Counter:
+    """Names used under node: variables, attributes and string constants.
+
+    The strings count because perfbench's tracer and `monkeypatch.setattr`
+    name their targets so; an import alone is not a use.
+    """
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def test_every_top_level_definition_is_used_outside_its_body():
+    paths = [*SOURCE.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    unused = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if used[node.name] == references(node)[node.name]:
+                    unused.add((path.stem, node.name))
+    assert unused == set()
