@@ -124,6 +124,10 @@ class ProblemInstance(namedtuple("ProblemInstance", "d f")):
                 raise InstanceError(f"f_{i} is the zero polynomial")
             if len(coeffs) == 1:
                 raise InstanceError(f"f_{i} is constant; every f_i must have degree >= 1")
+            if len(coeffs) - 1 > MAX_EXPONENT:
+                raise InstanceError(
+                    f"f_{i} has degree {len(coeffs) - 1}, above the exponent cap of {MAX_EXPONENT}"
+                )
             rows.append(tuple(coeffs))
         return ProblemInstance(d, tuple(rows))
 

@@ -13,21 +13,23 @@ per-pair certificate that records what discharged each pair.
 
 The layer works over ring P alone.  `LeadTable` and `reduce_int` key
 monomials by the packed ints of the order's layout (`order.layout(d)`, a
-`poly.PLayout`), whose int order is the order, so a leading monomial is
-a `max`, a product by a quotient one addition and a divisibility test
-one subtraction and one AND (Bachmann and Schoenemann, ISSAC 1998;
-Monagan and Pearce, CASC 2007).  `LeadTable` tries a lead only on the
-monomials whose u-support holds the lead's.  `LeadTable(basis, order)`
-alone packs a basis, each element a primitive int term map; `reduce`
-packs its input too, runs `reduce_int` and divides once at the end.  `s_polynomial` (Buchberger 1965) takes
-each input's lead and monic tail from the order handle's memo, built
-once per polynomial, so a pair costs its lcm, two quotients and the
+`poly.PLayout`), whose int order is the order, so a product by a
+quotient is one addition and a divisibility test one subtraction and
+one AND (Bachmann and Schoenemann, ISSAC 1998; Monagan and Pearce, CASC
+2007).  `LeadTable(basis, order)` alone packs a basis: each element
+becomes a primitive int term map, split into its lead, taken by
+`leading_term`, and its tail.  It tries a lead only on the monomials
+whose u-support holds the lead's.  `reduce` packs its input too, runs
+`reduce_int` and divides once at the end.  `s_polynomial` (Buchberger
+1965) takes two table entries and returns the fraction-free
+S-polynomial on the same packed keys, so a pair costs its lcm and the
 merge of two tail products.  The generic completion
 `buchberger_complete`, which must add nothing when run on the relations,
-is a cross-check by its own pair algorithm; it takes each element's lead
-once, and its queue is a heap that keys each pair once.  The Fraction
-references, which share no code with `LeadTable`, are
-`tests/helpers.reference_reduce` and `reference_pair_outcomes`.
+is a cross-check by its own pair algorithm; it rebuilds its table only
+when it adds an element, and its queue is a heap that keys each pair
+once.  The Fraction references, which share no code with `LeadTable`,
+are `tests/helpers.reference_reduce`, `reference_s_polynomial` and
+`reference_pair_outcomes`.
 """
 
 from __future__ import annotations
@@ -63,14 +65,16 @@ MAX_PAIR_QUEUE = 100_000
 
 
 class LeadTable:
-    """Leading terms (lm, lc, terms) of a reduction basis over ring P(d), with their u-supports.
+    """Entries (lm, lc, tail) of a reduction basis over ring P(d), with their u-supports.
 
-    Each nonzero polynomial of `basis`, all over one ring P, becomes an int
-    term map {packed monomial: coefficient} of gcd 1 under `layout` =
-    `order.layout(d)`, whose int order is the order.  A lead divides only
-    monomials whose u-support, the set of nonzero u-positions, holds its
-    own, so `reducer` and `divided_by_other` test a monomial against those
-    leads alone, in basis order; that list is built once for each support.
+    Each nonzero polynomial of `basis`, all over one ring P, is scaled to
+    int coefficients of gcd 1 on the packed keys of `layout` =
+    `order.layout(d)`, whose int order is the order.  Its entry holds the
+    packed lead, which `leading_term` picks, the lead's coefficient and
+    the int term map of the other terms.  A lead divides only monomials
+    whose u-support, the set of nonzero u-positions, holds its own, so
+    `reducer` and `divided_by_other` test a monomial against those leads
+    alone, in basis order; that list is built once for each support.
     """
 
     def __init__(self, basis, order):
@@ -86,12 +90,14 @@ class LeadTable:
         self.entries = []
         self._supports = []  # [(the guard bits of the lead's u-support, entry)]
         for g in basis:
+            lead, _ = leading_term(g, order)
             terms, _ = int_terms(g)
             content = gcd(*terms.values())
-            terms = {layout.pack(m): c // content for m, c in terms.items()}
-            lm = max(terms)
-            self.entries.append((lm, terms[lm], terms))
-            self._supports.append(((lm + layout.fill) & layout.u_guards, self.entries[-1]))
+            lc = terms.pop(lead) // content
+            lm = layout.pack(lead)
+            entry = (lm, lc, {layout.pack(m): c // content for m, c in terms.items()})
+            self.entries.append(entry)
+            self._supports.append(((lm + layout.fill) & layout.u_guards, entry))
         self._candidates: dict = {}
 
     def _candidates_of(self, mono: int) -> list:
@@ -105,7 +111,7 @@ class LeadTable:
         return found
 
     def reducer(self, mono: int):
-        """(lm, lc, terms) of the first basis element whose lead divides mono, or None."""
+        """The entry (lm, lc, tail) of the first basis element whose lead divides mono, or None."""
         guards = self.layout.exponent_guards
         for entry in self._candidates_of(mono):
             if not (mono - entry[0]) & guards:
@@ -151,11 +157,11 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
 def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     """Pseudo-reduce the int term map `work` in place; return (steps + steps taken, scale).
 
-    `work` and `leads` hold int term maps on packed monomials of one
-    layout.  The work's maximal monomial, its `max`, goes first: to a
-    remainder when no lead divides it, else, with c its coefficient, a
-    the lead coefficient of the first basis element g whose lead divides
-    it, k = gcd(c, a) signed like a and q the monomial quotient, the work
+    `work` is an int term map on the packed monomials of `leads.layout`.
+    The work's maximal monomial, its `max`, goes first: to a remainder
+    when no lead divides it, else, with c its coefficient, a the lead
+    coefficient of the first basis element g whose lead divides it,
+    k = gcd(c, a) signed like a and q the monomial quotient, the work
     becomes (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
     remainder then goes back into the work, which holds scale*NF: NF is
     the normal form over Fraction, scale the product of the factors
@@ -178,7 +184,7 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
             raise BudgetExceededError(
                 f"verification needs more than {MAX_REDUCTION_STEPS} reduction steps"
             )
-        lm, lead, g = hit
+        lm, lead, tail = hit
         common = gcd(coeff, lead)
         if lead < 0:
             common = -common
@@ -189,9 +195,7 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
                 for m in terms:
                     terms[m] *= multiplier
         quot = mono - lm
-        for gm, gc in g.items():
-            if gm is lm:
-                continue
+        for gm, gc in tail.items():
             target = gm + quot
             if target & guards:
                 raise BudgetExceededError(
@@ -206,48 +210,35 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     return steps, scale
 
 
-def s_polynomial(g: Polynomial, h: Polynomial, order) -> Polynomial:
-    """The cancellation combination lcm/lead(g)*g/lc(g) - lcm/lead(h)*h/lc(h).
+def s_polynomial(g: tuple, h: tuple, layout) -> dict:
+    """The S-polynomial (b/k)*(L/lm_g)*g - (a/k)*(L/lm_h)*h of two `LeadTable` entries.
 
-    Each input's lead, monic tail and negated monic tail are built once
-    per order handle, in its `monic` memo.  A pair then takes the lcm, the
-    two quotients and the products of the tails by them; the leads, which
-    cancel, are not in the tails, and a coefficient is added only where
-    two products meet.
+    g = (lm_g, a, tail) and h = (lm_h, b, tail) are entries of a table on
+    `layout`, k = gcd(a, b) and L the lcm of the two leads; the result is
+    an int term map on the same packed keys.  It is ab/k times the
+    product formula L/lm_g*g/a - L/lm_h*h/b, so it reduces to zero
+    exactly when that does.  The leads cancel, so only the tails are
+    multiplied, a quotient L/lm being the offset L - lm; a product that
+    overflows a packed field raises BudgetExceededError.
     """
-    _ring_p(g)
-    if g.is_zero() or h.is_zero():
-        raise ValueError("s_polynomial needs nonzero inputs")
-    g._check_compatible(h)
-    _, lmg, tail, _ = _monic_parts(g, order)
-    _, lmh, _, neg_tail = _monic_parts(h, order)
-    lcm = lmg.lcm(lmh)
-    qg, qh = lcm.div(lmg), lcm.div(lmh)
-    terms = {m.mul(qg): c for m, c in tail}
-    for m, c in neg_tail:
-        target = m.mul(qh)
-        if target in terms:
-            c += terms[target]
-            if not c:
+    (lmg, a, tail_g), (lmh, b, tail_h) = g, h
+    guards, unpack = layout.guards, layout.unpack
+    lcm = layout.pack(unpack(lmg).lcm(unpack(lmh)))
+    k = gcd(a, b)
+    terms: dict = {}
+    for tail, quot, factor in ((tail_g, lcm - lmg, b // k), (tail_h, lcm - lmh, -a // k)):
+        for m, c in tail.items():
+            target = m + quot
+            if target & guards:
+                raise BudgetExceededError(
+                    f"an S-polynomial product overflows a packed field of at most {layout.field_max}"
+                )
+            c = terms.get(target, 0) + factor * c
+            if c:
+                terms[target] = c
+            else:
                 del terms[target]
-                continue
-        terms[target] = c
-    return Polynomial._make(g.ring, terms)
-
-
-def _monic_parts(p: Polynomial, order) -> tuple:
-    """order.monic[id(p)] = (p, lead, monic tail, negated monic tail) for nonzero p, made once.
-
-    The tails are lists of (monomial, coefficient / lc) without the lead.
-    The entry holds p, so no other polynomial can take its id while the
-    handle lives.
-    """
-    entry = order.monic.get(id(p))
-    if entry is None:
-        lead, lc = leading_term(p, order)
-        tail = [(m, c / lc) for m, c in p.terms.items() if m is not lead]
-        entry = order.monic[id(p)] = (p, lead, tail, [(m, -c) for m, c in tail])
-    return entry
+    return terms
 
 
 # -- expected leading monomials ----------------------------------------------
@@ -386,17 +377,17 @@ def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
     `basis` is a list of polynomials over one ring P or a `LeadTable` built
-    for `order`.  A list becomes a `LeadTable`, whose int term maps are
-    multiples of its polynomials; divisibility reads only monomials, so
-    that keeps its verdict.
+    for `order`.  A list becomes a `LeadTable`, whose entries hold the
+    monomials of its polynomials, each lead and its tail; divisibility
+    reads only monomials, so that keeps its verdict.
     """
     if not basis:
         return True
     leads = basis if isinstance(basis, LeadTable) else LeadTable(basis, order)
     return not any(
         leads.divided_by_other(mono, own)
-        for own, (_, _, terms) in enumerate(leads.entries)
-        for mono in terms
+        for own, (lm, _, tail) in enumerate(leads.entries)
+        for mono in (lm, *tail)
     )
 
 
@@ -408,13 +399,14 @@ def verify_groebner(
     """Check that the relations R and S form a reduced Groebner basis.
 
     A lead that does not conform aborts the pair phase; the verdict is
-    then false.  Pairs with coprime leads, whose supports are disjoint, are
-    discharged by Buchberger's first criterion; every other S-polynomial
-    is packed and pseudo-reduced by `reduce_int` against the relations
-    scaled to primitive packed int term maps.  More than MAX_VERIFY_PAIRS
-    pairs raise BudgetExceededError before the relations are built, more
-    than MAX_REDUCTION_STEPS reduction steps when they are taken, and so
-    does a monomial that overflows a packed field.
+    then false.  Every pair's S-polynomial is built from the relations'
+    `LeadTable` entries.  Pairs with coprime leads, whose supports are
+    disjoint, are discharged by Buchberger's first criterion; every other
+    S-polynomial is pseudo-reduced by `reduce_int` against the same
+    table.  More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError
+    before the relations are built, more than MAX_REDUCTION_STEPS
+    reduction steps when they are taken, and so does a monomial that
+    overflows a packed field.
     """
     count = relation_count(inst.d) if relations is None else len(relations)
     if comb(count, 2) > MAX_VERIFY_PAIRS:
@@ -433,19 +425,20 @@ def verify_groebner(
         return GroebnerCertificate(inst, variant, conformance, pairs, True)
     leads = LeadTable([rel.poly for rel in relations], order)
     if all(e.ok for e in conformance):
-        steps = 0
-        pack_terms, support = leads.layout.pack_terms, leads.layout.support
-        rows = [(rel, support(lm)) for rel, (lm, _, _) in zip(relations, leads.entries)]
-        for i, (left, left_support) in enumerate(rows):
-            for right, right_support in rows[i + 1:]:
-                spoly = s_polynomial(left.poly, right.poly, order)
+        steps, layout = 0, leads.layout
+        rows = [
+            (rel.label, entry, layout.support(entry[0]))
+            for rel, entry in zip(relations, leads.entries)
+        ]
+        for i, (left, g, left_support) in enumerate(rows):
+            for right, h, right_support in rows[i + 1:]:
+                work = s_polynomial(g, h, layout)
                 if left_support & right_support:
-                    work = pack_terms(int_terms(spoly)[0])
                     steps, _ = reduce_int(work, leads, steps)
                     discharged_by = None if work else "reduction"
                 else:
                     discharged_by = "coprime"
-                pairs.append(PairOutcome(left.label, right.label, discharged_by))
+                pairs.append(PairOutcome(left, right, discharged_by))
     return GroebnerCertificate(inst, variant, conformance, pairs, verify_reduced(leads, order))
 
 
@@ -457,40 +450,48 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
 
     Standard completion with the normal selection strategy (pair of
     minimal lcm under the order; ties broken by index), the coprime-lead
-    criterion, and full reduction of each S-polynomial.  Each pair's lcm
-    is keyed once, when the pair is queued.  The result is
-    monic-normalized.  Zero inputs are dropped; a pair queue larger than
-    MAX_PAIR_QUEUE raises BudgetExceededError instead of silently churning.
+    criterion, and full reduction of each S-polynomial by `reduce_int`
+    against a `LeadTable` of the elements so far, rebuilt whenever one is
+    added.  Each pair's lcm is keyed once, when the pair is queued.  The
+    result is monic-normalized.  Zero inputs are dropped; a pair queue
+    larger than MAX_PAIR_QUEUE raises BudgetExceededError instead of
+    silently churning.
     """
     basis = list(basis)
     if not basis:
         raise ValueError("completion needs a nonempty input set")
-    _ring_p(basis[0])
+    ring = _ring_p(basis[0])
     for g in basis:
         basis[0]._check_compatible(g)
-    work: list[Polynomial] = []
-    leads: list[PMonomial] = []
-    queue: list = []  # heap of (key of the lcm, i, j)
+    work = [g.scale(Fraction(1) / leading_term(g, order)[1]) for g in basis if not g.is_zero()]
+    if not work:
+        return work
+    leads = LeadTable(work, order)
+    layout = leads.layout
+    queue: list = []  # heap of (packed lcm, i, j)
 
-    def add(g):
-        """Append g made monic and its lead, and queue its pairs with the elements before it."""
-        lead, lc = leading_term(g, order)
-        work.append(g.scale(Fraction(1) / lc))
-        leads.append(lead)
-        new = len(work) - 1
+    def queue_pairs(new):
+        """Queue the pairs of element `new` with the elements before it."""
+        lm = layout.unpack(leads.entries[new][0])
         for t in range(new):
-            heappush(queue, (order.key(leads[t].lcm(lead)), t, new))
+            lcm = layout.unpack(leads.entries[t][0]).lcm(lm)
+            heappush(queue, (layout.pack(lcm), t, new))
         if len(queue) > MAX_PAIR_QUEUE:
             raise BudgetExceededError(f"pair queue grew past the budget of {MAX_PAIR_QUEUE}")
 
-    for g in basis:
-        if not g.is_zero():
-            add(g)
+    for new in range(len(work)):
+        queue_pairs(new)
     while queue:
         _, i, j = heappop(queue)
-        if leads[i].lcm(leads[j]) == leads[i].mul(leads[j]):
+        g, h = leads.entries[i], leads.entries[j]
+        if not layout.support(g[0]) & layout.support(h[0]):
             continue
-        normal_form = reduce(s_polynomial(work[i], work[j], order), work, order)
-        if not normal_form.is_zero():
-            add(normal_form)
+        normal_form = s_polynomial(g, h, layout)
+        reduce_int(normal_form, leads, 0)
+        if normal_form:
+            lc = normal_form[max(normal_form)]
+            monic = {layout.unpack(m): Fraction(c, lc) for m, c in normal_form.items()}
+            work.append(Polynomial._make(ring, monic))
+            leads = LeadTable(work, order)
+            queue_pairs(len(work) - 1)
     return work

@@ -22,7 +22,8 @@ tie-break precedence above.  A monomial is its own lex key.
 Each ring-P order is defined once, by its packed layout `poly.PLayout`:
 `dill_key` is the packed key, whose int order is the order; an order
 handle's `key` packs a monomial on each call, and its `layout(d)` is the
-layout `groebner` reduces on.
+layout `groebner` reduces on.  A handle holds no state beyond its
+variant, so one handle may serve any number of computations.
 """
 
 from __future__ import annotations
@@ -41,19 +42,12 @@ def dill_key(mono: PMonomial, variant: str = CORRECTED) -> int:
 
 
 class DillOrder:
-    """Order handle for ring P monomials.
-
-    A handle holds one memo, `monic`: the lead and monic tails of each
-    input of `groebner.s_polynomial`, built on its first use.  So a handle
-    should serve one computation, and the memo is freed with it.  `key`
-    packs the monomial anew on each call.
-    """
+    """Order handle for ring P monomials; `key` packs the monomial anew on each call."""
 
     def __init__(self, variant: str = CORRECTED):
         if variant not in VARIANTS:
             raise ValueError(f"unknown order variant {variant!r}")
         self.variant = variant
-        self.monic: dict = {}
 
     def key(self, mono: PMonomial) -> int:
         return dill_key(mono, self.variant)
@@ -67,14 +61,7 @@ class DillOrder:
 
 
 class LexOrder:
-    """Lex order handle for either ring: the monomial is its own key.
-
-    Like a `DillOrder`, a handle should serve one computation, since it
-    holds the same `monic` memo.
-    """
-
-    def __init__(self):
-        self.monic: dict = {}
+    """Lex order handle for either ring: the monomial is its own key."""
 
     def key(self, mono):
         return mono

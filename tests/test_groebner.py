@@ -138,26 +138,38 @@ def test_reduce_is_idempotent_and_stays_in_coset():
         assert pi_substitute(table, normal_form) == pi_substitute(table, p)
 
 
+def as_polynomial(terms, layout, ring):
+    """The int term map `terms` on the packed keys of `layout` as a polynomial of `ring`."""
+    return Polynomial(ring, {layout.unpack(m): c for m, c in terms.items()})
+
+
+def spoly_of(g, h, order):
+    """The integer S-polynomial of g and h, from their `LeadTable` entries, as a polynomial."""
+    table = LeadTable([g, h], order)
+    return as_polynomial(s_polynomial(*table.entries, table.layout), table.layout, g.ring)
+
+
 def test_s_polynomial_of_equal_inputs_vanishes():
     inst = classical(4)
     r = build_relations(inst)[0].poly
-    assert s_polynomial(r, r, DillOrder()).is_zero()
+    table = LeadTable([r], DillOrder())
+    assert s_polynomial(*table.entries * 2, table.layout) == {}
 
 
 def test_s_polynomial_coprime_leads_reduce_to_zero():
     g = parse_poly("u1_2 + x2", "P", 3)
     h = parse_poly("x3 + 1", "P", 3)
     order = DillOrder()
-    spoly = s_polynomial(g, h, order)
-    assert reduce(spoly, [g, h], order).is_zero()
+    assert reduce(spoly_of(g, h, order), [g, h], order).is_zero()
 
 
 def test_s_polynomial_rejects_zero():
+    # The inputs are `LeadTable` entries, and the table refuses a zero element.
     from constalg import Polynomial, ring_p
 
     g = parse_poly("u1_2", "P", 2)
-    with pytest.raises(ValueError):
-        s_polynomial(g, Polynomial.zero(ring_p(2)), DillOrder())
+    with pytest.raises(ValueError, match="must not contain zero"):
+        LeadTable([g, Polynomial.zero(ring_p(2))], DillOrder())
 
 
 def test_s_polynomial_of_relation_pair_reduces_to_zero():
@@ -166,8 +178,7 @@ def test_s_polynomial_of_relation_pair_reduces_to_zero():
     basis = [rel.poly for rel in relations]
     r = relations[0].poly
     s124 = {rel.label: rel.poly for rel in relations}["S(1,2,4)"]
-    spoly = s_polynomial(r, s124, DillOrder())
-    assert reduce(spoly, basis, DillOrder()).is_zero()
+    assert reduce(spoly_of(r, s124, DillOrder()), basis, DillOrder()).is_zero()
 
 
 def test_lead_conformance_corrected():
@@ -330,7 +341,7 @@ def order_handle(name):
 
 
 def min_over_queue_completion(basis, order):
-    """(pairs reduced as (g, h), result) of completion picking by the least (lcm key, (i, j)).
+    """(pairs reduced as (i, j), result) of completion picking by the least (lcm key, (i, j)).
 
     The pick rule `buchberger_complete` had before its heap, a `min` over
     the whole queue at each pick, run on the Fraction references.
@@ -344,7 +355,7 @@ def min_over_queue_completion(basis, order):
         queue.remove((i, j))
         if leads[i].lcm(leads[j]) == leads[i].mul(leads[j]):
             continue
-        reduced.append((work[i], work[j]))
+        reduced.append((i, j))
         spoly = reference_s_polynomial(work[i], work[j], order)
         normal_form = reference_reduce(spoly, work, order)
         if normal_form.is_zero():
@@ -366,16 +377,21 @@ def test_buchberger_complete_reduces_pairs_in_min_over_queue_order(monkeypatch, 
     reduced = []
     original = groebner.s_polynomial
 
-    def recording(g, h, order):
+    def recording(g, h, layout):
         reduced.append((g, h))
-        return original(g, h, order)
+        return original(g, h, layout)
 
     monkeypatch.setattr(groebner, "s_polynomial", recording)
-    completed = buchberger_complete(basis, order_handle(name))
+    order = order_handle(name)
+    completed = buchberger_complete(basis, order)
     expected_reduced, expected = min_over_queue_completion(basis, order_handle(name))
     assert len(completed) > len(basis) + 5  # the input is far from a Groebner basis
     assert len(reduced) > 30
-    assert reduced == expected_reduced
+    # The entries of the result's table are those the completion paired,
+    # and no two are equal, so each pair's entries name its indices.
+    entries = LeadTable(completed, order).entries
+    assert [entries.index(entry) for entry in entries] == list(range(len(entries)))
+    assert [(entries.index(g), entries.index(h)) for g, h in reduced] == expected_reduced
     assert completed == expected
 
 
@@ -421,7 +437,7 @@ def test_coprime_pairs_reduce_to_zero_under_reference():
                 assert pair.discharged_by == "reduction"
                 continue
             assert pair.normal_form_zero and pair.discharged_by == "coprime"
-            spoly = s_polynomial(basis[pair.left], basis[pair.right], order)
+            spoly = reference_s_polynomial(basis[pair.left], basis[pair.right], order)
             assert reference_reduce(spoly, list(basis.values()), order).is_zero()
 
 
@@ -470,8 +486,8 @@ def test_verify_groebner_reduces_only_non_coprime_pairs(monkeypatch):
 
 
 def test_verify_groebner_takes_each_lead_at_most_twice(monkeypatch):
-    # Lead conformance takes each relation's lead once and the S-polynomial
-    # memo once more; no pair takes a lead again.
+    # Lead conformance takes each relation's lead once and `LeadTable` once
+    # more; no pair takes a lead again.
     taken = []
     original = groebner.leading_term
 
@@ -509,12 +525,6 @@ def int_leads(relations, order):
     return LeadTable([rel.poly for rel in relations], order)
 
 
-def packed_int_terms(p, order):
-    """(terms, den) of `int_terms(p)` with the terms keyed by the order's packed monomials."""
-    terms, den = int_terms(p)
-    return order.layout(p.ring.d).pack_terms(terms), den
-
-
 def coprime_leads(g, h, order):
     lmg, lmh = leading_term(g, order)[0], leading_term(h, order)[0]
     return lmg.lcm(lmh) == lmg.mul(lmh)
@@ -538,22 +548,22 @@ def test_reduce_int_zero_matches_reference_reduce(variant):
     for d, relations in dense_relation_sets():
         basis = [rel.poly for rel in relations]
         leads = int_leads(relations, order)
+        layout, entries = leads.layout, leads.entries
         pairs = [
-            (g, h)
-            for i, g in enumerate(basis)
-            for h in basis[i + 1:]
-            if not coprime_leads(g, h, order)
+            (i, j)
+            for i in range(len(basis))
+            for j in range(i + 1, len(basis))
+            if not coprime_leads(basis[i], basis[j], order)
         ]
-        for g, h in pairs:
-            spoly = s_polynomial(g, h, order)
-            work, den = packed_int_terms(spoly, order)
+        for i, j in pairs:
+            work = s_polynomial(entries[i], entries[j], layout)
+            spoly = as_polynomial(work, layout, basis[i].ring)
             _, scale = groebner.reduce_int(work, leads, 0)
             normal_form = reference_reduce(spoly, basis, order)
             assert (not work) == normal_form.is_zero()
             assert scale > 0
-            unpack = order.layout(d).unpack
-            rescaled = {unpack(m): Fraction(c, den * scale) for m, c in work.items()}
-            assert Polynomial(spoly.ring, rescaled) == normal_form
+            rescaled = as_polynomial(work, layout, spoly.ring).scale(Fraction(1, scale))
+            assert rescaled == normal_form
             outcomes.append(not work)
     assert any(outcomes) and not all(outcomes)  # both verdicts occur
 
@@ -562,8 +572,7 @@ def test_reduce_int_budget_counts_steps_across_calls(monkeypatch):
     relations = build_relations(classical(4))
     order = DillOrder()
     leads = int_leads(relations, order)
-    g, h = relations[0].poly, relations[-1].poly
-    work, _ = packed_int_terms(s_polynomial(g, h, order), order)
+    work = s_polynomial(leads.entries[0], leads.entries[-1], leads.layout)
     steps, scale = groebner.reduce_int(dict(work), leads, 0)
     assert steps > 0
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10 + steps)
@@ -577,8 +586,8 @@ def test_reduce_runs_under_the_step_budget(monkeypatch):
     relations = build_relations(classical(4))
     basis = [rel.poly for rel in relations]
     order = DillOrder()
-    spoly = s_polynomial(basis[0], basis[-1], order)
-    work, _ = packed_int_terms(spoly, order)
+    spoly = spoly_of(basis[0], basis[-1], order)
+    work = order.layout(4).pack_terms(int_terms(spoly)[0])
     steps, _ = groebner.reduce_int(work, int_leads(relations, order), 0)
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps)
     assert reduce(spoly, basis, order).is_zero()
@@ -622,18 +631,26 @@ def test_lead_table_reducedness_matches_reference_reduced(variant):
     assert any(verdicts) and not all(verdicts)
 
 
-@pytest.mark.parametrize("variant", [CORRECTED, LITERAL])
-def test_conformance_and_lead_table_pick_the_same_leads(variant):
-    # `leading_term` under the order's key and `LeadTable`'s max
-    # over packed keys must agree, also where the literal leads do not conform.
-    order = DillOrder(variant)
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_conformance_and_lead_table_pick_the_same_leads(name):
+    # `LeadTable` takes each lead with `leading_term` under the order's key;
+    # the int order of the packed keys must put it above every tail key,
+    # also where the literal leads do not conform.
+    order = order_handle(name)
     rng = random.Random(163)
     for d in (4, 5, 6, 7):
-        inst = random_instance(rng, d, max_m=3, dense=True)
-        relations = build_relations(inst)
-        computed = [e.computed for e in verify_lead_conformance(inst, relations, variant)]
-        unpack = order.layout(d).unpack
-        assert computed == [unpack(lm) for lm, _, _ in int_leads(relations, order).entries]
+        relations = build_relations(random_instance(rng, d, max_m=3, dense=True))
+        for lm, _, tail in int_leads(relations, order).entries:
+            assert tail and all(lm > m for m in tail)
+
+
+def assert_multiple_of(terms, layout, reference):
+    """The int term map `terms` is a nonzero rational multiple of the polynomial `reference`."""
+    poly = as_polynomial(terms, layout, reference.ring)
+    assert poly.terms.keys() == reference.terms.keys()
+    if reference.terms:
+        mono = next(iter(reference.terms))
+        assert poly == reference.scale(poly.terms[mono] / reference.terms[mono])
 
 
 def test_s_polynomial_matches_product_formula():
@@ -642,37 +659,42 @@ def test_s_polynomial_matches_product_formula():
         for variant in (CORRECTED, LITERAL):
             order = DillOrder(variant)
             basis = relation_polys(random_instance(rng, d, max_m=3, dense=True))
+            table = LeadTable(basis, order)
+            entries = table.entries
             for i, g in enumerate(basis):
-                for h in basis[i:]:
-                    assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
+                for j in range(i, len(basis)):
+                    assert_multiple_of(
+                        s_polynomial(entries[i], entries[j], table.layout),
+                        table.layout,
+                        reference_s_polynomial(g, basis[j], order),
+                    )
 
 
 @pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
-def test_s_polynomial_memo_matches_product_formula(name):
-    # One handle serves every call, so all but the first call on an input
-    # read its lead and monic tails from the handle's memo.
+def test_s_polynomial_is_a_multiple_of_the_product_formula(name):
+    # On relation sets, broken ones included, and on random polynomials.
     order = order_handle(name)
     for d, relations in dense_relation_sets():
         basis = [rel.poly for rel in relations]
+        table = int_leads(relations, order)
+        entries, layout = table.entries, table.layout
         for i, g in enumerate(basis):
-            assert s_polynomial(g, g, order).is_zero()
-            for h in basis[i + 1:]:
-                assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
-                assert s_polynomial(h, g, order) == reference_s_polynomial(h, g, order)
-        # equal polynomials that are distinct objects get entries of their own
-        g, h = basis[0], basis[-1]
-        twin = Polynomial(g.ring, g.terms)
-        assert twin == g and twin is not g
-        assert s_polynomial(twin, g, order).is_zero()
-        assert s_polynomial(twin, h, order) == reference_s_polynomial(g, h, order)
-    # inputs built and dropped in a loop: a recycled id must not find a stale entry
+            assert s_polynomial(entries[i], entries[i], layout) == {}
+            for j in range(i + 1, len(basis)):
+                h = basis[j]
+                spoly = s_polynomial(entries[i], entries[j], layout)
+                assert_multiple_of(spoly, layout, reference_s_polynomial(g, h, order))
+                spoly = s_polynomial(entries[j], entries[i], layout)
+                assert_multiple_of(spoly, layout, reference_s_polynomial(h, g, order))
     rng = random.Random(167)
     for _ in range(300):
         g = random_ppoly(rng, 4, terms=4, max_factors=3)
         h = random_ppoly(rng, 4, terms=4, max_factors=3)
         if g.is_zero() or h.is_zero():
             continue
-        assert s_polynomial(g, h, order) == reference_s_polynomial(g, h, order)
+        table = LeadTable([g, h], order)
+        spoly = s_polynomial(*table.entries, table.layout)
+        assert_multiple_of(spoly, table.layout, reference_s_polynomial(g, h, order))
 
 
 # -- ring P only ----------------------------------------------------------------
@@ -695,9 +717,10 @@ def test_verify_reduced_rejects_ring_a():
 
 
 def test_s_polynomial_rejects_ring_a():
+    # The inputs are `LeadTable` entries, and the table refuses ring A.
     p, g = ring_a_inputs()
     with pytest.raises(RingMismatchError, match="over ring P"):
-        s_polynomial(p, g, LexOrder())
+        LeadTable([p, g], LexOrder())
 
 
 def test_buchberger_complete_rejects_ring_a():
@@ -759,7 +782,7 @@ def test_lead_table_packs_primitive_int_terms(order):
             content = gcd(*terms.values())
             packed = {layout.pack(m): c // content for m, c in terms.items()}
             lm = max(packed)
-            expected.append((lm, packed[lm], packed))
+            expected.append((lm, packed.pop(lm), packed))
         assert table.entries == expected
 
 
@@ -803,6 +826,19 @@ NARROW = "product overflows a packed field of at most 127"
 
 def narrow_layout(monkeypatch, bits):
     monkeypatch.setattr(DillOrder, "layout", lambda self, d: PLayout(d, self.variant, bits))
+
+
+def test_s_polynomial_refuses_a_product_over_a_packed_field(monkeypatch):
+    # With 8-bit fields the leads u1_2 and x1^k*u1_2 pack, and so does their
+    # lcm x1^k*u1_2, but its quotient by u1_2 takes the tail x1^80 to x1^(80+k).
+    narrow_layout(monkeypatch, 8)
+    g = parse_poly("u1_2 - x1^80", "P", 2)
+    at_cap = LeadTable([g, parse_poly("x1^47*u1_2", "P", 2)], DillOrder())
+    spoly = s_polynomial(*at_cap.entries, at_cap.layout)
+    assert as_polynomial(spoly, at_cap.layout, g.ring) == parse_poly("-x1^127", "P", 2)
+    over = LeadTable([g, parse_poly("x1^48*u1_2", "P", 2)], DillOrder())
+    with pytest.raises(BudgetExceededError, match=NARROW):
+        s_polynomial(*over.entries, over.layout)
 
 
 def test_reduce_int_refuses_a_product_over_a_packed_field(monkeypatch):

@@ -1,11 +1,14 @@
 """Checks that reject a bad argument or a misuse before any work is done, one case each."""
 
+import json
+
 import pytest
 
 from constalg import (
     AMonomial,
     BudgetExceededError,
     DillOrder,
+    InstanceError,
     PMonomial,
     Polynomial,
     ProblemInstance,
@@ -26,7 +29,8 @@ from constalg import (
     ring_p,
     verify_reduced,
 )
-from constalg import normal_words
+from constalg import derivation, normal_words, poly
+from constalg.cli import run
 from constalg.normal_words import image_degree
 from constalg.derivation import check_field_room
 from constalg.poly import FIELD_MAX, MAX_EXPONENT, univariate
@@ -36,6 +40,13 @@ X1 = parse_poly("x1", "A", 1)
 OVER_CAP = AMonomial((0, 0, 0), (0, 0, MAX_EXPONENT + 1))
 P4_POLY = parse_poly("u1_3*u2_4 + x1", "P", 4)
 P5_POLY = parse_poly("u1_3 + x2", "P", 5)
+
+
+def from_coeffs_under_cap(cap, d, coeff_lists):
+    """`ProblemInstance.from_coeffs` with the exponent cap lowered to `cap`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(derivation, "MAX_EXPONENT", cap)
+        return ProblemInstance.from_coeffs(d, coeff_lists)
 
 
 def test_independence_check_slice_guard(monkeypatch):
@@ -94,6 +105,11 @@ def test_independence_check_slice_guard(monkeypatch):
         (lambda: univariate(ring_p(3), 0, ((1, 1),)), ValueError, "out of range"),
         (lambda: univariate(ring_a(3), 4, ((1, 1),)), ValueError, "out of range"),
         (lambda: univariate(ring_a(3), 1, ((-1, 1),)), ValueError, "nonnegative"),
+        (
+            lambda: from_coeffs_under_cap(3, 3, [[0, 0, 0, 0, 1], [0, 1], [0, 1]]),
+            InstanceError,
+            r"^f_1 has degree 4, above the exponent cap of 3$",
+        ),
         (lambda: f_adic_expand(NOWICKI3, 0, parse_poly("x1", "A", 3)), ValueError, "out of range"),
         (lambda: f_adic_expand(NOWICKI3, 4, parse_poly("x1", "A", 3)), ValueError, "out of range"),
         (lambda: X1 ** True, ValueError, "nonnegative integer"),
@@ -148,6 +164,7 @@ def test_independence_check_slice_guard(monkeypatch):
         "univariate-index-0",
         "univariate-index-above-d",
         "univariate-negative-power",
+        "f-degree-above-exponent-cap",
         "f-adic-index-0",
         "f-adic-index-above-d",
         "pow-true",
@@ -162,3 +179,23 @@ def test_independence_check_slice_guard(monkeypatch):
 def test_input_check_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_relations_refuse_an_f_above_the_exponent_cap(monkeypatch, tmp_path, capsys):
+    # The loader caps deg f_i by the parser's exponent cap, so every printed
+    # relation reads back.  Under a loader cap of 3, f_1 = x1^3 loads and
+    # prints; f_1 = x1^4 exits 2 before a relation is built.
+    assert derivation.MAX_EXPONENT == poly.MAX_EXPONENT
+    monkeypatch.setattr(derivation, "MAX_EXPONENT", 3)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"d": 3, "f": [[0, 0, 0, 1], [0, 1], [0, 1]]}))
+    assert run(["relations", "--instance", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and any("x1^3" in line for line in lines)
+    for line in lines:
+        parse_poly(line.split(": ", 1)[1], "P", 3)
+    path.write_text(json.dumps({"d": 3, "f": [[0, 0, 0, 0, 1], [0, 1], [0, 1]]}))
+    assert run(["relations", "--instance", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: f_1 has degree 4, above the exponent cap of 3\n"
