@@ -22,11 +22,11 @@ becomes a primitive int term map, split into its lead, taken by
 whose u-support holds the lead's.  `reduce` packs its input too, runs
 `reduce_int` and divides once at the end.  `s_polynomial` (Buchberger
 1965) takes two table entries and returns the fraction-free
-S-polynomial on the same packed keys, so a pair costs its lcm and the
-merge of two tail products.  The generic completion
-`buchberger_complete`, which must add nothing when run on the relations,
-is a cross-check by its own pair algorithm; it rebuilds its table only
-when it adds an element, and its queue is a heap that keys each pair
+S-polynomial on the same packed keys: the lcm (`PLayout.lcm`) and two
+tail products, merged by `_subtract_product` as a reduction step is.
+The generic completion `buchberger_complete`, a cross-check by its own
+pair algorithm that must add nothing to the relations, appends each new
+element to its one table, and its queue is a heap that keys each pair
 once.  The Fraction references, which share no code with `LeadTable`,
 are `tests/helpers.reference_reduce`, `reference_s_polynomial` and
 `reference_pair_outcomes`.
@@ -71,10 +71,10 @@ class LeadTable:
     int coefficients of gcd 1 on the packed keys of `layout` =
     `order.layout(d)`, whose int order is the order.  Its entry holds the
     packed lead, which `leading_term` picks, the lead's coefficient and
-    the int term map of the other terms.  A lead divides only monomials
-    whose u-support, the set of nonzero u-positions, holds its own, so
-    `reducer` and `divided_by_other` test a monomial against those leads
-    alone, in basis order; that list is built once for each support.
+    the int term map of the other terms; `add` appends one.  A lead divides
+    only monomials whose u-support, the set of nonzero u-positions, holds
+    its own, so `reducer` and `divided_by_other` test a monomial against
+    those leads alone, in basis order, listed once per support until an `add`.
     """
 
     def __init__(self, basis, order):
@@ -89,16 +89,17 @@ class LeadTable:
         self.layout = layout = order.layout(ring.d)
         self.entries = []
         self._supports = []  # [(the guard bits of the lead's u-support, entry)]
-        for g in basis:
-            lead, _ = leading_term(g, order)
-            terms, _ = int_terms(g)
-            content = gcd(*terms.values())
-            lc = terms.pop(lead) // content
-            lm = layout.pack(lead)
-            entry = (lm, lc, {layout.pack(m): c // content for m, c in terms.items()})
-            self.entries.append(entry)
-            self._supports.append(((lm + layout.fill) & layout.u_guards, entry))
         self._candidates: dict = {}
+        for g in basis:
+            self.add(layout.pack(leading_term(g, order)[0]), layout.pack_terms(int_terms(g)[0]))
+
+    def add(self, lm: int, terms: dict) -> None:
+        """Append the entry of the packed int term map `terms` of lead `lm`, made primitive."""
+        content = gcd(*terms.values())
+        entry = (lm, terms[lm] // content, {m: c // content for m, c in terms.items() if m != lm})
+        self.entries.append(entry)
+        self._supports.append(((lm + self.layout.fill) & self.layout.u_guards, entry))
+        self._candidates.clear()
 
     def _candidates_of(self, mono: int) -> list:
         """The entries whose lead's u-support lies in mono's, in basis order."""
@@ -169,7 +170,6 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     overflows a packed field, raises BudgetExceededError.
     """
     layout, reducer = leads.layout, leads.reducer
-    guards = layout.guards
     remainder: dict = {}
     scale = 1
     while work:
@@ -194,20 +194,23 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
             for terms in (work, remainder):
                 for m in terms:
                     terms[m] *= multiplier
-        quot = mono - lm
-        for gm, gc in tail.items():
-            target = gm + quot
-            if target & guards:
-                raise BudgetExceededError(
-                    f"a reduction product overflows a packed field of at most {layout.field_max}"
-                )
-            new = work.get(target, 0) - quotient * gc
-            if new:
-                work[target] = new
-            else:
-                work.pop(target, None)
+        _subtract_product(work, quotient, mono - lm, tail, layout)
     work.update(remainder)
     return steps, scale
+
+
+def _subtract_product(work: dict, factor: int, quot: int, tail: dict, layout) -> None:
+    """work -= factor*q*tail, q of key offset `quot`; a key that sets a guard bit raises."""
+    guards = layout.guards
+    for m, c in tail.items():
+        target = m + quot
+        if target & guards:
+            raise BudgetExceededError(layout.overflow_message)
+        new = work.get(target, 0) - factor * c
+        if new:
+            work[target] = new
+        else:
+            del work[target]
 
 
 def s_polynomial(g: tuple, h: tuple, layout) -> dict:
@@ -222,22 +225,11 @@ def s_polynomial(g: tuple, h: tuple, layout) -> dict:
     overflows a packed field raises BudgetExceededError.
     """
     (lmg, a, tail_g), (lmh, b, tail_h) = g, h
-    guards, unpack = layout.guards, layout.unpack
-    lcm = layout.pack(unpack(lmg).lcm(unpack(lmh)))
+    lcm = layout.lcm(lmg, lmh)
     k = gcd(a, b)
     terms: dict = {}
-    for tail, quot, factor in ((tail_g, lcm - lmg, b // k), (tail_h, lcm - lmh, -a // k)):
-        for m, c in tail.items():
-            target = m + quot
-            if target & guards:
-                raise BudgetExceededError(
-                    f"an S-polynomial product overflows a packed field of at most {layout.field_max}"
-                )
-            c = terms.get(target, 0) + factor * c
-            if c:
-                terms[target] = c
-            else:
-                del terms[target]
+    _subtract_product(terms, -(b // k), lcm - lmg, tail_g, layout)
+    _subtract_product(terms, a // k, lcm - lmh, tail_h, layout)
     return terms
 
 
@@ -451,11 +443,12 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     Standard completion with the normal selection strategy (pair of
     minimal lcm under the order; ties broken by index), the coprime-lead
     criterion, and full reduction of each S-polynomial by `reduce_int`
-    against a `LeadTable` of the elements so far, rebuilt whenever one is
-    added.  Each pair's lcm is keyed once, when the pair is queued.  The
-    result is monic-normalized.  Zero inputs are dropped; a pair queue
-    larger than MAX_PAIR_QUEUE raises BudgetExceededError instead of
-    silently churning.
+    against one `LeadTable`, built from the monic inputs; each nonzero
+    normal form is appended with a positive lead coefficient, so its
+    entry is that of its monic form.  Each pair's lcm is keyed once, when
+    the pair is queued.  The result is the entries made monic.  Zero
+    inputs are dropped; a pair queue larger than MAX_PAIR_QUEUE raises
+    BudgetExceededError instead of silently churning.
     """
     basis = list(basis)
     if not basis:
@@ -463,35 +456,37 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     ring = _ring_p(basis[0])
     for g in basis:
         basis[0]._check_compatible(g)
-    work = [g.scale(Fraction(1) / leading_term(g, order)[1]) for g in basis if not g.is_zero()]
-    if not work:
-        return work
-    leads = LeadTable(work, order)
-    layout = leads.layout
+    if not any(basis):
+        return []
+    leads = LeadTable([g.scale(1 / leading_term(g, order)[1]) for g in basis if g], order)
+    entries, layout = leads.entries, leads.layout
     queue: list = []  # heap of (packed lcm, i, j)
 
     def queue_pairs(new):
         """Queue the pairs of element `new` with the elements before it."""
-        lm = layout.unpack(leads.entries[new][0])
+        lm = entries[new][0]
         for t in range(new):
-            lcm = layout.unpack(leads.entries[t][0]).lcm(lm)
-            heappush(queue, (layout.pack(lcm), t, new))
+            heappush(queue, (layout.lcm(entries[t][0], lm), t, new))
         if len(queue) > MAX_PAIR_QUEUE:
             raise BudgetExceededError(f"pair queue grew past the budget of {MAX_PAIR_QUEUE}")
 
-    for new in range(len(work)):
+    for new in range(len(entries)):
         queue_pairs(new)
     while queue:
         _, i, j = heappop(queue)
-        g, h = leads.entries[i], leads.entries[j]
+        g, h = entries[i], entries[j]
         if not layout.support(g[0]) & layout.support(h[0]):
             continue
         normal_form = s_polynomial(g, h, layout)
         reduce_int(normal_form, leads, 0)
         if normal_form:
-            lc = normal_form[max(normal_form)]
-            monic = {layout.unpack(m): Fraction(c, lc) for m, c in normal_form.items()}
-            work.append(Polynomial._make(ring, monic))
-            leads = LeadTable(work, order)
-            queue_pairs(len(work) - 1)
-    return work
+            lm = max(normal_form)
+            if normal_form[lm] < 0:
+                normal_form = {m: -c for m, c in normal_form.items()}
+            leads.add(lm, normal_form)
+            queue_pairs(len(entries) - 1)
+    unpack = layout.unpack
+    return [
+        Polynomial._make(ring, {unpack(m): Fraction(c, lc) for m, c in ((lm, lc), *tail.items())})
+        for lm, lc, tail in entries
+    ]

@@ -34,7 +34,8 @@ the lexicographic order the ring uses:
 
 Each ring-P order is defined once, by its `PLayout`: packed by it, a
 P-monomial is one int whose int order is that order.  `format_poly`,
-`orders.dill_key` and the reduction path of `groebner` key P-monomials so.
+`orders.dill_key` and the reduction path of `groebner` key P-monomials so;
+a ring-P product adds keys of the lex layout (`mul_terms`).
 Ring P has no variable constructor: a term is `Polynomial.from_term` of a
 `PMonomial`, and `univariate` builds a polynomial in one x_i of either ring.
 
@@ -46,7 +47,8 @@ computed ring-A result pass through `capped`; both raise
 BudgetExceededError.  So the sum of two keys
 never carries into a neighbouring field.  `mul_terms`, the hot path, does
 not check; `derivation.check_field_room` bounds what the derivation, the
-generator images and the peel build there.
+generator images and the peel build there.  A ring-P product refuses a
+key that sets a guard bit, with BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -226,9 +228,10 @@ class PLayout:
     exponent field (`exponent_guards`): those fields are the least
     significant, and a field of m below lm's borrows, which sets its guard.
     Each field of key(g) + key(m) - key(lm) lies in -field_max..2*field_max,
-    so the least significant one outside 0..field_max sets its guard.
-    `p_layout(d, order)` is the shared layout of P_FIELD_BITS-bit fields;
-    `bits` may be 8, 16, 32 or 64.
+    so the least significant one outside 0..field_max sets its guard;
+    `overflow_message` is the error text for such a product.  `lcm(a, b)`
+    is the key of the lcm of two keys.  `p_layout(d, order)` is the shared
+    layout of P_FIELD_BITS-bit fields; `bits` may be 8, 16, 32 or 64.
     """
 
     def __init__(self, d: int, order: str = CORRECTED, bits: int = P_FIELD_BITS):
@@ -243,6 +246,7 @@ class PLayout:
             raise ValueError(f"unknown order variant {order!r}")
         self._leading = leading[order]
         self.field_max = (1 << bits - 1) - 1
+        self.overflow_message = f"a product overflows a packed field of at most {self.field_max}"
         fields = len(self._leading(PMonomial.one(d))) + width
         code = {8: "B", 16: "H", 32: "I", 64: "Q"}[bits]
         self._struct = struct.Struct(f">{fields}{code}")
@@ -287,6 +291,10 @@ class PLayout:
     def unpack(self, key: int) -> PMonomial:
         fields = self._struct.unpack(key.to_bytes(self._struct.size, "big"))
         return _new(PMonomial, fields[len(fields) - self._width:])
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the lcm of the monomials of keys a and b."""
+        return self.pack(self.unpack(a).lcm(self.unpack(b)))
 
     def support(self, key: int) -> int:
         """The guards of the nonzero exponent fields; coprime keys have disjoint supports."""
@@ -520,16 +528,12 @@ class Polynomial:
         ring = self.ring
         if ring.flavor == RING_A:
             return Polynomial._make(ring, capped(ring, mul_terms(self.terms, other.terms)))
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = m1.mul(m2)
-                new = terms.get(prod, 0) + c1 * c2
-                if new:
-                    terms[prod] = new
-                else:
-                    terms.pop(prod, None)
-        return Polynomial._make(self.ring, terms)
+        layout = p_layout(ring.d, LEX)
+        terms = mul_terms(layout.pack_terms(self.terms), layout.pack_terms(other.terms))
+        # An overflowing product survives: top powers of its variable cannot cancel.
+        if any(m & layout.guards for m in terms):
+            raise BudgetExceededError(layout.overflow_message)
+        return Polynomial._make(ring, {layout.unpack(m): c for m, c in terms.items()})
 
     __rmul__ = __mul__
 
@@ -579,10 +583,10 @@ class Polynomial:
 
 
 def mul_terms(left: dict, right: dict) -> dict:
-    """Product of two ring-A term maps {packed monomial: coefficient}; no zero is stored.
+    """Product of two term maps {packed monomial: coefficient}; no zero is stored.
 
-    A product's key is the sum of the two keys; the caller keeps every
-    field of the sums within FIELD_MAX.
+    A key of ring A or of ring P's lex layout: a product's key is the sum
+    of the two keys, whose fields the caller checks or bounds.
     """
     terms: dict = {}
     get = terms.get

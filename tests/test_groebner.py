@@ -371,20 +371,28 @@ def min_over_queue_completion(basis, order):
 @pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
 def test_buchberger_complete_reduces_pairs_in_min_over_queue_order(monkeypatch, name):
     # The heap keys each pair once when it is queued and must pop the pairs
-    # in the order of the former min over the whole queue at each pick.
+    # in the order of the former min over the whole queue at each pick.  Each
+    # new element is appended to the one table the completion builds.
     rng = random.Random(174)
     basis = [random_ppoly_of_degree(rng, 3, 3, 3) for _ in range(4)]
-    reduced = []
+    reduced, built = [], []
     original = groebner.s_polynomial
 
     def recording(g, h, layout):
         reduced.append((g, h))
         return original(g, h, layout)
 
+    class Counting(LeadTable):
+        def __init__(self, basis, order):
+            built.append(len(basis))
+            super().__init__(basis, order)
+
     monkeypatch.setattr(groebner, "s_polynomial", recording)
+    monkeypatch.setattr(groebner, "LeadTable", Counting)
     order = order_handle(name)
     completed = buchberger_complete(basis, order)
     expected_reduced, expected = min_over_queue_completion(basis, order_handle(name))
+    assert built == [len(basis)]
     assert len(completed) > len(basis) + 5  # the input is far from a Groebner basis
     assert len(reduced) > 30
     # The entries of the result's table are those the completion paired,
@@ -393,6 +401,33 @@ def test_buchberger_complete_reduces_pairs_in_min_over_queue_order(monkeypatch, 
     assert [entries.index(entry) for entry in entries] == list(range(len(entries)))
     assert [(entries.index(g), entries.index(h)) for g, h in reduced] == expected_reduced
     assert completed == expected
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_lead_table_add_builds_the_entry_of_the_monic_polynomial(name):
+    # `add` makes a packed int term map primitive; with a positive lead
+    # coefficient its entry is the one `LeadTable` builds from the monic
+    # polynomial, and the reducer sees it at once.
+    order = order_handle(name)
+    rng = random.Random(181)
+    checked = 0
+    for d in (3, 4):
+        for _ in range(30):
+            g, h = random_ppoly(rng, d, terms=4), random_ppoly(rng, d, terms=3)
+            if g.is_zero() or h.is_zero():
+                continue
+            table = LeadTable([g], order)
+            layout = table.layout
+            lead, lc = leading_term(h, order)
+            lm = layout.pack(lead)
+            before = table.reducer(lm)  # fills the candidate list of lm's support
+            terms, _ = int_terms(h.scale(1 / lc))
+            k = rng.randint(1, 5)
+            table.add(lm, {layout.pack(m): k * c for m, c in terms.items()})
+            assert table.entries[1] == LeadTable([h.scale(1 / lc)], order).entries[0]
+            assert table.reducer(lm) is (before or table.entries[1])
+            checked += before is None
+    assert checked > 20
 
 
 # -- the fast pair phase against the reference path ---------------------------

@@ -43,6 +43,7 @@ from helpers import (
     a_exponents,
     random_instance,
     random_pmonomial,
+    random_ppoly,
     random_sparse_p,
     sparse_alex_key,
     sparse_dill_key,
@@ -243,6 +244,19 @@ def test_ring_a_results_refuse_exponents_above_the_cap():
         wide.u_power(1, 2, 32)
 
 
+def test_ring_p_products_refuse_a_field_past_the_packed_width():
+    # A ring-P product adds keys of the lex layout, whose fields hold at most
+    # 2^31 - 1; a product past that raises instead of building a polynomial
+    # that `format_poly` would refuse.
+    half = 2**30
+    assert format_poly(u12_power(half) * u12_power(half - 1)) == "u1_2^2147483647"
+    message = "a product overflows a packed field of at most 2147483647"
+    with pytest.raises(BudgetExceededError, match=message):
+        u12_power(half) * u12_power(half)
+    with pytest.raises(BudgetExceededError, match=message):
+        (u12_power(half) + parse_poly("x1", "P", 2)) ** 2
+
+
 # -- packed ring-P keys -----------------------------------------------------------
 
 
@@ -299,6 +313,61 @@ def test_packed_p_operations_match_pmonomial(d):
             assert not (lcm - ka) & guards and not (lcm - kb) & guards
             assert kb + lcm - ka == pack(b.mul(a.lcm(b).div(a)))  # g*q from g, m and lm
             assert (not support(ka) & support(kb)) == (a.lcm(b) == a.mul(b))
+
+
+def sparse_p_monomial(sparse):
+    return PMonomial(sparse[0], sparse[1].items())
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_packed_lcm_matches_the_sparse_reference(d):
+    # Random pairs, each also against itself and against a monomial of no
+    # common variable, under every order.
+    rng = random.Random(8200 + d)
+    for order in (CORRECTED, LITERAL, LEX):
+        layout = p_layout(d, order)
+        for _ in range(200):
+            a, b = random_sparse_p(rng, d), random_sparse_p(rng, d)
+            coprime = (
+                tuple(0 if x else y for x, y in zip(a[0], b[0])),
+                {pair: e for pair, e in b[1].items() if pair not in a[1]},
+            )
+            ka = layout.pack(sparse_p_monomial(a))
+            for other in (b, a, coprime):
+                expected = layout.pack(sparse_p_monomial(sparse_p_lcm(a, other)))
+                kb = layout.pack(sparse_p_monomial(other))
+                assert layout.lcm(ka, kb) == layout.lcm(kb, ka) == expected
+            assert layout.lcm(ka, ka) == ka
+            kc = layout.pack(sparse_p_monomial(coprime))
+            assert not layout.support(ka) & layout.support(kc)
+            assert layout.lcm(ka, kc) == layout.pack(sparse_p_monomial(sparse_p_mul(a, coprime)))
+
+
+def reference_p_product(p, q):
+    """p*q multiplied out term by term with the sparse reference product."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = sparse_p_monomial(sparse_p_mul(sparse_of(m1), sparse_of(m2)))
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+    return Polynomial(p.ring, terms)  # drops the coefficients that cancelled
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_ring_p_products_match_a_term_by_term_reference(d):
+    rng = random.Random(8300 + d)
+    one = Polynomial.constant(ring_p(d), 1)
+    for _ in range(60):
+        p, q = random_ppoly(rng, d, terms=4), random_ppoly(rng, d, terms=3)
+        assert p * q == reference_p_product(p, q)
+        assert q * p == p * q
+        # the cross terms of (p + q)(p - q) cancel; a zero factor gives zero
+        assert (p + q) * (p - q) == reference_p_product(p, p) - reference_p_product(q, q)
+        assert (p * (q - q)).terms == {} and (p * one) == p
+        expected = one
+        for exponent in range(4):
+            assert p**exponent == expected
+            expected = reference_p_product(expected, p)
 
 
 def test_packed_p_fields_refuse_overflow():

@@ -2,7 +2,8 @@
 
 constalg's `__init__.py` is left out: it imports names only to re-export them.
 No constalg module imports inside a function: each import runs once, at the top.
-Every top-level function and class of constalg has a caller outside its own body.
+Every top-level function and class of constalg, and every method and property
+of its classes but the dunders, has a caller outside its own body.
 """
 
 import ast
@@ -68,14 +69,32 @@ def references(node) -> Counter:
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree) -> list:
+    """The top-level functions and classes of a module, and the non-dunder methods of its classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                sub
+                for sub in node.body
+                if isinstance(sub, FUNCTIONS)
+                and not (sub.name.startswith("__") and sub.name.endswith("__"))
+            ]
+    return found
+
+
 def test_every_top_level_definition_is_used_outside_its_body():
     paths = [*SOURCE.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.rglob("*.py")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     used = sum((references(tree) for tree in trees.values()), Counter())
     unused = set()
     for path in sorted(SOURCE.glob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if used[node.name] == references(node)[node.name]:
-                    unused.add((path.stem, node.name))
+        for node in definitions(trees[path]):
+            if used[node.name] == references(node)[node.name]:
+                unused.add((path.stem, node.name))
     assert unused == set()
