@@ -14,22 +14,22 @@ per-pair certificate that records what discharged each pair.
 The layer works over ring P alone.  `LeadTable` and `reduce_int` key
 monomials by the packed ints of the order's layout (`order.layout(d)`, a
 `poly.PLayout`), whose int order is the order, so a product by a
-quotient is one addition and a divisibility test one subtraction and
-one AND (Bachmann and Schoenemann, ISSAC 1998; Monagan and Pearce, CASC
-2007).  `LeadTable(basis, order)` alone packs a basis: each element
-becomes a primitive int term map, split into its lead, taken by
-`leading_term`, and its tail.  It tries a lead only on the monomials
-whose u-support holds the lead's.  `reduce` packs its input too, runs
-`reduce_int` and divides once at the end.  `s_polynomial` (Buchberger
-1965) takes two table entries and returns the fraction-free
-S-polynomial on the same packed keys: the lcm (`PLayout.lcm`) and two
-tail products, merged by `_subtract_product` as a reduction step is.
-The generic completion `buchberger_complete`, a cross-check by its own
-pair algorithm that must add nothing to the relations, appends each new
-element to its one table, and its queue is a heap that keys each pair
-once.  The Fraction references, which share no code with `LeadTable`,
-are `tests/helpers.reference_reduce`, `reference_s_polynomial` and
-`reference_pair_outcomes`.
+quotient is one addition and a divisibility test one subtraction and one
+AND (Bachmann and Schoenemann, ISSAC 1998; Monagan and Pearce, CASC
+2007).  `LeadTable(basis, order)` alone checks and packs a basis: each
+element becomes a primitive int term map with a positive lead
+coefficient, split into its lead, taken by `leading_term`, and its
+tail.  It tries a lead only on the monomials whose u-support holds the
+lead's.  `reduce` packs its input too, runs `reduce_int` and divides once
+at the end.  `s_polynomial` (Buchberger 1965) takes two table entries and
+returns the fraction-free S-polynomial on the same packed keys: the lcm
+(`PLayout.lcm`) and two tail products, merged by `_subtract_product` as
+a reduction step is.  The generic completion `buchberger_complete`, a
+cross-check by its own pair algorithm that must add nothing to the
+relations, appends each new element to its one table, and its queue is a
+heap that keys each pair once.  The Fraction references, which share no
+code with `LeadTable`, are `tests/helpers.reference_reduce`,
+`reference_s_polynomial` and `reference_pair_outcomes`.
 """
 
 from __future__ import annotations
@@ -67,23 +67,22 @@ MAX_PAIR_QUEUE = 100_000
 class LeadTable:
     """Entries (lm, lc, tail) of a reduction basis over ring P(d), with their u-supports.
 
-    Each nonzero polynomial of `basis`, all over one ring P, is scaled to
-    int coefficients of gcd 1 on the packed keys of `layout` =
-    `order.layout(d)`, whose int order is the order.  Its entry holds the
-    packed lead, which `leading_term` picks, the lead's coefficient and
-    the int term map of the other terms; `add` appends one.  A lead divides
-    only monomials whose u-support, the set of nonzero u-positions, holds
-    its own, so `reducer` and `divided_by_other` test a monomial against
-    those leads alone, in basis order, listed once per support until an `add`.
+    Each nonzero polynomial of the iterable `basis`, all over one ring P,
+    is scaled to int coefficients of gcd 1 and a positive lead coefficient
+    on the packed keys of `layout` = `order.layout(d)`, whose int order is
+    the order.  Its entry holds the packed lead, which `leading_term`
+    picks, the lead's coefficient and the int term map of the other terms;
+    `add` appends one.  A lead divides only monomials whose u-support, the
+    set of nonzero u-positions, holds its own, so `reducer` and
+    `divided_by_other` test a monomial against those leads alone, in basis
+    order, listed once per support until an `add`.
     """
 
     def __init__(self, basis, order):
         basis = list(basis)
         if not basis:
             raise ValueError("reduction needs a nonempty basis")
-        ring = _ring_p(basis[0])
-        for g in basis:
-            basis[0]._check_compatible(g)
+        ring = _ring_p(basis)
         if not all(basis):
             raise ValueError("reduction basis must not contain zero")
         self.layout = layout = order.layout(ring.d)
@@ -94,8 +93,10 @@ class LeadTable:
             self.add(layout.pack(leading_term(g, order)[0]), layout.pack_terms(int_terms(g)[0]))
 
     def add(self, lm: int, terms: dict) -> None:
-        """Append the entry of the packed int term map `terms` of lead `lm`, made primitive."""
+        """Append `terms`, of lead `lm`, over its content signed like its lead coefficient."""
         content = gcd(*terms.values())
+        if terms[lm] < 0:
+            content = -content
         entry = (lm, terms[lm] // content, {m: c // content for m, c in terms.items() if m != lm})
         self.entries.append(entry)
         self._supports.append(((lm + self.layout.fill) & self.layout.u_guards, entry))
@@ -128,25 +129,27 @@ class LeadTable:
         )
 
 
-def _ring_p(p: Polynomial) -> Ring:
-    """p's ring, which must be a ring P: the Groebner layer works there alone."""
-    if p.ring.flavor != RING_P:
-        raise RingMismatchError(f"Groebner bases are computed over ring P, not {p.ring}")
-    return p.ring
+def _ring_p(polys: list) -> Ring:
+    """polys[0]'s ring, which must be a ring P shared by all polys: the layer works there alone."""
+    ring = polys[0].ring
+    if ring.flavor != RING_P:
+        raise RingMismatchError(f"Groebner bases are computed over ring P, not {ring}")
+    for g in polys:
+        polys[0]._check_compatible(g)
+    return ring
 
 
 def reduce(p: Polynomial, basis, order) -> Polynomial:
     """Full normal form of p modulo the basis.
 
-    `basis` is a list of polynomials over p's ring, which must be a ring P.
+    `basis` is an iterable of polynomials over p's ring, which must be a ring P.
     Deterministic: the order-maximal reducible monomial is rewritten first,
     always against the first basis element whose lead divides it.  No
     monomial of the result is divisible by any basis lead.  `reduce_int`
     computes it up to a positive factor.
     """
-    ring = _ring_p(p)
-    for g in basis:
-        p._check_compatible(g)
+    basis = list(basis)
+    ring = _ring_p([p, *basis])
     leads = LeadTable(basis, order)
     work, den = int_terms(p)
     work = leads.layout.pack_terms(work)
@@ -161,8 +164,8 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     `work` is an int term map on the packed monomials of `leads.layout`.
     The work's maximal monomial, its `max`, goes first: to a remainder
     when no lead divides it, else, with c its coefficient, a the lead
-    coefficient of the first basis element g whose lead divides it,
-    k = gcd(c, a) signed like a and q the monomial quotient, the work
+    coefficient of the first basis element g whose lead divides it, which
+    is positive, k = gcd(c, a) and q the monomial quotient, the work
     becomes (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
     remainder then goes back into the work, which holds scale*NF: NF is
     the normal form over Fraction, scale the product of the factors
@@ -186,8 +189,6 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
             )
         lm, lead, tail = hit
         common = gcd(coeff, lead)
-        if lead < 0:
-            common = -common
         quotient, multiplier = coeff // common, lead // common
         if multiplier != 1:
             scale *= multiplier
@@ -368,17 +369,19 @@ class GroebnerCertificate(
 def verify_reduced(basis, order) -> bool:
     """No monomial of one element may be divisible by another element's lead.
 
-    `basis` is a list of polynomials over one ring P or a `LeadTable` built
-    for `order`.  A list becomes a `LeadTable`, whose entries hold the
-    monomials of its polynomials, each lead and its tail; divisibility
-    reads only monomials, so that keeps its verdict.
+    `basis` is an iterable of polynomials over one ring P or a `LeadTable`
+    built for `order`.  Polynomials become a `LeadTable`, whose entries
+    hold their monomials, each lead and its tail; divisibility reads only
+    monomials, so that keeps its verdict.
     """
-    if not basis:
-        return True
-    leads = basis if isinstance(basis, LeadTable) else LeadTable(basis, order)
+    if not isinstance(basis, LeadTable):
+        basis = list(basis)
+        if not basis:
+            return True
+        basis = LeadTable(basis, order)
     return not any(
-        leads.divided_by_other(mono, own)
-        for own, (lm, _, tail) in enumerate(leads.entries)
+        basis.divided_by_other(mono, own)
+        for own, (lm, _, tail) in enumerate(basis.entries)
         for mono in (lm, *tail)
     )
 
@@ -443,22 +446,19 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     Standard completion with the normal selection strategy (pair of
     minimal lcm under the order; ties broken by index), the coprime-lead
     criterion, and full reduction of each S-polynomial by `reduce_int`
-    against one `LeadTable`, built from the monic inputs; each nonzero
-    normal form is appended with a positive lead coefficient, so its
-    entry is that of its monic form.  Each pair's lcm is keyed once, when
-    the pair is queued.  The result is the entries made monic.  Zero
-    inputs are dropped; a pair queue larger than MAX_PAIR_QUEUE raises
+    against one `LeadTable` of the inputs, to which each nonzero normal
+    form is added.  Each pair's lcm is keyed once, when the pair is
+    queued.  The result is the entries made monic.  Zero inputs are
+    dropped; a pair queue larger than MAX_PAIR_QUEUE raises
     BudgetExceededError instead of silently churning.
     """
     basis = list(basis)
     if not basis:
         raise ValueError("completion needs a nonempty input set")
-    ring = _ring_p(basis[0])
-    for g in basis:
-        basis[0]._check_compatible(g)
+    ring = _ring_p(basis)
     if not any(basis):
         return []
-    leads = LeadTable([g.scale(1 / leading_term(g, order)[1]) for g in basis if g], order)
+    leads = LeadTable([g for g in basis if g], order)
     entries, layout = leads.entries, leads.layout
     queue: list = []  # heap of (packed lcm, i, j)
 
@@ -480,10 +480,7 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
         normal_form = s_polynomial(g, h, layout)
         reduce_int(normal_form, leads, 0)
         if normal_form:
-            lm = max(normal_form)
-            if normal_form[lm] < 0:
-                normal_form = {m: -c for m, c in normal_form.items()}
-            leads.add(lm, normal_form)
+            leads.add(max(normal_form), normal_form)
             queue_pairs(len(entries) - 1)
     unpack = layout.unpack
     return [

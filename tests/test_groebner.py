@@ -405,9 +405,10 @@ def test_buchberger_complete_reduces_pairs_in_min_over_queue_order(monkeypatch, 
 
 @pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
 def test_lead_table_add_builds_the_entry_of_the_monic_polynomial(name):
-    # `add` makes a packed int term map primitive; with a positive lead
-    # coefficient its entry is the one `LeadTable` builds from the monic
-    # polynomial, and the reducer sees it at once.
+    # `add` makes a packed int term map primitive with a positive lead
+    # coefficient, whatever its sign and scale, so its entry is the one
+    # `LeadTable` builds from the monic polynomial, and the reducer sees it
+    # at once.
     order = order_handle(name)
     rng = random.Random(181)
     checked = 0
@@ -422,12 +423,88 @@ def test_lead_table_add_builds_the_entry_of_the_monic_polynomial(name):
             lm = layout.pack(lead)
             before = table.reducer(lm)  # fills the candidate list of lm's support
             terms, _ = int_terms(h.scale(1 / lc))
-            k = rng.randint(1, 5)
+            k = rng.choice((-1, 1)) * rng.randint(1, 5)
             table.add(lm, {layout.pack(m): k * c for m, c in terms.items()})
             assert table.entries[1] == LeadTable([h.scale(1 / lc)], order).entries[0]
             assert table.reducer(lm) is (before or table.entries[1])
             checked += before is None
     assert checked > 20
+
+
+def small_bases(rng, count):
+    """`count` seeded bases of three small polynomials over P(2) and P(3), in turn."""
+    for case in range(count):
+        d = 2 + case % 2
+        yield [random_ppoly(rng, d, terms=2, max_x=2, max_u=1, max_factors=2) for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_groebner_entry_points_take_any_iterable_basis(name):
+    # A generator basis is walked once, so its result is that of the list.
+    order = order_handle(name)
+    rng = random.Random(193)
+    for basis in small_bases(rng, 8):
+        basis = [g for g in basis if not g.is_zero()]
+        p = random_ppoly(rng, basis[0].ring.d, terms=4)
+        assert reduce(p, (g for g in basis), order) == reduce(p, basis, order)
+        assert verify_reduced(iter(basis), order) == verify_reduced(basis, order)
+        completed = buchberger_complete(iter(basis), order)
+        assert completed == buchberger_complete(basis, order)
+        assert verify_reduced(iter(completed), order) == verify_reduced(completed, order)
+    assert verify_reduced(iter([]), order)
+    with pytest.raises(ValueError, match="reduction needs a nonempty basis"):
+        reduce(p, iter([]), order)
+    with pytest.raises(ValueError, match="completion needs a nonempty input set"):
+        buchberger_complete(iter([]), order)
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_results_do_not_depend_on_the_scale_or_sign_of_the_inputs(name):
+    # Every input becomes a primitive entry with a positive lead, so a
+    # nonzero rational factor, negative or not, changes no result.
+    order = order_handle(name)
+    rng = random.Random(197)
+    negative = 0
+
+    def scaled(basis):
+        nonlocal negative
+        factors = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in basis]
+        negative += sum(f < 0 for f in factors)
+        return [g.scale(f) for g, f in zip(basis, factors)]
+
+    for basis in small_bases(rng, 20):
+        assert buchberger_complete(scaled(basis), order) == buchberger_complete(basis, order)
+        basis = [g for g in basis if not g.is_zero()]
+        for _ in range(3):
+            p = random_ppoly(rng, basis[0].ring.d, terms=4)
+            assert reduce(p, scaled(basis), order) == reduce(p, basis, order)
+    assert negative > 50
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_a_lead_without_u_factors_is_a_candidate_for_every_monomial(name):
+    # x1^2 has an empty u-support, which lies in every monomial's support, so
+    # it must reach every candidate list, whatever u-factors the monomial has.
+    order = order_handle(name)
+    g, h = parse_poly("x1^2", "P", 3), parse_poly("x1^3*u1_2 + x2", "P", 3)
+    table = LeadTable([g, h], order)
+    layout = table.layout
+
+    def key(text):
+        (mono,) = parse_poly(text, "P", 3).terms
+        return layout.pack(mono)
+
+    assert table.entries[1][0] == key("x1^3*u1_2")
+    for text in ("x1^3*u1_2", "x1^2*u2_3", "x1^2*u1_2*u1_3^2", "x1^4*x3", "x1^2*u1_2*u1_3*u2_3"):
+        assert table.reducer(key(text)) is table.entries[0]
+        assert table.divided_by_other(key(text), 1)
+    assert table.reducer(key("x1*u1_2")) is None
+    assert not verify_reduced(table, order)
+    assert not verify_reduced([g, h], order)
+    assert reduce(h, [g], order) == parse_poly("x2", "P", 3)
+    assert reduce(parse_poly("x1^2*u1_2*u1_3 + x3", "P", 3), [g, h], order) == parse_poly(
+        "x3", "P", 3
+    )
 
 
 # -- the fast pair phase against the reference path ---------------------------
@@ -803,7 +880,10 @@ def test_mixed_rings_raise_ring_mismatch(call, message):
     ids=[CORRECTED, LITERAL, "lex"],
 )
 def test_lead_table_packs_primitive_int_terms(order):
+    # Each entry is the int term map divided by its content signed like the
+    # lead coefficient, so every lead coefficient is positive.
     rng = random.Random(167)
+    negative = 0
     for d in (3, 4, 5):
         polys = relation_polys(rational_instance(rng, d))
         polys += [random_ppoly(rng, d, terms=4) for _ in range(5)]
@@ -814,11 +894,17 @@ def test_lead_table_packs_primitive_int_terms(order):
         expected = []
         for g in polys:
             terms, _ = int_terms(g)
-            content = gcd(*terms.values())
-            packed = {layout.pack(m): c // content for m, c in terms.items()}
+            packed = {layout.pack(m): c for m, c in terms.items()}
             lm = max(packed)
+            content = gcd(*packed.values())
+            if packed[lm] < 0:
+                content = -content
+                negative += 1
+            packed = {m: c // content for m, c in packed.items()}
             expected.append((lm, packed.pop(lm), packed))
         assert table.entries == expected
+        assert all(lc > 0 for _, lc, _ in table.entries)
+    assert negative > 5
 
 
 # -- reducer choice and the packed-field guard ------------------------------------
