@@ -20,16 +20,20 @@ AND (Bachmann and Schoenemann, ISSAC 1998; Monagan and Pearce, CASC
 element becomes a primitive int term map with a positive lead
 coefficient, split into its lead, taken by `leading_term`, and its
 tail.  It tries a lead only on the monomials whose u-support holds the
-lead's.  `reduce` packs its input too, runs `reduce_int` and divides once
-at the end.  `s_polynomial` (Buchberger 1965) takes two table entries and
-returns the fraction-free S-polynomial on the same packed keys: the lcm
-(`PLayout.lcm`) and two tail products, merged by `_subtract_product` as
-a reduction step is.  The generic completion `buchberger_complete`, a
-cross-check by its own pair algorithm that must add nothing to the
-relations, appends each new element to its one table, and its queue is a
-heap that keys each pair once.  The Fraction references, which share no
-code with `LeadTable`, are `tests/helpers.reference_reduce`,
-`reference_s_polynomial` and `reference_pair_outcomes`.
+lead's: each entry is filed under the lowest guard bit of its lead's
+u-support, or under 0 when that support is empty, and a monomial looks
+only in file 0 and the files of its own support's bits.  `reduce` packs
+its input too, runs `reduce_int` and divides once at the end.
+`s_polynomial` (Buchberger 1965) takes two table entries and returns
+the fraction-free S-polynomial on the same packed keys: the lcm
+(`PLayout.lcm`, taken on the keys without unpacking them) and two tail
+products, merged by `_subtract_product` as a reduction step is.  The
+generic completion `buchberger_complete`, a cross-check by its own pair
+algorithm that must add nothing to the relations, appends each new
+element to its one table, and its queue is a heap that keys each pair
+once.  The Fraction references, which share no code with `LeadTable`,
+are `tests/helpers.reference_reduce`, `reference_s_polynomial` and
+`reference_pair_outcomes`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .poly import (
 from .presentation import Relation, build_relations, relation_count
 
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
-# took 18-24 s in process on 2 shared CPUs); d = 13 has 500,500.
+# took 3.4-4.2 s in process on 2 shared CPUs); d = 13 has 500,500.
 MAX_VERIFY_PAIRS = 300_000
 # Most steps the integer reductions of one `verify_groebner` run may take.
 # Dense instances with f_i of degree 1-3 take 28,580 steps at d = 10 and
@@ -75,7 +79,10 @@ class LeadTable:
     `add` appends one.  A lead divides only monomials whose u-support, the
     set of nonzero u-positions, holds its own, so `reducer` and
     `divided_by_other` test a monomial against those leads alone, in basis
-    order, listed once per support until an `add`.
+    order, listed once per support until an `add`.  `add` files an entry
+    under the lowest guard bit of its lead's u-support, a lead without
+    u-factors under 0, so the list of a support gathers file 0 and the
+    files of the support's bits.
     """
 
     def __init__(self, basis, order):
@@ -87,7 +94,7 @@ class LeadTable:
             raise ValueError("reduction basis must not contain zero")
         self.layout = layout = order.layout(ring.d)
         self.entries = []
-        self._supports = []  # [(the guard bits of the lead's u-support, entry)]
+        self._files: dict = {}  # lowest u-guard bit of a lead -> [(index, u-support, entry)]
         self._candidates: dict = {}
         for g in basis:
             self.add(layout.pack(leading_term(g, order)[0]), layout.pack_terms(int_terms(g)[0]))
@@ -98,8 +105,9 @@ class LeadTable:
         if terms[lm] < 0:
             content = -content
         entry = (lm, terms[lm] // content, {m: c // content for m, c in terms.items() if m != lm})
+        own = (lm + self.layout.fill) & self.layout.u_guards
+        self._files.setdefault(own & -own, []).append((len(self.entries), own, entry))
         self.entries.append(entry)
-        self._supports.append(((lm + self.layout.fill) & self.layout.u_guards, entry))
         self._candidates.clear()
 
     def _candidates_of(self, mono: int) -> list:
@@ -107,8 +115,13 @@ class LeadTable:
         positions = (mono + self.layout.fill) & self.layout.u_guards
         found = self._candidates.get(positions)
         if found is None:
+            rows, rest = list(self._files.get(0, ())), positions
+            while rest:
+                guard = rest & -rest
+                rows += self._files.get(guard, ())
+                rest ^= guard
             found = self._candidates[positions] = [
-                entry for own, entry in self._supports if own & positions == own
+                entry for _, own, entry in sorted(rows) if own & positions == own
             ]
         return found
 

@@ -229,9 +229,15 @@ class PLayout:
     significant, and a field of m below lm's borrows, which sets its guard.
     Each field of key(g) + key(m) - key(lm) lies in -field_max..2*field_max,
     so the least significant one outside 0..field_max sets its guard;
-    `overflow_message` is the error text for such a product.  `lcm(a, b)`
-    is the key of the lcm of two keys.  `p_layout(d, order)` is the shared
-    layout of P_FIELD_BITS-bit fields; `bits` may be 8, 16, 32 or 64.
+    `overflow_message` is the error text for such a product.  Affinity
+    also gives the lcm without unpacking: with one = key(1) and the column
+    col_p = key(x_p) - one of each exponent field p, key(lcm(a, b)) =
+    a + b - one - sum of min(a_p, b_p)*col_p over the fields set in both
+    keys, so a coprime pair costs one addition; `lcm(a, b)` reads those
+    fields by their guards, and each field of its result lies in
+    -field_max..2*field_max, so one guard check finds an overflow.
+    `p_layout(d, order)` is the shared layout of P_FIELD_BITS-bit fields;
+    `bits` may be 8, 16, 32 or 64.
     """
 
     def __init__(self, d: int, order: str = CORRECTED, bits: int = P_FIELD_BITS):
@@ -255,6 +261,11 @@ class PLayout:
         self.fill = self.guards - ones  # field_max in every field
         self.exponent_guards = self.guards & (1 << bits * width) - 1
         self.u_guards = self.exponent_guards >> bits * d << bits * d
+        self._one, self._bits = self.pack(PMonomial.one(d)), bits
+        self._columns = {}  # bit shift of exponent field p -> pack(x_p) - pack(1)
+        for p in range(width):
+            unit = _new(PMonomial, (0,) * p + (1,) + (0,) * (width - 1 - p))
+            self._columns[bits * (width - 1 - p)] = self.pack(unit) - self._one
 
     def _corrected(self, mono: PMonomial) -> tuple:
         u_degree = sum(mono[: self._n])
@@ -293,8 +304,17 @@ class PLayout:
         return _new(PMonomial, fields[len(fields) - self._width:])
 
     def lcm(self, a: int, b: int) -> int:
-        """The key of the lcm of the monomials of keys a and b."""
-        return self.pack(self.unpack(a).lcm(self.unpack(b)))
+        """The key of the lcm of keys a and b; a field it overflows raises BudgetExceededError."""
+        key, top = a + b - self._one, self.field_max
+        common = (a + self.fill) & (b + self.fill) & self.exponent_guards  # shared support
+        while common:
+            guard = common & -common
+            shift = guard.bit_length() - self._bits
+            key -= min(a >> shift & top, b >> shift & top) * self._columns[shift]
+            common ^= guard
+        if key & self.guards:
+            raise BudgetExceededError(self.overflow_message)
+        return key
 
     def support(self, key: int) -> int:
         """The guards of the nonzero exponent fields; coprime keys have disjoint supports."""

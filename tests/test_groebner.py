@@ -39,6 +39,7 @@ from constalg.poly import PLayout, format_monomial, int_terms, leading_term
 from helpers import (
     instance_with_degrees,
     random_instance,
+    random_pmonomial,
     random_ppoly,
     random_ppoly_of_degree,
     rational_instance,
@@ -505,6 +506,68 @@ def test_a_lead_without_u_factors_is_a_candidate_for_every_monomial(name):
     assert reduce(parse_poly("x1^2*u1_2*u1_3 + x3", "P", 3), [g, h], order) == parse_poly(
         "x3", "P", 3
     )
+
+
+def assert_filing_matches_the_scan(table, monos):
+    """`reducer` and `divided_by_other` agree with a plain scan of `entries` in basis order."""
+    guards = table.layout.exponent_guards
+    for mono in monos:
+        dividing = [i for i, (lm, _, _) in enumerate(table.entries) if not (mono - lm) & guards]
+        assert table.reducer(mono) is (table.entries[dividing[0]] if dividing else None)
+        for own in range(len(table.entries)):
+            assert table.divided_by_other(mono, own) == any(i != own for i in dividing)
+
+
+@pytest.mark.parametrize("name", [CORRECTED, LITERAL, "lex"])
+def test_filed_candidates_match_a_scan_of_all_entries(name):
+    # `reducer` and `divided_by_other` look only in file 0 and the files of
+    # a monomial's u-guard bits; a scan of every entry must agree, on the
+    # entry monomials and on random ones, also for entries appended by `add`
+    # after lookups have filled the candidate lists.
+    order = order_handle(name)
+    rng = random.Random(211)
+    bases = []
+    for d in (2, 3, 4):
+        for _ in range(6):
+            basis = [random_ppoly(rng, d, terms=3) for _ in range(5)]
+            basis.append(random_ppoly(rng, d, terms=2, max_factors=0))  # no u-factors
+            bases.append([g for g in basis if not g.is_zero()])
+    bases.append(relation_polys(dense_instance((2, 1, 3, 1, 2, 1))))
+    without_u = 0
+    for basis in bases:
+        d = basis[0].ring.d
+        head = len(basis) // 2 or 1
+        table = LeadTable(basis[:head], order)
+        layout = table.layout
+        randoms = [layout.pack(random_pmonomial(rng, d)) for _ in range(30)]
+
+        def monos():
+            return [m for lm, _, tail in table.entries for m in (lm, *tail)] + randoms
+
+        assert_filing_matches_the_scan(table, monos())
+        for g in basis[head:]:
+            table.add(layout.pack(leading_term(g, order)[0]), layout.pack_terms(int_terms(g)[0]))
+            assert_filing_matches_the_scan(table, monos())
+        without_u += sum(not layout.support(lm) & layout.u_guards for lm, _, _ in table.entries)
+    assert without_u > 20
+
+
+def test_the_pair_phase_unpacks_no_monomial(monkeypatch):
+    # `PLayout.lcm` works on the packed keys: the check and the completion
+    # take no lcm through `PMonomial.lcm` and `verify_groebner` unpacks no
+    # key.  The completion unpacks its result once, at the end.
+    inst = dense_instance((3, 1, 2, 1, 2))
+    expected = verify_groebner(inst).to_json_dict()
+    basis = [random_ppoly(random.Random(223), 3, terms=3) for _ in range(3)]
+    completed = buchberger_complete(basis, DillOrder())
+
+    def refuse(*args):
+        raise AssertionError("a monomial left its packed key")
+
+    monkeypatch.setattr(PMonomial, "lcm", refuse)
+    assert buchberger_complete(basis, DillOrder()) == completed
+    monkeypatch.setattr(PLayout, "unpack", refuse)
+    assert verify_groebner(inst).to_json_dict() == expected
 
 
 # -- the fast pair phase against the reference path ---------------------------

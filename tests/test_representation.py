@@ -322,25 +322,50 @@ def sparse_p_monomial(sparse):
 @pytest.mark.parametrize("d", range(2, 8))
 def test_packed_lcm_matches_the_sparse_reference(d):
     # Random pairs, each also against itself and against a monomial of no
-    # common variable, under every order.
+    # common variable, under every order, on the shared 32-bit layout and
+    # on 8- and 16-bit fields.  Exponents stay below field_max // (6d), so
+    # every degree and interval-length field of a product or an lcm fits.
     rng = random.Random(8200 + d)
     for order in (CORRECTED, LITERAL, LEX):
-        layout = p_layout(d, order)
-        for _ in range(200):
-            a, b = random_sparse_p(rng, d), random_sparse_p(rng, d)
-            coprime = (
-                tuple(0 if x else y for x, y in zip(a[0], b[0])),
-                {pair: e for pair, e in b[1].items() if pair not in a[1]},
-            )
-            ka = layout.pack(sparse_p_monomial(a))
-            for other in (b, a, coprime):
-                expected = layout.pack(sparse_p_monomial(sparse_p_lcm(a, other)))
-                kb = layout.pack(sparse_p_monomial(other))
-                assert layout.lcm(ka, kb) == layout.lcm(kb, ka) == expected
-            assert layout.lcm(ka, ka) == ka
-            kc = layout.pack(sparse_p_monomial(coprime))
-            assert not layout.support(ka) & layout.support(kc)
-            assert layout.lcm(ka, kc) == layout.pack(sparse_p_monomial(sparse_p_mul(a, coprime)))
+        for layout in (p_layout(d, order), PLayout(d, order, 8), PLayout(d, order, 16)):
+            cap = layout.field_max // (6 * d)
+            for _ in range(200):
+                a, b = (random_sparse_p(rng, d, max_x=cap, max_u=cap) for _ in range(2))
+                coprime = (
+                    tuple(0 if x else y for x, y in zip(a[0], b[0])),
+                    {pair: e for pair, e in b[1].items() if pair not in a[1]},
+                )
+                ka = layout.pack(sparse_p_monomial(a))
+                for other in (b, a, coprime):
+                    expected = layout.pack(sparse_p_monomial(sparse_p_lcm(a, other)))
+                    kb = layout.pack(sparse_p_monomial(other))
+                    assert layout.lcm(ka, kb) == layout.lcm(kb, ka) == expected
+                assert layout.lcm(ka, ka) == ka
+                kc = layout.pack(sparse_p_monomial(coprime))
+                assert not layout.support(ka) & layout.support(kc)
+                product = sparse_p_monomial(sparse_p_mul(a, coprime))
+                assert layout.lcm(ka, kc) == layout.pack(product)
+
+
+def test_packed_lcm_refuses_a_field_over_the_layout():
+    # With 8-bit fields x1^100 and x2^100 each pack, but their lcm has
+    # x-degree 200 > 127, a field of both DILL layouts; lex has no degree
+    # field and holds it.  The coprime pair and the pair of shared support
+    # take the two paths of `lcm`.
+    for order in (CORRECTED, LITERAL, LEX):
+        layout = PLayout(2, order, 8)
+        product = PMonomial((100, 100), ())
+        for left, right in (((100, 0), (0, 100)), ((100, 1), (1, 100))):
+            a, b = (layout.pack(PMonomial(xexp, ())) for xexp in (left, right))
+            if order == LEX:
+                assert layout.lcm(a, b) == layout.lcm(b, a) == layout.pack(product)
+                continue
+            for first, second in ((a, b), (b, a)):
+                with pytest.raises(BudgetExceededError) as raised:
+                    layout.lcm(first, second)
+                assert str(raised.value) == layout.overflow_message
+            with pytest.raises(BudgetExceededError, match=r"monomial x1\^100\*x2\^100 overflows"):
+                layout.pack(product)
 
 
 def reference_p_product(p, q):
