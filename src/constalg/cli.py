@@ -7,9 +7,11 @@ argparse as `--poly=TEXT`, so the text may start with '-'.
 
 A `_cmd_*` handler takes (instance, args), returns (exit code, stdout
 lines) and prints nothing; only `verify-gb` writes a file, its
-`--certificate`.  `run` joins the lines, writes them to `--out` if the
-subcommand has one, and only then to stdout, so an unwritable output file
-exits 2 with nothing printed.
+`--certificate`, whose text is `GroebnerCertificate.to_json_text`:
+`json.dumps(..., indent=2)` of the certificate plus a newline, with the
+pair entries written from a template.  `run` joins the lines, writes
+them to `--out` if the subcommand has one, and only then to stdout, so
+an unwritable output file exits 2 with nothing printed.
 
 Exit codes: 0 success, 1 semantic false verdict (not a constant, failed
 Groebner verification), 2 usage/parse/instance errors and unwritable
@@ -21,7 +23,6 @@ accepted and ignored: the pair check is serial.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -103,7 +104,7 @@ def _cmd_relations(inst, args):
 def _cmd_verify_gb(inst, args):
     cert = verify_groebner(inst, variant=_VARIANT_BY_FLAG[args.variant])
     if args.certificate:
-        _write_output(args.certificate, json.dumps(cert.to_json_dict(), indent=2) + "\n")
+        _write_output(args.certificate, cert.to_json_text())
     zero = sum(1 for p in cert.pairs if p.normal_form_zero)
     lines = [
         f"lead conformance: {'ok' if cert.conformance_ok else 'FAILED'} "

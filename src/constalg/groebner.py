@@ -9,7 +9,10 @@ Pairs with coprime leads are discharged by Buchberger's first criterion
 instead of a reduction; the others are pseudo-reduced over the integers
 by `reduce_int` (fraction-free pseudo-division; Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992).  The result carries a
-per-pair certificate that records what discharged each pair.
+per-pair certificate that records what discharged each pair.  Its file
+text, `GroebnerCertificate.to_json_text`, is `json.dumps(to_json_dict(),
+indent=2)` plus a newline, byte for byte, but writes each pair entry
+from one template instead of encoding a dict per pair.
 
 The layer works over ring P alone.  `LeadTable` and `reduce_int` key
 monomials by the packed ints of the order's layout (`order.layout(d)`, a
@@ -38,9 +41,11 @@ are `tests/helpers.reference_reduce`, `reference_s_polynomial` and
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
+from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 
 from .derivation import ProblemInstance
@@ -327,6 +332,18 @@ class PairOutcome(namedtuple("PairOutcome", "left right discharged_by")):
         }
 
 
+# The fields of a pair entry after "right", as `json.dumps(..., indent=2)`
+# writes them in a certificate's pair list, keyed by `discharged_by`.
+_PAIR_OUTCOME_TEXT = {
+    by: "".join(
+        f',\n      "{key}": {json.dumps(value)}'
+        for key, value in PairOutcome("", "", by).to_json_dict().items()
+        if key not in ("left", "right")
+    )
+    for by in ("coprime", "reduction", None)
+}
+
+
 class GroebnerCertificate(
     namedtuple("GroebnerCertificate", "instance variant conformance pairs reduced")
 ):
@@ -365,7 +382,8 @@ class GroebnerCertificate(
             return "basis is not reduced"
         return None
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self, pairs) -> dict:
+        """The top-level fields in file order, with `pairs` as the pair list."""
         return {
             "instance": self.instance.to_json_dict(),
             "variant": self.variant,
@@ -373,10 +391,43 @@ class GroebnerCertificate(
                 "ok": self.conformance_ok,
                 "entries": [e.to_json_dict() for e in self.conformance],
             },
-            "pairs": [p.to_json_dict() for p in self.pairs],
+            "pairs": pairs,
             "reduced": self.reduced,
             "verdict": self.verdict,
         }
+
+    def to_json_dict(self) -> dict:
+        return self._json_fields([p.to_json_dict() for p in self.pairs])
+
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json_dict(), indent=2)` plus a newline, built without the pair dicts.
+
+        Every field but the pair list is encoded by `json.dumps` as it
+        stands.  Each pair entry comes from one template: its labels,
+        each quoted once per certificate as `json.dumps` quotes strings,
+        and its outcome fields from `_PAIR_OUTCOME_TEXT`.
+        """
+        parts = []
+        for key, value in self._json_fields(None).items():
+            if key == "pairs":
+                parts.append(f'  "pairs": {self._pairs_text()}')
+            else:
+                parts.append(json.dumps({key: value}, indent=2)[2:-2])
+        return "{\n" + ",\n".join(parts) + "\n}\n"
+
+    def _pairs_text(self) -> str:
+        """The pair list as `json.dumps(..., indent=2)` writes it one level deep."""
+        if not self.pairs:
+            return "[]"
+        lefts, rights, _ = zip(*self.pairs)
+        quoted = {label: encode_basestring_ascii(label) for label in {*lefts, *rights}}
+        outcome = _PAIR_OUTCOME_TEXT
+        entries = [
+            f'    {{\n      "left": {quoted[left]},\n      "right": {quoted[right]}'
+            f"{outcome[by]}\n    }}"
+            for left, right, by in self.pairs
+        ]
+        return "[\n" + ",\n".join(entries) + "\n  ]"
 
 
 def verify_reduced(basis, order) -> bool:

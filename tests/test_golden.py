@@ -7,8 +7,10 @@ The verify-gb files under tests/golden were written by
 with stdout saved to NAME.V.stdout and the run-dependent `generated_at`
 field removed.  They were recorded before the pair phase gained the
 coprime-lead criterion and the indexed lead table, and those changes must
-leave every recorded field and every byte of stdout unchanged.  Fields
-added to the certificate since then are ignored.
+leave every recorded field and every byte of stdout unchanged.  The
+corrected certificates predate the coprime fields, which their check
+ignores; the paper certificates, whose pair list is empty, must match
+byte for byte.
 """
 
 import json
@@ -58,6 +60,8 @@ def test_verify_gb_matches_golden(name, variant, tmp_path, capsys):
     recorded = json.loads((GOLDEN / f"{name}.{variant}.cert.json").read_text())
     assert code == (0 if recorded["verdict"] else 1)
     assert_matches_recorded(recorded, json.loads(cert_path.read_text()))
+    if variant == "paper":
+        assert cert_path.read_bytes() == (GOLDEN / f"{name}.paper.cert.json").read_bytes()
 
 
 # relations listings, recorded before the relation families became one list

@@ -34,7 +34,7 @@ from constalg import (
 )
 from constalg import groebner
 from constalg.cli import run
-from constalg.groebner import LeadTable
+from constalg.groebner import GroebnerCertificate, LeadTable, PairOutcome
 from constalg.poly import PLayout, format_monomial, int_terms, leading_term
 from helpers import (
     instance_with_degrees,
@@ -975,14 +975,14 @@ def test_lead_table_packs_primitive_int_terms(order):
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def dense_instance(profile):
-    """perfbench's dense instance of this degree profile, drawn from random.Random(7)."""
+def dense_instance(profile, seed=7):
+    """perfbench's dense instance of this degree profile, drawn from random.Random(seed)."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
     if spec.name not in sys.modules:
         workloads = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = workloads  # dataclasses look the module up while it executes
         spec.loader.exec_module(workloads)
-    data = sys.modules[spec.name].dense_instance(random.Random(7), profile)
+    data = sys.modules[spec.name].dense_instance(random.Random(seed), profile)
     return ProblemInstance.from_json_dict(data)
 
 
@@ -1053,3 +1053,74 @@ def test_verify_gb_exits_2_when_a_packed_field_overflows(monkeypatch, tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert "overflows a packed field" in err
+
+
+# -- the certificate text -----------------------------------------------------
+
+
+def reference_text(cert):
+    return json.dumps(cert.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("variant", [CORRECTED, LITERAL])
+def test_certificate_text_is_json_dumps_of_the_dict(variant):
+    # d <= 2 has no relations; under literal the leads do not conform and the
+    # pair list is empty.
+    kinds = Counter()
+    for seed in range(3):
+        for d in range(1, 8):
+            profile = tuple(k % 3 + 1 for k in range(d))
+            cert = verify_groebner(dense_instance(profile, seed), variant)
+            assert cert.to_json_text() == reference_text(cert)
+            kinds.update(p.discharged_by for p in cert.pairs)
+            kinds["no pairs"] += not cert.pairs
+    assert kinds["no pairs"] >= 6
+    if variant == CORRECTED:
+        assert kinds["coprime"] and kinds["reduction"]
+
+
+def test_certificate_text_of_broken_and_empty_relation_sets():
+    inst = dense_instance((3, 1, 2, 1, 2))
+    full = build_relations(inst)
+    s_rows = [index for index, rel in enumerate(full) if rel.family == "S"]
+    cases = [full[:dropped] + full[dropped + 1:] for dropped in s_rows]
+    first, second = s_rows[0], s_rows[-1]
+    unreduced = full[first]._replace(poly=full[first].poly + full[second].poly)
+    cases.append([*full[:first], unreduced, *full[first + 1:]])
+    cases.append([])
+    failing_pairs = unreduced_seen = 0
+    for relations in cases:
+        cert = verify_groebner(inst, relations=relations)
+        assert cert.to_json_text() == reference_text(cert)
+        failing_pairs += any(p.discharged_by is None for p in cert.pairs)
+        unreduced_seen += not cert.reduced
+    assert failing_pairs and unreduced_seen
+    # Labels that JSON must escape are quoted as json.dumps quotes them.
+    pairs = [PairOutcome('R"1\\', "S\u00e9\n", None), PairOutcome("a", "a", "coprime")]
+    odd = GroebnerCertificate(inst, CORRECTED, [], pairs, False)
+    assert odd.to_json_text() == reference_text(odd)
+
+
+def certificate_written_by_cli(inst, tmp_path):
+    """The bytes that `verify-gb --certificate` writes for inst."""
+    path, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(inst.to_json_dict()))
+    assert run(["verify-gb", "--instance", str(path), "--certificate", str(cert_path)]) == 0
+    return cert_path.read_bytes()
+
+
+def test_verify_gb_writes_the_json_dumps_bytes(tmp_path, capsys):
+    inst = dense_instance((3, 1, 2, 1, 2))
+    written = certificate_written_by_cli(inst, tmp_path)
+    assert written == reference_text(verify_groebner(inst)).encode()
+    assert b'"discharged_by": "coprime"' in written and b'"discharged_by": "reduction"' in written
+
+
+def test_verify_gb_builds_no_pair_dict(monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("a pair dict was built")
+
+    inst = dense_instance((3, 1, 2, 1, 2))
+    reference = reference_text(verify_groebner(inst)).encode()
+    monkeypatch.setattr(PairOutcome, "to_json_dict", refuse)
+    assert certificate_written_by_cli(inst, tmp_path) == reference
