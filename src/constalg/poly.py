@@ -130,6 +130,15 @@ def u_position(d: int, j: int, k: int) -> int:
 _new = tuple.__new__
 
 
+def _exponent(e) -> int:
+    """e, once it is a nonnegative int; a float or a bool raises ValueError."""
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise ValueError(f"exponent {e!r} is not an integer")
+    if e < 0:
+        raise ValueError("exponents must be nonnegative")
+    return e
+
+
 class PMonomial(tuple):
     """Monomial prod u_jk^e * x^a of ring P, stored as (e_12, ..., e_(d-1)d, a_1, ..., a_d).
 
@@ -141,16 +150,12 @@ class PMonomial(tuple):
     __slots__ = ()
 
     def __new__(cls, xexp, upairs):
-        xexp = tuple(xexp)
-        if any(e < 0 for e in xexp):
-            raise ValueError("exponents must be nonnegative")
+        xexp = tuple(map(_exponent, xexp))
         d = len(xexp)
         exps = [0] * (d * (d - 1) // 2)
         for (j, k), e in upairs:
-            if e == 0:
+            if _exponent(e) == 0:
                 continue
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
             if not (1 <= j < k <= d):
                 raise ValueError(f"u-pair ({j},{k}) out of range for d={d}")
             pos = u_position(d, j, k)

@@ -16,10 +16,11 @@ The generator table works over the integers: it stores L*u_jk with int
 coefficients, L = the lcm of the f-coefficient denominators, keyed by
 packed ring-A monomials (see `poly`), and caches their powers, so every
 monomial product is one int addition.  `scaled_image` returns L^e * pi(w)
-for a word w of u-degree e, which `rewrite_constant_int` peels with;
-`u_power`, `pi_image_of_monomial` and `pi_substitute` check that the
-image fits the packed fields, divide by the power of L and return the true
-polynomials over Fraction.
+for a word w of u-degree e, which `rewrite_constant_int` peels with.
+`pi_substitute` alone checks that the image fits the packed fields,
+divides by the power of L and caps the result: it is the one Fraction
+path from ring P to ring A.  `pi_image_of_monomial` and
+`GeneratorTable.u_power` are `pi_substitute` of one P-monomial.
 """
 
 from __future__ import annotations
@@ -75,15 +76,9 @@ class GeneratorTable:
         return power
 
     def u_power(self, j: int, k: int, exponent: int) -> Polynomial:
-        """u_jk^exponent, read off the cached power of L*u_jk."""
-        check_field_room(self.instance, 2 * exponent)
-        scale = self.instance.integer_f[0] ** exponent
-        return _unscale(self.instance.ring_a, self.scaled_power(j, k, exponent), scale)
-
-
-def _unscale(ring, terms: dict, scale: int) -> Polynomial:
-    """The polynomial terms/scale over Fraction, `terms` a ring-A term map."""
-    return Polynomial._make(ring, capped(ring, {m: Fraction(c, scale) for m, c in terms.items()}))
+        """u_jk^exponent: `pi_substitute` of the one P-monomial, via `pi_image_of_monomial`."""
+        upairs = (((j, k), exponent),)
+        return pi_image_of_monomial(self, PMonomial((0,) * self.instance.d, upairs))
 
 
 def build_generators(inst: ProblemInstance) -> GeneratorTable:
@@ -145,9 +140,8 @@ def scaled_image(table: GeneratorTable, mono: PMonomial) -> tuple[dict, int]:
 
 
 def pi_image_of_monomial(table: GeneratorTable, mono: PMonomial) -> Polynomial:
-    """pi(mono) over Fraction."""
-    _check_image_room(table.instance, mono)
-    return _unscale(table.instance.ring_a, *scaled_image(table, mono))
+    """pi(mono) over Fraction: `pi_substitute` of the one-term polynomial mono."""
+    return pi_substitute(table, Polynomial(table.instance.ring_p, {mono: 1}))
 
 
 def quadratic_relation(inst: ProblemInstance, i: int, j: int, k: int, l: int) -> Polynomial:

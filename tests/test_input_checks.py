@@ -99,6 +99,9 @@ def test_independence_check_slice_guard(monkeypatch):
         (lambda: setattr(Polynomial.zero(ring_a(2)), "ring", ring_a(3)), AttributeError, "immutable"),
         (lambda: PMonomial((0, 0, 0), (((1, 2), -1),)), ValueError, "nonnegative"),
         (lambda: PMonomial((0, 0, 0), (((2, 2), 1),)), ValueError, r"u-pair \(2,2\) out of range"),
+        (lambda: PMonomial((0.5, 0, 0), ()), ValueError, "exponent 0.5 is not an integer"),
+        (lambda: PMonomial((0, 0, 0), (((1, 2), 2.0),)), ValueError, "exponent 2.0 is not an integer"),
+        (lambda: PMonomial((True, 0, 0), ()), ValueError, "exponent True is not an integer"),
         (lambda: Ring("Q", 2), ValueError, "flavor"),
         (lambda: Ring("A", 0), ValueError, ">= 1"),
         (lambda: DillOrder("bogus"), ValueError, "bogus"),
@@ -158,6 +161,9 @@ def test_independence_check_slice_guard(monkeypatch):
         "polynomial-immutable",
         "pmonomial-negative-u-exponent",
         "pmonomial-u-pair-out-of-range",
+        "pmonomial-float-x-exponent",
+        "pmonomial-float-u-exponent",
+        "pmonomial-bool-x-exponent",
         "ring-bad-flavor",
         "ring-d-below-1",
         "dill-order-bogus-variant",

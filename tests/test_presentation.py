@@ -20,7 +20,7 @@ from constalg import (
     quadratic_relation,
     u_pairs,
 )
-from constalg import BudgetExceededError, presentation
+from constalg import BudgetExceededError, RingMismatchError, presentation
 from constalg.presentation import pi_image_of_monomial, relation_count
 from helpers import random_instance, random_ppoly, rational_instance, reference_relations
 
@@ -58,11 +58,51 @@ def test_u_power_squares_on_rational_instance():
     assert inst.integer_f[0] == 60
     for (j, k), e in (((1, 2), 13), ((2, 3), 6), ((1, 3), 0)):
         assert table.u_power(j, k, e) == table.u_power(j, k, 1) ** e
-    # 13 -> 6 -> 3 -> 1 and 6 -> 3 -> 1, the unit power, and the first powers
+    # 13 -> 6 -> 3 -> 1 and 6 -> 3 -> 1, and the first powers; u_13^0 caches nothing
     assert sorted(table._power_cache) == [
-        (1, 2, 1), (1, 2, 3), (1, 2, 6), (1, 2, 13), (1, 3, 0), (1, 3, 1), (2, 3, 1), (2, 3, 3),
-        (2, 3, 6),
+        (1, 2, 1), (1, 2, 3), (1, 2, 6), (1, 2, 13), (1, 3, 1), (2, 3, 1), (2, 3, 3), (2, 3, 6),
     ]
+
+
+def test_u_power_refuses_bad_pairs_and_exponents_and_caches_nothing():
+    table = build_generators(ProblemInstance.from_coeffs(3, [[0, 1], ["1/2", 3], [2, 0, "5/3"]]))
+    for (j, k), e, message in (
+        ((2, 1), 1, r"u-pair \(2,1\) out of range for d=3"),
+        ((1, 4), 1, r"u-pair \(1,4\) out of range for d=3"),
+        ((1, 2), -1, "exponents must be nonnegative"),
+        ((1, 2), 1.5, "not an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            table.u_power(j, k, e)
+    assert table._power_cache == {}
+    table.u_power(1, 3, 2)
+    assert sorted(table._power_cache) == [(1, 3, 1), (1, 3, 2)]
+
+
+def test_pi_image_of_monomial_refuses_a_monomial_of_another_d():
+    table = build_generators(ProblemInstance.from_coeffs(4, [[0, 1]] * 4))
+    with pytest.raises(RingMismatchError, match="does not belong to ring"):
+        pi_image_of_monomial(table, PMonomial((0, 0, 0), (((1, 2), 1),)))
+
+
+def test_monomial_images_and_u_powers_go_through_pi_substitute_once(monkeypatch):
+    inst = ProblemInstance.from_coeffs(3, [["1/2", "3/4"], [1, "-2/3", 5], [0, "7/5"]])
+    mono = PMonomial((2, 0, 1), (((1, 2), 2), ((2, 3), 1)))
+    expected = (
+        pi_image_of_monomial(build_generators(inst), mono),
+        build_generators(inst).u_power(1, 3, 3),
+    )
+    calls = []
+
+    def counted(table, p):
+        calls.append(p)
+        return pi_substitute(table, p)
+
+    monkeypatch.setattr(presentation, "pi_substitute", counted)
+    assert pi_image_of_monomial(build_generators(inst), mono) == expected[0]
+    assert len(calls) == 1
+    assert build_generators(inst).u_power(1, 3, 3) == expected[1]
+    assert len(calls) == 2
 
 
 def test_generator_table_size_and_constancy():
