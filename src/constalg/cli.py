@@ -105,16 +105,17 @@ def _cmd_verify_gb(inst, args):
     cert = verify_groebner(inst, variant=_VARIANT_BY_FLAG[args.variant])
     if args.certificate:
         _write_output(args.certificate, cert.to_json_text())
-    zero = sum(1 for p in cert.pairs if p.normal_form_zero)
+    zero = sum(1 for _, _, discharged_by in cert.pairs if discharged_by is not None)
     lines = [
         f"lead conformance: {'ok' if cert.conformance_ok else 'FAILED'} "
         f"({len(cert.conformance)} relations)",
         f"s-polynomial pairs: {zero}/{len(cert.pairs)} reduce to zero",
         f"reducedness: {'ok' if cert.reduced else 'FAILED'}",
     ]
-    if cert.verdict:
+    failure = cert.first_failure()
+    if failure is None:
         return 0, [*lines, "verdict: verified reduced Groebner basis"]
-    return 1, [*lines, f"verdict: FAILED ({cert.first_failure()})"]
+    return 1, [*lines, f"verdict: FAILED ({failure})"]
 
 
 def _cmd_normal_words(inst, args):

@@ -3,8 +3,14 @@
 Rows are dicts column -> int; a Fraction entry raises TypeError.
 Elimination is fraction-free (Bareiss 1968; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992): every update is the integer
-cross-multiplication row*pivot - pivotrow*entry, and rows are divided by
-their content gcd to keep growth in check.  Back-substitution keeps each
+cross-multiplication (p/g)*row - (e/g)*pivotrow, where p is the pivot
+value, e the row's entry in the pivot column and g = gcd(p, e) > 0, and a
+row is only rescaled when p/g is not 1.  Each input row, and each row
+after its update, is divided by its content gcd to keep growth in check,
+so every row stays primitive.  The plain update p*row - e*pivotrow is g
+times the reduced one, and the content division takes that positive g out
+again: the rows, and so the pivots and the kernel, are the same either
+way, only the intermediate products are smaller.  Back-substitution keeps each
 variable as int numerators over one denominator, and each kernel vector is
 returned as primitive ints.  Pivot choices are deterministic (columns in
 ascending order, then the sparsest candidate row), so results are
@@ -29,6 +35,7 @@ def _echelon(rows: list[dict], ncols: int):
     Pivot rows are frozen as they are chosen; every still-active row has
     all earlier pivot columns eliminated, so a frozen pivot row can only
     contain its own pivot column, free columns, and later pivot columns.
+    `col_rows[c]` is exactly the set of active rows that hold column c.
     """
     active: dict[int, dict] = {}
     col_rows: dict[int, set] = {}
@@ -42,32 +49,36 @@ def _echelon(rows: list[dict], ncols: int):
             col_rows.setdefault(col, set()).add(rid)
     pivots: list[tuple[int, dict]] = []
     for col in range(ncols):
-        candidates = [rid for rid in col_rows.get(col, ()) if rid in active]
-        if not candidates:
+        holders = col_rows.pop(col, None)
+        if not holders:
             continue
-        pivot_rid = min(candidates, key=lambda rid: (len(active[rid]), rid))
+        pivot_rid = min(holders, key=lambda rid: (len(active[rid]), rid))
+        holders.discard(pivot_rid)
         pivot_row = active.pop(pivot_rid)
-        for pcol in pivot_row:
-            col_rows[pcol].discard(pivot_rid)
         pivot_value = pivot_row[col]
         pivots.append((col, pivot_row))
-        for rid in [r for r in col_rows.get(col, ()) if r in active]:
+        rest = [(pcol, pvalue) for pcol, pvalue in pivot_row.items() if pcol != col]
+        for pcol, _ in rest:
+            col_rows[pcol].discard(pivot_rid)
+        for rid in holders:
             row = active[rid]
             entry = row.pop(col)
-            col_rows[col].discard(rid)
-            # new_row = pivot_value * row - entry * pivot_row on every column
-            for rcol in row:
-                row[rcol] *= pivot_value
-            for pcol, pvalue in pivot_row.items():
-                if pcol == col:
-                    continue
-                new = row.get(pcol, 0) - pvalue * entry
-                if new:
-                    if pcol not in row:
-                        col_rows.setdefault(pcol, set()).add(rid)
-                    row[pcol] = new
+            common = gcd(pivot_value, entry)
+            scale, entry = pivot_value // common, entry // common
+            # new_row = scale * row - entry * pivot_row on every column
+            if scale != 1:
+                for rcol in row:
+                    row[rcol] *= scale
+            for pcol, pvalue in rest:
+                old = row.get(pcol)
+                if old is None:
+                    row[pcol] = -pvalue * entry
+                    col_rows[pcol].add(rid)
                 else:
-                    if pcol in row:
+                    new = old - pvalue * entry
+                    if new:
+                        row[pcol] = new
+                    else:
                         del row[pcol]
                         col_rows[pcol].discard(rid)
             if row:
@@ -99,7 +110,11 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict[int, int]]:
     # combos[c] = (den, nums): the pivot or free variable c equals the sum
     # over fc of nums[fc] / den * x_fc; den and the nums share no factor.
     combos: dict[int, tuple[int, dict[int, int]]] = {fc: (1, {fc: 1}) for fc in free_cols}
+    zero: tuple[int, dict[int, int]] = (1, {})
     for col, row in reversed(pivots):
+        if len(row) == 1:  # the pivot variable is zero
+            combos[col] = zero
+            continue
         den = lcm(*[combos[rcol][0] for rcol in row if rcol != col])
         acc: dict[int, int] = {}
         for rcol, rvalue in row.items():

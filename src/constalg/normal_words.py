@@ -436,16 +436,45 @@ def _monomials_up_to_degree(d: int, bound: int) -> list[int]:
     return out
 
 
+def _delta_matrix(inst: ProblemInstance, max_degree: int) -> tuple[list[int], list[dict]]:
+    """(columns, rows) of L*delta on the slice of degree <= max_degree.
+
+    The columns are the slice's packed monomials in descending A-lex
+    order; each row is {column index: int} for one target monomial, the
+    rows in the order their targets first appear.  delta vanishes on
+    K[x_1, ..., x_d], so delta(x^a*y^b) = x^a*delta(y^b): `delta_terms`
+    runs once per y-monomial y^b, and column x^a*y^b takes those targets
+    shifted by x^a's packed key (fields do not carry, `check_field_room`).
+    """
+    cols = _monomials_up_to_degree(inst.d, max_degree)
+    y_fields = sum(FIELD_MAX << y_shift for _, y_shift in field_shifts(inst.d))
+    plan = delta_plan(inst.integer_f[1])  # L*delta has the kernel of delta
+    images: dict[int, list] = {}  # y^b -> the (target, value) terms of L*delta(y^b)
+    rows: dict[int, dict[int, int]] = {}  # target monomial -> row
+    setdefault = rows.setdefault
+    for cidx, mono in enumerate(cols):
+        y_part = mono & y_fields
+        terms = images.get(y_part)
+        if terms is None:
+            terms = images[y_part] = list(delta_terms(plan, ((y_part, 1),)).items())
+        x_part = mono - y_part
+        for target, value in terms:
+            setdefault(target + x_part, {})[cidx] = value
+    return cols, list(rows.values())
+
+
 def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> list[Polynomial]:
     """Exact basis of the constants of degree <= max_degree; its length is the dimension.
 
     Brute force: the derivation is a linear map from the degree slice into
     a higher slice; its nullspace is computed by fraction-free elimination.
     Completely independent of the relation/normal-word machinery.  The
-    columns are the slice's packed monomials in descending A-lex order;
-    that order fixes the pivot columns and so the basis.  Each element has
-    coprime integer coefficients and a positive A-lex-leading coefficient;
-    the elements are sorted by lead, largest first (leads may repeat).
+    matrix comes from `_delta_matrix`, which applies delta once per
+    y-monomial, as delta(x^a*y^b) = x^a*delta(y^b).  The columns are the
+    slice's packed monomials in descending A-lex order; that order fixes
+    the pivot columns and so the basis.  Each element has coprime integer
+    coefficients and a positive A-lex-leading coefficient; the elements
+    are sorted by lead, largest first (leads may repeat).
     """
     if max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -453,17 +482,14 @@ def kernel_dim_oracle(inst: ProblemInstance, max_degree: int) -> list[Polynomial
     if ncols > MAX_SLICE_MONOMIALS:
         raise BudgetExceededError(f"{ncols} monomials exceed the guard bound {MAX_SLICE_MONOMIALS}")
     check_field_room(inst, max_degree)  # a monomial of degree D weighs at most D
-    cols = _monomials_up_to_degree(inst.d, max_degree)
-    plan = delta_plan(inst.integer_f[1])  # L*delta has the kernel of delta
-    rows: dict[int, dict[int, int]] = {}  # target monomial -> row
-    for cidx, mono in enumerate(cols):
-        for target, value in delta_terms(plan, ((mono, 1),)).items():
-            rows.setdefault(target, {})[cidx] = value
+    cols, rows = _delta_matrix(inst, max_degree)
     basis = []
     # A vector's A-lex lead is its smallest column; make its coefficient positive.
-    for vector in sorted(linalg.nullspace(list(rows.values()), len(cols)), key=min):
+    # Unchecked: the keys are slice monomials, which the guard and check_field_room bound.
+    for vector in sorted(linalg.nullspace(rows, len(cols)), key=min):
         sign = 1 if vector[min(vector)] > 0 else -1
-        basis.append(Polynomial(inst.ring_a, {cols[c]: sign * v for c, v in vector.items()}))
+        terms = {cols[c]: Fraction(sign * v) for c, v in vector.items()}
+        basis.append(Polynomial._make(inst.ring_a, terms))
     return basis
 
 

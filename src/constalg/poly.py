@@ -154,10 +154,10 @@ class PMonomial(tuple):
         d = len(xexp)
         exps = [0] * (d * (d - 1) // 2)
         for (j, k), e in upairs:
-            if _exponent(e) == 0:
-                continue
             if not (1 <= j < k <= d):
                 raise ValueError(f"u-pair ({j},{k}) out of range for d={d}")
+            if _exponent(e) == 0:
+                continue
             pos = u_position(d, j, k)
             if exps[pos]:
                 raise ValueError("duplicate u-pair in monomial")

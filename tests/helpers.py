@@ -2,7 +2,7 @@
 
 import heapq
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from constalg import (
@@ -20,6 +20,7 @@ from constalg import (
     ring_p,
     u_pairs,
 )
+from constalg.derivation import delta_plan, delta_terms
 from constalg.poly import leading_term, pack, univariate, unpack
 
 
@@ -40,8 +41,12 @@ def random_instance(rng, d, max_m=4, coeff_bound=5, dense=False):
     return ProblemInstance.from_coeffs(d, coeff_lists)
 
 
-def instance_with_degrees(rng, degrees, coeff_bound=5, dense=False):
-    """Instance whose f_i have exactly the given degrees."""
+# Rational leading coefficients for `instance_with_degrees`.
+RATIONAL_LEADS = (Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-4, 5), Fraction(7, 3))
+
+
+def instance_with_degrees(rng, degrees, coeff_bound=5, dense=False, leads=None):
+    """Instance whose f_i have exactly the given degrees; leads drawn from `leads` when given."""
     nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
     coeff_lists = []
     for m in degrees:
@@ -49,7 +54,7 @@ def instance_with_degrees(rng, degrees, coeff_bound=5, dense=False):
             rng.choice(nonzero) if dense else rng.randint(-coeff_bound, coeff_bound)
             for _ in range(m)
         ]
-        coeffs.append(rng.choice(nonzero))
+        coeffs.append(rng.choice(leads or nonzero))
         coeff_lists.append(coeffs)
     return ProblemInstance.from_coeffs(len(degrees), coeff_lists)
 
@@ -441,6 +446,30 @@ def reference_nullspace(rows, ncols):
         for fc in range(ncols)
         if fc not in reduced
     ]
+
+
+def reference_delta_matrix(inst, max_degree):
+    """(columns, rows) of L*delta on a degree slice, one `delta_terms` call per column.
+
+    The columns are every exponent vector of degree <= max_degree (a
+    multiset of max_degree slots, slot 2d standing for no variable),
+    packed and sorted in descending A-lex order; the rows follow their
+    targets' first appearance as the columns are walked in order.
+    """
+    slots = range(2 * inst.d)
+    cols = sorted(
+        (
+            pack([choice.count(slot) for slot in slots])
+            for choice in combinations_with_replacement(range(2 * inst.d + 1), max_degree)
+        ),
+        reverse=True,
+    )
+    plan = delta_plan(inst.integer_f[1])
+    rows = {}
+    for cidx, mono in enumerate(cols):
+        for target, value in delta_terms(plan, ((mono, 1),)).items():
+            rows.setdefault(target, {})[cidx] = value
+    return cols, list(rows.values())
 
 
 def densify(vectors, ncols):

@@ -6,9 +6,9 @@ from math import gcd, lcm
 
 import pytest
 
-from constalg import linalg
+from constalg import linalg, normal_words
 from constalg.normal_words import kernel_dim_oracle
-from helpers import densify, instance_with_degrees, reference_nullspace
+from helpers import RATIONAL_LEADS, densify, instance_with_degrees, reference_nullspace
 
 
 def dense_to_rows(matrix):
@@ -189,3 +189,46 @@ def test_nullspace_matches_reference_on_delta_matrix(monkeypatch):
     ((rows, ncols),) = captured
     vectors = assert_same_as_reference(rows, ncols)
     assert ncols == 462 and len(vectors) > 50
+
+
+@pytest.mark.parametrize("d, max_degree", [(2, 5), (3, 4), (4, 3)])
+def test_nullspace_and_rank_match_reference_on_dense_delta_matrices(d, max_degree):
+    # The matrices kernel_dim_oracle eliminates, on dense f_i of degrees 1-3
+    # with rational leads.
+    rng = random.Random(3520 + d)
+    for _ in range(2):
+        degrees = [rng.randint(1, 3) for _ in range(d)]
+        inst = instance_with_degrees(rng, degrees, dense=True, leads=RATIONAL_LEADS)
+        for degree in range(max_degree + 1):
+            cols, rows = normal_words._delta_matrix(inst, degree)
+            ncols = len(cols)
+            vectors = assert_same_as_reference(rows, ncols)
+            assert linalg.rank(rows, ncols) == ncols - len(vectors)
+
+
+def test_update_with_and_without_a_pivot_that_divides_the_entry():
+    # Column 0: pivot 2 (the sparser row), entries 4 (2 divides it: the row
+    # is not rescaled) and 3 (it is: 2*row - 3*pivot_row).  Column 1: pivot
+    # -1, entry -1, so the row is rescaled by -1; then divided by its content 9.
+    rows = [{0: 4, 1: 1, 2: 1}, {0: 2, 1: 1}, {0: 3, 1: 1, 2: 5}]
+    pivots = linalg._echelon(rows, 3)
+    assert pivots == [(0, {0: 2, 1: 1}), (1, {1: -1, 2: 1}), (2, {2: -1})]
+    assert linalg.rank(rows, 3) == 3 and linalg.nullspace(rows, 3) == []
+    rows = [{0: 4, 1: 2, 2: 6}, {0: 2, 1: 1}, {0: 6, 1: 3, 2: 3}]
+    assert linalg.nullspace(rows, 3) == [{0: -1, 1: 2}]
+
+
+def test_nullspace_matches_reference_when_pivots_often_divide_entries():
+    # Entries from a few divisors of 12 make g = gcd(pivot, entry) often
+    # equal to the pivot, so both branches of the update run.
+    rng = random.Random(3530)
+    values = [1, -1, 2, -2, 3, 4, -4, 6, -6, 12]
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.3, 0.6, 0.9])
+        rows = [
+            {c: rng.choice(values) for c in range(ncols) if rng.random() < density}
+            for _ in range(nrows)
+        ]
+        vectors = assert_same_as_reference(rows, ncols)
+        assert linalg.rank(rows, ncols) == ncols - len(vectors)

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
@@ -39,12 +40,14 @@ from constalg.normal_words import image_degree
 from constalg.poly import int_terms, pack, unpack
 from constalg.presentation import pi_image_of_monomial
 from helpers import (
+    RATIONAL_LEADS,
     instance_with_degrees,
     nowicki_hilbert,
     random_instance,
     random_pmonomial,
     random_ppoly,
     rational_instance,
+    reference_delta_matrix,
     reference_nullspace,
     reference_recover_word,
 )
@@ -515,6 +518,36 @@ def test_kernel_oracle_budget_guard(monkeypatch):
     monkeypatch.setattr(normal_words, "MAX_SLICE_MONOMIALS", 10)
     with pytest.raises(BudgetExceededError):
         kernel_dim_oracle(inst, 5)
+
+
+@pytest.mark.parametrize("d, max_degree", [(1, 7), (2, 5), (3, 4), (4, 3)])
+def test_delta_matrix_matches_the_per_column_build(d, max_degree):
+    # delta(x^a*y^b) = x^a*delta(y^b): one delta per y-monomial gives the
+    # same columns, in the same order, and the same rows, entry order included.
+    rng = random.Random(3500 + d)
+    for inst in (
+        rational_instance(rng, d),
+        instance_with_degrees(
+            rng, [rng.randint(1, 3) for _ in range(d)], dense=True, leads=RATIONAL_LEADS
+        ),
+        classical(d),
+    ):
+        for degree in range(max_degree + 1):
+            cols, rows = normal_words._delta_matrix(inst, degree)
+            ref_cols, ref_rows = reference_delta_matrix(inst, degree)
+            assert cols == ref_cols
+            assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+    assert normal_words._delta_matrix(inst, 0) == ([0], [])
+
+
+def test_kernel_oracle_builds_checked_polynomials():
+    # The basis comes from the unchecked constructor; the checked one gives
+    # the same polynomials, with Fraction coefficients in the same order.
+    inst = instance_with_degrees(random.Random(3510), (2, 1, 3), dense=True, leads=RATIONAL_LEADS)
+    for g in kernel_dim_oracle(inst, 4):
+        checked = Polynomial(g.ring, g.terms)
+        assert checked == g and list(checked.terms.items()) == list(g.terms.items())
+        assert all(type(c) is Fraction for c in g.terms.values())
 
 
 def test_rewrite_round_trips_every_oracle_basis_element():

@@ -546,6 +546,16 @@ def test_pmonomial_divmul():
     assert a.lcm(b) == a
 
 
+def test_pmonomial_checks_the_pair_range_before_skipping_a_zero_exponent():
+    # A valid pair with exponent 0 is the unit; an invalid one is refused
+    # whatever its exponent.
+    assert PMonomial((0, 0, 0), (((1, 2), 0), ((2, 3), 0))) == PMonomial.one(3)
+    assert PMonomial((1, 0, 0), (((1, 3), 0), ((1, 3), 2))) == PMonomial((1, 0, 0), (((1, 3), 2),))
+    for pair in ((2, 1), (7, 9), (0, 1), (3, 3)):
+        with pytest.raises(ValueError, match=r"out of range for d=3"):
+            PMonomial((0, 0, 0), ((pair, 0),))
+
+
 def repeated_product(factor, exponent, one):
     result = one
     for _ in range(exponent):

@@ -71,10 +71,13 @@ def test_u_power_refuses_bad_pairs_and_exponents_and_caches_nothing():
         ((1, 4), 1, r"u-pair \(1,4\) out of range for d=3"),
         ((1, 2), -1, "exponents must be nonnegative"),
         ((1, 2), 1.5, "not an integer"),
+        ((5, 9), 0, r"u-pair \(5,9\) out of range for d=3"),
     ):
         with pytest.raises(ValueError, match=message):
             table.u_power(j, k, e)
     assert table._power_cache == {}
+    # a valid pair with exponent 0 is still the unit
+    assert table.u_power(1, 2, 0) == parse_poly("1", "A", 3)
     table.u_power(1, 3, 2)
     assert sorted(table._power_cache) == [(1, 3, 1), (1, 3, 2)]
 
