@@ -1,6 +1,8 @@
 """Exact sparse linear algebra over the integers.
 
-Rows are dicts column -> int; a Fraction entry raises TypeError.
+Rows are dicts column -> int, every column in 0..ncols-1: `rank` and
+`nullspace` raise ValueError for a nonzero entry in any other column, and
+TypeError for a Fraction entry.
 Elimination is fraction-free (Bareiss 1968; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992): every update is the integer
 cross-multiplication (p/g)*row - (e/g)*pivotrow, where p is the pivot
@@ -85,6 +87,8 @@ def _echelon(rows: list[dict], ncols: int):
                 _reduce_content(row)
             else:
                 del active[rid]
+    if col_rows:  # the loop popped every column in 0..ncols-1, so only outside ones remain
+        raise ValueError(f"column {min(col_rows)} is outside 0..{ncols - 1}")
     return pivots
 
 

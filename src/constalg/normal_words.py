@@ -67,7 +67,7 @@ from .poly import (
     u_pairs,
     u_position,
 )
-from .presentation import build_generators, scaled_image
+from .presentation import _check_image_room, build_generators, scaled_image
 
 # Most normal words one enumeration may emit; more raise BudgetExceededError.
 MAX_NORMAL_WORDS = 250_000
@@ -289,10 +289,12 @@ def lead_of_image(inst: ProblemInstance, mono: PMonomial) -> tuple[int, Fraction
     The lead is the packed key of x^a * prod_b x_jb^m_jb * y_kb, with
     coefficient prod_b lc_jb.
     A monomial of another d raises RingMismatchError, one that is not a
-    normal word ValueError.
+    normal word ValueError, and a word whose image could overflow a packed
+    field BudgetExceededError, as in `pi_substitute`.
     """
     if not is_normal_word(inst, mono):
         raise ValueError(f"{mono!r} is not a normal word")
+    _check_image_room(inst, mono)
     pairs = u_pairs(inst.d)
     exps = [0] * (2 * inst.d)
     exps[0::2] = mono[len(pairs):]
@@ -370,14 +372,9 @@ def rewrite_constant_int(inst: ProblemInstance, terms: dict, den: int) -> Polyno
         steps += 1
         if steps > MAX_PEEL_STEPS:
             raise BudgetExceededError(f"rewriting needs more than {MAX_PEEL_STEPS} peel steps")
-        mono = None
-        while heap:
+        mono = -pop(heap)
+        while mono not in work:  # stale; each key of work was pushed, so the heap never runs dry
             mono = -pop(heap)
-            if mono in work:
-                break
-            mono = None
-        if mono is None:
-            raise AssertionError("heap exhausted before work emptied")
         word = recover_word_from_lead(inst, mono)
         image, scale = scaled_image(table, word)
         # mono is the A-lex lead of the image
@@ -512,7 +509,7 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
     check_field_room(inst, max_degree)  # an image of degree D weighs at most D
     table = build_generators(inst)
     words = enumerate_normal_words(inst, max_degree)
-    # The rank does not see the positive factor L^e of each integer image.
+    # Neither the rank nor the leads see the positive factor L^e of each integer image.
     images = [scaled_image(table, w)[0] for w in words]
     col_index: dict[int, int] = {}
     for image in images:
@@ -527,6 +524,5 @@ def independence_check(inst: ProblemInstance, max_degree: int) -> IndependenceRe
         {col_index[m]: c for m, c in image.items()} for image in images
     ]
     matrix_rank = linalg.rank(rows, len(col_index))
-    leads = [lead_of_image(inst, w)[0] for w in words]
-    distinct = len(set(leads)) == len(leads)
-    return IndependenceResult(len(words), matrix_rank, distinct)
+    leads = {max(image) for image in images}  # A-lex order is int order
+    return IndependenceResult(len(words), matrix_rank, len(leads) == len(words))

@@ -36,6 +36,15 @@ def test_nullspace_known_case():
     assert vec[0] == -2 * vec[1]
 
 
+@pytest.mark.parametrize("solve", [linalg.rank, linalg.nullspace])
+def test_a_column_outside_the_matrix_is_refused(solve):
+    for rows, col in (([{0: 1, 5: 1}], 5), ([{-1: 1}], -1)):
+        with pytest.raises(ValueError, match=f"column {col} is outside 0..1"):
+            solve(rows, 2)
+    # a zero entry is no entry
+    assert solve([{0: 1, 5: 0}], 2) == (1 if solve is linalg.rank else [{1: 1}])
+
+
 def test_nullspace_of_zero_matrix_is_full():
     vectors = densify(linalg.nullspace([], 4), 4)
     assert len(vectors) == 4

@@ -38,7 +38,7 @@ from constalg import linalg, normal_words
 from constalg.groebner import expected_lead
 from constalg.normal_words import image_degree
 from constalg.poly import int_terms, pack, unpack
-from constalg.presentation import pi_image_of_monomial
+from constalg.presentation import pi_image_of_monomial, scaled_image
 from helpers import (
     RATIONAL_LEADS,
     instance_with_degrees,
@@ -328,6 +328,27 @@ def test_lead_of_image_rejects_word_of_other_d():
         lead_of_image(classical(4), PMonomial((0,) * 3, (((1, 2), 1),)))
 
 
+def test_lead_of_image_refuses_a_word_whose_image_overflows_a_field():
+    # f1 = x1^2, so pi(u1_2^e) leads with x1^(2e)*y2^e and x1's field caps e
+    inst = ProblemInstance.from_coeffs(2, [[0, 0, 1], [0, 1]])
+    table = build_generators(inst)
+    for word in (PMonomial((0, 0), (((1, 2), 2**31),)), PMonomial((2**33, 0), ())):
+        with pytest.raises(BudgetExceededError):
+            lead_of_image(inst, word)
+        with pytest.raises(BudgetExceededError):
+            pi_substitute(table, Polynomial.from_term(inst.ring_p, word, 1))
+
+
+def test_lead_of_image_of_a_word_within_room():
+    inst = ProblemInstance.from_coeffs(2, [[0, 0, 1], [0, 1]])
+    for word, lead in (
+        (PMonomial((3, 1), (((1, 2), 2),)), AMonomial((7, 1), (0, 2))),
+        (PMonomial((0, 0), (((1, 2), 2**30 - 1),)), AMonomial((2**31 - 2, 0), (0, 2**30 - 1))),
+        (PMonomial((2**32 - 1, 0), ()), AMonomial((2**32 - 1, 0), (0, 0))),
+    ):
+        assert lead_of_image(inst, word) == (lead, 1)
+
+
 def test_recover_two_factor_lead():
     rng = random.Random(19)
     inst = random_instance(rng, 4)
@@ -565,6 +586,21 @@ def test_independence_rank_equals_count():
     result = independence_check(inst, 5)
     assert result.ok
     assert result.rank == result.word_count == 85
+
+
+def test_independence_check_reads_each_lead_off_its_integer_image(monkeypatch):
+    rng = random.Random(79)
+    for d in (2, 3, 4):
+        inst = random_instance(rng, d, max_m=3)
+        table = build_generators(inst)
+        words = enumerate_normal_words(inst, 5)
+        for word in words:
+            assert max(scaled_image(table, word)[0]) == lead_of_image(inst, word)[0]
+    # a word listed twice shares its lead with itself
+    monkeypatch.setattr(normal_words, "enumerate_normal_words", lambda inst, D: words + words[:1])
+    result = independence_check(inst, 5)
+    assert not result.leads_pairwise_distinct
+    assert result.rank == len(words)
 
 
 def test_independence_trivial_degree_zero():
