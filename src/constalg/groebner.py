@@ -71,6 +71,11 @@ MAX_VERIFY_PAIRS = 300_000
 MAX_REDUCTION_STEPS = 500_000
 # Largest pair queue `buchberger_complete` may hold.
 MAX_PAIR_QUEUE = 100_000
+# Most elements one `buchberger_complete` may add to its inputs.  The tests'
+# completions add at most 20.  Two sets of three 3-term inputs in P(3) that
+# add 111 and 234 elements in 105 s and 141 s are refused after 2.7 s and
+# 0.16 s (2 shared CPUs).
+MAX_COMPLETION_ELEMENTS = 50
 
 
 class LeadTable:
@@ -513,8 +518,9 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     against one `LeadTable` of the inputs, to which each nonzero normal
     form is added.  Each pair's lcm is keyed once, when the pair is
     queued.  The result is the entries made monic.  Zero inputs are
-    dropped; a pair queue larger than MAX_PAIR_QUEUE raises
-    BudgetExceededError instead of silently churning.
+    dropped; a pair queue larger than MAX_PAIR_QUEUE, or more than
+    MAX_COMPLETION_ELEMENTS added elements, raises BudgetExceededError
+    instead of silently churning.
     """
     basis = list(basis)
     if not basis:
@@ -534,7 +540,8 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
         if len(queue) > MAX_PAIR_QUEUE:
             raise BudgetExceededError(f"pair queue grew past the budget of {MAX_PAIR_QUEUE}")
 
-    for new in range(len(entries)):
+    inputs = len(entries)
+    for new in range(inputs):
         queue_pairs(new)
     while queue:
         _, i, j = heappop(queue)
@@ -544,6 +551,10 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
         normal_form = s_polynomial(g, h, layout)
         reduce_int(normal_form, leads, 0)
         if normal_form:
+            if len(entries) - inputs >= MAX_COMPLETION_ELEMENTS:
+                raise BudgetExceededError(
+                    f"completion added more than {MAX_COMPLETION_ELEMENTS} elements"
+                )
             leads.add(max(normal_form), normal_form)
             queue_pairs(len(entries) - 1)
     unpack = layout.unpack

@@ -7,21 +7,21 @@ Elimination is fraction-free (Bareiss 1968; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992): every update is the integer
 cross-multiplication (p/g)*row - (e/g)*pivotrow, where p is the pivot
 value, e the row's entry in the pivot column and g = gcd(p, e) > 0, and a
-row is only rescaled when p/g is not 1.  Each input row, and each row
-after its update, is divided by its content gcd to keep growth in check,
-so every row stays primitive.  The plain update p*row - e*pivotrow is g
-times the reduced one, and the content division takes that positive g out
-again: the rows, and so the pivots and the kernel, are the same either
-way, only the intermediate products are smaller.  Back-substitution keeps each
-variable as int numerators over one denominator, and each kernel vector is
-returned as primitive ints.  Pivot choices are deterministic (columns in
-ascending order, then the sparsest candidate row), so results are
+row is only rescaled when p/g is not 1.  A row is divided by its content
+gcd once, when it becomes a pivot row, so every pivot row is primitive.
+Every active row is a positive multiple of the row that a division after
+each update would give (for the row c*r the update is c*g/g' times that
+of r, with g' = gcd(p, c*e)), so the pivots and the kernel are the same
+either way.  Back-substitution keeps each variable as int numerators over
+one denominator, and each kernel vector is returned as primitive ints.
+Pivot choices are deterministic (columns in ascending order, then the
+sparsest candidate row, the lowest id on a tie), so results are
 reproducible.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 
 def _reduce_content(row: dict):
@@ -34,10 +34,12 @@ def _reduce_content(row: dict):
 def _echelon(rows: list[dict], ncols: int):
     """Row echelon form; returns the pivot list [(col, row_dict), ...].
 
-    Pivot rows are frozen as they are chosen; every still-active row has
-    all earlier pivot columns eliminated, so a frozen pivot row can only
-    contain its own pivot column, free columns, and later pivot columns.
-    `col_rows[c]` is exactly the set of active rows that hold column c.
+    Pivot rows are frozen, and divided by their content, as they are
+    chosen; every still-active row has all earlier pivot columns
+    eliminated, so a frozen pivot row can only contain its own pivot
+    column, free columns, and later pivot columns.  `col_rows[c]` is
+    exactly the set of active rows that hold column c; a row that cancels
+    to zero holds none, so it stays in `active` but is never picked.
     """
     active: dict[int, dict] = {}
     col_rows: dict[int, set] = {}
@@ -45,7 +47,6 @@ def _echelon(rows: list[dict], ncols: int):
         cleaned = {c: v for c, v in row.items() if v}
         if not cleaned:
             continue
-        _reduce_content(cleaned)
         active[rid] = cleaned
         for col in cleaned:
             col_rows.setdefault(col, set()).add(rid)
@@ -54,9 +55,14 @@ def _echelon(rows: list[dict], ncols: int):
         holders = col_rows.pop(col, None)
         if not holders:
             continue
-        pivot_rid = min(holders, key=lambda rid: (len(active[rid]), rid))
+        pivot_rid, best = -1, inf
+        for rid in holders:  # the shortest row, the lowest id on a tie
+            length = len(active[rid])
+            if length < best or (length == best and rid < pivot_rid):
+                pivot_rid, best = rid, length
         holders.discard(pivot_rid)
         pivot_row = active.pop(pivot_rid)
+        _reduce_content(pivot_row)
         pivot_value = pivot_row[col]
         pivots.append((col, pivot_row))
         rest = [(pcol, pvalue) for pcol, pvalue in pivot_row.items() if pcol != col]
@@ -83,16 +89,13 @@ def _echelon(rows: list[dict], ncols: int):
                     else:
                         del row[pcol]
                         col_rows[pcol].discard(rid)
-            if row:
-                _reduce_content(row)
-            else:
-                del active[rid]
     if col_rows:  # the loop popped every column in 0..ncols-1, so only outside ones remain
         raise ValueError(f"column {min(col_rows)} is outside 0..{ncols - 1}")
     return pivots
 
 
 def rank(rows: list[dict], ncols: int) -> int:
+    """Rank of the matrix: the number of pivots of `_echelon`."""
     return len(_echelon(rows, ncols))
 
 

@@ -53,12 +53,12 @@ from .errors import (
 )
 from .orders import CORRECTED, dill_key
 from .poly import (
+    FIELD_BITS,
     FIELD_MAX,
     PMonomial,
     Polynomial,
     _new,
     check_monomial,
-    field_shift,
     field_shifts,
     format_monomial,
     int_terms,
@@ -418,19 +418,15 @@ def rewrite_constant(inst: ProblemInstance, g: Polynomial) -> Polynomial:
 
 def _monomials_up_to_degree(d: int, bound: int) -> list[int]:
     """All packed ring-A monomials of total degree <= bound, in descending A-lex order."""
-    out: list[int] = []
-    shifts = [field_shift(d, slot) for slot in range(2 * d)]
-
-    def fill(idx: int, remaining: int, acc: int):
-        # idx walks the exponent slots x1, y1, ..., xd, yd, most significant first
-        if idx == 2 * d:
-            out.append(acc)
-            return
-        for e in range(remaining, -1, -1):
-            fill(idx + 1, remaining - e, acc | e << shifts[idx])
-
-    fill(0, bound, 0)
-    return out
+    # tails[r]: the keys of degree <= r over the slots added so far, descending;
+    # the slots are added from yd (shift 0) back to x1, the most significant.
+    tails = [[0]] * (bound + 1)
+    for shift in range(0, 2 * d * FIELD_BITS, FIELD_BITS):
+        tails = [
+            [e << shift | t for e in range(r, -1, -1) for t in tails[r - e]]
+            for r in range(bound + 1)
+        ]
+    return tails[bound]
 
 
 def _delta_matrix(inst: ProblemInstance, max_degree: int) -> tuple[list[int], list[dict]]:

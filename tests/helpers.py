@@ -3,7 +3,7 @@
 import heapq
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 from constalg import (
     AMonomial,
@@ -448,22 +448,92 @@ def reference_nullspace(rows, ncols):
     ]
 
 
-def reference_delta_matrix(inst, max_degree):
-    """(columns, rows) of L*delta on a degree slice, one `delta_terms` call per column.
+def reference_echelon(rows, ncols):
+    """`linalg._echelon` with eager content division, and its pivot pick by `min`.
 
-    The columns are every exponent vector of degree <= max_degree (a
-    multiset of max_degree slots, slot 2d standing for no variable),
-    packed and sorted in descending A-lex order; the rows follow their
-    targets' first appearance as the columns are walked in order.
+    Each input row, and each row after its update, is divided by its
+    content, so every active row stays primitive.  `_echelon` divides a
+    row only when it becomes a pivot row; its pivots must equal these.
     """
-    slots = range(2 * inst.d)
-    cols = sorted(
+
+    def reduce_content(row):
+        content = gcd(*row.values())
+        if content > 1:
+            for col in row:
+                row[col] //= content
+
+    active, col_rows = {}, {}
+    for rid, row in enumerate(rows):
+        cleaned = {c: v for c, v in row.items() if v}
+        if not cleaned:
+            continue
+        reduce_content(cleaned)
+        active[rid] = cleaned
+        for col in cleaned:
+            col_rows.setdefault(col, set()).add(rid)
+    pivots = []
+    for col in range(ncols):
+        holders = col_rows.pop(col, None)
+        if not holders:
+            continue
+        pivot_rid = min(holders, key=lambda rid: (len(active[rid]), rid))
+        holders.discard(pivot_rid)
+        pivot_row = active.pop(pivot_rid)
+        pivot_value = pivot_row[col]
+        pivots.append((col, pivot_row))
+        rest = [(pcol, pvalue) for pcol, pvalue in pivot_row.items() if pcol != col]
+        for pcol, _ in rest:
+            col_rows[pcol].discard(pivot_rid)
+        for rid in holders:
+            row = active[rid]
+            entry = row.pop(col)
+            common = gcd(pivot_value, entry)
+            scale, entry = pivot_value // common, entry // common
+            if scale != 1:
+                for rcol in row:
+                    row[rcol] *= scale
+            for pcol, pvalue in rest:
+                old = row.get(pcol)
+                if old is None:
+                    row[pcol] = -pvalue * entry
+                    col_rows[pcol].add(rid)
+                else:
+                    new = old - pvalue * entry
+                    if new:
+                        row[pcol] = new
+                    else:
+                        del row[pcol]
+                        col_rows[pcol].discard(rid)
+            if row:
+                reduce_content(row)
+            else:
+                del active[rid]
+    return pivots
+
+
+def reference_slice_columns(d, max_degree):
+    """Every packed ring-A(d) monomial of degree <= max_degree, in descending A-lex order.
+
+    A monomial is a multiset of max_degree slots, slot 2d standing for no
+    variable; the keys are packed and sorted.
+    """
+    slots = range(2 * d)
+    return sorted(
         (
             pack([choice.count(slot) for slot in slots])
-            for choice in combinations_with_replacement(range(2 * inst.d + 1), max_degree)
+            for choice in combinations_with_replacement(range(2 * d + 1), max_degree)
         ),
         reverse=True,
     )
+
+
+def reference_delta_matrix(inst, max_degree):
+    """(columns, rows) of L*delta on a degree slice, one `delta_terms` call per column.
+
+    The columns are `reference_slice_columns`; the rows follow their
+    targets' first appearance as the columns are walked in order.
+    """
+    cols = reference_slice_columns(inst.d, max_degree)
     plan = delta_plan(inst.integer_f[1])
     rows = {}
     for cidx, mono in enumerate(cols):

@@ -310,6 +310,34 @@ def test_buchberger_complete_under_plain_lex(monkeypatch):
         assert reduce(g, completed, LexOrder()).is_zero()
 
 
+def test_completion_element_budget(monkeypatch):
+    # The seed-127 plain-lex input adds one element: it passes under the
+    # bound 1 and is refused under the bound 0.
+    basis = relation_polys(instance_with_degrees(random.Random(127), (1, 2, 1, 2)))
+    monkeypatch.setattr(groebner, "MAX_PAIR_QUEUE", 10_000)
+    monkeypatch.setattr(groebner, "MAX_COMPLETION_ELEMENTS", 1)
+    assert len(buchberger_complete(basis, LexOrder())) == len(basis) + 1
+    monkeypatch.setattr(groebner, "MAX_COMPLETION_ELEMENTS", 0)
+    with pytest.raises(BudgetExceededError, match="completion added more than 0 elements"):
+        buchberger_complete(basis, LexOrder())
+
+
+def test_completion_that_runs_away_is_refused_at_the_default_bound():
+    # Three 3-term inputs in P(3) whose completion under the literal order
+    # adds 234 elements in over two minutes; the element bound refuses it
+    # in well under a second.
+    basis = [
+        parse_poly(text, "P", 3)
+        for text in (
+            "x1^2*u1_2*u1_3 + x1^2*x2*x3*u1_2 - 2*x1*u2_3",
+            "-x1*x2*x3^2*u1_2*u2_3 + x2^2*x3^2*u1_2 + 6*u1_2",
+            "1/2*x1^2*x2*x3^2*u1_2*u1_3 + 6*x1*x2*x3^2 + 1/2*x1^2*x3",
+        )
+    ]
+    with pytest.raises(BudgetExceededError, match="completion added more than 50 elements"):
+        buchberger_complete(basis, DillOrder(LITERAL))
+
+
 def test_buchberger_budget_error(monkeypatch):
     inst = classical(5)
     basis = relation_polys(inst)

@@ -2,13 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 import pytest
 
 from constalg import linalg, normal_words
 from constalg.normal_words import kernel_dim_oracle
-from helpers import RATIONAL_LEADS, densify, instance_with_degrees, reference_nullspace
+from helpers import (
+    RATIONAL_LEADS,
+    densify,
+    instance_with_degrees,
+    reference_echelon,
+    reference_nullspace,
+)
 
 
 def dense_to_rows(matrix):
@@ -144,17 +151,80 @@ def random_rational_rows(rng, nrows, ncols, density):
     return rows
 
 
-def test_nullspace_matches_reference_on_random_matrices():
+def random_matrices():
+    """300 seeded (rows, ncols) of up to 9 x 9, of densities 0.2-0.8."""
     rng = random.Random(4401)
     for _ in range(300):
         nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
-        rows = random_rational_rows(rng, nrows, ncols, rng.choice([0.2, 0.5, 0.8]))
+        yield random_rational_rows(rng, nrows, ncols, rng.choice([0.2, 0.5, 0.8])), ncols
+
+
+def divisor_heavy_matrices():
+    """300 seeded (rows, ncols) whose entries are a few divisors of 12.
+
+    They make g = gcd(pivot, entry) often equal to the pivot, so both
+    branches of the update run.
+    """
+    rng = random.Random(3530)
+    values = [1, -1, 2, -2, 3, 4, -4, 6, -6, 12]
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.3, 0.6, 0.9])
+        rows = [
+            {c: rng.choice(values) for c in range(ncols) if rng.random() < density}
+            for _ in range(nrows)
+        ]
+        yield rows, ncols
+
+
+DENSE_DELTA_SLICES = [(2, 5), (3, 4), (4, 3)]
+
+
+def dense_delta_matrices(d, max_degree):
+    """(rows, ncols) of kernel_dim_oracle's matrices for degrees 0..max_degree.
+
+    Two instances with dense f_i of degrees 1-3 and rational leads.
+    """
+    rng = random.Random(3520 + d)
+    for _ in range(2):
+        degrees = [rng.randint(1, 3) for _ in range(d)]
+        inst = instance_with_degrees(rng, degrees, dense=True, leads=RATIONAL_LEADS)
+        for degree in range(max_degree + 1):
+            cols, rows = normal_words._delta_matrix(inst, degree)
+            yield rows, len(cols)
+
+
+def test_nullspace_matches_reference_on_random_matrices():
+    for rows, ncols in random_matrices():
         assert_same_as_reference(rows, ncols)
 
 
+@pytest.mark.parametrize(
+    "matrices",
+    [random_matrices, divisor_heavy_matrices]
+    + [partial(dense_delta_matrices, d, max_degree) for d, max_degree in DENSE_DELTA_SLICES],
+    ids=["random", "divisor-heavy"] + [f"delta-d{d}-D{D}" for d, D in DENSE_DELTA_SLICES],
+)
+def test_echelon_matches_eager_content_division(matrices):
+    # `_echelon` divides a row by its content only when it becomes a pivot
+    # row; every active row is a positive multiple of the eagerly divided
+    # one, so the pivot columns and the (primitive) pivot rows are the same.
+    for rows, ncols in matrices():
+        assert linalg._echelon(rows, ncols) == reference_echelon(rows, ncols)
+
+
+def test_pivot_is_the_shortest_holder_then_the_lowest_id():
+    # Column 0 is held by rows 0 (the longest), 1, 2 and 3; rows 2 and 3
+    # tie on length 2, shorter than row 1, so row 2 is the pivot.
+    rows = [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 2: 1, 3: 1}, {0: 2, 3: 1}, {0: 3, 1: 1}]
+    pivots = linalg._echelon(rows, 4)
+    assert pivots[0] == (0, {0: 2, 3: 1})
+    assert reference_echelon(rows, 4) == pivots
+
+
 def test_echelon_pivot_rows_are_primitive():
-    # Every row is divided by its content after each update, so no pivot row
-    # carries a common integer factor.
+    # Every row is divided by its content when it becomes a pivot row, so no
+    # pivot row carries a common integer factor.
     rng = random.Random(4405)
     for _ in range(200):
         ncols = rng.randint(2, 9)
@@ -200,19 +270,13 @@ def test_nullspace_matches_reference_on_delta_matrix(monkeypatch):
     assert ncols == 462 and len(vectors) > 50
 
 
-@pytest.mark.parametrize("d, max_degree", [(2, 5), (3, 4), (4, 3)])
+@pytest.mark.parametrize("d, max_degree", DENSE_DELTA_SLICES)
 def test_nullspace_and_rank_match_reference_on_dense_delta_matrices(d, max_degree):
     # The matrices kernel_dim_oracle eliminates, on dense f_i of degrees 1-3
     # with rational leads.
-    rng = random.Random(3520 + d)
-    for _ in range(2):
-        degrees = [rng.randint(1, 3) for _ in range(d)]
-        inst = instance_with_degrees(rng, degrees, dense=True, leads=RATIONAL_LEADS)
-        for degree in range(max_degree + 1):
-            cols, rows = normal_words._delta_matrix(inst, degree)
-            ncols = len(cols)
-            vectors = assert_same_as_reference(rows, ncols)
-            assert linalg.rank(rows, ncols) == ncols - len(vectors)
+    for rows, ncols in dense_delta_matrices(d, max_degree):
+        vectors = assert_same_as_reference(rows, ncols)
+        assert linalg.rank(rows, ncols) == ncols - len(vectors)
 
 
 def test_update_with_and_without_a_pivot_that_divides_the_entry():
@@ -228,16 +292,6 @@ def test_update_with_and_without_a_pivot_that_divides_the_entry():
 
 
 def test_nullspace_matches_reference_when_pivots_often_divide_entries():
-    # Entries from a few divisors of 12 make g = gcd(pivot, entry) often
-    # equal to the pivot, so both branches of the update run.
-    rng = random.Random(3530)
-    values = [1, -1, 2, -2, 3, 4, -4, 6, -6, 12]
-    for _ in range(300):
-        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-        density = rng.choice([0.3, 0.6, 0.9])
-        rows = [
-            {c: rng.choice(values) for c in range(ncols) if rng.random() < density}
-            for _ in range(nrows)
-        ]
+    for rows, ncols in divisor_heavy_matrices():
         vectors = assert_same_as_reference(rows, ncols)
         assert linalg.rank(rows, ncols) == ncols - len(vectors)

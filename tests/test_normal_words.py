@@ -50,6 +50,7 @@ from helpers import (
     reference_delta_matrix,
     reference_nullspace,
     reference_recover_word,
+    reference_slice_columns,
 )
 
 
@@ -539,6 +540,16 @@ def test_kernel_oracle_budget_guard(monkeypatch):
     monkeypatch.setattr(normal_words, "MAX_SLICE_MONOMIALS", 10)
     with pytest.raises(BudgetExceededError):
         kernel_dim_oracle(inst, 5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_slice_columns_match_the_multiset_enumeration(d):
+    # The table of trailing-slot keys gives every monomial of degree <= D
+    # once, in descending A-lex order; D = 0 gives the one monomial 1.
+    for max_degree in range(7):
+        cols = normal_words._monomials_up_to_degree(d, max_degree)
+        assert cols == reference_slice_columns(d, max_degree)
+    assert normal_words._monomials_up_to_degree(d, 0) == [0]
 
 
 @pytest.mark.parametrize("d, max_degree", [(1, 7), (2, 5), (3, 4), (4, 3)])
