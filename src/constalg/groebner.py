@@ -25,8 +25,9 @@ coefficient, split into its lead, taken by `leading_term`, and its
 tail.  It tries a lead only on the monomials whose u-support holds the
 lead's: each entry is filed under the lowest guard bit of its lead's
 u-support, or under 0 when that support is empty, and a monomial looks
-only in file 0 and the files of its own support's bits.  `reduce` packs
-its input too, runs `reduce_int` and divides once at the end.
+only in file 0 and the files of its own support's bits.  Its step count
+is the budget of one `verify_groebner` run, `reduce` call or completion.
+`reduce` packs its input too, runs `reduce_int` and divides once.
 `s_polynomial` (Buchberger 1965) takes two table entries and returns
 the fraction-free S-polynomial on the same packed keys: the lcm
 (`PLayout.lcm`, taken on the keys without unpacking them) and two tail
@@ -65,9 +66,9 @@ from .presentation import Relation, build_relations, relation_count
 # Most pairs `verify_groebner` may check.  d = 12 has 255,255 (a dense instance
 # took 3.4-4.2 s in process on 2 shared CPUs); d = 13 has 500,500.
 MAX_VERIFY_PAIRS = 300_000
-# Most steps the integer reductions of one `verify_groebner` run may take.
-# Dense instances with f_i of degree 1-3 take 28,580 steps at d = 10 and
-# 91,098 at d = 12; the count grows linearly with the degrees of the f_i.
+# Most steps the reductions against one `LeadTable` (a `verify_groebner` run, a
+# `reduce` call or a completion) may take.  Dense instances with f_i of degree 1-3
+# take 28,580 steps at d = 10 and 91,098 at d = 12, linear in the degrees of the f_i.
 MAX_REDUCTION_STEPS = 500_000
 # Largest pair queue `buchberger_complete` may hold.
 MAX_PAIR_QUEUE = 100_000
@@ -92,7 +93,7 @@ class LeadTable:
     order, listed once per support until an `add`.  `add` files an entry
     under the lowest guard bit of its lead's u-support, a lead without
     u-factors under 0, so the list of a support gathers file 0 and the
-    files of the support's bits.
+    files of the support's bits.  `steps` counts the reduction steps.
     """
 
     def __init__(self, basis, order):
@@ -103,6 +104,7 @@ class LeadTable:
         if not all(basis):
             raise ValueError("reduction basis must not contain zero")
         self.layout = layout = order.layout(ring.d)
+        self.steps = 0
         self.entries = []
         self._files: dict = {}  # lowest u-guard bit of a lead -> [(index, u-support, entry)]
         self._candidates: dict = {}
@@ -169,20 +171,20 @@ def reduce(p: Polynomial, basis, order) -> Polynomial:
     Deterministic: the order-maximal reducible monomial is rewritten first,
     always against the first basis element whose lead divides it.  No
     monomial of the result is divisible by any basis lead.  `reduce_int`
-    computes it up to a positive factor.
+    computes it up to a positive factor; each call has one table and budget.
     """
     basis = list(basis)
     ring = _ring_p([p, *basis])
     leads = LeadTable(basis, order)
     work, den = int_terms(p)
     work = leads.layout.pack_terms(work)
-    _, scale = reduce_int(work, leads, 0)
+    scale = reduce_int(work, leads)
     unpack = leads.layout.unpack
     return Polynomial._make(ring, {unpack(m): Fraction(c, den * scale) for m, c in work.items()})
 
 
-def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
-    """Pseudo-reduce the int term map `work` in place; return (steps + steps taken, scale).
+def reduce_int(work: dict, leads: LeadTable) -> int:
+    """Pseudo-reduce the int term map `work` in place; return the scale.
 
     `work` is an int term map on the packed monomials of `leads.layout`.
     The work's maximal monomial, its `max`, goes first: to a remainder
@@ -192,8 +194,9 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
     becomes (a/k)*work - (c/k)*q*g and the remainder (a/k)*remainder.  The
     remainder then goes back into the work, which holds scale*NF: NF is
     the normal form over Fraction, scale the product of the factors
-    a/k > 0.  A total above MAX_REDUCTION_STEPS, or a product that
-    overflows a packed field, raises BudgetExceededError.
+    a/k > 0.  Each step adds one to `leads.steps`, which all reductions
+    against the table share; a count above MAX_REDUCTION_STEPS, or a
+    product over a packed field, raises BudgetExceededError.
     """
     layout, reducer = leads.layout, leads.reducer
     remainder: dict = {}
@@ -205,8 +208,8 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
         if hit is None:
             remainder[mono] = coeff
             continue
-        steps += 1
-        if steps > MAX_REDUCTION_STEPS:
+        leads.steps += 1
+        if leads.steps > MAX_REDUCTION_STEPS:
             raise BudgetExceededError(
                 f"verification needs more than {MAX_REDUCTION_STEPS} reduction steps"
             )
@@ -220,7 +223,7 @@ def reduce_int(work: dict, leads: LeadTable, steps: int) -> tuple[int, int]:
                     terms[m] *= multiplier
         _subtract_product(work, quotient, mono - lm, tail, layout)
     work.update(remainder)
-    return steps, scale
+    return scale
 
 
 def _subtract_product(work: dict, factor: int, quot: int, tail: dict, layout) -> None:
@@ -467,10 +470,10 @@ def verify_groebner(
     `LeadTable` entries.  Pairs with coprime leads, whose supports are
     disjoint, are discharged by Buchberger's first criterion; every other
     S-polynomial is pseudo-reduced by `reduce_int` against the same
-    table.  More than MAX_VERIFY_PAIRS pairs raise BudgetExceededError
-    before the relations are built, more than MAX_REDUCTION_STEPS
-    reduction steps when they are taken, and so does a monomial that
-    overflows a packed field.
+    table, which counts the steps of the whole run.  More than
+    MAX_VERIFY_PAIRS pairs raise BudgetExceededError before the relations
+    are built, more than MAX_REDUCTION_STEPS reduction steps when they are
+    taken, and so does a monomial that overflows a packed field.
     """
     count = relation_count(inst.d) if relations is None else len(relations)
     if comb(count, 2) > MAX_VERIFY_PAIRS:
@@ -489,7 +492,7 @@ def verify_groebner(
         return GroebnerCertificate(inst, variant, conformance, pairs, True)
     leads = LeadTable([rel.poly for rel in relations], order)
     if all(e.ok for e in conformance):
-        steps, layout = 0, leads.layout
+        layout = leads.layout
         rows = [
             (rel.label, entry, layout.support(entry[0]))
             for rel, entry in zip(relations, leads.entries)
@@ -498,7 +501,7 @@ def verify_groebner(
             for right, h, right_support in rows[i + 1:]:
                 work = s_polynomial(g, h, layout)
                 if left_support & right_support:
-                    steps, _ = reduce_int(work, leads, steps)
+                    reduce_int(work, leads)
                     discharged_by = None if work else "reduction"
                 else:
                     discharged_by = "coprime"
@@ -518,9 +521,9 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
     against one `LeadTable` of the inputs, to which each nonzero normal
     form is added.  Each pair's lcm is keyed once, when the pair is
     queued.  The result is the entries made monic.  Zero inputs are
-    dropped; a pair queue larger than MAX_PAIR_QUEUE, or more than
-    MAX_COMPLETION_ELEMENTS added elements, raises BudgetExceededError
-    instead of silently churning.
+    dropped; a pair queue over MAX_PAIR_QUEUE, more than
+    MAX_COMPLETION_ELEMENTS added elements or, over all reductions, more
+    than MAX_REDUCTION_STEPS steps raise BudgetExceededError.
     """
     basis = list(basis)
     if not basis:
@@ -549,7 +552,7 @@ def buchberger_complete(basis, order) -> list[Polynomial]:
         if not layout.support(g[0]) & layout.support(h[0]):
             continue
         normal_form = s_polynomial(g, h, layout)
-        reduce_int(normal_form, leads, 0)
+        reduce_int(normal_form, leads)
         if normal_form:
             if len(entries) - inputs >= MAX_COMPLETION_ELEMENTS:
                 raise BudgetExceededError(

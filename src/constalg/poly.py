@@ -115,11 +115,6 @@ def u_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1))
 
 
-def p_dimension(width: int) -> int:
-    """The d of a P-monomial exponent tuple of this width, d(d-1)/2 + d."""
-    return (isqrt(8 * width + 1) - 1) // 2
-
-
 def u_position(d: int, j: int, k: int) -> int:
     """Index of the label (j, k) in `u_pairs(d)`."""
     return (j - 1) * (2 * d - j) // 2 + k - j - 1
@@ -171,7 +166,8 @@ class PMonomial(tuple):
 
     @property
     def d(self) -> int:
-        return p_dimension(len(self))
+        """The d of a P-monomial exponent tuple of this width, d(d-1)/2 + d."""
+        return (isqrt(8 * len(self) + 1) - 1) // 2
 
     @property
     def xexp(self) -> tuple:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from constalg import groebner, normal_words, presentation
-from constalg.cli import run
+from constalg.cli import main, run
 from constalg.poly import FIELD_MAX, MAX_EXPONENT, _split_poly_int
 
 
@@ -443,6 +443,15 @@ def test_parse_errors_exit_2(instance_file, capsys):
 
 def test_missing_instance_file_exit_2(tmp_path, capsys):
     assert run(["relations", "--instance", str(tmp_path / "nope.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "nope.json")
+    monkeypatch.setattr(sys, "argv", ["constalg", "relations", "--instance", missing])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -338,6 +338,25 @@ def test_completion_that_runs_away_is_refused_at_the_default_bound():
         buchberger_complete(basis, DillOrder(LITERAL))
 
 
+def test_completion_reductions_share_one_step_budget(monkeypatch):
+    # The completion of the d = 5 relations with f_i = x_i adds nothing; its
+    # 36 reductions take 90 steps in all and at most 6 each, so it passes
+    # under the bound 90 and is refused under 89.
+    basis, order = relation_polys(classical(5)), DillOrder()
+    monic = [g.scale(Fraction(1) / leading_term(g, order)[1]) for g in basis]
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 90)
+    assert buchberger_complete(basis, order) == monic
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 89)
+    with pytest.raises(BudgetExceededError, match="more than 89 reduction steps"):
+        buchberger_complete(basis, order)
+
+
+def test_buchberger_complete_of_zero_inputs_is_empty():
+    zero = parse_poly("0", "P", 2)
+    assert buchberger_complete([zero], DillOrder()) == []
+    assert buchberger_complete([zero, zero], DillOrder()) == []
+
+
 def test_buchberger_budget_error(monkeypatch):
     inst = classical(5)
     basis = relation_polys(inst)
@@ -761,7 +780,7 @@ def test_reduce_int_zero_matches_reference_reduce(variant):
         for i, j in pairs:
             work = s_polynomial(entries[i], entries[j], layout)
             spoly = as_polynomial(work, layout, basis[i].ring)
-            _, scale = groebner.reduce_int(work, leads, 0)
+            scale = groebner.reduce_int(work, leads)
             normal_form = reference_reduce(spoly, basis, order)
             assert (not work) == normal_form.is_zero()
             assert scale > 0
@@ -776,13 +795,17 @@ def test_reduce_int_budget_counts_steps_across_calls(monkeypatch):
     order = DillOrder()
     leads = int_leads(relations, order)
     work = s_polynomial(leads.entries[0], leads.entries[-1], leads.layout)
-    steps, scale = groebner.reduce_int(dict(work), leads, 0)
+    scale = groebner.reduce_int(dict(work), leads)
+    steps = leads.steps
     assert steps > 0
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 10 + steps)
-    assert groebner.reduce_int(dict(work), leads, 10) == (10 + steps, scale)
+    leads.steps = 10
+    assert groebner.reduce_int(dict(work), leads) == scale
+    assert leads.steps == 10 + steps
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 9 + steps)
+    leads.steps = 10
     with pytest.raises(BudgetExceededError, match=f"more than {9 + steps} reduction steps"):
-        groebner.reduce_int(dict(work), leads, 10)
+        groebner.reduce_int(dict(work), leads)
 
 
 def test_reduce_runs_under_the_step_budget(monkeypatch):
@@ -791,7 +814,9 @@ def test_reduce_runs_under_the_step_budget(monkeypatch):
     order = DillOrder()
     spoly = spoly_of(basis[0], basis[-1], order)
     work = order.layout(4).pack_terms(int_terms(spoly)[0])
-    steps, _ = groebner.reduce_int(work, int_leads(relations, order), 0)
+    leads = int_leads(relations, order)
+    groebner.reduce_int(work, leads)
+    steps = leads.steps
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps)
     assert reduce(spoly, basis, order).is_zero()
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", steps - 1)
@@ -1021,10 +1046,11 @@ def test_reduction_steps_over_non_coprime_pairs(monkeypatch, profile, total):
     taken = []
     original = groebner.reduce_int
 
-    def counting(work, leads, steps):
-        result = original(work, leads, steps)
-        taken.append(result[0] - steps)
-        return result
+    def counting(work, leads):
+        before = leads.steps
+        scale = original(work, leads)
+        taken.append(leads.steps - before)
+        return scale
 
     monkeypatch.setattr(groebner, "reduce_int", counting)
     cert = verify_groebner(dense_instance(profile))

@@ -266,6 +266,29 @@ def test_count_bounds_kernel_dimension_below():
     assert len(kernel_dim_oracle(inst, 5)) == 68
 
 
+def test_sorted_profile_count_is_the_kernel_dimension():
+    # Swapping the pairs (x_i, y_i) maps delta_f to delta_(f o sigma) and
+    # keeps degrees and y-degrees, so every profile has the kernel dimension
+    # of its non-increasing sort, where the words count the whole kernel.
+    def sorted_profile(inst):
+        return ProblemInstance.from_coeffs(inst.d, sorted(inst.f, key=len, reverse=True))
+
+    rng = random.Random(6103)
+    slices = 0
+    for d, bound in ((2, 7), (3, 6), (3, 6), (4, 4), (4, 4), (5, 3)):
+        inst = instance_with_degrees(rng, [rng.randint(1, 3) for _ in range(d)])
+        counts = count_normal_words(sorted_profile(inst), bound)
+        for b in range(bound + 1):
+            assert sum(counts[: b + 1]) == len(kernel_dim_oracle(inst, b))
+            slices += 1
+    assert slices == 36
+    inst = ProblemInstance.from_coeffs(3, [[0, 0, 0, 1], [0, 1], [0, 0, 0, 1]])
+    assert sorted_profile(inst).m == (3, 3, 1)
+    assert sum(count_normal_words(inst, 5)) == 67
+    assert sum(count_normal_words(sorted_profile(inst), 5)) == 68
+    assert len(kernel_dim_oracle(inst, 5)) == 68
+
+
 def test_count_budget(monkeypatch):
     inst = classical(4)
     assert count_normal_words(inst, 0) == [1]

@@ -9,6 +9,7 @@ from constalg import (
     CORRECTED,
     LITERAL,
     AMonomial,
+    DillOrder,
     LexOrder,
     PMonomial,
     dill_key,
@@ -144,3 +145,8 @@ def test_alex_key_inequality_for_peeling():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         dill_key(PMonomial.one(2), "bogus")
+
+
+def test_order_handles_repr():
+    assert repr(DillOrder(LITERAL)) == "DillOrder('literal')"
+    assert repr(LexOrder()) == "LexOrder()"

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from constalg.derivation import MAX_D
-from constalg.groebner import MAX_REDUCTION_STEPS, MAX_VERIFY_PAIRS
+from constalg.groebner import MAX_COMPLETION_ELEMENTS, MAX_REDUCTION_STEPS, MAX_VERIFY_PAIRS
 from constalg.normal_words import (
     MAX_COUNT_WORK,
     MAX_NORMAL_WORDS,
@@ -34,6 +34,7 @@ def test_quoted_budgets_match_constants():
         f"more than {MAX_RELATIONS:,} relations (`presentation.MAX_RELATIONS`",
         f"more than {MAX_VERIFY_PAIRS:,} pairs of relations (`groebner.MAX_VERIFY_PAIRS`",
         f"after {MAX_REDUCTION_STEPS:,} reduction steps (`groebner.MAX_REDUCTION_STEPS`)",
+        f"adding {MAX_COMPLETION_ELEMENTS} elements (`groebner.MAX_COMPLETION_ELEMENTS`)",
         f"peeling {MAX_PEEL_STEPS:,} words (`normal_words.MAX_PEEL_STEPS`)",
         f"may not exceed {MAX_COUNT_WORK:,} coefficient operations",
         f"`d` above {MAX_D}",
